@@ -6,6 +6,9 @@ seeds; the JSON schema is
 
     {curve, p, tower: {d, e, prec}, picture, invariants[], conditions[],
      component_verdict, solubility, convention_markers[], oracle?}
+
+with tower.prec the effective pi-adic precision e*M actually stored,
+which can exceed a requested --prec below the floor of 8 p-adic digits.
 """
 
 import argparse
@@ -80,7 +83,7 @@ def build_report(expr, verdict, analysis, oracle_result=None):
         "curve": expr.text,
         "p": expr.p,
         "tower": {"d": analysis.tower.d, "e": analysis.tower.e,
-                  "prec": analysis.tower.prec},
+                  "prec": analysis.tower.e * analysis.tower.M},
         "picture": analysis.picture.serialize(),
         "invariants": [_invariant_row(analysis.inv[n])
                        for n in analysis.picture.proper()],

@@ -4,20 +4,33 @@ The picture is the laminar family of subsets of the roots cut out by
 p-adic discs, built from the matrix of pairwise valuations.  For each
 proper cluster we compute depth, relative depth, nu, lambda, e, genus,
 the classification flags, the Galois action, and the +-1 characters
-attached to even clusters and cotwins.
+epsilon_s attached to even clusters and cotwins.
 
-Character computation never enlarges the tower: a square root of the
-radicand theta^2 = c_f prod_{r not in s}(z_s - r) is tracked through its
-leading residue term as  s * (sqrt(omega))^alpha * (sqrt(pi))^(W mod 2),
-where omega is the residue-field generator.  The Galois generators act
-on the two formal radicals by
+Character computation never enlarges the tower.  The radicand
+theta^2 = c_f prod_{r not in s}(z_s - r) of the star s is read through its
+leading term u pi^W, u in F_q, and the word tau^a frob^b acts on the formal
+radicals by
 
     tau(sqrt(omega)) = sqrt(omega)        frob(sqrt(omega)) = sqrt(omega)^p
     tau(sqrt(pi))    = zeta_2e sqrt(pi)   frob(sqrt(pi))    = sqrt(pi)
 
-with zeta_2e a primitive 2e-th root of unity squaring to zeta_e, so
-zeta_2e^e = -1.  This realises the quadratic twist layers exactly and
-keeps every epsilon value a literal +-1 in the residue field.
+with omega the residue-field generator and zeta_2e a primitive 2e-th root
+of unity squaring to zeta_e, so zeta_2e^e = -1.  epsilon_s(w) is the ratio
+w(theta_s) / theta_{w(s)}, a literal +-1 in the residue field.
+
+When the word fixes the star the two square roots cancel, whichever root
+is taken, and the value is the power-residue symbol
+
+    epsilon_s(tau^a frob^b) = u^((p^b - 1)/2) * zeta_2e^(aW),
+
+one exponentiation and no square root.  If the star is fixed by tau and
+frob, then e | W and u lies in F_p, so epsilon_s is a character of the
+whole quotient with epsilon(tau) = (-1)^(W/e) and
+epsilon(frob) = u^((p-1)/2); triviality is decided on the generators.
+Square roots are taken only for stars that are not Galois-fixed: a word
+that moves the star uses one canonical symbol s * sqrt(omega)^alpha per
+cluster, memoised, and an odd power of zeta_2e with e even uses the
+canonical square root of zeta_e.  Triviality is then checked word by word.
 """
 
 import math
@@ -25,8 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalError
-from .curves import extract_roots, galois_perms, required_tower
-from .tame import GaloisWord, Tower
+from .curves import extract_roots, galois_perms, perm_order, required_tower
+from .tame import FROB, TAU, GaloisWord, Tower
 
 INF = math.inf
 
@@ -263,7 +276,10 @@ class ClusterAnalysis:
         self.star_mode = star_mode
         self.curve_genus = expr.genus
         self._radicand_cache = {}
+        self._sqrt_cache = {}
         self._eps_cache = {}
+        self._tau_order = perm_order(rs.tau_perm)
+        self._frob_order = perm_order(rs.frob_perm)
         self._zeta2e = None
         self._group = None
         self.inv = {}
@@ -341,20 +357,14 @@ class ClusterAnalysis:
     def image(self, node, word):
         """Image cluster of a node under tau^a frob^b."""
         idx = set(node.roots)
-        for _ in range(word.b % self._frob_order()):
+        for _ in range(word.b % self._frob_order):
             idx = {self.rs.frob_perm[i] for i in idx}
-        for _ in range(word.a % self._tau_order()):
+        for _ in range(word.a % self._tau_order):
             idx = {self.rs.tau_perm[i] for i in idx}
         out = self.picture.by_set.get(frozenset(idx))
         if out is None:
             raise InternalError("Galois image of a cluster is not a cluster")
         return out
-
-    def _tau_order(self):
-        return _perm_order(self.rs.tau_perm)
-
-    def _frob_order(self):
-        return _perm_order(self.rs.frob_perm)
 
     def group(self):
         """All permutations of the roots generated by tau and frob."""
@@ -390,8 +400,8 @@ class ClusterAnalysis:
         orbits = {}
         for node in self.picture.proper():
             rec = self.inv[node]
-            rec.fixed_inertia = self.image(node, GaloisWord(1, 0)) is node
-            rec.fixed_frob = self.image(node, GaloisWord(0, 1)) is node
+            rec.fixed_inertia = self.image(node, TAU) is node
+            rec.fixed_frob = self.image(node, FROB) is node
             rec.fixed_galois = rec.fixed_inertia and rec.fixed_frob
             rec.stable_children = tuple(self.stable_children(node))
             key = min(tuple(sorted(g[i] for i in node.roots)) for g in self.group())
@@ -428,6 +438,13 @@ class ClusterAnalysis:
         self._radicand_cache[node] = out
         return out
 
+    def _sqrt_symbol(self, node):
+        """Canonical formal square root of the node's radicand residue, memoised."""
+        if node not in self._sqrt_cache:
+            u = self.radicand(node)[1]
+            self._sqrt_cache[node] = canonical_sqrt_symbol(self.tower.fq, u)
+        return self._sqrt_cache[node]
+
     def zeta2e_symbol(self):
         """Primitive 2e-th root of unity squaring to zeta_e (so zeta_2e^e = -1)."""
         if self._zeta2e is None:
@@ -441,32 +458,56 @@ class ClusterAnalysis:
             self._zeta2e = sym
         return self._zeta2e
 
+    def _zeta2e_power(self, m):
+        """zeta_2e^m as a symbol.
+
+        Even powers are powers of zeta_e; for odd e, zeta_2e = -zeta_e^((e+1)/2).
+        Only an odd power with e even needs the square root of zeta_e, and
+        never for a tau-fixed star, whose W is a multiple of e.
+        """
+        t = self.tower
+        fq = t.fq
+        m %= 2 * t.e
+        if m % 2 and t.e % 2 == 0:
+            return self.zeta2e_symbol() ** m
+        s = fq.one
+        if m % 2:
+            m += t.e                 # zeta_2e^m = -zeta_2e^(m+e)
+            s = fq.neg(s)
+        return SqrtSymbol(fq, fq.mul(s, fq.pow(t.zeta_e_res, m // 2)), 0)
+
     def epsilon(self, node, word):
         """epsilon_s evaluated on tau^a frob^b; 0 unless s is even or a cotwin."""
         rec = self.inv[node]
         if not (rec.is_even or rec.cotwin):
             return 0
-        key = (node.roots, word.a % (2 * self.tower.e), word.b % (2 * self.tower.d))
+        a, b = word.a % (2 * self.tower.e), word.b % (2 * self.tower.d)
+        key = (node, a, b)
         if key in self._eps_cache:
             return self._eps_cache[key]
         star = self.star(node)
         target = self.image(star, word)
-        w1, u1 = self.radicand(star)
-        w2, u2 = self.radicand(target)
-        if w1 != w2:
-            raise InternalError("Galois image of a radicand changed valuation")
+        w, u = self.radicand(star)
         fq = self.tower.fq
-        sym1 = canonical_sqrt_symbol(fq, u1)
-        sym2 = canonical_sqrt_symbol(fq, u2)
-        sym = sym1.frob_iter(word.b % (2 * self.tower.d))
-        sym = sym * self.zeta2e_symbol() ** ((word.a % (2 * self.tower.e)) * w1)
-        sym = sym * sym2.inv()
-        sign = sym.as_sign()
+        if target is star:
+            # frob^b(sqrt(u)) / sqrt(u) = u^((p^b-1)/2) for either root
+            pb = pow(fq.p, b, 2 * (fq.q - 1))
+            sym = SqrtSymbol(fq, fq.pow(u, (pb - 1) // 2), 0)
+        else:
+            if self.radicand(target)[0] != w:
+                raise InternalError("Galois image of a radicand changed valuation")
+            sym = self._sqrt_symbol(star).frob_iter(b) * self._sqrt_symbol(target).inv()
+        sign = (sym * self._zeta2e_power(a * w)).as_sign()
         if sign is None:
             raise InternalError(
                 f"epsilon value is not +-1 on cluster {node.name} (precision or convention bug)")
         self._eps_cache[key] = sign
         return sign
+
+    def _star_fixed(self, node, *words):
+        """Whether every given word maps the node's star to itself."""
+        star = self.star(node)
+        return all(self.image(star, w) is star for w in words)
 
     def epsilon_words(self):
         """Representatives of the quotient through which every epsilon factors."""
@@ -474,9 +515,14 @@ class ClusterAnalysis:
                 for a in range(2 * self.tower.e) for b in range(2 * self.tower.d)]
 
     def eps_trivial_galois(self, node):
+        if self._star_fixed(node, TAU, FROB):
+            # a character of the whole quotient: the generators decide
+            return self.epsilon(node, TAU) == 1 and self.epsilon(node, FROB) == 1
         return all(self.epsilon(node, w) == 1 for w in self.epsilon_words())
 
     def eps_trivial_inertia(self, node):
+        if self._star_fixed(node, TAU):
+            return self.epsilon(node, TAU) == 1
         return all(self.epsilon(node, GaloisWord(a, 0)) == 1
                    for a in range(2 * self.tower.e))
 
@@ -510,7 +556,8 @@ class ClusterAnalysis:
         for i in node.roots:
             centroid = centroid + self.rs.roots[i]
         if not centroid.is_zero:
-            centroid = centroid * t.from_int(n).inv()
+            inv_n = t.from_int(pow(n, -1, t.pM)) if n % t.p else t.from_int(n).inv()
+            centroid = centroid * inv_n
         val = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
         for r in self.rs.roots:
             val = val * (centroid - r)
@@ -538,21 +585,6 @@ class ClusterAnalysis:
         tau_swaps = self.rs.tau_perm[a] == b
         frob_swaps = self.rs.frob_perm[a] == b
         return (tau_swaps, frob_swaps)
-
-
-def _perm_order(perm):
-    n = len(perm)
-    order = 1
-    seen = [False] * n
-    for i in range(n):
-        if not seen[i]:
-            length, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            order = math.lcm(order, length)
-    return order
 
 
 # ------------------------------------------------------------------

@@ -595,7 +595,7 @@ def galois_perms(rs):
     # tame relation frob o tau == tau^p o frob on indices
     lhs = [rs.frob_perm[rs.tau_perm[i]] for i in range(n)]
     rhs = list(range(n))
-    for _ in range(t.p % _perm_order(rs.tau_perm)):
+    for _ in range(t.p % perm_order(rs.tau_perm)):
         rhs = [rs.tau_perm[i] for i in rhs]
     rhs = [rhs[rs.frob_perm[i]] for i in range(n)]
     if lhs != rhs:
@@ -603,7 +603,8 @@ def galois_perms(rs):
     return rs
 
 
-def _perm_order(perm):
+def perm_order(perm):
+    """Order of a permutation given as an index list: the lcm of its cycle lengths."""
     n = len(perm)
     order = 1
     seen = [False] * n

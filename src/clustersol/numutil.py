@@ -111,19 +111,6 @@ def poly_mul(f, g):
     return poly_trim(out)
 
 
-def poly_add(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] += b
-    return poly_trim(out)
-
-
-def poly_scale(f, c):
-    return poly_trim([c * a for a in f])
-
-
 def poly_eval(f, x):
     acc = 0
     for a in reversed(f):

@@ -464,25 +464,6 @@ class Elt:
             n >>= 1
         return r
 
-    # --- comparisons at precision ---
-
-    def distance_vL(self, other):
-        """pi-valuation of self - other, capped at the trusted precision."""
-        diff = self - other
-        if diff.is_zero:
-            return None  # indistinguishable
-        return diff.vL
-
-    def eq_to_precision(self, other, margin=1):
-        try:
-            diff = self - other
-        except PrecisionExhausted:
-            return True
-        if diff.is_zero:
-            return True
-        bounds = [x.vL + self.tower.e * x.rel for x in (self, other) if not x.is_zero]
-        return bool(bounds) and diff.vL >= min(bounds) - margin
-
     # --- Galois action ---
 
     def tau(self):

@@ -28,6 +28,16 @@ def test_analyze_json_schema(capsys):
     assert {c["id"] for c in rep["conditions"]} >= {"i", "ii.a", "vi.f"}
 
 
+def test_analyze_reports_effective_precision(capsys):
+    # --prec 1 is raised to the floor of 8 stored p-adic digits per column
+    code, out, _ = run(capsys, "analyze", "--expr", EX3[0], "--p", "7",
+                       "--prec", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["tower"] == {"d": 1, "e": 3, "prec": 8 * 3}
+    code, out, _ = run(capsys, "analyze", "--expr", EX3[0], "--p", "7", "--prec", "1")
+    assert code == 0 and "prec = 24 pi-digits" in out
+
+
 def test_analyze_curve_file(capsys, tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("p = 7\np*(x^3-p^2)*((x-1)^3-p^2)\n")

@@ -1,0 +1,135 @@
+"""Production epsilon against the all-words square-root reference evaluator.
+
+The reference takes two canonical square roots for every word, exactly as
+the characters were first evaluated: eps(w) = w(sqrt(u_s)) zeta_2e^(aW) /
+sqrt(u_{w(s)}).  Production replaces this by a power-residue symbol when
+the word fixes the star and decides triviality on the generators when the
+star is Galois-fixed; the values themselves must agree word by word.
+"""
+
+import pytest
+
+import clustersol.clusters as clusters_mod
+from conftest import EX1, EX2, EX3
+from clustersol.clusters import analyse, canonical_sqrt_symbol
+from clustersol.corpus import generate_corpus
+from clustersol.curves import parse_expr
+from clustersol.decision import theorem_decide
+from clustersol.tame import FROB, TAU
+
+
+def reference_epsilon(A, node, word):
+    """epsilon_s(tau^a frob^b) from two canonical square roots per word."""
+    rec = A.inv[node]
+    if not (rec.is_even or rec.cotwin):
+        return 0
+    star = A.star(node)
+    target = A.image(star, word)
+    w1, u1 = A.radicand(star)
+    w2, u2 = A.radicand(target)
+    assert w1 == w2
+    fq = A.tower.fq
+    sym1 = canonical_sqrt_symbol(fq, u1)
+    sym2 = canonical_sqrt_symbol(fq, u2)
+    sym = sym1.frob_iter(word.b % (2 * A.tower.d))
+    sym = sym * A.zeta2e_symbol() ** ((word.a % (2 * A.tower.e)) * w1)
+    sym = sym * sym2.inv()
+    sign = sym.as_sign()
+    assert sign in (1, -1)
+    return sign
+
+
+# curves whose characters are also evaluated on words that move the star:
+# vi.e / vi.f top children, Frobenius-swapped zeta(3) twins at p = 2 mod 3,
+# and twins {sqrt(p), sqrt(50p)} at p = 7 (50 = 1 mod p^2) moved by tau
+NON_STABLE = [
+    ("2*(x^2-3*p^8)*((x-zeta(3))^2+2*p^3)*((x-zeta(3)^2)^2+2*p^3)", 11),
+    ("p*((x-zeta(3))^2+2*p)*((x-zeta(3)^2)^2+2*p)*((x-2)^2+2*p^4)", 17),
+    (EX2, 11),
+    (EX2, 23),
+    ("(x^2-p)*(x^2-50*p)*(x-1)", 7),
+    ("(x^3-p)*(x^3-50*p)", 7),
+    ("(x^4-p)*(x^4-50*p)*(x-1)", 7),
+]
+CURVES = NON_STABLE + [EX1, EX3, (EX2, 7), ("(x-1)*(x^4-p)", 13)]
+CURVES += [(text, p) for p, text in generate_corpus(4242, 24, [7, 11, 13, 17])]
+
+
+def _character_nodes(A):
+    return [n for n in A.picture.proper() if A.inv[n].is_even or A.inv[n].cotwin]
+
+
+def _check_against_reference(A):
+    """Compare every value and both triviality tests; count non-stable words."""
+    moved = 0
+    for node in _character_nodes(A):
+        star = A.star(node)
+        ref = {}
+        for w in A.epsilon_words():
+            ref[w] = reference_epsilon(A, node, w)
+            assert A.epsilon(node, w) == ref[w], (node.name, w)
+            moved += A.image(star, w) is not star
+        assert A.eps_trivial_galois(node) == all(v == 1 for v in ref.values())
+        assert A.eps_trivial_inertia(node) == all(
+            v == 1 for w, v in ref.items() if w.b == 0)
+    return moved
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_epsilon_matches_all_words_reference(flip):
+    clusters_mod.FLIP_CANONICAL_SQRT = flip
+    try:
+        moved = {}
+        for text, p in CURVES:
+            A = analyse(parse_expr(text, p))
+            moved[(text, p)] = _check_against_reference(A)
+    finally:
+        clusters_mod.FLIP_CANONICAL_SQRT = False
+    for curve in NON_STABLE:
+        assert moved[curve] > 0, curve
+
+
+def test_no_square_root_when_the_star_is_fixed(monkeypatch):
+    def forbidden(fq, u):
+        raise AssertionError("square root taken on a star-fixing word")
+
+    checked = 0
+    for text, p in CURVES:
+        A = analyse(parse_expr(text, p))
+        fixed = [n for n in _character_nodes(A)
+                 if all(A.image(A.star(n), w) is A.star(n) for w in (TAU, FROB))]
+        if not fixed:
+            continue
+        B = analyse(parse_expr(text, p))
+        B._eps_cache.clear()        # forget what construction evaluated
+        B._sqrt_cache.clear()
+        B._zeta2e = None
+        monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", forbidden)
+        for node, node_b in zip(A.picture.proper(), B.picture.proper()):
+            if node in fixed:
+                for w in B.epsilon_words():
+                    assert B.epsilon(node_b, w) in (1, -1)
+                B.eps_trivial_galois(node_b)
+                B.eps_trivial_inertia(node_b)
+                checked += 1
+        monkeypatch.undo()
+    assert checked > 10
+
+
+def test_theorem_takes_no_square_root_on_galois_fixed_pictures(monkeypatch):
+    def forbidden(fq, u):
+        raise AssertionError("square root taken for a Galois-fixed star")
+
+    decided = 0
+    for text, p in CURVES:
+        A = analyse(parse_expr(text, p))
+        if not all(A.inv[n].fixed_galois for n in A.picture.proper()):
+            continue
+        monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", forbidden)
+        try:
+            yes, _ = theorem_decide(analyse(parse_expr(text, p)))
+        finally:
+            monkeypatch.undo()
+        assert yes == theorem_decide(A)[0]
+        decided += 1
+    assert decided > 5
