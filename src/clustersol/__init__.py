@@ -7,7 +7,7 @@ from .curves import (CurveExpr, expand_to_integer_poly, extract_roots,
 from .decision import (SolubilityVerdict, corollary_gate, solubility_decide,
                        theorem_decide)
 from .oracle import OracleResult, exhaustive_soluble, is_locally_soluble
-from .tame import FROB, TAU, GaloisWord, Tower, tower_create
+from .tame import FROB, TAU, GaloisWord, Tower
 
 __all__ = [
     "ClusterAnalysis", "analyse", "build_picture",
@@ -15,5 +15,5 @@ __all__ = [
     "extract_roots", "galois_perms", "expand_to_integer_poly",
     "SolubilityVerdict", "solubility_decide", "theorem_decide", "corollary_gate",
     "OracleResult", "is_locally_soluble", "exhaustive_soluble",
-    "Tower", "tower_create", "GaloisWord", "TAU", "FROB",
+    "Tower", "GaloisWord", "TAU", "FROB",
 ]

@@ -1,8 +1,9 @@
 """Command-line entry points: analyze, oracle, compare, render.
 
 Exit codes: 0 ok, 1 usage or parse failure, 2 inapplicable input,
-3 internal error.  All output is deterministic for fixed inputs and
-seeds; the JSON schema is
+3 internal error, 4 precision exhausted (a cancellation fell below the
+trusted digits, or the verdict changed under precision doubling).  All
+output is deterministic for fixed inputs and seeds; the JSON schema is
 
     {curve, p, tower: {d, e, prec}, picture, invariants[], conditions[],
      component_verdict, solubility, convention_markers[], oracle?}
@@ -22,7 +23,7 @@ from .corpus import generate_corpus
 from .curves import (expand_to_integer_poly, galois_closure_check, parse_expr,
                      read_curve_file)
 from .decision import CONDITION_IDS, solubility_decide
-from .errors import ClusterSolError, InternalError, ParseError
+from .errors import ClusterSolError, InternalError, ParseError, PrecisionExhausted
 from .oracle import is_locally_soluble
 from .render import render_ascii, render_latex
 
@@ -355,7 +356,7 @@ def main(argv=None):
         return 3
     except ClusterSolError as ex:
         print(f"error ({type(ex).__name__}): {ex}", file=sys.stderr)
-        return 1
+        return 4 if isinstance(ex, PrecisionExhausted) else 1
 
 
 if __name__ == "__main__":

@@ -73,10 +73,6 @@ class ClusterNode:
         return self.size % 2 == 0
 
     @property
-    def is_odd(self):
-        return self.size % 2 == 1
-
-    @property
     def rootset(self):
         return frozenset(self.roots)
 
@@ -213,12 +209,6 @@ class SqrtSymbol:
             return -1
         return None
 
-    def square(self):
-        s2 = self.fq.mul(self.s, self.s)
-        if self.alpha:
-            s2 = self.fq.mul(s2, self.fq.omega)
-        return s2
-
 
 FLIP_CANONICAL_SQRT = False  # test hook: take the other root everywhere
 
@@ -268,12 +258,11 @@ class ClusterInvariants:
 class ClusterAnalysis:
     """Everything the decision engine consumes, for one embedded curve."""
 
-    def __init__(self, expr, rs, picture, star_mode="direct"):
+    def __init__(self, expr, rs, picture):
         self.expr = expr
         self.rs = rs
         self.tower = rs.tower
         self.picture = picture
-        self.star_mode = star_mode
         self.curve_genus = expr.genus
         self._radicand_cache = {}
         self._sqrt_cache = {}
@@ -416,11 +405,6 @@ class ClusterAnalysis:
         if rec.cotwin:
             g2 = 2 * self.curve_genus
             return next(c for c in node.children if c.size == g2)
-        if self.star_mode == "walkup":
-            cur = node
-            while cur.parent is not None and self.inv[cur.parent].ubereven:
-                cur = cur.parent
-            return cur
         return node
 
     def radicand(self, node):
@@ -598,7 +582,7 @@ def default_precision(expr, e):
     return 8 * e * (1 + maxval)
 
 
-def analyse(expr, prec=None, star_mode="direct"):
+def analyse(expr, prec=None):
     """Embed the roots, build the picture, and compute all cluster data."""
     d, e = required_tower(expr)
     if prec is None:
@@ -607,4 +591,4 @@ def analyse(expr, prec=None, star_mode="direct"):
     rs = extract_roots(expr, tower)
     galois_perms(rs)
     picture = build_picture(rs, expr)
-    return ClusterAnalysis(expr, rs, picture, star_mode=star_mode)
+    return ClusterAnalysis(expr, rs, picture)

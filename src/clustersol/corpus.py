@@ -11,6 +11,7 @@ squarefree root sets.
 import random
 
 from .curves import expand_to_integer_poly, galois_closure_check, parse_expr
+from .decision import corollary_gate
 from .errors import ClusterSolError
 from .numutil import poly_deriv, resultant
 
@@ -86,10 +87,6 @@ def random_curve_text(rng, p, genus_range=(2, 4), max_tries=200):
     raise RuntimeError("corpus generator failed to produce a curve")
 
 
-def gate_passes(p, genus):
-    return p > 2 * (genus * genus - 1)
-
-
 def generate_corpus(seed, count, p_list, genus_range=(2, 4), odd_only=False):
     """Deterministic list of (p, text) pairs passing the applicability gate."""
     rng = random.Random(seed)
@@ -102,7 +99,7 @@ def generate_corpus(seed, count, p_list, genus_range=(2, 4), odd_only=False):
         p = rng.choice(list(p_list))
         text = random_curve_text(rng, p, genus_range)
         expr = parse_expr(text, p)
-        if not gate_passes(p, expr.genus):
+        if not corollary_gate(p, expr.genus, {})[0]:
             continue
         if odd_only and expr.degree % 2 == 0:
             continue

@@ -273,16 +273,16 @@ def corollary_gate(p, genus, tame_flags):
     return applicable, reasons
 
 
-def solubility_decide(expr, prec=None, star_mode="direct", recheck_doubled=True):
+def solubility_decide(expr, prec=None, recheck_doubled=True):
     """Full pipeline: analysis at working precision, gate, theorem, verdict.
 
     The verdict is recomputed at doubled precision and must agree, else
     PrecisionExhausted propagates; truncation must never decide a curve.
     """
-    A = analyse(expr, prec=prec, star_mode=star_mode)
+    A = analyse(expr, prec=prec)
     component_yes, reports = theorem_decide(A)
     if recheck_doubled:
-        A2 = analyse(expr, prec=2 * A.tower.prec, star_mode=star_mode)
+        A2 = analyse(expr, prec=2 * A.tower.prec)
         yes2, reports2 = theorem_decide(A2)
         if yes2 != component_yes or any(
                 reports[cid].satisfied != reports2[cid].satisfied

@@ -27,17 +27,6 @@ class PrecisionExhausted(ClusterSolError):
     pass
 
 
-class NoSquareRoot(ClusterSolError):
-    """Raised when an element has no square root in the tower.
-
-    ``reason`` is one of ``"odd-valuation"`` or ``"non-residue"``.
-    """
-
-    def __init__(self, reason):
-        super().__init__(f"no square root: {reason}")
-        self.reason = reason
-
-
 # --- curve input ---
 
 class ParseError(ClusterSolError):

@@ -6,6 +6,11 @@ The modulus is the lexicographically least primitive polynomial over F_p
 (coefficient tuples (a_0, ..., a_{d-1}) of t^d + a_{d-1} t^{d-1} + ... + a_0
 compared left to right), so t generates the multiplicative group and the
 construction is reproducible across runs and machines.
+
+F_q is the unramified ring W = Z_p[t]/(Ptilde) of ``tame.py`` read mod p:
+both are Z[t]/(t^d + low(t)) with coefficients mod m, m = p here and
+m = p^M for W, and both multiply and exponentiate with the one kernel
+``_mulmod`` / ``_powmod`` below.
 """
 
 import functools
@@ -15,32 +20,35 @@ from .errors import NonOddPrime
 from .numutil import factorint, is_prime
 
 
-def _mulmod(f, g, low, p):
-    """Multiply polynomials f, g over F_p modulo t^d + low(t), d = len(low)."""
+def _mulmod(f, g, low, m):
+    """f * g in Z[t]/(t^d + low(t)) with coefficients mod m, d = len(low)."""
     d = len(low)
+    if d == 1:
+        return (f[0] * g[0] % m,)
     out = [0] * (2 * d - 1)
     for i, x in enumerate(f):
         if x:
             for j, y in enumerate(g):
                 out[i + j] += x * y
     for k in range(2 * d - 2, d - 1, -1):
-        c = out[k] % p
-        out[k] = 0
+        c = out[k] % m
         if c:
             for j in range(d):
                 out[k - d + j] -= c * low[j]
-    return tuple(v % p for v in out[:d])
+    return tuple([v % m for v in out[:d]])
 
 
-def _powmod(f, e, low, p):
+def _powmod(f, n, low, m):
+    """f^n in Z[t]/(t^d + low(t)) with coefficients mod m, for n >= 0."""
     d = len(low)
+    if d == 1:
+        return (pow(f[0], n, m),)
     r = (1,) + (0,) * (d - 1)
-    f = tuple(f)
-    while e:
-        if e & 1:
-            r = _mulmod(r, f, low, p)
-        f = _mulmod(f, f, low, p)
-        e >>= 1
+    while n:
+        if n & 1:
+            r = _mulmod(r, f, low, m)
+        f = _mulmod(f, f, low, m)
+        n >>= 1
     return r
 
 
@@ -175,21 +183,12 @@ class FqField:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        if self.d == 1:
-            return (a[0] * b[0] % self.p,)
         return _mulmod(a, b, self.modulus, self.p)
 
     def pow(self, a, e):
         if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+            a, e = self.inv(a), -e
+        return _powmod(a, e, self.modulus, self.p)
 
     def inv(self, a):
         if a == self.zero:

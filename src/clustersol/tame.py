@@ -7,8 +7,10 @@ with uniformiser pi satisfying pi^e = p exactly.  Internally an element is
 
 where each column col_i lives in the unramified ring W = Z_p[t]/(Ptilde),
 Ptilde the monic integer lift of the residue-field modulus, and column
-coordinates are stored modulo p^M.  Valuations are normalised so that
-v(p) = 1 and v(pi) = 1/e.
+coordinates are stored modulo p^M.  The residue field F_q is W mod p, so
+W columns are multiplied and raised to powers by the same kernel as F_q
+(``fq._mulmod`` / ``fq._powmod``), at modulus p^M instead of p.
+Valuations are normalised so that v(p) = 1 and v(pi) = 1/e.
 
 The two tame Galois generators are realised concretely:
 
@@ -29,9 +31,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DivisionByZero, InternalError, NoSquareRoot, NonOddPrime,
+from .errors import (DivisionByZero, InternalError, NonOddPrime,
                      PrecisionExhausted, WildRamification, ZeroElement)
-from .fq import get_field
+from .fq import _mulmod, _powmod, get_field
 from .numutil import is_prime
 
 INF = math.inf
@@ -43,10 +45,6 @@ class GaloisWord:
 
     a: int = 0
     b: int = 0
-
-    @property
-    def is_identity(self):
-        return self.a == 0 and self.b == 0
 
 
 TAU = GaloisWord(1, 0)
@@ -71,7 +69,6 @@ class Tower:
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
-        self._wred = self._w_reduction_rows()
         self._teich_cache = {}
         self._frob_pows = None                # computed lazily
         if e > 1 and (self.q - 1) % e != 0:
@@ -84,23 +81,6 @@ class Tower:
     # ------------------------------------------------------------------
     # W = Z_p[t]/(Ptilde) arithmetic on coordinate tuples mod p^M
     # ------------------------------------------------------------------
-
-    def _w_reduction_rows(self):
-        d, pM = self.d, self.pM
-        if d == 1:
-            return []
-        low = self.fq.modulus                     # integer lift, coefficients in [0, p)
-        row = tuple((-a) % pM for a in low)       # t^d
-        rows = [row]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            top = prev[d - 1]
-            shifted = [0] + list(prev[:-1])
-            if top:
-                for j in range(d):
-                    shifted[j] = (shifted[j] + top * rows[0][j]) % pM
-            rows.append(tuple(shifted))
-        return rows
 
     def w_zero(self):
         return (0,) * self.d
@@ -124,31 +104,10 @@ class Tower:
         return tuple(x * c % pM for x in a)
 
     def w_mul(self, a, b):
-        d, pM = self.d, self.pM
-        if d == 1:
-            return (a[0] * b[0] % pM,)
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k] % pM
-            out[k] = 0
-            if c:
-                row = self._wred[k - d]   # full reduction of t^k to degree < d
-                for j in range(d):
-                    out[j] += c * row[j]
-        return tuple(v % pM for v in out[:d])
+        return _mulmod(a, b, self.fq.modulus, self.pM)
 
     def w_pow(self, a, n):
-        r = self.w_one()
-        while n:
-            if n & 1:
-                r = self.w_mul(r, a)
-            a = self.w_mul(a, a)
-            n >>= 1
-        return r
+        return _powmod(a, n, self.fq.modulus, self.pM)
 
     def w_residue(self, a):
         p = self.p
@@ -272,9 +231,6 @@ class Tower:
     # ------------------------------------------------------------------
     # elements
     # ------------------------------------------------------------------
-
-    def _make(self, vL, unit, rel):
-        return Elt(self, vL, unit, rel)
 
     def zero(self):
         return Elt(self, None, None, self.M)
@@ -436,33 +392,14 @@ class Elt:
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
         t = self.tower
-        res_inv = self.fq_residue_inv()
-        z = Elt(t, 0, (tuple(res_inv),) + (t.w_zero(),) * (t.e - 1), self.rel)
+        res_inv = t.fq.inv(self.residue())
+        z = Elt(t, 0, (res_inv,) + (t.w_zero(),) * (t.e - 1), self.rel)
         u = Elt(t, 0, self.unit, self.rel)
         two = t.from_int(2)
         steps = max(t.e * t.M, 2).bit_length() + 1
         for _ in range(steps):
             z = z * (two - u * z)
         return Elt(t, -self.vL, z.unit, min(self.rel, z.rel))
-
-    def fq_residue_inv(self):
-        return self.tower.fq.inv(self.residue())
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def __pow__(self, n):
-        t = self.tower
-        if n < 0:
-            return self.inv() ** (-n)
-        r = t.one()
-        a = self
-        while n:
-            if n & 1:
-                r = r * a
-            a = a * a
-            n >>= 1
-        return r
 
     # --- Galois action ---
 
@@ -486,69 +423,6 @@ class Elt:
         if t.d == 1:
             return self
         return Elt(t, self.vL, tuple(t.w_frob(c) for c in self.unit), self.rel)
-
-    def galois(self, word):
-        """Apply tau^a o frob^b."""
-        t = self.tower
-        x = self
-        for _ in range(word.b % t.d if t.d > 1 else 0):
-            x = x.frob()
-        for _ in range(word.a % t.e if t.e > 1 else 0):
-            x = x.tau()
-        return x
-
-    # --- square roots ---
-
-    def sqrt(self):
-        if self.is_zero:
-            return self
-        t = self.tower
-        if self.vL % 2 != 0:
-            raise NoSquareRoot("odd-valuation")
-        res = self.residue()
-        s0 = t.fq.canonical_sqrt(res)
-        if s0 is None:
-            raise NoSquareRoot("non-residue")
-        u = Elt(t, 0, self.unit, self.rel)
-        z = Elt(t, 0, (tuple(t.fq.inv(s0)),) + (t.w_zero(),) * (t.e - 1), self.rel)
-        three = t.from_int(3)
-        half = pow(2, -1, t.pM)
-        steps = max(t.e * t.M, 2).bit_length() + 1
-        for _ in range(steps):
-            w = three - u * z * z
-            w = Elt(t, w.vL, tuple(t.w_scale(c, half) for c in w.unit), w.rel)
-            z = z * w
-        root = u * z
-        return Elt(t, self.vL // 2, root.unit, min(self.rel, root.rel))
-
-    # --- display ---
-
-    def teichmuller_digits(self, n=None):
-        """First n Teichmueller pi-digits of the unit part, as residue elements."""
-        t = self.tower
-        if self.is_zero:
-            return []
-        if n is None:
-            n = min(t.e * self.rel, 3 * t.e)
-        digits = []
-        x = Elt(t, 0, self.unit, self.rel)
-        for _ in range(n):
-            if x.is_zero:
-                digits.append(t.fq.zero)
-                continue
-            if x.vL > 0:
-                digits.append(t.fq.zero)
-                x = x.shift(-1)
-                continue
-            a = x.residue()
-            digits.append(a)
-            lift = Elt(t, 0, (t.teichmuller(a),) + (t.w_zero(),) * (t.e - 1), t.M)
-            try:
-                y = x - lift
-            except PrecisionExhausted:
-                break
-            x = y.shift(-1) if not y.is_zero else t.zero()
-        return digits
 
 
 def _normalise(tower, v0, raw, abs_pi):
@@ -578,35 +452,3 @@ def _normalise(tower, v0, raw, abs_pi):
     if rel < 1:
         raise PrecisionExhausted("no trusted leading digit after cancellation")
     return Elt(t, v0 + best, tuple(cols), min(rel, t.M))
-
-
-# ------------------------------------------------------------------
-# free-function operation wrappers
-# ------------------------------------------------------------------
-
-def tower_create(p, d, e, prec):
-    """Create tower parameters; deterministic given the inputs."""
-    return Tower(p, d, e, prec)
-
-
-def valuation(x):
-    return x.valuation()
-
-
-def residue(x):
-    return x.residue()
-
-
-def sqrt(x):
-    return x.sqrt()
-
-
-def galois_apply(word, x):
-    return x.galois(word)
-
-
-def chi(tower, word):
-    """Ramification character on the word tau^a frob^b, as a residue element."""
-    if tower.e == 1:
-        return tower.fq.one
-    return tower.fq.pow(tower.zeta_e_res, word.a)

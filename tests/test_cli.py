@@ -55,6 +55,13 @@ def test_analyze_inapplicable_exit_code(capsys):
     assert code == 2 and "Inapplicable" in out
 
 
+def test_analyze_precision_exhausted_exit_code(capsys):
+    # a cancellation on this curve falls below the trusted digits
+    code, _, err = run(capsys, "analyze", "--expr",
+                       "2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)", "--p", "13")
+    assert code == 4 and "error (PrecisionExhausted):" in err
+
+
 def test_usage_error(capsys):
     assert run(capsys, "analyze", "--expr", EX1[0])[0] == 1   # missing --p
 

@@ -256,13 +256,11 @@ def test_epsilon_invariant_under_global_sign_flip():
 
 def test_star_modes():
     expr = parse_expr(EX2, 11)
-    direct = analyse(expr, star_mode="direct")
-    walkup = analyse(expr, star_mode="walkup")
+    direct = analyse(expr)
     twin = direct.picture.top.children[0]
-    # direct mode: star is the twin itself; walkup passes through uebereven R
+    # direct mode: star is the twin itself, not the uebereven parent R
     assert direct.star(twin) is twin
-    assert walkup.star(walkup.picture.top.children[0]) is walkup.picture.top
-    # cotwin star is the 2g-child in both modes
+    # cotwin star is the 2g-child
     A = analyse(parse_expr("(x-1)*(x^4-p)", 13))
     top = A.picture.top
     assert A.star(top).size == 4

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from clustersol.errors import NonOddPrime
-from clustersol.fq import FqField, get_field
+from clustersol.fq import FqField, _mulmod, _powmod, get_field
+from clustersol.numutil import poly_mul
+from clustersol.tame import Tower
+from test_tame_field import TOWERS
 
 FIELDS = [(7, 1), (7, 2), (11, 2), (13, 3), (17, 2), (17, 4), (7, 6), (13, 8)]
 
@@ -72,3 +75,59 @@ def test_rejects_even_or_composite():
         FqField(2, 1)
     with pytest.raises(NonOddPrime):
         FqField(15, 1)
+
+
+# --- the shared F_q / W kernel against an independent computation ---
+
+def reference_mulmod(f, g, low, m):
+    """Integer product, long division by t^d + low(t), then reduction mod m."""
+    d = len(low)
+    divisor = list(low) + [1]
+    rem = poly_mul(list(f), list(g)) + [0] * d
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        for j in range(d + 1):
+            rem[k - d + j] -= c * divisor[j]
+    return tuple(c % m for c in rem[:d])
+
+
+def reference_powmod(f, n, low, m):
+    """Left-to-right binary powering over reference_mulmod."""
+    r = (1,) + (0,) * (len(low) - 1)
+    for bit in bin(n)[2:]:
+        r = reference_mulmod(r, r, low, m)
+        if bit == "1":
+            r = reference_mulmod(r, f, low, m)
+    return r
+
+
+KERNEL_CASES = ([(p, d, None) for p, d in FIELDS]
+                + [(p, d, (p, d, e, prec)) for p, d, e, prec in TOWERS])
+
+
+@pytest.mark.parametrize("p,d,tower", KERNEL_CASES)
+def test_kernel_matches_reference(p, d, tower):
+    # m = p is F_q; m = p^M is W, at the tower's M or the floor M = 8
+    F = get_field(p, d)
+    t = Tower(*tower) if tower else None
+    low = F.modulus
+    rng = random.Random(p * 1000 + d)
+    for m in (p, t.pM if t else p ** 8):
+        for _ in range(20):
+            f, g = (tuple(rng.randrange(m) for _ in range(d)) for _ in range(2))
+            want = reference_mulmod(f, g, low, m)
+            assert _mulmod(f, g, low, m) == want
+            for n in (0, 1, F.q - 2, rng.randrange(F.q, F.q ** 3),
+                      rng.getrandbits(200)):
+                assert _powmod(f, n, low, m) == reference_powmod(f, n, low, m)
+            if m == p:
+                assert F.mul(f, g) == want
+                if f != F.zero:
+                    n = rng.randrange(1, F.q ** 2)
+                    assert F.pow(f, n) == reference_powmod(f, n, low, p)
+                    assert reference_mulmod(F.pow(f, -n), reference_powmod(f, n, low, p),
+                                            low, p) == F.one
+            elif t:
+                assert t.w_mul(f, g) == want
+                n = rng.getrandbits(100)
+                assert t.w_pow(f, n) == reference_powmod(f, n, low, m)

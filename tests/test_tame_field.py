@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from clustersol.errors import (NoSquareRoot, NonOddPrime, PrecisionExhausted,
-                               WildRamification, ZeroElement)
-from clustersol.tame import FROB, TAU, GaloisWord, Tower, chi, tower_create
+from clustersol.errors import (NonOddPrime, PrecisionExhausted, WildRamification,
+                               ZeroElement)
+from clustersol.tame import FROB, TAU, Elt, GaloisWord, Tower
 
 TOWERS = [(7, 1, 1, 24), (7, 2, 3, 36), (11, 2, 2, 32), (13, 1, 4, 40),
           (17, 2, 12, 96), (7, 1, 3, 30)]
@@ -32,44 +32,79 @@ def close(a, b, margin=4):
     return d.vL >= bound - margin
 
 
+def apply_word(word, x):
+    """tau^a o frob^b applied to x, one generator at a time."""
+    for _ in range(word.b):
+        x = x.frob()
+    for _ in range(word.a):
+        x = x.tau()
+    return x
+
+
+def teichmuller_digits(x, n):
+    """First n Teichmueller pi-digits of the unit part, as residue elements."""
+    t = x.tower
+    if x.is_zero:
+        return []
+    digits = []
+    x = Elt(t, 0, x.unit, x.rel)
+    for _ in range(n):
+        if x.is_zero:
+            digits.append(t.fq.zero)
+            continue
+        if x.vL > 0:
+            digits.append(t.fq.zero)
+            x = x.shift(-1)
+            continue
+        a = x.residue()
+        digits.append(a)
+        lift = Elt(t, 0, (t.teichmuller(a),) + (t.w_zero(),) * (t.e - 1), t.M)
+        try:
+            y = x - lift
+        except PrecisionExhausted:
+            break
+        x = y.shift(-1) if not y.is_zero else t.zero()
+    return digits
+
+
 # --- creation ---
 
 def test_create_base_field():
-    t = tower_create(7, 1, 1, 20)
+    t = Tower(7, 1, 1, 20)
     assert t.q == 7 and t.e == 1
 
 
 def test_create_ramified():
-    t = tower_create(7, 2, 3, 20)
+    t = Tower(7, 2, 3, 20)
     assert t.q == 49
     assert t.pi().valuation() == Fraction(1, 3)
 
 
 def test_create_rejections():
     with pytest.raises(WildRamification):
-        tower_create(7, 1, 7, 20)
+        Tower(7, 1, 7, 20)
     with pytest.raises(NonOddPrime):
-        tower_create(2, 1, 1, 20)
+        Tower(2, 1, 1, 20)
     with pytest.raises(NonOddPrime):
-        tower_create(9, 1, 1, 20)
+        Tower(9, 1, 1, 20)
 
 
 # --- arithmetic ---
 
 def test_pi_power_is_p():
-    t = tower_create(7, 2, 3, 30)
+    t = Tower(7, 2, 3, 30)
     pi = t.pi()
-    assert (pi * pi ** 2 - t.from_int(7)).is_zero
-    assert (pi * pi ** 2).valuation() == 1
+    assert (pi * pi * pi - t.from_int(7)).is_zero
+    assert (pi * pi * pi).valuation() == 1
 
 
 def test_inv_pi():
-    t = tower_create(7, 2, 3, 30)
+    t = Tower(7, 2, 3, 30)
     assert t.pi().inv().valuation() == Fraction(-1, 3)
 
 
 def test_cancellation_tracks_precision():
-    t = tower_create(7, 1, 1, 20)
+    t = Tower(7, 1, 1, 20)
     y = t.from_int(1 + 7 ** 10) - t.one()
     assert y.valuation() == 10
     assert y.rel == 10
@@ -78,7 +113,7 @@ def test_cancellation_tracks_precision():
 
 
 def test_precision_exhausted_on_deep_cancellation():
-    t = tower_create(7, 1, 1, 8)
+    t = Tower(7, 1, 1, 8)
     x = (t.from_int(1 + 7 ** 5) - t.one()) * t.from_int(1 + 7 ** 5)
     # x = 7^5 + 7^10 with only 3 trusted digits; subtracting 7^5 cancels
     # past the trusted precision
@@ -88,7 +123,7 @@ def test_precision_exhausted_on_deep_cancellation():
 
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
 def test_field_axioms_random(p, d, e, prec):
-    t = tower_create(p, d, e, prec)
+    t = Tower(p, d, e, prec)
     rng = random.Random(p + e)
     for _ in range(60):
         x, y, z = (rand_elt(t, rng) for _ in range(3))
@@ -101,7 +136,7 @@ def test_field_axioms_random(p, d, e, prec):
 
 def test_thousand_case_axiom_suite():
     # the large flat suite: associativity, inverses, distributivity
-    t = tower_create(11, 2, 2, 32)
+    t = Tower(11, 2, 2, 32)
     rng = random.Random(99)
     for _ in range(1000):
         x, y, z = (rand_elt(t, rng, max_val=2) for _ in range(3))
@@ -113,7 +148,7 @@ def test_thousand_case_axiom_suite():
 
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
 def test_valuation_laws(p, d, e, prec):
-    t = tower_create(p, d, e, prec)
+    t = Tower(p, d, e, prec)
     rng = random.Random(e * 13 + p)
     for _ in range(100):
         x, y = rand_elt(t, rng), rand_elt(t, rng)
@@ -128,16 +163,16 @@ def test_valuation_laws(p, d, e, prec):
 # --- residues ---
 
 def test_residue_examples():
-    t = tower_create(7, 1, 1, 20)
+    t = Tower(7, 1, 1, 20)
     assert t.from_int(3 + 7 * 5).residue() == (3,)
-    t3 = tower_create(7, 1, 3, 30)
+    t3 = Tower(7, 1, 3, 30)
     assert t3.from_int(7).residue() == (1,)  # p = pi^3 exactly
     with pytest.raises(ZeroElement):
         t.zero().residue()
 
 
 def test_residue_multiplicative():
-    t = tower_create(11, 2, 2, 32)
+    t = Tower(11, 2, 2, 32)
     rng = random.Random(5)
     for _ in range(100):
         x, y = rand_elt(t, rng), rand_elt(t, rng)
@@ -148,7 +183,7 @@ def test_residue_multiplicative():
 
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
 def test_tame_relation(p, d, e, prec):
-    t = tower_create(p, d, e, prec)
+    t = Tower(p, d, e, prec)
     rng = random.Random(p * e)
     for _ in range(50):
         x = rand_elt(t, rng)
@@ -160,7 +195,7 @@ def test_tame_relation(p, d, e, prec):
 
 
 def test_thousand_case_galois_relation():
-    t = tower_create(7, 2, 3, 36)
+    t = Tower(7, 2, 3, 36)
     rng = random.Random(1234)
     for _ in range(1000):
         x = rand_elt(t, rng, max_val=1)
@@ -171,7 +206,7 @@ def test_thousand_case_galois_relation():
 
 
 def test_tau_order_and_frob_order():
-    t = tower_create(7, 2, 3, 36)
+    t = Tower(7, 2, 3, 36)
     rng = random.Random(8)
     for _ in range(25):
         x = rand_elt(t, rng)
@@ -186,7 +221,7 @@ def test_tau_order_and_frob_order():
 
 
 def test_galois_fixes_rationals():
-    t = tower_create(13, 2, 4, 40)
+    t = Tower(13, 2, 4, 40)
     for n in (1, 5, -3, 13, 13 ** 2 * 9):
         x = t.from_int(n)
         assert (x.tau() - x).is_zero
@@ -194,7 +229,7 @@ def test_galois_fixes_rationals():
 
 
 def test_galois_is_ring_hom():
-    t = tower_create(11, 2, 2, 32)
+    t = Tower(11, 2, 2, 32)
     rng = random.Random(77)
     for _ in range(50):
         x, y = rand_elt(t, rng), rand_elt(t, rng)
@@ -203,70 +238,35 @@ def test_galois_is_ring_hom():
 
 
 def test_chi_values():
-    t = tower_create(7, 1, 3, 30)
-    assert chi(t, TAU) == t.zeta_e_res
-    assert chi(t, FROB) == t.fq.one
-    assert chi(t, GaloisWord(2, 0)) == t.fq.mul(t.zeta_e_res, t.zeta_e_res)
-    # tau(pi)/pi reduces to chi(tau)
+    # the ramification character chi(s) = s(pi)/pi mod m
+    t = Tower(7, 1, 3, 30)
     pi = t.pi()
-    assert (pi.tau() * pi.inv()).residue() == t.zeta_e_res
+
+    def chi(word):
+        return (apply_word(word, pi) * pi.inv()).residue()
+
+    assert chi(TAU) == t.zeta_e_res
+    assert chi(FROB) == t.fq.one
+    assert chi(GaloisWord(2, 0)) == t.fq.mul(t.zeta_e_res, t.zeta_e_res)
 
 
 def test_word_compose_relation():
-    t = tower_create(7, 2, 3, 30)
+    t = Tower(7, 2, 3, 30)
     w = t.word_compose(FROB, TAU)       # frob o tau
     assert (w.a - t.p) % t.e == 0 and w.b % t.d == 1
 
 
-# --- sqrt ---
-
-def test_sqrt_examples():
-    t = tower_create(7, 2, 3, 36)
-    assert (t.one().sqrt() - t.one()).is_zero
-    pi2 = t.pi(2)
-    s = pi2.sqrt()
-    assert (s * s - pi2).is_zero
-    with pytest.raises(NoSquareRoot) as ex:
-        t.pi().sqrt()
-    assert ex.value.reason == "odd-valuation"
-    om = t.from_w(t.fq.omega, 0)
-    if not t.fq.is_square(t.fq.omega):
-        with pytest.raises(NoSquareRoot) as ex:
-            om.sqrt()
-        assert ex.value.reason == "non-residue"
-
-
-def test_sqrt_soundness_random():
-    t = tower_create(11, 2, 2, 32)
-    rng = random.Random(3)
-    done = 0
-    for _ in range(1000):
-        x = rand_elt(t, rng, max_val=2)
-        if x.is_zero:
-            continue
-        try:
-            s = x.sqrt()
-        except NoSquareRoot as ex:
-            # failure occurs exactly on the two declared conditions
-            if ex.reason == "odd-valuation":
-                assert x.vL % 2 == 1
-            else:
-                assert x.vL % 2 == 0 and not t.fq.is_square(x.residue())
-            continue
-        assert close(s * s, x)
-        done += 1
-    assert done > 200
-
+# --- digit view ---
 
 def test_teichmuller_digit_view_tau_semantics():
     # tau multiplies the i-th pi-digit by zeta_e^i and fixes the digits
-    t = tower_create(7, 2, 3, 30)
+    t = Tower(7, 2, 3, 30)
     rng = random.Random(21)
     zeta = t.zeta_e_res
     for _ in range(15):
         x = rand_elt(t, rng, max_val=0)
-        digits = x.teichmuller_digits(6)
-        tau_digits = x.tau().teichmuller_digits(6)
+        digits = teichmuller_digits(x, 6)
+        tau_digits = teichmuller_digits(x.tau(), 6)
         shift = x.vL % t.e
         scale = t.fq.pow(zeta, shift)
         for i, (a, b) in enumerate(zip(digits, tau_digits)):
@@ -275,9 +275,9 @@ def test_teichmuller_digit_view_tau_semantics():
 
 
 def test_teichmuller_digit_view_reconstructs():
-    t = tower_create(11, 1, 2, 24)
+    t = Tower(11, 1, 2, 24)
     x = t.from_int(5 + 3 * 11 + 7 * 11 ** 2)
-    digits = x.teichmuller_digits(8)
+    digits = teichmuller_digits(x, 8)
     acc = t.zero()
     for i, a in enumerate(digits):
         if a != t.fq.zero:
@@ -286,12 +286,11 @@ def test_teichmuller_digit_view_reconstructs():
 
 
 def test_galois_word_application():
-    from clustersol.tame import galois_apply
-    t = tower_create(7, 2, 3, 30)
+    t = Tower(7, 2, 3, 30)
     rng = random.Random(31)
     for _ in range(20):
         x = rand_elt(t, rng)
         w = GaloisWord(2, 1)
-        assert close(galois_apply(w, x), x.frob().tau().tau())
+        assert close(apply_word(w, x), x.frob().tau().tau())
         wc = t.word_compose(TAU, FROB)     # tau o frob
-        assert close(galois_apply(wc, x), x.frob().tau())
+        assert close(apply_word(wc, x), x.frob().tau())
