@@ -10,6 +10,11 @@ output is deterministic for fixed inputs and seeds; the JSON schema is
 
 with tower.prec the effective pi-adic precision e*M actually stored,
 which can exceed a requested --prec below the floor of 8 p-adic digits.
+
+A batch (``analyze --curve FILE``, ``compare``) fails only the bad curve:
+it becomes the row {curve, p, error: {class, message}} and the others are
+still reported.  The exit code is then that of the first failing curve's
+error class, else 2 if any curve is inapplicable (``analyze``), else 0.
 """
 
 import argparse
@@ -143,30 +148,51 @@ def _print_text_report(rep):
               f"({o['nodes_explored']} classes explored)")
 
 
+def _exit_code(ex):
+    """1 for parse and input errors, 3 internal, 4 precision exhausted."""
+    if isinstance(ex, InternalError):
+        return 3
+    return 4 if isinstance(ex, PrecisionExhausted) else 1
+
+
+def _error_row(p, text, ex):
+    return {"curve": text, "p": p,
+            "error": {"class": type(ex).__name__, "message": str(ex)}}
+
+
+def _analyze_one(p, text, prec):
+    expr = parse_expr(text, p)
+    galois_closure_check(expr)
+    verdict, analysis = solubility_decide(expr, prec=prec)
+    return build_report(expr, verdict, analysis)
+
+
 def cmd_analyze(cfg):
-    jobs = []
     if cfg.curve_file:
         p, exprs = read_curve_file(cfg.curve_file)
-        jobs = [(p, e) for e in exprs]
+        reports, failure = [], None
+        for text in exprs:
+            try:
+                reports.append(_analyze_one(p, text, cfg.prec))
+            except ClusterSolError as ex:       # fail this curve, not the batch
+                reports.append(_error_row(p, text, ex))
+                failure = failure or _exit_code(ex)
     else:
-        jobs = [(cfg.p, cfg.expr)]
-    reports = []
-    status = 0
-    for p, text in jobs:
-        expr = parse_expr(text, p)
-        galois_closure_check(expr)
-        verdict, analysis = solubility_decide(expr, prec=cfg.prec)
-        reports.append(build_report(expr, verdict, analysis))
-        if verdict.status == "Inapplicable":
-            status = 2
+        reports, failure = [_analyze_one(cfg.p, cfg.expr, cfg.prec)], None
     if cfg.as_json:
         print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     else:
         for i, rep in enumerate(reports):
             if i:
                 print("-" * 60)
-            _print_text_report(rep)
-    return status
+            if "error" in rep:
+                print(f"curve:   {rep['curve']}   (p = {rep['p']})")
+                print(f"error ({rep['error']['class']}): {rep['error']['message']}")
+            else:
+                _print_text_report(rep)
+    if failure:
+        return failure
+    return 2 if any(rep.get("solubility") == "Inapplicable" for rep in reports) else 0
 
 
 def cmd_oracle(cfg):
@@ -191,10 +217,14 @@ def cmd_oracle(cfg):
 
 
 def _compare_one(args):
+    """(row, exit code of its error or 0) for one corpus curve."""
     p, text = args
-    expr = parse_expr(text, p)
-    verdict, analysis = solubility_decide(expr)
-    oracle_res = is_locally_soluble(expand_to_integer_poly(expr), p)
+    try:
+        expr = parse_expr(text, p)
+        verdict, analysis = solubility_decide(expr)
+        oracle_res = is_locally_soluble(expand_to_integer_poly(expr), p)
+    except ClusterSolError as ex:               # fail this curve, not the batch
+        return _error_row(p, text, ex), _exit_code(ex)
     return {
         "p": p,
         "curve": text,
@@ -203,7 +233,7 @@ def _compare_one(args):
         "convention": verdict.convention_dependent,
         "oracle": oracle_res.soluble,
         "oracle_status": oracle_res.status,
-    }
+    }, 0
 
 
 def cmd_compare(cfg):
@@ -211,13 +241,20 @@ def cmd_compare(cfg):
                             genus_range=cfg.genus_range)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_compare_one, pairs))
+            results = list(pool.map(_compare_one, pairs))
     else:
-        rows = [_compare_one(pair) for pair in pairs]
+        results = [_compare_one(pair) for pair in pairs]
+    rows = [row for row, _ in results]
     matrix = {"soluble/soluble": 0, "insoluble/insoluble": 0}
-    disagreements, quarantined, inconclusive = [], [], []
+    disagreements, quarantined, inconclusive, failed = [], [], [], []
+    errors = {}
     coverage = {cid: 0 for cid in CONDITION_IDS}
     for row in rows:
+        if "error" in row:
+            failed.append(row)
+            cls = row["error"]["class"]
+            errors[cls] = errors.get(cls, 0) + 1
+            continue
         for cid in row["fired"]:
             coverage[cid] += 1
         if row["oracle"] is None:
@@ -240,6 +277,8 @@ def cmd_compare(cfg):
         "disagreements": disagreements,
         "quarantined_convention_disagreements": quarantined,
         "oracle_inconclusive": inconclusive,
+        "errors": dict(sorted(errors.items())),
+        "failed": failed,
         "condition_coverage": coverage,
     }
     if cfg.as_json:
@@ -255,9 +294,13 @@ def cmd_compare(cfg):
         for row in disagreements + quarantined:
             print(f"    p={row['p']} {row['curve']}: theorem={row['theorem']} "
                   f"fired={row['fired']} oracle={row['oracle']}")
+        print(f"  errors: {report['errors'] or 'none'}")
+        for row in failed:
+            print(f"    p={row['p']} {row['curve']}: "
+                  f"error ({row['error']['class']}): {row['error']['message']}")
         fired_counts = {k: v for k, v in coverage.items() if v}
         print(f"  condition coverage: {fired_counts}")
-    return 0
+    return next((code for _, code in results if code), 0)
 
 
 def cmd_render(cfg):
@@ -348,15 +391,14 @@ def main(argv=None):
         if cfg.command == "render":
             return cmd_render(cfg)
         return 1
-    except (ParseError,) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except InternalError as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
-        return 3
     except ClusterSolError as ex:
-        print(f"error ({type(ex).__name__}): {ex}", file=sys.stderr)
-        return 4 if isinstance(ex, PrecisionExhausted) else 1
+        if isinstance(ex, ParseError):
+            print(f"error: {ex}", file=sys.stderr)
+        elif isinstance(ex, InternalError):
+            print(f"internal error: {ex}", file=sys.stderr)
+        else:
+            print(f"error ({type(ex).__name__}): {ex}", file=sys.stderr)
+        return _exit_code(ex)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InternalError
+from .errors import InternalError, ZeroElement
 from .curves import extract_roots, galois_perms, perm_order, required_tower
 from .tame import FROB, TAU, GaloisWord, Tower
 
@@ -407,18 +407,35 @@ class ClusterAnalysis:
             return next(c for c in node.children if c.size == g2)
         return node
 
+    def _leading_term(self, z, roots):
+        """(W, u) of c_f prod_{r in roots}(z - r): valuations add, residues multiply.
+
+        None if a factor is zero; every difference is still computed, so a
+        cancellation below the trusted digits raises wherever it occurs.
+        """
+        t = self.tower
+        fq = t.fq
+        lead = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
+        w, u = lead.vL, lead.residue()
+        degenerate = False
+        for r in roots:
+            diff = z - r
+            if diff.is_zero:
+                degenerate = True
+            else:
+                w += diff.vL
+                u = fq.mul(u, diff.residue())
+        return None if degenerate else (w, u)
+
     def radicand(self, node):
         """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r)."""
         if node in self._radicand_cache:
             return self._radicand_cache[node]
-        t = self.tower
-        z = self.rs.roots[node.roots[0]]
-        acc = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
         inside = node.rootset
-        for i, r in enumerate(self.rs.roots):
-            if i not in inside:
-                acc = acc * (z - r)
-        out = (acc.vL, acc.residue())
+        out = self._leading_term(self.rs.roots[node.roots[0]],
+                                 [r for i, r in enumerate(self.rs.roots) if i not in inside])
+        if out is None:
+            raise ZeroElement(f"cluster {node.name} has a repeated root")
         self._radicand_cache[node] = out
         return out
 
@@ -542,13 +559,11 @@ class ClusterAnalysis:
         if not centroid.is_zero:
             inv_n = t.from_int(pow(n, -1, t.pM)) if n % t.p else t.from_int(n).inv()
             centroid = centroid * inv_n
-        val = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
-        for r in self.rs.roots:
-            val = val * (centroid - r)
+        val = self._leading_term(centroid, self.rs.roots)
         nu = self.inv[node].nu
-        if val.is_zero or Fraction(val.vL, t.e) != nu:
+        if val is None or Fraction(val[0], t.e) != nu:
             return None  # degenerate centroid; no verdict from this test
-        res = val.residue()
+        res = val[1]
         if any(c != 0 for c in res[1:]):
             return None  # not Q_p-rational; should not happen for fixed clusters
         return pow(res[0], (t.p - 1) // 2, t.p) == 1

@@ -7,6 +7,13 @@ The accepted inputs are products of shifted binomials
 with integer-or-cyclotomic centers, n_i and the conductors prime to p,
 and u_i a nonzero integer prime to p.  This family admits exact root
 extraction in a tame tower; anything else is rejected as unsupported.
+
+The inertia and Frobenius permutations come from matching Galois images
+against the roots.  An image matches a root when their difference has
+valuation at least N = max_pair + 2, max_pair the largest pairwise root
+valuation in pi units; that holds exactly when both agree in every
+pi-adic digit below pi^N, so each root is keyed by those digits
+(``match_key``) and each image is one dictionary lookup.
 """
 
 import math
@@ -16,7 +23,8 @@ from fractions import Fraction
 
 from .errors import (AmbiguousMatch, DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
-                     RootCollision, UnsupportedFactor, WildInput)
+                     PrecisionExhausted, RootCollision, UnsupportedFactor,
+                     WildInput)
 from .numutil import cyclotomic_poly, is_prime, mult_order
 from .tame import Tower
 
@@ -569,19 +577,49 @@ def _valuation_matrix(rs):
     return mat
 
 
+def match_key(x, N):
+    """The pi-adic digits of x below pi^N, as a hashable key.
+
+    Two elements have equal keys exactly when v(x - y) >= N: the same vL
+    and, column by column, the same W coordinates mod p^ceil((N - vL - i)/e)
+    for column i.  Elements with vL >= N (and zero) share the key None.
+    Only trusted digits are read; a key that needs more raises
+    PrecisionExhausted.
+    """
+    if x.is_zero or x.vL >= N:
+        return None
+    t = x.tower
+    if N - x.vL > t.e * x.rel:
+        raise PrecisionExhausted(
+            f"matching needs digits below pi^{N}, trusted only below "
+            f"pi^{x.vL + t.e * x.rel}")
+    key = [x.vL]
+    for i, col in enumerate(x.unit):
+        k = -(-(N - x.vL - i) // t.e)
+        if k <= 0:
+            break
+        m = t.p ** k
+        key.append(tuple([c % m for c in col]))
+    return tuple(key)
+
+
 def galois_perms(rs):
-    """Fill tau_perm, frob_perm by matching Galois images against the roots."""
+    """Fill tau_perm, frob_perm by matching Galois images against the roots.
+
+    The roots are bucketed by ``match_key`` at N = max_pair + 2 and each
+    image is one lookup (see the module docstring).
+    """
     t = rs.tower
     n = rs.size
-    max_pair = max(int(rs.val_matrix[i][j] * t.e)
-                   for i in range(n) for j in range(n) if i != j) if n > 1 else 0
+    max_pair = int(max(rs.val_matrix[i][j] for i in range(n) for j in range(i + 1, n))
+                   * t.e) if n > 1 else 0
+    N = max_pair + 2
+    buckets = {}
+    for j, r in enumerate(rs.roots):
+        buckets.setdefault(match_key(r, N), []).append(j)
 
     def match(img):
-        hits = []
-        for j, r in enumerate(rs.roots):
-            diff = img - r
-            if diff.is_zero or diff.vL > max_pair + 1:
-                hits.append(j)
+        hits = buckets.get(match_key(img, N), ())
         if len(hits) != 1:
             raise AmbiguousMatch(
                 f"Galois image matches {len(hits)} roots; raise the precision")

@@ -170,14 +170,6 @@ class FqField:
     def from_int(self, n):
         return ((n % self.p),) + (0,) * (self.d - 1)
 
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def neg(self, a):
         p = self.p
         return tuple((-x) % p for x in a)
@@ -191,19 +183,36 @@ class FqField:
         return _powmod(a, e, self.modulus, self.p)
 
     def inv(self, a):
+        """a^-1 by the extended Euclidean algorithm in F_p[t]."""
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero in F_q")
-        return self.pow(a, self.q - 2)
-
-    def is_zero(self, a):
-        return a == self.zero
+        p, d = self.p, self.d
+        if d == 1:
+            return (pow(a[0], -1, p),)
+        # s0 * a = r0 and s1 * a = r1 modulo the modulus throughout
+        r0, r1 = list(self.modulus) + [1], list(a)
+        s0, s1 = [0], [1]
+        while True:
+            while not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                break
+            lead = pow(r1[-1], -1, p)
+            shift = len(r0) - len(r1)
+            s = s0 + [0] * (shift + len(s1) - len(s0))
+            for k in range(shift, -1, -1):
+                c = r0[k + len(r1) - 1] * lead % p
+                if c:
+                    for j, b in enumerate(r1):
+                        r0[k + j] = (r0[k + j] - c * b) % p
+                    for j, b in enumerate(s1):
+                        s[k + j] -= c * b
+            r0, r1 = r1, r0[:len(r1) - 1]
+            s0, s1 = s1, [x % p for x in s]
+        c = pow(r1[0], -1, p)
+        return tuple([x * c % p for x in s1] + [0] * (d - len(s1)))
 
     # --- roots ---
-
-    def is_square(self, a):
-        if a == self.zero:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == self.one
 
     def _prime_root(self, a, ell):
         """One solution of x^ell = a (ell prime), or None."""

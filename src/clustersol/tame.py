@@ -22,6 +22,14 @@ The two tame Galois generators are realised concretely:
 These satisfy frob o tau = tau^p o frob exactly, and chi(tau) = zeta_e,
 chi(frob) = 1 for the ramification character chi(s) = s(pi)/pi mod m.
 
+Every lift into W is a Newton iteration that inverts nothing in W: the
+m-th roots of unity by z <- z + z(1 - z^m)/m on X^m - 1, unit n-th roots
+by inverse-root Newton r <- r + r(1 - u r^n)/n, and the Frobenius image
+of t by coupled Newton, which refines an inverse of Ptilde' alongside the
+root.  The only inverse is a residue's, by the extended Euclidean
+algorithm in F_p[t].  Roots of unity and the Frobenius image are lifted
+lazily, at most once per tower.
+
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise
 PrecisionExhausted rather than fabricating digits.
@@ -69,7 +77,7 @@ class Tower:
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
-        self._teich_cache = {}
+        self._zeta_cache = {}
         self._frob_pows = None                # computed lazily
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
@@ -113,17 +121,6 @@ class Tower:
         p = self.p
         return tuple(x % p for x in a)
 
-    def w_inv(self, a):
-        res = self.w_residue(a)
-        if self.fq.is_zero(res):
-            raise DivisionByZero("inverse of non-unit in W")
-        z = tuple(self.fq.inv(res))
-        k = 1
-        while k < self.M:
-            z = self.w_sub(self.w_scale(z, 2), self.w_mul(a, self.w_mul(z, z)))
-            k *= 2
-        return z
-
     def w_vp(self, a):
         """min p-adic valuation of the coordinates, or None if 0 mod p^M."""
         best = None
@@ -143,34 +140,38 @@ class Tower:
         pk = self.p ** k
         return tuple(x // pk for x in a)
 
-    def teichmuller(self, res):
-        """Teichmueller lift of a nonzero residue-field element into W."""
-        if res in self._teich_cache:
-            return self._teich_cache[res]
-        if self.fq.is_zero(res):
-            raise ZeroElement("Teichmueller lift of zero")
-        q1 = self.q - 1
-        invq1 = pow(q1, -1, self.pM)
-        z = tuple(res)  # integer lift, correct mod p
-        k = 1
-        while k < self.M:
-            g = self.w_sub(self.w_pow(z, q1), self.w_one())
-            corr = self.w_scale(self.w_mul(z, g), invq1)
-            z = self.w_sub(z, self.w_mul(corr, self.w_sub(self.w_one(), g)))
-            k *= 2
-        if self.w_pow(z, q1) != self.w_one():
-            raise InternalError("Teichmueller lift failed to converge")
-        self._teich_cache[res] = z
-        return z
-
     def zeta(self, m):
-        """Teichmueller m-th root of unity omega^((q-1)/m); requires m | q-1."""
+        """Teichmueller m-th root of unity lifting omega^((q-1)/m); requires m | q-1.
+
+        The unique m-th root of unity in W with that residue, by Newton on
+        X^m - 1 in the division-free form z <- z + z(1 - z^m)/m: with
+        z^m = 1 + eps the step leaves z^m = 1 + O(eps^2).
+        """
+        if m in self._zeta_cache:
+            return self._zeta_cache[m]
         if (self.q - 1) % m != 0:
             raise InternalError(f"mu_{m} not contained in the residue field")
-        return self.teichmuller(self.fq.pow(self.fq.omega, (self.q - 1) // m))
+        one = self.w_one()
+        inv_m = pow(m, -1, self.pM)
+        z = tuple(self.fq.pow(self.fq.omega, (self.q - 1) // m))  # correct mod p
+        k = 1
+        while k < self.M:
+            g = self.w_sub(one, self.w_pow(z, m))
+            z = self.w_add(z, self.w_scale(self.w_mul(z, g), inv_m))
+            k *= 2
+        if self.w_pow(z, m) != one:
+            raise InternalError("root-of-unity lift failed to converge")
+        self._zeta_cache[m] = z
+        return z
 
     def frob_t_image(self):
-        """Image of the W generator t under the Frobenius lift, with powers."""
+        """Image of the W generator t under the Frobenius lift, with powers.
+
+        The lift is the root of Ptilde congruent to t^p.  Coupled Newton
+        refines it together with v, an approximate inverse of Ptilde'(z):
+        z <- z - Ptilde(z) v, then v <- v (2 - Ptilde'(z) v); both double
+        their correct digits per step, and only v's residue is inverted.
+        """
         if self._frob_pows is not None:
             return self._frob_pows
         d = self.d
@@ -181,27 +182,24 @@ class Tower:
         t = (0, 1) + (0,) * (d - 2)
 
         def ptilde(z):
-            acc = self.w_from_int(low[0])
-            zp = z
-            for j in range(1, d):
-                acc = self.w_add(acc, self.w_scale(zp, low[j]))
-                zp = self.w_mul(zp, z)
-            return self.w_add(acc, zp)  # + z^d
+            """Ptilde(z) and Ptilde'(z), by one Horner pass."""
+            val, der = self.w_one(), self.w_zero()
+            for c in reversed(low):
+                der = self.w_add(self.w_mul(der, z), val)
+                val = self.w_add(self.w_mul(val, z), self.w_from_int(c))
+            return val, der
 
-        def ptilde_deriv(z):
-            acc = self.w_from_int(low[1] if d > 1 else 0)
-            zp = z
-            for j in range(2, d):
-                acc = self.w_add(acc, self.w_scale(zp, j * low[j]))
-                zp = self.w_mul(zp, z)
-            return self.w_add(acc, self.w_scale(zp, d))  # + d z^{d-1}
-
+        two = self.w_from_int(2)
         z = self.w_pow(t, self.p)
+        val, der = ptilde(z)
+        v = tuple(self.fq.inv(self.w_residue(der)))
         k = 1
         while k < self.M:
-            z = self.w_sub(z, self.w_mul(ptilde(z), self.w_inv(ptilde_deriv(z))))
+            z = self.w_sub(z, self.w_mul(val, v))
+            val, der = ptilde(z)
+            v = self.w_mul(v, self.w_sub(two, self.w_mul(der, v)))
             k *= 2
-        if self.w_vp(ptilde(z)) is not None:
+        if self.w_vp(val) is not None:
             raise InternalError("Frobenius lift failed to converge")
         pows = [self.w_one()]
         for _ in range(d - 1):
@@ -212,12 +210,13 @@ class Tower:
     def w_frob(self, a):
         if self.d == 1:
             return a
-        pows = self.frob_t_image()
-        acc = self.w_zero()
-        for j, c in enumerate(a):
+        acc = [0] * self.d
+        for c, row in zip(a, self.frob_t_image()):
             if c:
-                acc = self.w_add(acc, self.w_scale(pows[j], c))
-        return acc
+                for k, x in enumerate(row):
+                    acc[k] += c * x
+        pM = self.pM
+        return tuple([x % pM for x in acc])
 
     def zeta_e_pows(self):
         if self._zeta_e_pows is None:
@@ -250,10 +249,6 @@ class Tower:
         unit = (self.w_from_int(n),) + (self.w_zero(),) * (self.e - 1)
         return Elt(self, 0, unit, self.M)
 
-    def pi(self, k=1):
-        """pi^k as an element."""
-        return Elt(self, k, (self.w_one(),) + (self.w_zero(),) * (self.e - 1), self.M)
-
     def from_w(self, col, vL=0):
         vp = self.w_vp(col)
         if vp is None:
@@ -267,32 +262,25 @@ class Tower:
         """Canonical n-th root in W of an integer u coprime to p.
 
         The root whose residue is the lexicographically least n-th root of
-        u mod p in F_q, refined p-adically.
+        u mod p in F_q, refined p-adically.  Inverse-root Newton refines
+        r = u^(-1/n) by r <- r + r(1 - u r^n)/n, which needs no inverse
+        beyond the residue's, and y = u r^(n-1) is the root.
         """
         res = self.fq.canonical_nth_root(self.fq.from_int(u), n)
         if res is None:
             raise InternalError(f"{u} has no {n}-th root in the residue field")
-        z = tuple(res)
-        uu = self.w_from_int(u)
+        one = self.w_one()
+        inv_n = pow(n, -1, self.pM)
+        r = tuple(self.fq.inv(res))
         k = 1
         while k < self.M:
-            zn1 = self.w_pow(z, n - 1) if n > 1 else self.w_one()
-            fz = self.w_sub(self.w_mul(zn1, z), uu)
-            z = self.w_sub(z, self.w_mul(fz, self.w_inv(self.w_scale(zn1, n))))
+            g = self.w_sub(one, self.w_scale(self.w_pow(r, n), u))
+            r = self.w_add(r, self.w_scale(self.w_mul(r, g), inv_n))
             k *= 2
-        if self.w_vp(self.w_sub(self.w_pow(z, n), uu)) is not None:
+        y = self.w_scale(self.w_pow(r, n - 1), u)
+        if self.w_vp(self.w_sub(self.w_pow(y, n), self.w_from_int(u))) is not None:
             raise InternalError("n-th root refinement failed to converge")
-        return z
-
-    def word_compose(self, w1, w2):
-        """Composition w1 o w2 in normal form tau^a frob^b.
-
-        Exponents are reduced modulo (2e, 2d), the quotient in which both
-        the action on L and the epsilon characters factor.
-        """
-        mod_a, mod_b = 2 * self.e, 2 * self.d
-        a = (w1.a + w2.a * pow(self.p, w1.b % mod_b, mod_a)) % mod_a
-        return GaloisWord(a, (w1.b + w2.b) % mod_b)
+        return y
 
 
 class Elt:
@@ -346,24 +334,33 @@ class Elt:
             delta = x.vL - v0
             if delta == 0:
                 return x.unit
-            cols = [t.w_zero()] * t.e
+            cols = [None] * t.e           # column i lands in slot (i + delta) mod e
             for i, col in enumerate(x.unit):
                 k = i + delta
-                cols[k % t.e] = t.w_add(cols[k % t.e], t.w_scale(col, t.p ** (k // t.e)))
+                cols[k % t.e] = t.w_scale(col, t.p ** (k // t.e))
             return tuple(cols)
 
         return v0, lifted(self), lifted(other)
 
-    def __add__(self, other):
-        t = self.tower
-        if self.is_zero:
-            return other
+    def _combine(self, other, sign):
+        """self + sign * other, for sign = +1 or -1."""
         if other.is_zero:
             return self
+        if self.is_zero:
+            return other if sign == 1 else -other
+        t = self.tower
+        pM = t.pM
         v0, u1, u2 = self._align(other)
-        raw = tuple(t.w_add(a, b) for a, b in zip(u1, u2))
+        raw = tuple(tuple([(a + sign * b) % pM for a, b in zip(c1, c2)])
+                    for c1, c2 in zip(u1, u2))
         abs_pi = min(self.vL + t.e * self.rel, other.vL + t.e * other.rel)
         return _normalise(t, v0, raw, abs_pi)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
 
     def __neg__(self):
         if self.is_zero:
@@ -371,22 +368,31 @@ class Elt:
         t = self.tower
         return Elt(t, self.vL, tuple(t.w_scale(c, -1) for c in self.unit), self.rel)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
+        """Column products summed raw, then one reduction per column.
+
+        pi^e = p folds column e + k onto column k with a factor p; zero
+        columns, common in embedded roots, are skipped.
+        """
         t = self.tower
         if self.is_zero or other.is_zero:
             return t.zero()
-        e = t.e
-        cols = [t.w_zero()] * (2 * e - 1)
+        e, d, p, pM, low = t.e, t.d, t.p, t.pM, t.fq.modulus
+        vL, rel = self.vL + other.vL, min(self.rel, other.rel)
+        if e == 1:
+            return Elt(t, vL, (_mulmod(self.unit[0], other.unit[0], low, pM),), rel)
+        acc = [[0] * d for _ in range(2 * e - 1)]
+        bs = [(j, b) for j, b in enumerate(other.unit) if any(b)]
         for i, a in enumerate(self.unit):
-            for j, b in enumerate(other.unit):
-                cols[i + j] = t.w_add(cols[i + j], t.w_mul(a, b))
-        out = list(cols[:e])
-        for k in range(e, 2 * e - 1):
-            out[k - e] = t.w_add(out[k - e], t.w_scale(cols[k], t.p))
-        return Elt(t, self.vL + other.vL, tuple(out), min(self.rel, other.rel))
+            if any(a):
+                for j, b in bs:
+                    col = acc[i + j]
+                    for k, c in enumerate(_mulmod(a, b, low, pM)):
+                        col[k] += c
+        out = [tuple([(x + p * y) % pM for x, y in zip(acc[k], acc[k + e])])
+               for k in range(e - 1)]
+        out.append(tuple([x % pM for x in acc[e - 1]]))
+        return Elt(t, vL, tuple(out), rel)
 
     def inv(self):
         if self.is_zero:
@@ -411,10 +417,10 @@ class Elt:
             return self
         zp = t.zeta_e_pows()
         shift = self.vL % t.e
-        cols = []
-        for i, col in enumerate(self.unit):
-            cols.append(t.w_mul(col, zp[(i + shift) % t.e]))
-        return Elt(t, self.vL, tuple(cols), self.rel)
+        low, pM = t.fq.modulus, t.pM
+        cols = tuple([_mulmod(col, zp[(i + shift) % t.e], low, pM) if any(col) else col
+                      for i, col in enumerate(self.unit)])
+        return Elt(t, self.vL, cols, self.rel)
 
     def frob(self):
         if self.is_zero:

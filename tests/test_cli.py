@@ -106,3 +106,45 @@ def test_compare_zero_count(capsys):
     code, out, _ = run(capsys, "compare", "--seed", "1", "--count", "0",
                        "--p-list", "7", "--json")
     assert code == 0 and json.loads(out)["count"] == 0
+
+
+def test_analyze_curve_file_reports_good_curves_around_a_bad_one(capsys, tmp_path):
+    # the middle curve is not squarefree; the batch still reports the others
+    path = tmp_path / "c.txt"
+    path.write_text(f"p = 7\n{EX3[0]}\n(x^3-p^2)*(x^3-p^2)\n(x-1)*(x^4-p)\n")
+    code, out, _ = run(capsys, "analyze", "--curve", str(path), "--json")
+    rows = json.loads(out)
+    assert [r.get("solubility") for r in rows] == ["Insoluble", None, "Soluble"]
+    assert rows[1]["curve"] == "(x^3-p^2)*(x^3-p^2)" and rows[1]["p"] == 7
+    assert rows[1]["error"]["class"] == "RootCollision"
+    assert code == 1
+    code, out, _ = run(capsys, "analyze", "--curve", str(path))
+    assert code == 1 and "error (RootCollision):" in out
+    assert out.count("verdict:") == 2
+
+
+def test_analyze_curve_file_exit_code_is_the_first_failure(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("p = 13\n(x^8-p)*(x-1)\n2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)\n"
+                    "(x^3-p^2)*(x^3-p^2)\n")
+    code, out, _ = run(capsys, "analyze", "--curve", str(path), "--json")
+    rows = json.loads(out)
+    assert rows[0]["solubility"] == "Inapplicable"
+    assert [r["error"]["class"] for r in rows[1:]] == ["PrecisionExhausted", "RootCollision"]
+    assert code == 4
+    path.write_text("p = 13\n(x^8-p)*(x-1)\n(x-1)*(x^4-p)\n")
+    assert run(capsys, "analyze", "--curve", str(path))[0] == 2
+
+
+def test_compare_counts_errors_by_class(capsys, monkeypatch):
+    import clustersol.cli as cli
+
+    corpus = [(7, EX3[0]), (7, "(x^3-p^2)*(x^3-p^2)"), (7, "(x-1)*(x^4-p)")]
+    monkeypatch.setattr(cli, "generate_corpus", lambda *args, **kwargs: corpus)
+    code, out, _ = run(capsys, "compare", "--seed", "1", "--count", "3",
+                       "--p-list", "7", "--json")
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["count"] == 3 and rep["agreements"] == 2
+    assert rep["errors"] == {"RootCollision": 1}
+    assert [r["curve"] for r in rep["failed"]] == [corpus[1][1]]

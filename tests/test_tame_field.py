@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from clustersol.errors import (NonOddPrime, PrecisionExhausted, WildRamification,
-                               ZeroElement)
+from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
+                               WildRamification, ZeroElement)
 from clustersol.tame import FROB, TAU, Elt, GaloisWord, Tower
 
 TOWERS = [(7, 1, 1, 24), (7, 2, 3, 36), (11, 2, 2, 32), (13, 1, 4, 40),
@@ -30,6 +30,38 @@ def close(a, b, margin=4):
         return True
     bound = min(x.vL + x.tower.e * x.rel for x in (a, b) if not x.is_zero)
     return d.vL >= bound - margin
+
+
+def uniformiser(t):
+    """pi as an element of the tower t."""
+    return Elt(t, 1, (t.w_one(),) + (t.w_zero(),) * (t.e - 1), t.M)
+
+
+def word_compose(t, w1, w2):
+    """Composition w1 o w2 in normal form tau^a frob^b.
+
+    Exponents are reduced modulo (2e, 2d), the quotient in which both
+    the action on L and the epsilon characters factor.
+    """
+    mod_a, mod_b = 2 * t.e, 2 * t.d
+    a = (w1.a + w2.a * pow(t.p, w1.b % mod_b, mod_a)) % mod_a
+    return GaloisWord(a, (w1.b + w2.b) % mod_b)
+
+
+def teichmuller(t, res):
+    """Teichmueller lift of a nonzero residue, by Newton on X^(q-1) - 1."""
+    assert res != t.fq.zero
+    q1 = t.q - 1
+    invq1 = pow(q1, -1, t.pM)
+    z = tuple(res)  # integer lift, correct mod p
+    k = 1
+    while k < t.M:
+        g = t.w_sub(t.w_pow(z, q1), t.w_one())
+        corr = t.w_scale(t.w_mul(z, g), invq1)
+        z = t.w_sub(z, t.w_mul(corr, t.w_sub(t.w_one(), g)))
+        k *= 2
+    assert t.w_pow(z, q1) == t.w_one()
+    return z
 
 
 def apply_word(word, x):
@@ -58,7 +90,7 @@ def teichmuller_digits(x, n):
             continue
         a = x.residue()
         digits.append(a)
-        lift = Elt(t, 0, (t.teichmuller(a),) + (t.w_zero(),) * (t.e - 1), t.M)
+        lift = Elt(t, 0, (teichmuller(t, a),) + (t.w_zero(),) * (t.e - 1), t.M)
         try:
             y = x - lift
         except PrecisionExhausted:
@@ -77,7 +109,7 @@ def test_create_base_field():
 def test_create_ramified():
     t = Tower(7, 2, 3, 20)
     assert t.q == 49
-    assert t.pi().valuation() == Fraction(1, 3)
+    assert uniformiser(t).valuation() == Fraction(1, 3)
 
 
 def test_create_rejections():
@@ -93,14 +125,14 @@ def test_create_rejections():
 
 def test_pi_power_is_p():
     t = Tower(7, 2, 3, 30)
-    pi = t.pi()
+    pi = uniformiser(t)
     assert (pi * pi * pi - t.from_int(7)).is_zero
     assert (pi * pi * pi).valuation() == 1
 
 
 def test_inv_pi():
     t = Tower(7, 2, 3, 30)
-    assert t.pi().inv().valuation() == Fraction(-1, 3)
+    assert uniformiser(t).inv().valuation() == Fraction(-1, 3)
 
 
 def test_cancellation_tracks_precision():
@@ -110,6 +142,18 @@ def test_cancellation_tracks_precision():
     assert y.rel == 10
     # compare against exact rational arithmetic embedded in Q_p
     assert (y - t.from_int(7 ** 10)).is_zero
+
+
+@pytest.mark.parametrize("p,d,e,prec", TOWERS)
+def test_subtraction_is_addition_of_the_negative(p, d, e, prec):
+    t = Tower(p, d, e, prec)
+    rng = random.Random(p * e + 3)
+    for _ in range(30):
+        x, y = rand_elt(t, rng), rand_elt(t, rng)
+        for a, b in ((x, y), (t.zero(), y), (x, t.zero())):
+            diff, ref = a - b, a + (-b)
+            assert diff.vL == ref.vL and diff.unit == ref.unit and diff.rel == ref.rel
+        assert (t.zero() - x).residue() == t.fq.neg(x.residue())
 
 
 def test_precision_exhausted_on_deep_cancellation():
@@ -240,7 +284,7 @@ def test_galois_is_ring_hom():
 def test_chi_values():
     # the ramification character chi(s) = s(pi)/pi mod m
     t = Tower(7, 1, 3, 30)
-    pi = t.pi()
+    pi = uniformiser(t)
 
     def chi(word):
         return (apply_word(word, pi) * pi.inv()).residue()
@@ -252,7 +296,7 @@ def test_chi_values():
 
 def test_word_compose_relation():
     t = Tower(7, 2, 3, 30)
-    w = t.word_compose(FROB, TAU)       # frob o tau
+    w = word_compose(t, FROB, TAU)       # frob o tau
     assert (w.a - t.p) % t.e == 0 and w.b % t.d == 1
 
 
@@ -281,7 +325,7 @@ def test_teichmuller_digit_view_reconstructs():
     acc = t.zero()
     for i, a in enumerate(digits):
         if a != t.fq.zero:
-            acc = acc + t.from_w(t.teichmuller(a), 0).shift(i)
+            acc = acc + t.from_w(teichmuller(t, a), 0).shift(i)
     assert close(acc.shift(x.vL), x, margin=t.e * t.M - 8)
 
 
@@ -292,5 +336,93 @@ def test_galois_word_application():
         x = rand_elt(t, rng)
         w = GaloisWord(2, 1)
         assert close(apply_word(w, x), x.frob().tau().tau())
-        wc = t.word_compose(TAU, FROB)     # tau o frob
+        wc = word_compose(t, TAU, FROB)     # tau o frob
         assert close(apply_word(wc, x), x.frob().tau())
+
+
+# --- the Hensel lifts against Newton steps that invert in W ---
+
+def reference_w_inv(t, a):
+    """Inverse of a unit of W: Newton from the residue inverse a^(q-2)."""
+    res = t.w_residue(a)
+    assert res != t.fq.zero
+    z = tuple(t.fq.pow(res, t.q - 2))
+    k = 1
+    while k < t.M:
+        z = t.w_sub(t.w_scale(z, 2), t.w_mul(a, t.w_mul(z, z)))
+        k *= 2
+    return z
+
+
+def reference_unit_nth_root(t, u, n):
+    """Newton on z^n - u, inverting n z^(n-1) in W at every step."""
+    z = tuple(t.fq.canonical_nth_root(t.fq.from_int(u), n))
+    uu = t.w_from_int(u)
+    k = 1
+    while k < t.M:
+        zn1 = t.w_pow(z, n - 1) if n > 1 else t.w_one()
+        fz = t.w_sub(t.w_mul(zn1, z), uu)
+        z = t.w_sub(z, t.w_mul(fz, reference_w_inv(t, t.w_scale(zn1, n))))
+        k *= 2
+    assert t.w_vp(t.w_sub(t.w_pow(z, n), uu)) is None
+    return z
+
+
+def reference_zeta(t, m):
+    """The Teichmueller lift of omega^((q-1)/m), lifted on X^(q-1) - 1."""
+    return teichmuller(t, t.fq.pow(t.fq.omega, (t.q - 1) // m))
+
+
+def reference_frob_t_image(t):
+    """Plain Newton on Ptilde from t^p, inverting Ptilde'(z) in W at every step."""
+    d, low = t.d, t.fq.modulus
+    if d == 1:
+        return [t.w_one()]
+
+    def ptilde(z):
+        acc = t.w_from_int(low[0])
+        zp = z
+        for j in range(1, d):
+            acc = t.w_add(acc, t.w_scale(zp, low[j]))
+            zp = t.w_mul(zp, z)
+        return t.w_add(acc, zp)  # + z^d
+
+    def ptilde_deriv(z):
+        acc = t.w_from_int(low[1])
+        zp = z
+        for j in range(2, d):
+            acc = t.w_add(acc, t.w_scale(zp, j * low[j]))
+            zp = t.w_mul(zp, z)
+        return t.w_add(acc, t.w_scale(zp, d))  # + d z^{d-1}
+
+    z = t.w_pow((0, 1) + (0,) * (d - 2), t.p)
+    k = 1
+    while k < t.M:
+        z = t.w_sub(z, t.w_mul(ptilde(z), reference_w_inv(t, ptilde_deriv(z))))
+        k *= 2
+    assert t.w_vp(ptilde(z)) is None
+    pows = [t.w_one()]
+    for _ in range(d - 1):
+        pows.append(t.w_mul(pows[-1], z))
+    return pows
+
+
+@pytest.mark.parametrize("p,d,e,prec", TOWERS)
+def test_lifts_match_reference(p, d, e, prec):
+    t = Tower(p, d, e, prec)
+    assert t.frob_t_image() == reference_frob_t_image(t)
+    divisors = [m for m in range(1, 25) if (t.q - 1) % m == 0]
+    for m in divisors:
+        assert t.zeta(m) == reference_zeta(t, m)
+    with pytest.raises(InternalError):
+        t.zeta(t.q)                              # q does not divide q - 1
+    checked = 0
+    for n in (1, 2, 3, 4, 6, 12):
+        for u in (1, -1, 2, -2, 3, 5, -6, 50, 1 + p ** 3):
+            if t.fq.canonical_nth_root(t.fq.from_int(u), n) is None:
+                with pytest.raises(InternalError):
+                    t.unit_nth_root(u, n)
+                continue
+            assert t.unit_nth_root(u, n) == reference_unit_nth_root(t, u, n)
+            checked += 1
+    assert checked >= 10
