@@ -34,7 +34,7 @@ canonical square root of zeta_e.  Triviality is then checked word by word.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, ZeroElement
@@ -296,27 +296,14 @@ class ClusterAnalysis:
                 total += min(d, self.val(z, r))
         return total
 
-    def lam(self, node):
-        ch = sum(c.size // 2 for c in node.children)
-        return self.nu(node) / 2 - node.depth * ch
-
-    def e_of(self, node):
-        d = node.depth
-        nu = self.nu(node)
-        e = math.lcm(d.denominator, (nu / 2).denominator)
-        for div in range(1, e):
-            if e % div == 0 and (div * d).denominator == 1 and (div * nu / 2).denominator == 1:
-                return div
-        return e
-
     def genus_of(self, node):
         odd = sum(1 for c in node.children if c.size % 2 == 1)
         return max(0, (odd - 1) // 2)
 
-    def vKc(self, node):
-        return self.nu(node) - node.size * node.depth
-
     def _invariants(self, node):
+        """The plain invariants; nu is computed once and feeds lam, e and vKc."""
+        d = node.depth
+        nu = self.nu(node)
         g2 = 2 * self.curve_genus
         ubereven = all(c.is_even for c in node.children)
         has_2g_child = any(c.size == g2 for c in node.children)
@@ -327,13 +314,13 @@ class ClusterAnalysis:
             name=node.name,
             roots=node.roots,
             size=node.size,
-            depth=node.depth,
-            delta=None if node.parent is None else node.depth - node.parent.depth,
-            nu=self.nu(node),
-            lam=self.lam(node),
-            e=self.e_of(node),
+            depth=d,
+            delta=None if node.parent is None else d - node.parent.depth,
+            nu=nu,
+            lam=nu / 2 - d * sum(c.size // 2 for c in node.children),
+            e=math.lcm(d.denominator, (nu / 2).denominator),
             genus=self.genus_of(node),
-            vKc=self.vKc(node),
+            vKc=nu - node.size * d,
             is_even=node.is_even,
             ubereven=ubereven,
             twin=node.size == 2,
@@ -597,13 +584,17 @@ def default_precision(expr, e):
     return 8 * e * (1 + maxval)
 
 
-def analyse(expr, prec=None):
-    """Embed the roots, build the picture, and compute all cluster data."""
+def analyse(expr, prec=None, coarse=None):
+    """Embed the roots, build the picture, and compute all cluster data.
+
+    ``coarse``, the tower of an earlier analysis of the same curve, hands
+    its unit radicals on to ``extract_roots`` to be extended.
+    """
     d, e = required_tower(expr)
     if prec is None:
         prec = default_precision(expr, e)
     tower = Tower(expr.p, d, e, prec)
-    rs = extract_roots(expr, tower)
+    rs = extract_roots(expr, tower, coarse)
     galois_perms(rs)
     picture = build_picture(rs, expr)
     return ClusterAnalysis(expr, rs, picture)

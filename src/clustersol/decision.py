@@ -278,11 +278,13 @@ def solubility_decide(expr, prec=None, recheck_doubled=True):
 
     The verdict is recomputed at doubled precision and must agree, else
     PrecisionExhausted propagates; truncation must never decide a curve.
+    The recheck extends the first pass's unit radicals by Newton; Hensel
+    lifts are unique, so its roots are those of a lift from the residue.
     """
     A = analyse(expr, prec=prec)
     component_yes, reports = theorem_decide(A)
     if recheck_doubled:
-        A2 = analyse(expr, prec=2 * A.tower.prec)
+        A2 = analyse(expr, prec=2 * A.tower.prec, coarse=A.tower)
         yes2, reports2 = theorem_decide(A2)
         if yes2 != component_yes or any(
                 reports[cid].satisfied != reports2[cid].satisfied

@@ -27,14 +27,24 @@ m-th roots of unity by z <- z + z(1 - z^m)/m on X^m - 1, unit n-th roots
 by inverse-root Newton r <- r + r(1 - u r^n)/n, and the Frobenius image
 of t by coupled Newton, which refines an inverse of Ptilde' alongside the
 root.  The only inverse is a residue's, by the extended Euclidean
-algorithm in F_p[t].  Roots of unity and the Frobenius image are lifted
-lazily, at most once per tower.
+algorithm in F_p[t].
+
+Roots of unity and the Frobenius image of t depend only on W, not on e or
+on any curve, so they are lifted lazily into one store per (p, d),
+``_lifts``, which every tower over W shares.  A tower at M digits reduces
+a stored lift taken to M0 >= M digits mod p^M; at M > M0 it continues the
+Newton loop from the stored value, whose M0 digits are already correct,
+and stores the longer lift.  Hensel lifts are unique, so either way the
+tower gets the same tuple as a lift from the residue.  A unit radical is
+curve data and is not stored; ``unit_nth_root`` extends the lift of a
+coarser tower of the same curve when it is handed one.
 
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise
 PrecisionExhausted rather than fabricating digits.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +69,16 @@ TAU = GaloisWord(1, 0)
 FROB = GaloisWord(0, 1)
 
 
+@functools.cache
+def _lifts(p, d):
+    """The lifts into W = Z_p[t]/(Ptilde) shared by every tower over it.
+
+    Maps m to (M, zeta_m) and "frob" to (M, the Frobenius image of t, an
+    inverse of Ptilde' there), all mod p^M for the largest M lifted so far.
+    """
+    return {}
+
+
 class Tower:
     """A tame tower over Q_p; entry point for all tame-field arithmetic."""
 
@@ -79,6 +99,7 @@ class Tower:
         self.q = self.fq.q
         self._zeta_cache = {}
         self._frob_pows = None                # computed lazily
+        self.radicals = {}                    # (u, n) -> u^(-1/n) mod p^M
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
@@ -117,6 +138,10 @@ class Tower:
     def w_pow(self, a, n):
         return _powmod(a, n, self.fq.modulus, self.pM)
 
+    def w_reduce(self, a):
+        pM = self.pM
+        return tuple([x % pM for x in a])
+
     def w_residue(self, a):
         p = self.p
         return tuple(x % p for x in a)
@@ -145,22 +170,27 @@ class Tower:
 
         The unique m-th root of unity in W with that residue, by Newton on
         X^m - 1 in the division-free form z <- z + z(1 - z^m)/m: with
-        z^m = 1 + eps the step leaves z^m = 1 + O(eps^2).
+        z^m = 1 + eps the step leaves z^m = 1 + O(eps^2).  Newton starts
+        from the (p, d) store's lift when there is one, else the residue.
         """
         if m in self._zeta_cache:
             return self._zeta_cache[m]
         if (self.q - 1) % m != 0:
             raise InternalError(f"mu_{m} not contained in the residue field")
+        store = _lifts(self.p, self.d)
+        k, z = store.get(m) or (1, self.fq.pow(self.fq.omega, (self.q - 1) // m))
+        z = self.w_reduce(z)                  # correct mod p^k
+        stored = k
         one = self.w_one()
         inv_m = pow(m, -1, self.pM)
-        z = tuple(self.fq.pow(self.fq.omega, (self.q - 1) // m))  # correct mod p
-        k = 1
         while k < self.M:
             g = self.w_sub(one, self.w_pow(z, m))
             z = self.w_add(z, self.w_scale(self.w_mul(z, g), inv_m))
             k *= 2
         if self.w_pow(z, m) != one:
             raise InternalError("root-of-unity lift failed to converge")
+        if self.M > stored:
+            store[m] = (self.M, z)
         self._zeta_cache[m] = z
         return z
 
@@ -171,6 +201,7 @@ class Tower:
         refines it together with v, an approximate inverse of Ptilde'(z):
         z <- z - Ptilde(z) v, then v <- v (2 - Ptilde'(z) v); both double
         their correct digits per step, and only v's residue is inverted.
+        Newton starts from the (p, d) store's z and v when there are any.
         """
         if self._frob_pows is not None:
             return self._frob_pows
@@ -189,11 +220,13 @@ class Tower:
                 val = self.w_add(self.w_mul(val, z), self.w_from_int(c))
             return val, der
 
+        store = _lifts(self.p, d)
+        k, z, v = store.get("frob") or (1, self.w_pow(t, self.p), None)
+        stored = k                            # z and v are correct mod p^k
+        val, der = ptilde(z)                  # w_mul reduces z mod p^M
+        if v is None:
+            v = tuple(self.fq.inv(self.w_residue(der)))
         two = self.w_from_int(2)
-        z = self.w_pow(t, self.p)
-        val, der = ptilde(z)
-        v = tuple(self.fq.inv(self.w_residue(der)))
-        k = 1
         while k < self.M:
             z = self.w_sub(z, self.w_mul(val, v))
             val, der = ptilde(z)
@@ -201,6 +234,8 @@ class Tower:
             k *= 2
         if self.w_vp(val) is not None:
             raise InternalError("Frobenius lift failed to converge")
+        if self.M > stored:
+            store["frob"] = (self.M, z, v)
         pows = [self.w_one()]
         for _ in range(d - 1):
             pows.append(self.w_mul(pows[-1], z))
@@ -258,21 +293,31 @@ class Tower:
         unit = (col,) + (self.w_zero(),) * (self.e - 1)
         return Elt(self, vL + self.e * vp, unit, self.M - vp)
 
-    def unit_nth_root(self, u, n):
+    def unit_nth_root(self, u, n, coarse=None):
         """Canonical n-th root in W of an integer u coprime to p.
 
         The root whose residue is the lexicographically least n-th root of
         u mod p in F_q, refined p-adically.  Inverse-root Newton refines
         r = u^(-1/n) by r <- r + r(1 - u r^n)/n, which needs no inverse
         beyond the residue's, and y = u r^(n-1) is the root.
+
+        r is kept in ``radicals``.  Newton continues from this tower's r,
+        else from that of ``coarse`` (a tower over the same W, e.g. an
+        earlier pass over the same curve), else from the residue.
         """
-        res = self.fq.canonical_nth_root(self.fq.from_int(u), n)
-        if res is None:
-            raise InternalError(f"{u} has no {n}-th root in the residue field")
+        if coarse is not None and (coarse.p, coarse.d) != (self.p, self.d):
+            raise InternalError("a coarser tower must share the residue ring")
+        for src in (self, coarse):
+            if src is not None and (u, n) in src.radicals:
+                k, r = src.M, self.w_reduce(src.radicals[(u, n)])
+                break
+        else:
+            res = self.fq.canonical_nth_root(self.fq.from_int(u), n)
+            if res is None:
+                raise InternalError(f"{u} has no {n}-th root in the residue field")
+            k, r = 1, tuple(self.fq.inv(res))
         one = self.w_one()
         inv_n = pow(n, -1, self.pM)
-        r = tuple(self.fq.inv(res))
-        k = 1
         while k < self.M:
             g = self.w_sub(one, self.w_scale(self.w_pow(r, n), u))
             r = self.w_add(r, self.w_scale(self.w_mul(r, g), inv_n))
@@ -280,6 +325,7 @@ class Tower:
         y = self.w_scale(self.w_pow(r, n - 1), u)
         if self.w_vp(self.w_sub(self.w_pow(y, n), self.w_from_int(u))) is not None:
             raise InternalError("n-th root refinement failed to converge")
+        self.radicals[(u, n)] = r
         return y
 
 

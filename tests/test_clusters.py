@@ -1,12 +1,11 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 import clustersol.clusters as clusters_mod
 from conftest import EX1, EX2, EX3
-from clustersol.clusters import ClusterAnalysis, analyse, canonical_sqrt_symbol
+from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
@@ -89,6 +88,14 @@ def test_nu_center_independence(ex1, ex2, ex3):
 def test_lambda_values(ex1, ex3):
     assert ex1.inv[ex1.picture.top].lam == 1            # 14/6 - (2/3)*2
     assert ex3.inv[ex3.picture.top].lam == Fraction(1, 2)
+
+
+def test_vkc_values(ex1):
+    top = ex1.picture.top
+    big = next(c for c in top.children if c.size == 4)
+    assert ex1.inv[top].vKc == 0                         # 14/3 - 7 * (2/3)
+    assert ex1.inv[big].nu == 19                         # 4 * 17/4 + 3 * 2/3
+    assert ex1.inv[big].vKc == 2 and ex1.inv[big].e == 4
 
 
 def test_e_values(ex1, ex2, ex3):

@@ -1,16 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import EX1, EX2, EX3
-from clustersol.curves import (Binomial, Cyclo, Linear, embed_cyclo,
-                               expand_to_integer_poly, extract_roots,
-                               galois_closure_check, galois_perms, parse_expr,
-                               read_curve_file, required_tower)
+from clustersol.curves import (Binomial, Cyclo, expand_to_integer_poly,
+                               extract_roots, galois_closure_check, galois_perms,
+                               parse_expr, read_curve_file, required_tower)
 from clustersol.errors import (DegreeTooSmall, NotGaloisClosed, ParseError,
                                RootCollision, UnsupportedFactor)
-from clustersol.numutil import poly_eval
 from clustersol.tame import Tower
 
 

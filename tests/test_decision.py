@@ -1,5 +1,3 @@
-import pytest
-
 from conftest import EX1, EX2, EX3
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
@@ -8,7 +6,6 @@ from clustersol.decision import (CONDITION_IDS, corollary_gate,
                                  interval_has_integer, solubility_decide,
                                  tameness_flags, theorem_decide)
 from clustersol.oracle import is_locally_soluble
-from fractions import Fraction
 
 from hypothesis import given, strategies as st
 

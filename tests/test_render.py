@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import EX1, EX2, EX3
+from conftest import EX2, EX3
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr

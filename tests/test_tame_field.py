@@ -1,11 +1,18 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import clustersol.decision as decision_mod
+from conftest import EX1
+from clustersol.clusters import analyse
+from clustersol.curves import parse_expr
 from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
                                WildRamification, ZeroElement)
-from clustersol.tame import FROB, TAU, Elt, GaloisWord, Tower
+from clustersol.fq import FqField
+from clustersol.tame import FROB, TAU, Elt, GaloisWord, Tower, _lifts
+from test_epsilon_reference import NON_STABLE
 
 TOWERS = [(7, 1, 1, 24), (7, 2, 3, 36), (11, 2, 2, 32), (13, 1, 4, 40),
           (17, 2, 12, 96), (7, 1, 3, 30)]
@@ -426,3 +433,117 @@ def test_lifts_match_reference(p, d, e, prec):
             assert t.unit_nth_root(u, n) == reference_unit_nth_root(t, u, n)
             checked += 1
     assert checked >= 10
+
+
+# --- the per-(p, d) lift store and the extended radicals ---
+
+STORE_ORDERS = {"ascending": (8, 16, 40), "descending": (40, 16, 8),
+                "interleaved": (16, 8, 40)}
+
+
+@functools.cache
+def reference_lifts(p, d, e, M):
+    """Reference frob_t_image, zeta(m) for m <= 24 and unit radicals at M digits."""
+    t = Tower(p, d, e, e * M)
+    zetas = {m: reference_zeta(t, m) for m in range(1, 25) if (t.q - 1) % m == 0}
+    radicals = {(u, n): reference_unit_nth_root(t, u, n)
+                for n in (2, 3, 12) for u in (1, -1, 2, 5, 1 + p ** 3)
+                if t.fq.canonical_nth_root(t.fq.from_int(u), n) is not None}
+    return reference_frob_t_image(t), zetas, radicals
+
+
+@pytest.mark.parametrize("order", sorted(STORE_ORDERS))
+def test_lift_store_matches_reference(order):
+    """Towers over shared rings, built in any order of M, get the reference lifts.
+
+    Each tower's radicals extend (or reduce) those of the previous tower
+    with the same (p, d, e).
+    """
+    _lifts.cache_clear()
+    previous = {}
+    for M in STORE_ORDERS[order]:
+        for p, d, e, _ in TOWERS:
+            t = Tower(p, d, e, e * M)
+            assert t.M == M
+            frob, zetas, radicals = reference_lifts(p, d, e, M)
+            assert t.frob_t_image() == frob
+            for m, z in zetas.items():
+                assert t.zeta(m) == z
+            for (u, n), y in radicals.items():
+                assert t.unit_nth_root(u, n, previous.get((p, d, e))) == y
+            previous[(p, d, e)] = t
+    rings = {(p, d) for p, d, _, _ in TOWERS}
+    assert _lifts.cache_info().currsize == len(rings)
+    for p, d in rings:
+        assert _lifts(p, d) and all(entry[0] == 40 for entry in _lifts(p, d).values())
+
+
+def test_every_lift_from_the_store_is_checked():
+    """A wrong digit in a stored or handed-on lift fails the convergence check,
+    whether the tower reduces the lift or extends it."""
+    p, d = 7, 2
+    _lifts.cache_clear()
+    try:
+        coarse = Tower(p, d, 1, 16)
+        coarse.zeta(3)
+        coarse.frob_t_image()
+        coarse.unit_nth_root(3, 2)
+        coarse.unit_nth_root(2, 2)
+        store = _lifts(p, d)
+
+        def corrupt(col):
+            return ((col[0] + p ** 3) % p ** 16,) + col[1:]
+
+        M, z = store[3]
+        store[3] = (M, corrupt(z))
+        M, z, v = store["frob"]
+        store["frob"] = (M, corrupt(z), v)
+        coarse.radicals[(3, 2)] = corrupt(coarse.radicals[(3, 2)])
+        for prec in (8, 40):
+            t = Tower(p, d, 1, prec)
+            with pytest.raises(InternalError):
+                t.zeta(3)
+            with pytest.raises(InternalError):
+                t.frob_t_image()
+            with pytest.raises(InternalError):
+                t.unit_nth_root(3, 2, coarse)
+        with pytest.raises(InternalError):
+            Tower(p, 1, 1, 16).unit_nth_root(2, 2, coarse)   # another residue ring
+    finally:
+        _lifts.cache_clear()
+
+
+def _root_digits(rs):
+    return [(x.vL, x.unit, x.rel) for x in rs.roots]
+
+
+@pytest.mark.parametrize("text,p", [EX1] + NON_STABLE)
+def test_recheck_equals_a_fresh_doubled_analysis(text, p, monkeypatch):
+    """The recheck takes no residue root, and its roots and permutations are
+    those of a lift from the residue."""
+    expr = parse_expr(text, p)
+    passes, residue_roots = [], []
+    real_root = FqField.canonical_nth_root
+
+    def recording(*args, **kwargs):
+        passes.append(analyse(*args, **kwargs))
+        return passes[-1]
+
+    def counting(fq, a, n):
+        residue_roots.append(len(passes))
+        return real_root(fq, a, n)
+
+    monkeypatch.setattr(decision_mod, "analyse", recording)
+    monkeypatch.setattr(FqField, "canonical_nth_root", counting)
+    decision_mod.solubility_decide(expr)
+    monkeypatch.undo()
+    first, recheck = passes
+    assert residue_roots and set(residue_roots) == {0}
+    assert recheck.tower.M > first.tower.M
+    for key, r in first.tower.radicals.items():        # the recheck extended them
+        assert tuple(x % first.tower.pM for x in recheck.tower.radicals[key]) == r
+    _lifts.cache_clear()
+    fresh = analyse(expr, prec=2 * first.tower.prec)
+    assert _root_digits(recheck.rs) == _root_digits(fresh.rs)
+    assert recheck.rs.tau_perm == fresh.rs.tau_perm
+    assert recheck.rs.frob_perm == fresh.rs.frob_perm
