@@ -20,8 +20,6 @@ error class, else 2 if any curve is inapplicable (``analyze``), else 0.
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .clusters import analyse
 from .corpus import generate_corpus
@@ -31,23 +29,6 @@ from .decision import CONDITION_IDS, solubility_decide
 from .errors import ClusterSolError, InternalError, ParseError, PrecisionExhausted
 from .oracle import is_locally_soluble
 from .render import render_ascii, render_latex
-
-
-@dataclass
-class RunConfig:
-    command: str
-    expr: str = None
-    curve_file: str = None
-    p: int = None
-    prec: int = None
-    as_json: bool = False
-    fmt: str = "ascii"
-    max_level: int = None
-    seed: int = 0
-    count: int = 0
-    p_list: tuple = ()
-    genus_range: tuple = (2, 4)
-    jobs: int = 1
 
 
 def _invariant_row(rec):
@@ -240,6 +221,7 @@ def cmd_compare(cfg):
     pairs = generate_corpus(cfg.seed, cfg.count, list(cfg.p_list),
                             genus_range=cfg.genus_range)
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only here: slow to import
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_compare_one, pairs))
     else:
@@ -322,58 +304,46 @@ def _parse_args(argv):
 
     an = sub.add_parser("analyze", help="full cluster-picture analysis and verdict")
     src = an.add_mutually_exclusive_group(required=True)
-    src.add_argument("--curve", help="curve file with a 'p = <int>' header")
+    src.add_argument("--curve", dest="curve_file", metavar="CURVE",
+                     help="curve file with a 'p = <int>' header")
     src.add_argument("--expr", help="inline curve expression")
     an.add_argument("--p", type=int, help="prime (required with --expr)")
     an.add_argument("--prec", type=int, help="pi-adic working precision override")
-    an.add_argument("--json", action="store_true")
+    an.add_argument("--json", dest="as_json", action="store_true")
 
     orc = sub.add_parser("oracle", help="brute-force point search over Q_p")
     orc.add_argument("--expr", required=True)
     orc.add_argument("--p", type=int, required=True)
     orc.add_argument("--max-level", type=int)
-    orc.add_argument("--json", action="store_true")
+    orc.add_argument("--json", dest="as_json", action="store_true")
 
     cmp_ = sub.add_parser("compare", help="random corpus: theorem vs oracle")
     cmp_.add_argument("--seed", type=int, required=True)
     cmp_.add_argument("--count", type=int, required=True)
     cmp_.add_argument("--p-list", required=True,
                       help="comma-separated odd primes, e.g. 7,11,17")
-    cmp_.add_argument("--genus", default="2..4", help="genus range lo..hi")
+    cmp_.add_argument("--genus", dest="genus_range", metavar="GENUS", default="2..4",
+                      help="genus range lo..hi")
     cmp_.add_argument("--jobs", type=int, default=1)
-    cmp_.add_argument("--json", action="store_true")
+    cmp_.add_argument("--json", dest="as_json", action="store_true")
 
     ren = sub.add_parser("render", help="render the cluster picture")
     ren.add_argument("--expr", required=True)
     ren.add_argument("--p", type=int, required=True)
     ren.add_argument("--prec", type=int)
-    ren.add_argument("--format", choices=("ascii", "latex"), default="ascii")
+    ren.add_argument("--format", dest="fmt", choices=("ascii", "latex"), default="ascii")
 
     ns = top.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
     if ns.command == "analyze":
-        cfg.curve_file = ns.curve
-        cfg.expr = ns.expr
-        cfg.p = ns.p
-        cfg.prec = ns.prec
-        cfg.as_json = ns.json
-        if cfg.expr and cfg.p is None:
+        if ns.expr and ns.p is None:
             top.error("--p is required with --expr")
-        if cfg.curve_file and cfg.p is not None:
+        if ns.curve_file and ns.p is not None:
             top.error("--p conflicts with --curve (the file header sets p)")
-    elif ns.command == "oracle":
-        cfg.expr, cfg.p, cfg.max_level = ns.expr, ns.p, ns.max_level
-        cfg.as_json = ns.json
     elif ns.command == "compare":
-        cfg.seed, cfg.count = ns.seed, ns.count
-        cfg.p_list = tuple(int(x) for x in ns.p_list.split(","))
-        lo, _, hi = ns.genus.partition("..")
-        cfg.genus_range = (int(lo), int(hi or lo))
-        cfg.jobs = ns.jobs
-        cfg.as_json = ns.json
-    elif ns.command == "render":
-        cfg.expr, cfg.p, cfg.fmt, cfg.prec = ns.expr, ns.p, ns.format, ns.prec
-    return cfg
+        ns.p_list = tuple(int(x) for x in ns.p_list.split(","))
+        lo, _, hi = ns.genus_range.partition("..")
+        ns.genus_range = (int(lo), int(hi or lo))
+    return ns
 
 
 def main(argv=None):

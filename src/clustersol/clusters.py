@@ -1,10 +1,10 @@
 """Cluster pictures and their invariants.
 
 The picture is the laminar family of subsets of the roots cut out by
-p-adic discs, built from the matrix of pairwise valuations.  For each
-proper cluster we compute depth, relative depth, nu, lambda, e, genus,
-the classification flags, the Galois action, and the +-1 characters
-epsilon_s attached to even clusters and cotwins.
+p-adic discs, the roots' pi-adic digit trie (``curves.digit_trie``).  For
+each proper cluster we compute depth, relative depth, nu, lambda, e,
+genus, the classification flags, the Galois action, and the +-1
+characters epsilon_s attached to even clusters and cotwins.
 
 Character computation never enlarges the tower.  The radicand
 theta^2 = c_f prod_{r not in s}(z_s - r) of the star s is read through its
@@ -123,30 +123,19 @@ class ClusterPicture:
 
 
 def build_picture(rs, expr):
-    """Ultrametric agglomeration of the root set into the cluster tree."""
-    n = rs.size
-    if n < 5:
+    """The cluster tree: the root set's digit trie wrapped in nodes."""
+    if rs.size < 5:
         raise InternalError("picture needs at least 5 roots")
-    mat = rs.val_matrix
+    e = rs.tower.e
 
-    def make(indices):
-        if len(indices) == 1:
-            return ClusterNode(indices, None, [])
-        depth = min(mat[i][j] for i in indices for j in indices if i < j)
-        blocks = []
-        for i in sorted(indices):
-            for b in blocks:
-                if mat[i][b[0]] > depth:
-                    b.append(i)
-                    break
-            else:
-                blocks.append([i])
-        children = [make(b) for b in blocks]
-        children.sort(key=lambda c: c.roots[0])
-        return ClusterNode(indices, depth, children)
+    def make(node):
+        if isinstance(node, int):
+            return ClusterNode([node], None, [])
+        level, children = node
+        kids = [make(c) for c in children]
+        return ClusterNode([i for c in kids for i in c.roots], Fraction(level, e), kids)
 
-    top = make(list(range(n)))
-    return ClusterPicture(top, rs, expr)
+    return ClusterPicture(make(rs.trie), rs, expr)
 
 
 # ------------------------------------------------------------------
@@ -279,21 +268,17 @@ class ClusterAnalysis:
 
     # --- plain invariants ---
 
-    def val(self, i, j):
-        return self.rs.val_matrix[i][j]
+    def nu(self, node):
+        """c_pow + sum over all roots r of min(d, v(z - r)), z in the node.
 
-    def depth(self, node):
-        return node.depth
-
-    def nu(self, node, center_index=None):
-        z = center_index if center_index is not None else node.roots[0]
-        d = node.depth
-        total = Fraction(self.expr.c_pow)
-        for r in range(self.rs.size):
-            if r == z:
-                total += d
-            else:
-                total += min(d, self.val(z, r))
+        v(z - r) for r outside the node is the depth of the least cluster
+        holding both, so the sum walks up the parent chain.
+        """
+        total = self.expr.c_pow + node.size * node.depth
+        child, a = node, node.parent
+        while a is not None:
+            total += (a.size - child.size) * a.depth
+            child, a = a, a.parent
         return total
 
     def genus_of(self, node):

@@ -8,18 +8,16 @@ with integer-or-cyclotomic centers, n_i and the conductors prime to p,
 and u_i a nonzero integer prime to p.  This family admits exact root
 extraction in a tame tower; anything else is rejected as unsupported.
 
-The inertia and Frobenius permutations come from matching Galois images
-against the roots.  An image matches a root when their difference has
-valuation at least N = max_pair + 2, max_pair the largest pairwise root
-valuation in pi units; that holds exactly when both agree in every
-pi-adic digit below pi^N, so each root is keyed by those digits
-(``match_key``) and each image is one dictionary lookup.
+Pairwise valuations are read one way only: v(x - y) >= N exactly when x
+and y agree in every pi-adic digit below pi^N (``match_key``).  So the
+roots' digit trie is their cluster tree (``digit_trie``), and a Galois
+image matches a root when both agree below pi^N, N = max_pair + 2 for
+max_pair the trie's deepest split: one dictionary lookup per image.
 """
 
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (AmbiguousMatch, DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
@@ -519,7 +517,7 @@ class RootSet:
     tags: list
     tau_perm: list = None
     frob_perm: list = None
-    val_matrix: list = None
+    trie: object = None
 
     @property
     def size(self):
@@ -563,22 +561,37 @@ def extract_roots(expr, tower, coarse=None):
             roots.append(center + branch)
             tags.append((fi, j))
             branch = branch * zeta_n
-    rs = RootSet(tower, roots, tags)
-    rs.val_matrix = _valuation_matrix(rs)
-    return rs
+    return RootSet(tower, roots, tags, trie=digit_trie(roots, tags))
 
 
-def _valuation_matrix(rs):
-    n = rs.size
-    mat = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = rs.roots[i] - rs.roots[j]
-            if diff.is_zero:
-                raise RootCollision(
-                    f"roots {rs.tags[i]} and {rs.tags[j]} coincide: f is not squarefree")
-            mat[i][j] = mat[j][i] = Fraction(diff.vL, rs.tower.e)
-    return mat
+def digit_trie(roots, tags):
+    """The roots' cluster tree: a node is a root index or (N, children).
+
+    Its roots agree below pi^N but not below pi^(N+1), so N is their least
+    pairwise valuation in pi units; the children bucket them by
+    ``match_key`` at N + 1, which raises when a digit is not trusted.
+    """
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault((r.vL, r.unit), []).append(i)
+    pairs = [g[:2] for g in groups.values() if len(g) > 1]
+    if pairs:
+        i, j = min(pairs)
+        raise RootCollision(f"roots {tags[i]} and {tags[j]} coincide: f is not squarefree")
+
+    def split(block, N):
+        if len(block) == 1:
+            return block[0]
+        while True:
+            buckets = {}
+            for i in block:
+                buckets.setdefault(match_key(roots[i], N + 1), []).append(i)
+            if len(buckets) > 1:
+                return (N, [split(b, N + 1) for b in buckets.values()])
+            N += 1
+
+    return split(list(range(len(roots))),
+                 min([r.vL for r in roots if not r.is_zero], default=0))
 
 
 def match_key(x, N):
@@ -610,14 +623,16 @@ def match_key(x, N):
 def galois_perms(rs):
     """Fill tau_perm, frob_perm by matching Galois images against the roots.
 
-    The roots are bucketed by ``match_key`` at N = max_pair + 2 and each
-    image is one lookup (see the module docstring).
+    The roots are bucketed by ``match_key`` at N = max_pair + 2, max_pair
+    the deepest split of the digit trie, and each image is one lookup.
     """
     t = rs.tower
     n = rs.size
-    max_pair = int(max(rs.val_matrix[i][j] for i in range(n) for j in range(i + 1, n))
-                   * t.e) if n > 1 else 0
-    N = max_pair + 2
+
+    def deepest(node):
+        return 0 if isinstance(node, int) else max([node[0]] + [deepest(c) for c in node[1]])
+
+    N = deepest(rs.trie) + 2
     buckets = {}
     for j, r in enumerate(rs.roots):
         buckets.setdefault(match_key(r, N), []).append(j)

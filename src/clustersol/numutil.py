@@ -100,17 +100,6 @@ def poly_trim(f):
     return f
 
 
-def poly_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_eval(f, x):
     acc = 0
     for a in reversed(f):

@@ -4,10 +4,9 @@ Classes {x = a mod p^k} are decided exactly: once v_p(f(a)) < k the
 valuation and leading unit of f are constant on the class, so parity of
 the valuation plus quadratic residuosity settle it; classes dominated by
 a nearby simple root are settled by Hensel's lemma; the rest refine.
-``class_test`` exposes that decision for a single class.  The driver
-applies it in recentered form, substituting x = a + p t and stripping
-p-content at every level, so the tree stays linear in p * deg f * depth
-instead of fanning out across valuation plateaus.  For squarefree f the
+The driver decides classes in recentered form, substituting x = a + p t
+and stripping p-content at every level, so the tree stays linear in
+p * deg f * depth instead of fanning out across valuation plateaus.  For squarefree f the
 recursion is complete and terminates within 2 v_p(disc f) + 4 levels.
 
 Everything is exact integer arithmetic; every Accept carries a witness
@@ -73,33 +72,6 @@ def _refine_root(f, fprime, a, p, digits):
         step = (fx // p ** w) * pow(fpx // p ** w, -1, pk) % pk
         x = (x - step) % pk
     return x % p ** digits
-
-
-def class_test(f, fprime, a, k, p):
-    """Decide the class {x = a mod p^k}: ('accept', w) | ('reject',) | ('split',)."""
-    fa = poly_eval(f, a)
-    if fa == 0:
-        return ("accept", {"x": a, "y": 0, "precision": WITNESS_DIGITS,
-                           "certificate": "exact rational root"})
-    v = vp(fa, p)
-    if v < k:
-        if v % 2 == 0:
-            unit = fa // p ** v
-            if pow(unit % p, (p - 1) // 2, p) == 1:
-                yu = _unit_sqrt_mod(unit, p, WITNESS_DIGITS + v)
-                prec = v // 2 + WITNESS_DIGITS
-                return ("accept", {
-                    "x": a, "y": yu * p ** (v // 2) % p ** prec, "precision": prec,
-                    "certificate": f"v(y^2 - f(x)) >= {2 * v + WITNESS_DIGITS}"
-                                   f" > 2 v(y) + 1 = {v + 1}"})
-        return ("reject", None)
-    fpa = poly_eval(fprime, a)
-    if fpa != 0 and v > 2 * vp(fpa, p):
-        digits = max(WITNESS_DIGITS, v)
-        x = _refine_root(f, fprime, a, p, digits)
-        return ("accept", {"x": x, "y": 0, "precision": digits,
-                           "certificate": f"v(f(a)) = {v} > 2 v(f'(a)) = {2 * vp(fpa, p)}"})
-    return ("split", None)
 
 
 def _strip_content(F, p):

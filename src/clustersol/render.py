@@ -7,10 +7,9 @@ LaTeX:   \\clusterpicture ... \\endclusterpicture built from \\Root lines
          names R, s_i, t_i rendered as \\Rcal, \\s_i, \\tfrak_i.
 
 Both renderers order children by least root index, so output is
-deterministic; parse_ascii / latex_structure invert them for tests.
+deterministic.
 """
 
-import re
 from fractions import Fraction
 
 
@@ -31,36 +30,6 @@ def render_ascii(picture, node=None):
         return f"r{node.roots[0] + 1}"
     inner = " ".join(render_ascii(picture, c) for c in node.children)
     return f"({inner} | d={_fmt_depth(node.depth)})"
-
-
-def parse_ascii(text):
-    """Development-only inverse of render_ascii; returns (depth, [children])."""
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if text[pos] == "(":
-            pos += 1
-            children = []
-            while True:
-                while text[pos] == " ":
-                    pos += 1
-                if text[pos] == "|":
-                    break
-                children.append(parse())
-            m = re.match(r"\| d=([-\d/]+)\)", text[pos:])
-            if not m:
-                raise ValueError(f"bad depth label at {text[pos:pos + 20]!r}")
-            pos += m.end()
-            return (Fraction(m.group(1)), children)
-        m = re.match(r"r(\d+)", text[pos:])
-        if not m:
-            raise ValueError(f"bad leaf at {text[pos:pos + 20]!r}")
-        pos += m.end()
-        return f"r{m.group(1)}"
-
-    out = parse()
-    return out
 
 
 def _latex_name(node, picture):
@@ -98,27 +67,3 @@ def render_latex(picture):
     walk(picture.top)
     lines.append("\\endclusterpicture")
     return "\n".join(lines)
-
-
-def latex_structure(text):
-    """Nesting structure and depth labels of rendered LaTeX, for tests.
-
-    Returns a nested tuple (label, (children...)) with leaves as 'r<k>';
-    byte-level details (names, spacing) are deliberately discarded.
-    """
-    clusters = {}
-    order = []
-    for m in re.finditer(r"\\ClusterLDName (c\d+)\[\]\[([^\]]*)\]\[[^\]]*\] = ((?:\([^)]+\))+);",
-                         text):
-        cid, label, members = m.group(1), m.group(2), m.group(3)
-        items = re.findall(r"\(([^)]+)\)", members)
-        clusters[cid] = (label, items)
-        order.append(cid)
-
-    def build(cid):
-        label, items = clusters[cid]
-        frac = re.fullmatch(r"\\frac\{(-?\d+)\}\{(\d+)\}", label)
-        depth = Fraction(int(frac.group(1)), int(frac.group(2))) if frac else Fraction(label)
-        return (depth, tuple(build(i) if i.startswith("c") else i for i in items))
-
-    return build(order[-1])  # the top cluster is emitted last

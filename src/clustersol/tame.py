@@ -365,9 +365,7 @@ class Elt:
     def __repr__(self):
         if self.is_zero:
             return "Elt(0)"
-        t = self.tower
-        return (f"Elt(v={Fraction(self.vL, t.e)}, res={self.residue()}, "
-                f"rel={self.rel})")
+        return f"Elt(v={self.valuation()}, res={self.residue()}, rel={self.rel})"
 
     # --- ring operations ---
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import clustersol.clusters as clusters_mod
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, latex_structure
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
@@ -16,7 +16,7 @@ from clustersol.decision import CONDITION_IDS, solubility_decide, theorem_decide
 from clustersol.numutil import poly_deriv, resultant
 from clustersol.oracle import (disc_valuation, exhaustive_soluble,
                                is_locally_soluble)
-from clustersol.render import latex_structure, render_latex
+from clustersol.render import render_latex
 
 
 def _line(num, ok, detail):

