@@ -1,15 +1,17 @@
 """Command-line entry points: analyze, oracle, compare, render.
 
 Exit codes: 0 ok, 1 usage or parse failure, 2 inapplicable input,
-3 internal error, 4 precision exhausted (a cancellation fell below the
-trusted digits, or the verdict changed under precision doubling).  All
-output is deterministic for fixed inputs and seeds; the JSON schema is
+3 internal error, 4 precision exhausted (a quantity the verdict reads
+needed untrusted digits at the working precision and with twice and
+four times the digits it stored; ``decision.PRECISION_RUNGS``).  All output is deterministic
+for fixed inputs and seeds; the JSON schema is
 
     {curve, p, tower: {d, e, prec}, picture, invariants[], conditions[],
      component_verdict, solubility, convention_markers[], oracle?}
 
-with tower.prec the effective pi-adic precision e*M actually stored,
-which can exceed a requested --prec below the floor of 8 p-adic digits.
+with tower.prec the effective pi-adic precision e*M of the pass that
+decided the curve: --prec starts the ladder, and a request below the
+floor of 8 p-adic digits is raised to it.
 
 A batch (``analyze --curve FILE``, ``compare``) fails only the bad curve:
 it becomes the row {curve, p, error: {class, message}} and the others are

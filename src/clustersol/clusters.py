@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, ZeroElement
+from .errors import InternalError, PrecisionExhausted, ZeroElement
 from .curves import extract_roots, galois_perms, perm_order, required_tower
-from .tame import FROB, TAU, GaloisWord, Tower
+from .tame import FROB, TAU, GaloisWord, Tower, truncated_sum
 
 INF = math.inf
 
@@ -379,37 +379,42 @@ class ClusterAnalysis:
             return next(c for c in node.children if c.size == g2)
         return node
 
-    def _leading_term(self, z, roots):
-        """(W, u) of c_f prod_{r in roots}(z - r): valuations add, residues multiply.
+    def _leading_term(self, z, roots, N=INF):
+        """(W, u, exact) for c_f prod_{r in roots}(z - r): valuations add, residues multiply.
 
-        None if a factor is zero; every difference is still computed, so a
-        cancellation below the trusted digits raises wherever it occurs.
+        z stands for a value it agrees with below pi^N.  A factor z - r
+        that is zero or has no digit below pi^N is known only to have
+        valuation at least min(N, the level to which r is trusted): it adds
+        that bound to W and leaves exact False.  Every difference is still
+        computed, so a cancellation below the trusted digits raises
+        wherever it occurs.
         """
         t = self.tower
         fq = t.fq
         lead = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
-        w, u = lead.vL, lead.residue()
-        degenerate = False
+        w, u, exact = lead.vL, lead.residue(), True
         for r in roots:
             diff = z - r
-            if diff.is_zero:
-                degenerate = True
+            if diff.is_zero or diff.vL >= N:
+                w += min(N, r.abs_prec)
+                exact = False
             else:
                 w += diff.vL
                 u = fq.mul(u, diff.residue())
-        return None if degenerate else (w, u)
+        return w, u, exact
 
     def radicand(self, node):
         """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r)."""
         if node in self._radicand_cache:
             return self._radicand_cache[node]
         inside = node.rootset
-        out = self._leading_term(self.rs.roots[node.roots[0]],
-                                 [r for i, r in enumerate(self.rs.roots) if i not in inside])
-        if out is None:
+        w, u, exact = self._leading_term(
+            self.rs.roots[node.roots[0]],
+            [r for i, r in enumerate(self.rs.roots) if i not in inside])
+        if not exact:
             raise ZeroElement(f"cluster {node.name} has a repeated root")
-        self._radicand_cache[node] = out
-        return out
+        self._radicand_cache[node] = (w, u)
+        return w, u
 
     def _sqrt_symbol(self, node):
         """Canonical formal square root of the node's radicand residue, memoised."""
@@ -521,21 +526,31 @@ class ClusterAnalysis:
         The centroid of a Galois-fixed cluster is Q_p-rational; f evaluated
         there has valuation nu_s (for a twin always exactly), and the point
         search succeeds at the centre precisely when the unit part is a
-        quadratic residue.
+        quadratic residue.  None when the valuation is not nu_s.
+
+        The centroid is read through a truncation z with v(z - centroid)
+        >= N (``tame.truncated_sum``); z is zero when the roots' sum
+        cancels in every trusted digit, as for an exact zero centroid.  A
+        root r with v(z - r) < N gives centroid - r the leading term of
+        z - r.  Any other root bounds v(centroid - r) from below only:
+        that decides None when the bound already exceeds nu, and raises
+        PrecisionExhausted otherwise.
         """
         t = self.tower
-        n = len(node.roots)
-        centroid = t.zero()
-        for i in node.roots:
-            centroid = centroid + self.rs.roots[i]
-        if not centroid.is_zero:
-            inv_n = t.from_int(pow(n, -1, t.pM)) if n % t.p else t.from_int(n).inv()
-            centroid = centroid * inv_n
-        val = self._leading_term(centroid, self.rs.roots)
+        n = node.size
+        z, N = truncated_sum(t, [self.rs.roots[i] for i in node.roots])
+        inv_n = t.from_int(pow(n, -1, t.pM)) if n % t.p else t.from_int(n).inv()
+        z = z * inv_n
+        N = min(N + inv_n.vL, z.abs_prec)
+        w, res, exact = self._leading_term(z, self.rs.roots, N)
         nu = self.inv[node].nu
-        if val is None or Fraction(val[0], t.e) != nu:
+        if not exact:
+            if Fraction(w, t.e) > nu:
+                return None
+            raise PrecisionExhausted(
+                f"centroid of cluster {node.name} known only below pi^{N}", t)
+        if Fraction(w, t.e) != nu:
             return None  # degenerate centroid; no verdict from this test
-        res = val[1]
         if any(c != 0 for c in res[1:]):
             return None  # not Q_p-rational; should not happen for fixed clusters
         return pow(res[0], (t.p - 1) // 2, t.p) == 1

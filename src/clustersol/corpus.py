@@ -12,7 +12,7 @@ import random
 
 from .curves import expand_to_integer_poly, galois_closure_check, parse_expr
 from .decision import corollary_gate
-from .errors import ClusterSolError
+from .errors import ClusterSolError, CorpusError
 from .numutil import poly_deriv, resultant
 
 
@@ -84,18 +84,26 @@ def random_curve_text(rng, p, genus_range=(2, 4), max_tries=200):
         except ClusterSolError:
             continue
         return text
-    raise RuntimeError("corpus generator failed to produce a curve")
+    raise CorpusError("corpus generator failed to produce a curve")
 
 
 def generate_corpus(seed, count, p_list, genus_range=(2, 4), odd_only=False):
-    """Deterministic list of (p, text) pairs passing the applicability gate."""
+    """Deterministic list of (p, text) pairs passing the applicability gate.
+
+    A genus range that no p in p_list admits (q > 2(g^2 - 1)) is rejected
+    before any curve is drawn.
+    """
+    lo, hi = genus_range
+    if not any(corollary_gate(p, g, {})[0] for p in p_list for g in range(lo, hi + 1)):
+        raise CorpusError(f"no genus in {lo}..{hi} passes the gate q > 2(g^2 - 1) "
+                          f"for p in {list(p_list)}")
     rng = random.Random(seed)
     out = []
     guard = 0
     while len(out) < count:
         guard += 1
         if guard > 200 * count + 1000:
-            raise RuntimeError("corpus generation not converging")
+            raise CorpusError("corpus generation not converging")
         p = rng.choice(list(p_list))
         text = random_curve_text(rng, p, genus_range)
         expr = parse_expr(text, p)

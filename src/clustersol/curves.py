@@ -23,7 +23,7 @@ from .errors import (AmbiguousMatch, DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
-from .numutil import cyclotomic_poly, is_prime, mult_order
+from .numutil import cyclotomic_poly, is_prime, mult_order, poly_deriv, resultant
 from .tame import Tower
 
 
@@ -542,7 +542,9 @@ def extract_roots(expr, tower, coarse=None):
     """Embed all roots of f into the tower, tagged by (factor, branch).
 
     ``coarse``, the tower of an earlier embedding of the same curve, hands
-    its unit radicals on to be extended (``Tower.unit_nth_root``).
+    its unit radicals on to be extended (``Tower.unit_nth_root``).  Roots
+    equal in every stored digit are RootCollision when f is not
+    squarefree (the resultant of f and f' is 0), else PrecisionExhausted.
     """
     roots, tags = [], []
     for fi, f in enumerate(expr.factors):
@@ -561,7 +563,16 @@ def extract_roots(expr, tower, coarse=None):
             roots.append(center + branch)
             tags.append((fi, j))
             branch = branch * zeta_n
-    return RootSet(tower, roots, tags, trie=digit_trie(roots, tags))
+    try:
+        trie = digit_trie(roots, tags)
+    except RootCollision:                 # equal stored digits: is f squarefree?
+        f = expand_to_integer_poly(expr)
+        if resultant(f, poly_deriv(f)) == 0:
+            raise
+        raise PrecisionExhausted(
+            f"f is squarefree, but two roots agree in all {tower.M} stored digits",
+            tower) from None
+    return RootSet(tower, roots, tags, trie=trie)
 
 
 def digit_trie(roots, tags):
@@ -606,10 +617,9 @@ def match_key(x, N):
     if x.is_zero or x.vL >= N:
         return None
     t = x.tower
-    if N - x.vL > t.e * x.rel:
+    if N > x.abs_prec:
         raise PrecisionExhausted(
-            f"matching needs digits below pi^{N}, trusted only below "
-            f"pi^{x.vL + t.e * x.rel}")
+            f"matching needs digits below pi^{N}, trusted only below pi^{x.abs_prec}", t)
     key = [x.vL]
     for i, col in enumerate(x.unit):
         k = -(-(N - x.vL - i) // t.e)

@@ -13,12 +13,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .clusters import analyse
-from .errors import PrecisionExhausted
+from .errors import InternalError, PrecisionExhausted
 from .tame import FROB, TAU
 
 CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
                  "iv.a", "iv.b", "iv.c", "v.a", "v.b", "v.c",
                  "vi.a", "vi.b", "vi.c", "vi.d", "vi.e", "vi.f"]
+
+PRECISION_RUNGS = 3     # analyses at the working precision, then 2x and 4x its digits
 
 
 @dataclass
@@ -273,24 +275,55 @@ def corollary_gate(p, genus, tame_flags):
     return applicable, reasons
 
 
-def solubility_decide(expr, prec=None, recheck_doubled=True):
-    """Full pipeline: analysis at working precision, gate, theorem, verdict.
+def solubility_decide(expr, prec=None, recheck_doubled=False):
+    """Full pipeline: one certified analysis, gate, theorem, verdict.
 
-    The verdict is recomputed at doubled precision and must agree, else
-    PrecisionExhausted propagates; truncation must never decide a curve.
-    The recheck extends the first pass's unit radicals by Newton; Hensel
-    lifts are unique, so its roots are those of a lift from the residue.
+    Lemma (the precision certificate).  ``theorem_decide`` reads only
+    the digit trie (depths, nu, lambda), ``tau_perm`` and ``frob_perm``,
+    the radicand leading terms (W, u), and ``center_value_is_square``.
+    Each is read from trusted digits or the read raises
+    PrecisionExhausted:
+
+    * the trie and the permutations come from ``curves.match_key``, which
+      raises on any digit at or above an element's trusted level, and
+      a Galois image that matches no root or two raises AmbiguousMatch;
+      roots equal in every stored digit are decided exactly by the
+      resultant of f and f' (``curves.extract_roots``);
+    * radicands and differences go through ``tame._normalise``, which
+      raises when a nonzero leading digit, or a zero, is known only
+      from untrusted digits;
+    * the centroid is read through a truncation z with v(z - centroid)
+      >= N, and a factor it cannot read to below pi^N counts only by a
+      lower bound (``ClusterAnalysis.center_value_is_square``).
+
+    Trusted digits are those of the exact roots, so when no read raises
+    every value above equals the one the exact roots give.  A pass at
+    any higher precision that does not raise therefore gives the same
+    reports: a second pass at doubled precision cannot disagree, and one
+    pass decides the curve.  ``recheck_doubled`` still runs that second
+    pass (extending the first pass's unit radicals by Newton) and raises
+    InternalError if the reports differ; tests use it as the reference.
+
+    When a read raises PrecisionExhausted the curve is analysed afresh
+    with twice the digits the exhausted tower stored, handing on its unit
+    radicals, up to PRECISION_RUNGS analyses in all; the last rung's error
+    propagates.
     """
-    A = analyse(expr, prec=prec)
-    component_yes, reports = theorem_decide(A)
+    coarse = None
+    for rung in range(PRECISION_RUNGS):
+        try:
+            A = analyse(expr, prec=prec, coarse=coarse)
+            component_yes, reports = theorem_decide(A)
+            break
+        except PrecisionExhausted as ex:
+            if rung == PRECISION_RUNGS - 1:
+                raise
+            coarse = ex.tower
+            prec = 2 * coarse.e * coarse.M
     if recheck_doubled:
         A2 = analyse(expr, prec=2 * A.tower.prec, coarse=A.tower)
-        yes2, reports2 = theorem_decide(A2)
-        if yes2 != component_yes or any(
-                reports[cid].satisfied != reports2[cid].satisfied
-                for cid in CONDITION_IDS):
-            raise PrecisionExhausted(
-                "verdict unstable under precision doubling")
+        if theorem_decide(A2) != (component_yes, reports):
+            raise InternalError("a certified verdict changed at doubled precision")
     flags = tameness_flags(A)
     applicable, reasons = corollary_gate(expr.p, expr.genus, flags)
     fired = [cid for cid in CONDITION_IDS if reports[cid].satisfied]

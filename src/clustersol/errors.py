@@ -24,7 +24,11 @@ class ZeroElement(ClusterSolError):
 
 
 class PrecisionExhausted(ClusterSolError):
-    pass
+    """Trusted digits ran out in ``tower``, whose lifts a retry can extend."""
+
+    def __init__(self, message, tower=None):
+        super().__init__(message)
+        self.tower = tower
 
 
 # --- curve input ---
@@ -58,6 +62,12 @@ class AmbiguousMatch(ClusterSolError):
 
 
 class NonRationalCoefficient(ClusterSolError):
+    pass
+
+
+# --- corpus ---
+
+class CorpusError(ClusterSolError):
     pass
 
 

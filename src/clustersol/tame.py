@@ -346,6 +346,11 @@ class Elt:
     def is_zero(self):
         return self.vL is None
 
+    @property
+    def abs_prec(self):
+        """The pi-adic level below which the digits are trusted; INF for zero."""
+        return INF if self.is_zero else self.vL + self.tower.e * self.rel
+
     def valuation(self):
         if self.is_zero:
             return INF
@@ -369,23 +374,6 @@ class Elt:
 
     # --- ring operations ---
 
-    def _align(self, other):
-        """Units of self, other at the common valuation min(vL, vL')."""
-        t = self.tower
-        v0 = min(self.vL, other.vL)
-
-        def lifted(x):
-            delta = x.vL - v0
-            if delta == 0:
-                return x.unit
-            cols = [None] * t.e           # column i lands in slot (i + delta) mod e
-            for i, col in enumerate(x.unit):
-                k = i + delta
-                cols[k % t.e] = t.w_scale(col, t.p ** (k // t.e))
-            return tuple(cols)
-
-        return v0, lifted(self), lifted(other)
-
     def _combine(self, other, sign):
         """self + sign * other, for sign = +1 or -1."""
         if other.is_zero:
@@ -394,11 +382,10 @@ class Elt:
             return other if sign == 1 else -other
         t = self.tower
         pM = t.pM
-        v0, u1, u2 = self._align(other)
+        v0 = min(self.vL, other.vL)
         raw = tuple(tuple([(a + sign * b) % pM for a, b in zip(c1, c2)])
-                    for c1, c2 in zip(u1, u2))
-        abs_pi = min(self.vL + t.e * self.rel, other.vL + t.e * other.rel)
-        return _normalise(t, v0, raw, abs_pi)
+                    for c1, c2 in zip(_aligned(self, v0), _aligned(other, v0)))
+        return _normalise(t, v0, raw, min(self.abs_prec, other.abs_prec))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -475,21 +462,48 @@ class Elt:
         return Elt(t, self.vL, tuple(t.w_frob(c) for c in self.unit), self.rel)
 
 
-def _normalise(tower, v0, raw, abs_pi):
-    """Strip leading zero pi-digits from raw columns at valuation v0."""
-    t = tower
+def _aligned(x, v0):
+    """The unit of x re-expressed at valuation v0 <= x.vL."""
+    t = x.tower
+    delta = x.vL - v0
+    if delta == 0:
+        return x.unit
+    cols = [None] * t.e                   # column i lands in slot (i + delta) mod e
+    for i, col in enumerate(x.unit):
+        k = i + delta
+        cols[k % t.e] = t.w_scale(col, t.p ** (k // t.e))
+    return tuple(cols)
+
+
+def _lowest_digit(tower, raw):
+    """pi-offset of the first nonzero digit of raw columns, None if all are 0."""
     best = None
     for i, col in enumerate(raw):
-        vpcol = t.w_vp(col)
+        vpcol = tower.w_vp(col)
         if vpcol is not None:
-            cand = i + t.e * vpcol
+            cand = i + tower.e * vpcol
             if best is None or cand < best:
                 best = cand
+    return best
+
+
+def _normalise(tower, v0, raw, abs_pi):
+    """Strip leading zero pi-digits from raw columns at valuation v0.
+
+    Only digits below pi^abs_pi are trusted.  A value whose trusted digits
+    are all zero is 0 + O(pi^abs_pi), and raises PrecisionExhausted; it is
+    the zero element only when abs_pi reaches every stored digit,
+    v0 + e*M, as for r + (-r).
+    """
+    t = tower
+    best = _lowest_digit(t, raw)
     if best is None:
-        return t.zero()
+        if abs_pi >= v0 + t.e * t.M:
+            return t.zero()
+        raise PrecisionExhausted(f"zero known only below pi^{abs_pi}", t)
     if v0 + best >= abs_pi:
         raise PrecisionExhausted(
-            f"cancellation below trusted precision (pi^{v0 + best} vs O(pi^{abs_pi}))")
+            f"cancellation below trusted precision (pi^{v0 + best} vs O(pi^{abs_pi}))", t)
     # divide by pi^best
     k, r = divmod(best, t.e)
     cols = list(raw)
@@ -500,5 +514,28 @@ def _normalise(tower, v0, raw, abs_pi):
         cols = cols[1:] + [t.w_divp(head, 1)]
     rel = (abs_pi - (v0 + best)) // t.e
     if rel < 1:
-        raise PrecisionExhausted("no trusted leading digit after cancellation")
+        raise PrecisionExhausted("no trusted leading digit after cancellation", t)
     return Elt(t, v0 + best, tuple(cols), min(rel, t.M))
+
+
+def truncated_sum(tower, elts):
+    """(z, N): the sum of elts, not all zero, read from trusted digits: v(z - sum) >= N.
+
+    One alignment and one normalisation for all terms, so no partial sum
+    is read.  When every digit below pi^N cancels, z is zero and the sum
+    is only known to be 0 + O(pi^N).
+    """
+    t = tower
+    live = [x for x in elts if not x.is_zero]
+    v0 = min(x.vL for x in live)
+    N = min(x.abs_prec for x in live)
+    acc = [[0] * t.d for _ in range(t.e)]
+    for x in live:
+        for col, add in zip(acc, _aligned(x, v0)):
+            for k, c in enumerate(add):
+                col[k] += c
+    raw = tuple(tuple([c % t.pM for c in col]) for col in acc)
+    best = _lowest_digit(t, raw)
+    if best is None or v0 + best >= N:
+        return t.zero(), N
+    return _normalise(t, v0, raw, N), N

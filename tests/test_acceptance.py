@@ -84,7 +84,7 @@ def test_criterion_4_oracle_cross_validation():
     quarantined, failures = [], []
     for p, text in corpus:
         expr = parse_expr(text, p)
-        v, _ = solubility_decide(expr)          # includes doubled-precision recheck
+        v, _ = solubility_decide(expr)          # one certified pass
         orc = is_locally_soluble(expand_to_integer_poly(expr), p)
         if (v.status == "Soluble") == orc.soluble:
             agree += 1

@@ -56,9 +56,9 @@ def test_analyze_inapplicable_exit_code(capsys):
 
 
 def test_analyze_precision_exhausted_exit_code(capsys):
-    # a cancellation on this curve falls below the trusted digits
+    # the roots 1 and 1 + 7^200 agree beyond every rung of the precision ladder
     code, _, err = run(capsys, "analyze", "--expr",
-                       "2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)", "--p", "13")
+                       f"(x-1)*(x-{1 + 7**200})*(x-2)*(x-3)*(x-4)", "--p", "7")
     assert code == 4 and "error (PrecisionExhausted):" in err
 
 
@@ -125,7 +125,7 @@ def test_analyze_curve_file_reports_good_curves_around_a_bad_one(capsys, tmp_pat
 
 def test_analyze_curve_file_exit_code_is_the_first_failure(capsys, tmp_path):
     path = tmp_path / "c.txt"
-    path.write_text("p = 13\n(x^8-p)*(x-1)\n2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)\n"
+    path.write_text(f"p = 13\n(x^8-p)*(x-1)\n(x-1)*(x-{1 + 13**100})*(x-2)*(x-3)*(x-4)\n"
                     "(x^3-p^2)*(x^3-p^2)\n")
     code, out, _ = run(capsys, "analyze", "--curve", str(path), "--json")
     rows = json.loads(out)

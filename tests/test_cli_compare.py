@@ -1,12 +1,17 @@
 """``compare`` arguments, and the process pool behind ``--jobs N``: it is
-imported only when used, and the report is the same as with one job."""
+imported only when used, and the report is the same as with one job.  A
+genus range no prime admits is a one-line error."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from clustersol.cli import _parse_args, main
+from clustersol.corpus import generate_corpus
+from clustersol.errors import ClusterSolError, CorpusError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,3 +42,20 @@ def test_compare_lists_parse_to_tuples():
     assert (ns.p_list, ns.genus_range, ns.jobs, ns.as_json) == ((7, 11), (2, 4), 1, False)
     assert _parse_args(base + ["--genus", "3..5"]).genus_range == (3, 5)
     assert _parse_args(base + ["--genus", "3"]).genus_range == (3, 3)
+
+
+def test_compare_rejects_a_genus_no_prime_admits(capsys):
+    # genus 3 needs q > 16; neither 7 nor 11 is
+    code = main(["compare", "--seed", "3", "--count", "4", "--p-list", "7,11",
+                 "--genus", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error (CorpusError): no genus in 3..3") and err.count("\n") == 1
+
+
+def test_corpus_errors_are_cluster_sol_errors():
+    with pytest.raises(CorpusError, match="passes the gate"):
+        generate_corpus(3, 4, (7, 11), genus_range=(3, 3))
+    with pytest.raises(CorpusError, match="failed to produce"):   # degree 32 at most
+        generate_corpus(3, 1, (1009,), genus_range=(20, 20))
+    assert issubclass(CorpusError, ClusterSolError)

@@ -147,8 +147,11 @@ def test_cancellation_tracks_precision():
     y = t.from_int(1 + 7 ** 10) - t.one()
     assert y.valuation() == 10
     assert y.rel == 10
-    # compare against exact rational arithmetic embedded in Q_p
-    assert (y - t.from_int(7 ** 10)).is_zero
+    # y is 7^10 + O(7^20): subtracting 7^10 leaves a zero known only below
+    # 7^20, which is not the zero element; 7^10 - 7^10 at full precision is
+    with pytest.raises(PrecisionExhausted, match="zero known only below pi\\^20"):
+        y - t.from_int(7 ** 10)
+    assert (t.from_int(7 ** 10) - t.from_int(7 ** 10)).is_zero
 
 
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
@@ -535,7 +538,7 @@ def test_recheck_equals_a_fresh_doubled_analysis(text, p, monkeypatch):
 
     monkeypatch.setattr(decision_mod, "analyse", recording)
     monkeypatch.setattr(FqField, "canonical_nth_root", counting)
-    decision_mod.solubility_decide(expr)
+    decision_mod.solubility_decide(expr, recheck_doubled=True)
     monkeypatch.undo()
     first, recheck = passes
     assert residue_roots and set(residue_roots) == {0}
