@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 1 usage or parse failure, 2 inapplicable input,
 3 internal error, 4 precision exhausted (a quantity the verdict reads
 needed untrusted digits at the working precision and with twice and
-four times the digits it stored; ``decision.PRECISION_RUNGS``).  All output is deterministic
-for fixed inputs and seeds; the JSON schema is
+four times the digits it stored; ``decision.PRECISION_RUNGS``).  All
+output is deterministic for fixed inputs and seeds; the JSON schema is
 
     {curve, p, tower: {d, e, prec}, picture, invariants[], conditions[],
      component_verdict, solubility, convention_markers[], oracle?}

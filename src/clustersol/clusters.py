@@ -382,19 +382,25 @@ class ClusterAnalysis:
     def _leading_term(self, z, roots, N=INF):
         """(W, u, exact) for c_f prod_{r in roots}(z - r): valuations add, residues multiply.
 
-        z stands for a value it agrees with below pi^N.  A factor z - r
-        that is zero or has no digit below pi^N is known only to have
-        valuation at least min(N, the level to which r is trusted): it adds
-        that bound to W and leaves exact False.  Every difference is still
-        computed, so a cancellation below the trusted digits raises
-        wherever it occurs.
+        z stands for a value it agrees with below pi^N.  For finite N a
+        factor z - r whose trusted digits run out is read below pi^N only
+        (``tame.truncated_sum``); one that is zero or has no digit below
+        pi^N is known only to have valuation at least min(N, the level to
+        which r is trusted): it adds that bound to W and leaves exact
+        False.  Every difference is still computed, so a cancellation
+        below the trusted digits raises wherever it occurs.
         """
         t = self.tower
         fq = t.fq
         lead = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
         w, u, exact = lead.vL, lead.residue(), True
         for r in roots:
-            diff = z - r
+            try:
+                diff = z - r
+            except PrecisionExhausted:    # trusted digits ran out: read below pi^N
+                if N == INF:
+                    raise
+                diff = truncated_sum(t, [z, -r], N)[0]
             if diff.is_zero or diff.vL >= N:
                 w += min(N, r.abs_prec)
                 exact = False
@@ -548,7 +554,7 @@ class ClusterAnalysis:
             if Fraction(w, t.e) > nu:
                 return None
             raise PrecisionExhausted(
-                f"centroid of cluster {node.name} known only below pi^{N}", t)
+                f"centroid of cluster {node.name} known only below pi^{N}")
         if Fraction(w, t.e) != nu:
             return None  # degenerate centroid; no verdict from this test
         if any(c != 0 for c in res[1:]):

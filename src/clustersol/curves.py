@@ -570,8 +570,8 @@ def extract_roots(expr, tower, coarse=None):
         if resultant(f, poly_deriv(f)) == 0:
             raise
         raise PrecisionExhausted(
-            f"f is squarefree, but two roots agree in all {tower.M} stored digits",
-            tower) from None
+            f"f is squarefree, but two roots agree in all {tower.M} stored digits"
+        ) from None
     return RootSet(tower, roots, tags, trie=trie)
 
 
@@ -619,7 +619,7 @@ def match_key(x, N):
     t = x.tower
     if N > x.abs_prec:
         raise PrecisionExhausted(
-            f"matching needs digits below pi^{N}, trusted only below pi^{x.abs_prec}", t)
+            f"matching needs digits below pi^{N}, trusted only below pi^{x.abs_prec}")
     key = [x.vL]
     for i, col in enumerate(x.unit):
         k = -(-(N - x.vL - i) // t.e)

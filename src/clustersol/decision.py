@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .clusters import analyse
+from .clusters import analyse, default_precision
+from .curves import required_tower
 from .errors import InternalError, PrecisionExhausted
-from .tame import FROB, TAU
+from .tame import FROB, TAU, stored_digits
 
 CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
                  "iv.a", "iv.b", "iv.c", "v.a", "v.b", "v.c",
@@ -293,8 +294,9 @@ def solubility_decide(expr, prec=None, recheck_doubled=False):
       raises when a nonzero leading digit, or a zero, is known only
       from untrusted digits;
     * the centroid is read through a truncation z with v(z - centroid)
-      >= N, and a factor it cannot read to below pi^N counts only by a
-      lower bound (``ClusterAnalysis.center_value_is_square``).
+      >= N, and each factor is read below pi^N only: one with no digit
+      there counts only by a lower bound
+      (``ClusterAnalysis.center_value_is_square``).
 
     Trusted digits are those of the exact roots, so when no read raises
     every value above equals the one the exact roots give.  A pass at
@@ -305,21 +307,19 @@ def solubility_decide(expr, prec=None, recheck_doubled=False):
     InternalError if the reports differ; tests use it as the reference.
 
     When a read raises PrecisionExhausted the curve is analysed afresh
-    with twice the digits the exhausted tower stored, handing on its unit
-    radicals, up to PRECISION_RUNGS analyses in all; the last rung's error
-    propagates.
+    with twice the digits the exhausted tower stored, up to
+    PRECISION_RUNGS analyses in all; the last rung's error propagates.
     """
-    coarse = None
     for rung in range(PRECISION_RUNGS):
         try:
-            A = analyse(expr, prec=prec, coarse=coarse)
+            A = analyse(expr, prec=prec)
             component_yes, reports = theorem_decide(A)
             break
-        except PrecisionExhausted as ex:
+        except PrecisionExhausted:
             if rung == PRECISION_RUNGS - 1:
                 raise
-            coarse = ex.tower
-            prec = 2 * coarse.e * coarse.M
+            e = required_tower(expr)[1]
+            prec = 2 * e * stored_digits(prec or default_precision(expr, e), e)
     if recheck_doubled:
         A2 = analyse(expr, prec=2 * A.tower.prec, coarse=A.tower)
         if theorem_decide(A2) != (component_yes, reports):

@@ -24,11 +24,7 @@ class ZeroElement(ClusterSolError):
 
 
 class PrecisionExhausted(ClusterSolError):
-    """Trusted digits ran out in ``tower``, whose lifts a retry can extend."""
-
-    def __init__(self, message, tower=None):
-        super().__init__(message)
-        self.tower = tower
+    pass
 
 
 # --- curve input ---

@@ -79,6 +79,11 @@ def _lifts(p, d):
     return {}
 
 
+def stored_digits(prec, e):
+    """p-adic digits per column a tower of ramification e stores for pi-adic prec."""
+    return max(-(-prec // e), 8)
+
+
 class Tower:
     """A tame tower over Q_p; entry point for all tame-field arithmetic."""
 
@@ -93,7 +98,7 @@ class Tower:
         self.d = d
         self.e = e
         self.prec = prec                      # requested pi-adic digits
-        self.M = max(-(-prec // e), 8)        # stored p-adic digits per column
+        self.M = stored_digits(prec, e)       # stored p-adic digits per column
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
@@ -500,10 +505,10 @@ def _normalise(tower, v0, raw, abs_pi):
     if best is None:
         if abs_pi >= v0 + t.e * t.M:
             return t.zero()
-        raise PrecisionExhausted(f"zero known only below pi^{abs_pi}", t)
+        raise PrecisionExhausted(f"zero known only below pi^{abs_pi}")
     if v0 + best >= abs_pi:
         raise PrecisionExhausted(
-            f"cancellation below trusted precision (pi^{v0 + best} vs O(pi^{abs_pi}))", t)
+            f"cancellation below trusted precision (pi^{v0 + best} vs O(pi^{abs_pi}))")
     # divide by pi^best
     k, r = divmod(best, t.e)
     cols = list(raw)
@@ -514,28 +519,27 @@ def _normalise(tower, v0, raw, abs_pi):
         cols = cols[1:] + [t.w_divp(head, 1)]
     rel = (abs_pi - (v0 + best)) // t.e
     if rel < 1:
-        raise PrecisionExhausted("no trusted leading digit after cancellation", t)
+        raise PrecisionExhausted("no trusted leading digit after cancellation")
     return Elt(t, v0 + best, tuple(cols), min(rel, t.M))
 
 
-def truncated_sum(tower, elts):
-    """(z, N): the sum of elts, not all zero, read from trusted digits: v(z - sum) >= N.
+def truncated_sum(tower, elts, N=INF):
+    """(z, N'): the sum of elts, not all zero, read below pi^N' = min(N, their trust).
 
-    One alignment and one normalisation for all terms, so no partial sum
-    is read.  When every digit below pi^N cancels, z is zero and the sum
-    is only known to be 0 + O(pi^N).
+    v(z - sum) >= N'.  One alignment and one normalisation for all terms,
+    so no partial sum is read.  When every digit below pi^N' cancels, z is
+    zero and the sum is known only to be 0 + O(pi^N'); it truncates there
+    rather than raising.
     """
     t = tower
     live = [x for x in elts if not x.is_zero]
+    trust = min(x.abs_prec for x in live)
+    cut = min(N, trust)
     v0 = min(x.vL for x in live)
-    N = min(x.abs_prec for x in live)
-    acc = [[0] * t.d for _ in range(t.e)]
-    for x in live:
-        for col, add in zip(acc, _aligned(x, v0)):
-            for k, c in enumerate(add):
-                col[k] += c
-    raw = tuple(tuple([c % t.pM for c in col]) for col in acc)
+    pM = t.pM
+    raw = tuple(tuple([sum(cs) % pM for cs in zip(*cols)])
+                for cols in zip(*[_aligned(x, v0) for x in live]))
     best = _lowest_digit(t, raw)
-    if best is None or v0 + best >= N:
-        return t.zero(), N
-    return _normalise(t, v0, raw, N), N
+    if best is None or v0 + best >= cut:
+        return t.zero(), cut
+    return _normalise(t, v0, raw, trust), cut
