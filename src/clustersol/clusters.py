@@ -199,9 +199,6 @@ class SqrtSymbol:
         return None
 
 
-FLIP_CANONICAL_SQRT = False  # test hook: take the other root everywhere
-
-
 def canonical_sqrt_symbol(fq, u):
     """Canonical formal square root of u in F_q^*."""
     r = fq.canonical_sqrt(u)
@@ -209,8 +206,6 @@ def canonical_sqrt_symbol(fq, u):
     if r is None:
         r = fq.canonical_sqrt(fq.mul(u, fq.inv(fq.omega)))
         alpha = 1
-    if FLIP_CANONICAL_SQRT:
-        r = fq.neg(r)
     return SqrtSymbol(fq, r, alpha)
 
 
@@ -590,17 +585,13 @@ def default_precision(expr, e):
     return 8 * e * (1 + maxval)
 
 
-def analyse(expr, prec=None, coarse=None):
-    """Embed the roots, build the picture, and compute all cluster data.
-
-    ``coarse``, the tower of an earlier analysis of the same curve, hands
-    its unit radicals on to ``extract_roots`` to be extended.
-    """
+def analyse(expr, prec=None):
+    """Embed the roots, build the picture, and compute all cluster data."""
     d, e = required_tower(expr)
     if prec is None:
         prec = default_precision(expr, e)
     tower = Tower(expr.p, d, e, prec)
-    rs = extract_roots(expr, tower, coarse)
+    rs = extract_roots(expr, tower)
     galois_perms(rs)
     picture = build_picture(rs, expr)
     return ClusterAnalysis(expr, rs, picture)

@@ -538,12 +538,10 @@ def embed_cyclo(tower, c):
     return tower.from_w(acc, 0)
 
 
-def extract_roots(expr, tower, coarse=None):
+def extract_roots(expr, tower):
     """Embed all roots of f into the tower, tagged by (factor, branch).
 
-    ``coarse``, the tower of an earlier embedding of the same curve, hands
-    its unit radicals on to be extended (``Tower.unit_nth_root``).  Roots
-    equal in every stored digit are RootCollision when f is not
+    Roots equal in every stored digit are RootCollision when f is not
     squarefree (the resultant of f and f' is 0), else PrecisionExhausted.
     """
     roots, tags = [], []
@@ -556,7 +554,7 @@ def extract_roots(expr, tower, coarse=None):
         n, u, m = f.n, f.rhs_unit, f.rhs_pow
         if (m * tower.e) % n != 0:
             raise InternalError("tower ramification does not split the binomial")
-        y = tower.unit_nth_root(u, n, coarse)
+        y = tower.unit_nth_root(u, n)
         branch = tower.from_w(y, 0).shift(m * tower.e // n)
         zeta_n = tower.from_w(tower.zeta(n), 0) if n > 1 else tower.one()
         for j in range(n):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .clusters import analyse, default_precision
 from .curves import required_tower
-from .errors import InternalError, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .tame import FROB, TAU, stored_digits
 
 CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
@@ -276,7 +276,7 @@ def corollary_gate(p, genus, tame_flags):
     return applicable, reasons
 
 
-def solubility_decide(expr, prec=None, recheck_doubled=False):
+def solubility_decide(expr, prec=None):
     """Full pipeline: one certified analysis, gate, theorem, verdict.
 
     Lemma (the precision certificate).  ``theorem_decide`` reads only
@@ -302,9 +302,8 @@ def solubility_decide(expr, prec=None, recheck_doubled=False):
     every value above equals the one the exact roots give.  A pass at
     any higher precision that does not raise therefore gives the same
     reports: a second pass at doubled precision cannot disagree, and one
-    pass decides the curve.  ``recheck_doubled`` still runs that second
-    pass (extending the first pass's unit radicals by Newton) and raises
-    InternalError if the reports differ; tests use it as the reference.
+    pass decides the curve.  The tests keep that second pass as the
+    reference.
 
     When a read raises PrecisionExhausted the curve is analysed afresh
     with twice the digits the exhausted tower stored, up to
@@ -320,10 +319,6 @@ def solubility_decide(expr, prec=None, recheck_doubled=False):
                 raise
             e = required_tower(expr)[1]
             prec = 2 * e * stored_digits(prec or default_precision(expr, e), e)
-    if recheck_doubled:
-        A2 = analyse(expr, prec=2 * A.tower.prec, coarse=A.tower)
-        if theorem_decide(A2) != (component_yes, reports):
-            raise InternalError("a certified verdict changed at doubled precision")
     flags = tameness_flags(A)
     applicable, reasons = corollary_gate(expr.p, expr.genus, flags)
     fired = [cid for cid in CONDITION_IDS if reports[cid].satisfied]

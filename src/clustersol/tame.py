@@ -29,15 +29,14 @@ of t by coupled Newton, which refines an inverse of Ptilde' alongside the
 root.  The only inverse is a residue's, by the extended Euclidean
 algorithm in F_p[t].
 
-Roots of unity and the Frobenius image of t depend only on W, not on e or
-on any curve, so they are lifted lazily into one store per (p, d),
-``_lifts``, which every tower over W shares.  A tower at M digits reduces
-a stored lift taken to M0 >= M digits mod p^M; at M > M0 it continues the
-Newton loop from the stored value, whose M0 digits are already correct,
-and stores the longer lift.  Hensel lifts are unique, so either way the
-tower gets the same tuple as a lift from the residue.  A unit radical is
-curve data and is not stored; ``unit_nth_root`` extends the lift of a
-coarser tower of the same curve when it is handed one.
+Roots of unity, the Frobenius image of t and the unit radicals u^(1/n)
+depend only on W and on the integers m, u and n, not on e or on any
+curve, so they are lifted lazily into one store per (p, d), ``_lifts``,
+which every tower over W shares (``Tower._lift``).  A tower at M digits
+reduces a stored lift taken to M0 >= M digits mod p^M; at M > M0 it
+continues the Newton loop from the stored value, whose M0 digits are
+already correct, and stores the longer lift.  Hensel lifts are unique,
+so either way the tower gets the same tuple as a lift from the residue.
 
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise
@@ -73,8 +72,9 @@ FROB = GaloisWord(0, 1)
 def _lifts(p, d):
     """The lifts into W = Z_p[t]/(Ptilde) shared by every tower over it.
 
-    Maps m to (M, zeta_m) and "frob" to (M, the Frobenius image of t, an
-    inverse of Ptilde' there), all mod p^M for the largest M lifted so far.
+    Maps m to (M, zeta_m), (u, n) to (M, u^(-1/n)) and "frob" to (M, the
+    Frobenius image of t, an approximate inverse of Ptilde' there), all mod
+    p^M for the largest M lifted so far.
     """
     return {}
 
@@ -104,7 +104,6 @@ class Tower:
         self.q = self.fq.q
         self._zeta_cache = {}
         self._frob_pows = None                # computed lazily
-        self.radicals = {}                    # (u, n) -> u^(-1/n) mod p^M
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
@@ -170,32 +169,57 @@ class Tower:
         pk = self.p ** k
         return tuple(x // pk for x in a)
 
+    def _lift(self, key, start, step, converged):
+        """The lift stored under ``key`` in the (p, d) store, mod p^M.
+
+        Newton runs from the stored lift reduced mod p^M when there is one,
+        else from ``start()``, correct mod p; each ``step`` doubles the
+        correct digits.  ``converged`` checks the result on every call, and
+        a lift longer than the stored one replaces it.  Returns the list of
+        W values the lift carries.
+        """
+        store = _lifts(self.p, self.d)
+        k, *x = store.get(key) or (1, *start())
+        stored = k
+        x = [self.w_reduce(c) for c in x]
+        while k < self.M:
+            x = step(*x)
+            k *= 2
+        if not converged(*x):
+            raise InternalError(f"the lift {key!r} failed to converge")
+        if self.M > stored:
+            store[key] = (self.M, *x)
+        return x
+
+    def _inverse_root(self, key, u, n, start):
+        """The root r of u X^n = 1 lifting ``start()``, by r <- r + r(1 - u r^n)/n.
+
+        With u r^n = 1 + eps the step leaves u r^n = 1 + O(eps^2), and it
+        inverts nothing in W.
+        """
+        one = self.w_one()
+        inv_n = pow(n, -1, self.pM)
+
+        def step(r):
+            g = self.w_sub(one, self.w_scale(self.w_pow(r, n), u))
+            return [self.w_add(r, self.w_scale(self.w_mul(r, g), inv_n))]
+
+        r, = self._lift(key, start, step,
+                        lambda r: self.w_scale(self.w_pow(r, n), u) == one)
+        return r
+
     def zeta(self, m):
         """Teichmueller m-th root of unity lifting omega^((q-1)/m); requires m | q-1.
 
-        The unique m-th root of unity in W with that residue, by Newton on
-        X^m - 1 in the division-free form z <- z + z(1 - z^m)/m: with
-        z^m = 1 + eps the step leaves z^m = 1 + O(eps^2).  Newton starts
-        from the (p, d) store's lift when there is one, else the residue.
+        The unique m-th root of unity in W with that residue: z^m = 1 is
+        u X^m = 1 at u = 1.
         """
         if m in self._zeta_cache:
             return self._zeta_cache[m]
         if (self.q - 1) % m != 0:
             raise InternalError(f"mu_{m} not contained in the residue field")
-        store = _lifts(self.p, self.d)
-        k, z = store.get(m) or (1, self.fq.pow(self.fq.omega, (self.q - 1) // m))
-        z = self.w_reduce(z)                  # correct mod p^k
-        stored = k
-        one = self.w_one()
-        inv_m = pow(m, -1, self.pM)
-        while k < self.M:
-            g = self.w_sub(one, self.w_pow(z, m))
-            z = self.w_add(z, self.w_scale(self.w_mul(z, g), inv_m))
-            k *= 2
-        if self.w_pow(z, m) != one:
-            raise InternalError("root-of-unity lift failed to converge")
-        if self.M > stored:
-            store[m] = (self.M, z)
+        z = self._inverse_root(
+            m, 1, m, lambda: (self.fq.pow(self.fq.omega, (self.q - 1) // m),))
         self._zeta_cache[m] = z
         return z
 
@@ -204,9 +228,9 @@ class Tower:
 
         The lift is the root of Ptilde congruent to t^p.  Coupled Newton
         refines it together with v, an approximate inverse of Ptilde'(z):
-        z <- z - Ptilde(z) v, then v <- v (2 - Ptilde'(z) v); both double
-        their correct digits per step, and only v's residue is inverted.
-        Newton starts from the (p, d) store's z and v when there are any.
+        v <- v (2 - Ptilde'(z) v), then z <- z - Ptilde(z) v.  z doubles
+        its correct digits per step and v keeps at least half of them, so
+        only v's residue is inverted.
         """
         if self._frob_pows is not None:
             return self._frob_pows
@@ -225,22 +249,17 @@ class Tower:
                 val = self.w_add(self.w_mul(val, z), self.w_from_int(c))
             return val, der
 
-        store = _lifts(self.p, d)
-        k, z, v = store.get("frob") or (1, self.w_pow(t, self.p), None)
-        stored = k                            # z and v are correct mod p^k
-        val, der = ptilde(z)                  # w_mul reduces z mod p^M
-        if v is None:
-            v = tuple(self.fq.inv(self.w_residue(der)))
-        two = self.w_from_int(2)
-        while k < self.M:
-            z = self.w_sub(z, self.w_mul(val, v))
+        def start():
+            z = self.w_pow(t, self.p)
+            return z, tuple(self.fq.inv(self.w_residue(ptilde(z)[1])))
+
+        def step(z, v):
             val, der = ptilde(z)
-            v = self.w_mul(v, self.w_sub(two, self.w_mul(der, v)))
-            k *= 2
-        if self.w_vp(val) is not None:
-            raise InternalError("Frobenius lift failed to converge")
-        if self.M > stored:
-            store["frob"] = (self.M, z, v)
+            v = self.w_mul(v, self.w_sub(self.w_from_int(2), self.w_mul(der, v)))
+            return [self.w_sub(z, self.w_mul(val, v)), v]
+
+        z, _ = self._lift("frob", start, step,
+                          lambda z, v: ptilde(z)[0] == self.w_zero())
         pows = [self.w_one()]
         for _ in range(d - 1):
             pows.append(self.w_mul(pows[-1], z))
@@ -298,40 +317,22 @@ class Tower:
         unit = (col,) + (self.w_zero(),) * (self.e - 1)
         return Elt(self, vL + self.e * vp, unit, self.M - vp)
 
-    def unit_nth_root(self, u, n, coarse=None):
+    def unit_nth_root(self, u, n):
         """Canonical n-th root in W of an integer u coprime to p.
 
         The root whose residue is the lexicographically least n-th root of
-        u mod p in F_q, refined p-adically.  Inverse-root Newton refines
-        r = u^(-1/n) by r <- r + r(1 - u r^n)/n, which needs no inverse
-        beyond the residue's, and y = u r^(n-1) is the root.
-
-        r is kept in ``radicals``.  Newton continues from this tower's r,
-        else from that of ``coarse`` (a tower over the same W, e.g. an
-        earlier pass over the same curve), else from the residue.
+        u mod p in F_q, refined p-adically: r = u^(-1/n) is the lift
+        stored under (u, n), and y = u r^(n-1) is the root, since u r^n = 1
+        gives y^n = u.
         """
-        if coarse is not None and (coarse.p, coarse.d) != (self.p, self.d):
-            raise InternalError("a coarser tower must share the residue ring")
-        for src in (self, coarse):
-            if src is not None and (u, n) in src.radicals:
-                k, r = src.M, self.w_reduce(src.radicals[(u, n)])
-                break
-        else:
+        def start():
             res = self.fq.canonical_nth_root(self.fq.from_int(u), n)
             if res is None:
                 raise InternalError(f"{u} has no {n}-th root in the residue field")
-            k, r = 1, tuple(self.fq.inv(res))
-        one = self.w_one()
-        inv_n = pow(n, -1, self.pM)
-        while k < self.M:
-            g = self.w_sub(one, self.w_scale(self.w_pow(r, n), u))
-            r = self.w_add(r, self.w_scale(self.w_mul(r, g), inv_n))
-            k *= 2
-        y = self.w_scale(self.w_pow(r, n - 1), u)
-        if self.w_vp(self.w_sub(self.w_pow(y, n), self.w_from_int(u))) is not None:
-            raise InternalError("n-th root refinement failed to converge")
-        self.radicals[(u, n)] = r
-        return y
+            return (tuple(self.fq.inv(res)),)
+
+        r = self._inverse_root((u, n), u, n, start)
+        return self.w_scale(self.w_pow(r, n - 1), u)
 
 
 class Elt:

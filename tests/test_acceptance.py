@@ -7,8 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-import clustersol.clusters as clusters_mod
-from conftest import EX1, EX2, EX3, latex_structure
+from conftest import EX1, EX2, EX3, flip_canonical_sqrt, latex_structure
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
@@ -26,7 +25,7 @@ def _line(num, ok, detail):
 
 def test_criterion_1_example1_golden():
     t0 = time.monotonic()
-    v, A = solubility_decide(parse_expr(EX1[0], EX1[1]), recheck_doubled=False)
+    v, A = solubility_decide(parse_expr(EX1[0], EX1[1]))
     elapsed = time.monotonic() - t0
     top = A.picture.top
     ok = (top.depth == Fraction(2, 3)
@@ -43,7 +42,7 @@ def test_criterion_1_example1_golden():
 def test_criterion_2_example2_golden():
     for p in (11, 23):
         t0 = time.monotonic()
-        v, A = solubility_decide(parse_expr(EX2, p), recheck_doubled=False)
+        v, A = solubility_decide(parse_expr(EX2, p))
         poly = expand_to_integer_poly(parse_expr(EX2, p))
         orc = is_locally_soluble(poly, p)
         elapsed = time.monotonic() - t0
@@ -61,7 +60,7 @@ def test_criterion_2_example2_golden():
 
 
 def test_criterion_3_example3_golden():
-    v, A = solubility_decide(parse_expr(EX3[0], EX3[1]), recheck_doubled=False)
+    v, A = solubility_decide(parse_expr(EX3[0], EX3[1]))
     orc = is_locally_soluble(expand_to_integer_poly(parse_expr(EX3[0], EX3[1])), 7)
     top = A.picture.top
     noted = v.reports["vi.a"].consumed.get("evaluated", {})
@@ -103,7 +102,7 @@ def test_criterion_5_odd_degree_property():
     good = 0
     for p, text in corpus:
         expr = parse_expr(text, p)
-        v, _ = solubility_decide(expr, recheck_doubled=False)
+        v, _ = solubility_decide(expr)
         orc = is_locally_soluble(expand_to_integer_poly(expr), p)
         if v.component_yes and orc.soluble is True:
             good += 1
@@ -112,13 +111,14 @@ def test_criterion_5_odd_degree_property():
                  f"oracle-soluble")
 
 
-def test_criterion_6_invariant_suites_and_precision_stability():
+def test_criterion_6_invariant_suites_and_precision_stability(monkeypatch):
     # the 1000-case field/valuation/Galois/sqrt suites live in
     # test_tame_field.py; here every downstream verdict is recomputed at
     # doubled precision and with the flipped square-root choice
     curves = [(EX1[0], 17), (EX2, 11), (EX2, 23), (EX3[0], 7)]
     curves += generate_corpus(12321, 16, [7, 11, 13, 17])[:16]
     stable = flipped = 0
+    sqrts_taken = 0
     for item in curves:
         text, p = (item[1], item[0]) if isinstance(item[0], int) else item
         expr = parse_expr(text, p)
@@ -129,15 +129,15 @@ def test_criterion_6_invariant_suites_and_precision_stability():
         if yes1 == yes2 and all(rep1[c].satisfied == rep2[c].satisfied
                                 for c in CONDITION_IDS):
             stable += 1
-        clusters_mod.FLIP_CANONICAL_SQRT = True
-        try:
+        with monkeypatch.context() as m:
+            sqrts = flip_canonical_sqrt(m)
             yes3, rep3 = theorem_decide(analyse(expr))
-        finally:
-            clusters_mod.FLIP_CANONICAL_SQRT = False
+        sqrts_taken += len(sqrts)
         if yes1 == yes3 and all(rep1[c].satisfied == rep3[c].satisfied
                                 for c in CONDITION_IDS):
             flipped += 1
     n = len(curves)
+    assert sqrts_taken, "no square root taken under the flip"
     ok = stable == n and flipped == n
     _line(6, ok, f"doubled-precision verdicts identical on {stable}/{n}, "
                  f"sqrt-sign-flip invariant on {flipped}/{n} "

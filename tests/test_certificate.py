@@ -3,8 +3,8 @@ escalation ladder.
 
 ``solubility_decide`` runs one pass; every quantity the theorem reads is
 checked against the trusted digits, so a pass at doubled precision
-(``recheck_doubled=True``, the reference here) must give the same
-reports.  A read that runs out of digits escalates the precision.
+(``conftest.decide_with_doubled_recheck``, the reference here) must give
+the same reports.  A read that runs out of digits escalates the precision.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ import pytest
 
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, decide_with_doubled_recheck
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
@@ -43,7 +43,7 @@ def _corpus():
 def test_one_pass_verdict_equals_the_doubled_precision_verdict(text, p):
     expr = parse_expr(text, p)
     one, A = solubility_decide(expr)
-    two, A2 = solubility_decide(expr, recheck_doubled=True)
+    two, A2 = decide_with_doubled_recheck(expr)
     assert (one.status, one.fired, one.reports) == (two.status, two.fired, two.reports)
     assert A.tower.prec == A2.tower.prec
 
@@ -61,7 +61,7 @@ def test_recheck_raises_when_the_doubled_pass_disagrees(monkeypatch):
     expr = parse_expr(*EX1)
     solubility_decide(expr)
     with pytest.raises(InternalError, match="doubled precision"):
-        solubility_decide(expr, recheck_doubled=True)
+        decide_with_doubled_recheck(expr)
 
 
 # --- exact zeros ---

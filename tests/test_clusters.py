@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-import clustersol.clusters as clusters_mod
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, flip_canonical_sqrt
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
@@ -250,19 +249,20 @@ def test_epsilon_tau_parity_matches_radicand_valuation():
             assert A.epsilon(node, TAU) == (-1) ** (w // A.tower.e)
 
 
-def test_epsilon_invariant_under_global_sign_flip():
+def test_epsilon_invariant_under_global_sign_flip(monkeypatch):
     texts = [(EX2, 11), (EX3[0], 7), ("(x-1)*(x^4-p)", 7)]
+    sqrts_taken = 0
     for text, p in texts:
         expr = parse_expr(text, p)
         yes1, rep1 = theorem_decide(analyse(expr))
-        clusters_mod.FLIP_CANONICAL_SQRT = True
-        try:
+        with monkeypatch.context() as m:
+            sqrts = flip_canonical_sqrt(m)
             yes2, rep2 = theorem_decide(analyse(expr))
-        finally:
-            clusters_mod.FLIP_CANONICAL_SQRT = False
+        sqrts_taken += len(sqrts)
         assert yes1 == yes2
         assert {c: r.satisfied for c, r in rep1.items()} == \
                {c: r.satisfied for c, r in rep2.items()}
+    assert sqrts_taken, "no square root taken under the flip"
 
 
 def test_star_modes():

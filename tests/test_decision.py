@@ -1,4 +1,4 @@
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, decide_with_doubled_recheck
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
@@ -83,7 +83,7 @@ def test_cotwin_routes():
 
 def test_inapplicable_small_residue_field():
     # genus 3 needs q > 16; p = 7 fails the gate but the component verdict remains
-    v, _ = solubility_decide(parse_expr("(x^8-p)*(x-1)", 7), recheck_doubled=False)
+    v, _ = solubility_decide(parse_expr("(x^8-p)*(x-1)", 7))
     assert v.status == "Inapplicable"
     assert v.component_yes in (True, False)
 
@@ -99,7 +99,7 @@ def test_reports_cover_all_ids_and_are_deterministic():
 
 def test_precision_doubling_agreement_golden():
     for text, p in [(EX1[0], 17), (EX2, 11), (EX3[0], 7)]:
-        v, _ = solubility_decide(parse_expr(text, p), recheck_doubled=True)
+        v, _ = decide_with_doubled_recheck(parse_expr(text, p))
         assert v.status in ("Soluble", "Insoluble")
 
 
@@ -108,7 +108,7 @@ def test_precision_doubling_agreement_golden():
 def test_odd_degree_theorem_always_fires():
     corpus = generate_corpus(606, 25, [7, 11, 13, 17], odd_only=True)
     for p, text in corpus:
-        v, _ = solubility_decide(parse_expr(text, p), recheck_doubled=False)
+        v, _ = solubility_decide(parse_expr(text, p))
         assert v.component_yes, (p, text)
         assert v.odd_degree_shortcut and v.odd_degree_consistent
 
@@ -119,6 +119,6 @@ def test_oracle_agreement_sample():
     corpus = generate_corpus(314, 40, [7, 11, 13, 17])
     for p, text in corpus:
         expr = parse_expr(text, p)
-        v, _ = solubility_decide(expr, recheck_doubled=False)
+        v, _ = solubility_decide(expr)
         o = is_locally_soluble(expand_to_integer_poly(expr), p)
         assert (v.status == "Soluble") == o.soluble, (p, text, v.fired)

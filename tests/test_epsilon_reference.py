@@ -10,7 +10,7 @@ star is Galois-fixed; the values themselves must agree word by word.
 import pytest
 
 import clustersol.clusters as clusters_mod
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, flip_canonical_sqrt
 from clustersol.clusters import analyse, canonical_sqrt_symbol
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
@@ -76,17 +76,15 @@ def _check_against_reference(A):
 
 
 @pytest.mark.parametrize("flip", [False, True])
-def test_epsilon_matches_all_words_reference(flip):
-    clusters_mod.FLIP_CANONICAL_SQRT = flip
-    try:
-        moved = {}
-        for text, p in CURVES:
-            A = analyse(parse_expr(text, p))
-            moved[(text, p)] = _check_against_reference(A)
-    finally:
-        clusters_mod.FLIP_CANONICAL_SQRT = False
+def test_epsilon_matches_all_words_reference(flip, monkeypatch):
+    sqrts = flip_canonical_sqrt(monkeypatch) if flip else []
+    moved = {}
+    for text, p in CURVES:
+        A = analyse(parse_expr(text, p))
+        moved[(text, p)] = _check_against_reference(A)
     for curve in NON_STABLE:
         assert moved[curve] > 0, curve
+    assert bool(sqrts) == flip, "the flip took no square root"
 
 
 def test_no_square_root_when_the_star_is_fixed(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import clustersol.decision as decision_mod
-from conftest import EX1
+from conftest import EX1, decide_with_doubled_recheck
 from clustersol.clusters import analyse
 from clustersol.curves import parse_expr
 from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
@@ -438,7 +438,7 @@ def test_lifts_match_reference(p, d, e, prec):
     assert checked >= 10
 
 
-# --- the per-(p, d) lift store and the extended radicals ---
+# --- the per-(p, d) lift store ---
 
 STORE_ORDERS = {"ascending": (8, 16, 40), "descending": (40, 16, 8),
                 "interleaved": (16, 8, 40)}
@@ -459,11 +459,10 @@ def reference_lifts(p, d, e, M):
 def test_lift_store_matches_reference(order):
     """Towers over shared rings, built in any order of M, get the reference lifts.
 
-    Each tower's radicals extend (or reduce) those of the previous tower
-    with the same (p, d, e).
+    Each tower reduces or extends the lifts that towers before it stored,
+    unit radicals included.
     """
     _lifts.cache_clear()
-    previous = {}
     for M in STORE_ORDERS[order]:
         for p, d, e, _ in TOWERS:
             t = Tower(p, d, e, e * M)
@@ -473,25 +472,25 @@ def test_lift_store_matches_reference(order):
             for m, z in zetas.items():
                 assert t.zeta(m) == z
             for (u, n), y in radicals.items():
-                assert t.unit_nth_root(u, n, previous.get((p, d, e))) == y
-            previous[(p, d, e)] = t
+                assert t.unit_nth_root(u, n) == y
     rings = {(p, d) for p, d, _, _ in TOWERS}
     assert _lifts.cache_info().currsize == len(rings)
+    for p, d, e, _ in TOWERS:
+        assert set(reference_lifts(p, d, e, 40)[2]) <= set(_lifts(p, d))
     for p, d in rings:
-        assert _lifts(p, d) and all(entry[0] == 40 for entry in _lifts(p, d).values())
+        assert all(entry[0] == 40 for entry in _lifts(p, d).values())
 
 
 def test_every_lift_from_the_store_is_checked():
-    """A wrong digit in a stored or handed-on lift fails the convergence check,
-    whether the tower reduces the lift or extends it."""
+    """A wrong digit in a stored lift fails the convergence check, whether
+    the tower reduces the lift or extends it."""
     p, d = 7, 2
     _lifts.cache_clear()
     try:
-        coarse = Tower(p, d, 1, 16)
-        coarse.zeta(3)
-        coarse.frob_t_image()
-        coarse.unit_nth_root(3, 2)
-        coarse.unit_nth_root(2, 2)
+        first = Tower(p, d, 1, 16)
+        first.zeta(3)
+        first.frob_t_image()
+        first.unit_nth_root(3, 2)
         store = _lifts(p, d)
 
         def corrupt(col):
@@ -501,7 +500,8 @@ def test_every_lift_from_the_store_is_checked():
         store[3] = (M, corrupt(z))
         M, z, v = store["frob"]
         store["frob"] = (M, corrupt(z), v)
-        coarse.radicals[(3, 2)] = corrupt(coarse.radicals[(3, 2)])
+        M, r = store[(3, 2)]
+        store[(3, 2)] = (M, corrupt(r))
         for prec in (8, 40):
             t = Tower(p, d, 1, prec)
             with pytest.raises(InternalError):
@@ -509,9 +509,7 @@ def test_every_lift_from_the_store_is_checked():
             with pytest.raises(InternalError):
                 t.frob_t_image()
             with pytest.raises(InternalError):
-                t.unit_nth_root(3, 2, coarse)
-        with pytest.raises(InternalError):
-            Tower(p, 1, 1, 16).unit_nth_root(2, 2, coarse)   # another residue ring
+                t.unit_nth_root(3, 2)
     finally:
         _lifts.cache_clear()
 
@@ -520,31 +518,60 @@ def _root_digits(rs):
     return [(x.vL, x.unit, x.rel) for x in rs.roots]
 
 
+def _counting_residue_roots(monkeypatch, tag=lambda: None):
+    """Record tag() for each residue root taken (``FqField.canonical_nth_root``)."""
+    residue_roots = []
+    real_root = FqField.canonical_nth_root
+
+    def counting(fq, a, n):
+        residue_roots.append(tag())
+        return real_root(fq, a, n)
+
+    monkeypatch.setattr(FqField, "canonical_nth_root", counting)
+    return residue_roots
+
+
+def test_curves_sharing_a_radical_take_one_residue_root(monkeypatch):
+    """Two curves over F_7 whose binomials share (u, n) = (2, 2) take the
+    residue root of 2 once between them; the second extends the first's
+    stored lift to its own precision and gets the roots of a fresh lift."""
+    _lifts.cache_clear()
+    residue_roots = _counting_residue_roots(monkeypatch)
+    first = analyse(parse_expr("(x^2-2*p)*(x-1)*(x-3)*(x-4)", 7))
+    text = "((x-1)^2-2*p^3)*(x-2)*(x-4)*(x-5)"
+    second = analyse(parse_expr(text, 7))
+    monkeypatch.undo()
+    assert first.tower.d == second.tower.d == 1
+    assert second.tower.M > first.tower.M
+    assert len(residue_roots) == 1
+    _lifts.cache_clear()
+    assert _root_digits(second.rs) == _root_digits(analyse(parse_expr(text, 7)).rs)
+
+
 @pytest.mark.parametrize("text,p", [EX1] + NON_STABLE)
 def test_recheck_equals_a_fresh_doubled_analysis(text, p, monkeypatch):
-    """The recheck takes no residue root, and its roots and permutations are
-    those of a lift from the residue."""
+    """The recheck takes no residue root: it extends the lifts the first pass
+    stored, and its roots and permutations are those of a lift from the
+    residue."""
+    _lifts.cache_clear()
     expr = parse_expr(text, p)
-    passes, residue_roots = [], []
-    real_root = FqField.canonical_nth_root
+    passes = []
 
     def recording(*args, **kwargs):
         passes.append(analyse(*args, **kwargs))
         return passes[-1]
 
-    def counting(fq, a, n):
-        residue_roots.append(len(passes))
-        return real_root(fq, a, n)
-
     monkeypatch.setattr(decision_mod, "analyse", recording)
-    monkeypatch.setattr(FqField, "canonical_nth_root", counting)
-    decision_mod.solubility_decide(expr, recheck_doubled=True)
+    residue_roots = _counting_residue_roots(monkeypatch, lambda: len(passes))
+    decide_with_doubled_recheck(expr)
     monkeypatch.undo()
     first, recheck = passes
     assert residue_roots and set(residue_roots) == {0}
     assert recheck.tower.M > first.tower.M
-    for key, r in first.tower.radicals.items():        # the recheck extended them
-        assert tuple(x % first.tower.pM for x in recheck.tower.radicals[key]) == r
+    radicals = [entry for key, entry in _lifts(p, first.tower.d).items()
+                if isinstance(key, tuple)]
+    assert len(radicals) == len(residue_roots)
+    assert all(M == recheck.tower.M for M, _ in radicals)     # the recheck extended them
     _lifts.cache_clear()
     fresh = analyse(expr, prec=2 * first.tower.prec)
     assert _root_digits(recheck.rs) == _root_digits(fresh.rs)
