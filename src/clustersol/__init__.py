@@ -6,7 +6,6 @@ from .curves import (CurveExpr, expand_to_integer_poly, extract_roots,
                      required_tower)
 from .decision import (SolubilityVerdict, corollary_gate, solubility_decide,
                        theorem_decide)
-from .oracle import OracleResult, exhaustive_soluble, is_locally_soluble
 from .tame import FROB, TAU, GaloisWord, Tower
 
 __all__ = [
@@ -17,3 +16,11 @@ __all__ = [
     "OracleResult", "is_locally_soluble", "exhaustive_soluble",
     "Tower", "GaloisWord", "TAU", "FROB",
 ]
+
+
+def __getattr__(name):
+    """The oracle's names, imported on first use: deciding a curve never runs it."""
+    if name in ("OracleResult", "exhaustive_soluble", "is_locally_soluble"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

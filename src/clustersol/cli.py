@@ -26,11 +26,12 @@ import sys
 from .clusters import analyse
 from .corpus import generate_corpus
 from .curves import (expand_to_integer_poly, galois_closure_check, parse_expr,
-                     read_curve_file)
+                     read_curve_file, require_odd_prime)
 from .decision import CONDITION_IDS, solubility_decide
 from .errors import ClusterSolError, InternalError, ParseError, PrecisionExhausted
-from .oracle import is_locally_soluble
-from .render import render_ascii, render_latex
+
+# The oracle and the renderer are imported by the subcommands that run them,
+# so that a one-curve ``analyze`` neither loads nor compiles them.
 
 
 def _invariant_row(rec):
@@ -179,6 +180,7 @@ def cmd_analyze(cfg):
 
 
 def cmd_oracle(cfg):
+    from .oracle import is_locally_soluble
     expr = parse_expr(cfg.expr, cfg.p)
     galois_closure_check(expr)
     poly = expand_to_integer_poly(expr)
@@ -201,6 +203,7 @@ def cmd_oracle(cfg):
 
 def _compare_one(args):
     """(row, exit code of its error or 0) for one corpus curve."""
+    from .oracle import is_locally_soluble
     p, text = args
     try:
         expr = parse_expr(text, p)
@@ -220,6 +223,8 @@ def _compare_one(args):
 
 
 def cmd_compare(cfg):
+    for p in cfg.p_list:
+        require_odd_prime(p)
     pairs = generate_corpus(cfg.seed, cfg.count, list(cfg.p_list),
                             genus_range=cfg.genus_range)
     if cfg.jobs > 1:
@@ -288,6 +293,7 @@ def cmd_compare(cfg):
 
 
 def cmd_render(cfg):
+    from .render import render_ascii, render_latex
     expr = parse_expr(cfg.expr, cfg.p)
     galois_closure_check(expr)
     analysis = analyse(expr, prec=cfg.prec)
@@ -296,6 +302,36 @@ def cmd_render(cfg):
     else:
         print(render_ascii(analysis.picture))
     return 0
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def _int_list(text):
+    """argparse type: comma-separated integers, as a tuple."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _genus_range(text):
+    """argparse type: 'lo..hi' or one genus, as (lo, hi)."""
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo..hi or one genus, got {text!r}") from None
 
 
 def _parse_args(argv):
@@ -310,7 +346,7 @@ def _parse_args(argv):
                      help="curve file with a 'p = <int>' header")
     src.add_argument("--expr", help="inline curve expression")
     an.add_argument("--p", type=int, help="prime (required with --expr)")
-    an.add_argument("--prec", type=int, help="pi-adic working precision override")
+    an.add_argument("--prec", type=_positive_int, help="pi-adic working precision override")
     an.add_argument("--json", dest="as_json", action="store_true")
 
     orc = sub.add_parser("oracle", help="brute-force point search over Q_p")
@@ -322,17 +358,17 @@ def _parse_args(argv):
     cmp_ = sub.add_parser("compare", help="random corpus: theorem vs oracle")
     cmp_.add_argument("--seed", type=int, required=True)
     cmp_.add_argument("--count", type=int, required=True)
-    cmp_.add_argument("--p-list", required=True,
+    cmp_.add_argument("--p-list", type=_int_list, required=True,
                       help="comma-separated odd primes, e.g. 7,11,17")
     cmp_.add_argument("--genus", dest="genus_range", metavar="GENUS", default="2..4",
-                      help="genus range lo..hi")
+                      type=_genus_range, help="genus range lo..hi")
     cmp_.add_argument("--jobs", type=int, default=1)
     cmp_.add_argument("--json", dest="as_json", action="store_true")
 
     ren = sub.add_parser("render", help="render the cluster picture")
     ren.add_argument("--expr", required=True)
     ren.add_argument("--p", type=int, required=True)
-    ren.add_argument("--prec", type=int)
+    ren.add_argument("--prec", type=_positive_int)
     ren.add_argument("--format", dest="fmt", choices=("ascii", "latex"), default="ascii")
 
     ns = top.parse_args(argv)
@@ -341,10 +377,6 @@ def _parse_args(argv):
             top.error("--p is required with --expr")
         if ns.curve_file and ns.p is not None:
             top.error("--p conflicts with --curve (the file header sets p)")
-    elif ns.command == "compare":
-        ns.p_list = tuple(int(x) for x in ns.p_list.split(","))
-        lo, _, hi = ns.genus_range.partition("..")
-        ns.genus_range = (int(lo), int(hi or lo))
     return ns
 
 

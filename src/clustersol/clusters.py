@@ -34,7 +34,6 @@ canonical square root of zeta_e.  Triviality is then checked word by word.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, PrecisionExhausted, ZeroElement
@@ -213,30 +212,31 @@ def canonical_sqrt_symbol(fq, u):
 # invariants, Galois data, characters
 # ------------------------------------------------------------------
 
-@dataclass
 class ClusterInvariants:
-    name: str
-    roots: tuple
-    size: int
-    depth: Fraction
-    delta: Fraction          # relative depth; None for the top cluster
-    nu: Fraction
-    lam: Fraction
-    e: int
-    genus: int
-    vKc: Fraction
-    is_even: bool
-    ubereven: bool
-    twin: bool
-    cotwin: bool
-    principal: bool
-    fixed_inertia: bool = None
-    fixed_frob: bool = None
-    fixed_galois: bool = None
-    orbit: int = None
-    eps_tau: int = None      # 0 when epsilon is undefined for this cluster
-    eps_frob: int = None
-    stable_children: tuple = ()
+    """A proper cluster's invariants; the Galois fields are filled in later.
+
+    delta (relative depth) is None for the top cluster, eps_tau is 0 when
+    epsilon is undefined for the cluster.
+    """
+
+    __slots__ = ("name", "roots", "size", "depth", "delta", "nu", "lam", "e", "genus",
+                 "vKc", "is_even", "ubereven", "twin", "cotwin", "principal",
+                 "fixed_inertia", "fixed_frob", "fixed_galois", "orbit",
+                 "eps_tau", "eps_frob", "stable_children")
+
+    def __init__(self, name, roots, size, depth, delta, nu, lam, e, genus, vKc,
+                 is_even, ubereven, twin, cotwin, principal, fixed_inertia=None,
+                 fixed_frob=None, fixed_galois=None, orbit=None, eps_tau=None,
+                 eps_frob=None, stable_children=()):
+        self.name, self.roots, self.size = name, roots, size
+        self.depth, self.delta, self.nu, self.lam = depth, delta, nu, lam
+        self.e, self.genus, self.vKc = e, genus, vKc
+        self.is_even, self.ubereven, self.twin = is_even, ubereven, twin
+        self.cotwin, self.principal = cotwin, principal
+        self.fixed_inertia, self.fixed_frob = fixed_inertia, fixed_frob
+        self.fixed_galois, self.orbit = fixed_galois, orbit
+        self.eps_tau, self.eps_frob = eps_tau, eps_frob
+        self.stable_children = stable_children
 
 
 class ClusterAnalysis:

@@ -17,14 +17,13 @@ max_pair the trie's deepest split: one dictionary lookup per image.
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AmbiguousMatch, DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
 from .numutil import cyclotomic_poly, is_prime, mult_order, poly_deriv, resultant
-from .tame import Tower
 
 
 # ------------------------------------------------------------------
@@ -140,8 +139,7 @@ def _poly_rem(f, g):
 # curve expressions
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(NamedTuple):
     center: Cyclo
 
     @property
@@ -149,8 +147,7 @@ class Linear:
         return 1
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     center: Cyclo
     n: int
     rhs_unit: int
@@ -161,8 +158,7 @@ class Binomial:
         return self.n
 
 
-@dataclass
-class CurveExpr:
+class CurveExpr(NamedTuple):
     p: int
     c_unit: int            # sign * unit integer, coprime to p
     c_pow: int             # power of p in the leading coefficient
@@ -419,10 +415,14 @@ def _combine_center(terms):
     return acc
 
 
-def parse_expr(text, p):
-    """Parse one curve expression for the prime p."""
+def require_odd_prime(p):
     if not is_prime(p) or p == 2:
         raise ParseError(f"p = {p} must be an odd prime")
+
+
+def parse_expr(text, p):
+    """Parse one curve expression for the prime p."""
+    require_odd_prime(p)
     c_unit, c_pow, factors = _Parser(text, p).parse_curve()
     if c_unit == 0:
         raise ParseError("zero leading coefficient")
@@ -510,14 +510,12 @@ def required_tower(expr):
 # root embedding
 # ------------------------------------------------------------------
 
-@dataclass
 class RootSet:
-    tower: Tower
-    roots: list
-    tags: list
-    tau_perm: list = None
-    frob_perm: list = None
-    trie: object = None
+    __slots__ = ("tower", "roots", "tags", "tau_perm", "frob_perm", "trie")
+
+    def __init__(self, tower, roots, tags, tau_perm=None, frob_perm=None, trie=None):
+        self.tower, self.roots, self.tags = tower, roots, tags
+        self.tau_perm, self.frob_perm, self.trie = tau_perm, frob_perm, trie
 
     @property
     def size(self):

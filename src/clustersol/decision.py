@@ -9,8 +9,8 @@ even after one fires.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .clusters import analyse, default_precision
 from .curves import required_tower
@@ -24,13 +24,21 @@ CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
 PRECISION_RUNGS = 3     # analyses at the working precision, then 2x and 4x its digits
 
 
-@dataclass
 class ConditionReport:
-    cid: str
-    satisfied: bool = False
-    witnesses: list = dc_field(default_factory=list)
-    consumed: dict = dc_field(default_factory=dict)
-    convention_marker: bool = False
+    """One sub-condition's outcome; reports are equal when all their fields are."""
+
+    __slots__ = ("cid", "satisfied", "witnesses", "consumed", "convention_marker")
+
+    def __init__(self, cid, satisfied=False, witnesses=None, consumed=None,
+                 convention_marker=False):
+        self.cid, self.satisfied, self.convention_marker = cid, satisfied, convention_marker
+        self.witnesses = [] if witnesses is None else witnesses
+        self.consumed = {} if consumed is None else consumed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     def fire(self, witness, consumed=None, marker=False):
         self.satisfied = True
@@ -46,8 +54,7 @@ class ConditionReport:
         self.convention_marker = self.convention_marker or marker
 
 
-@dataclass
-class SolubilityVerdict:
+class SolubilityVerdict(NamedTuple):
     status: str                      # Soluble | Insoluble | Inapplicable
     component_yes: bool
     fired: list

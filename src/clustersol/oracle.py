@@ -13,7 +13,7 @@ Everything is exact integer arithmetic; every Accept carries a witness
 with an explicit Hensel certificate.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotSquarefree
 from .fq import get_field
@@ -22,8 +22,7 @@ from .numutil import poly_deriv, poly_eval, resultant, vp
 WITNESS_DIGITS = 6
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     soluble: bool            # None when inconclusive
     witness: dict
     nodes_explored: int

@@ -45,8 +45,8 @@ PrecisionExhausted rather than fabricating digits.
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (DivisionByZero, InternalError, NonOddPrime,
                      PrecisionExhausted, WildRamification, ZeroElement)
@@ -56,8 +56,7 @@ from .numutil import is_prime
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class GaloisWord:
+class GaloisWord(NamedTuple):
     """The group word tau^a o frob^b acting on the tower."""
 
     a: int = 0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import EX1, EX2, EX3
 from clustersol.cli import main
 
@@ -64,6 +66,15 @@ def test_analyze_precision_exhausted_exit_code(capsys):
 
 def test_usage_error(capsys):
     assert run(capsys, "analyze", "--expr", EX1[0])[0] == 1   # missing --p
+
+
+@pytest.mark.parametrize("command, prec", [("analyze", "0"), ("analyze", "-5"),
+                                           ("analyze", "x"), ("render", "0")])
+def test_precision_below_one_is_a_usage_error(capsys, command, prec):
+    code, out, err = run(capsys, command, "--expr", EX3[0], "--p", "7", "--prec", prec)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: clustersol " + command)
+    assert f"argument --prec: expected an integer >= 1, got '{prec}'" in err
 
 
 def test_oracle_command(capsys):

@@ -10,6 +10,7 @@ from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
 from clustersol.tame import FROB, TAU, GaloisWord
 from test_cluster_trie import reference_nu, reference_valuation_matrix
+from test_epsilon_reference import NON_STABLE
 from test_tame_field import word_compose
 
 
@@ -250,19 +251,18 @@ def test_epsilon_tau_parity_matches_radicand_valuation():
 
 
 def test_epsilon_invariant_under_global_sign_flip(monkeypatch):
-    texts = [(EX2, 11), (EX3[0], 7), ("(x-1)*(x^4-p)", 7)]
-    sqrts_taken = 0
-    for text, p in texts:
+    # each NON_STABLE curve takes 2-4 square roots, so the flip reaches it;
+    # the last two fix every star and take none
+    for text, p in NON_STABLE + [(EX3[0], 7), ("(x-1)*(x^4-p)", 7)]:
         expr = parse_expr(text, p)
         yes1, rep1 = theorem_decide(analyse(expr))
         with monkeypatch.context() as m:
             sqrts = flip_canonical_sqrt(m)
             yes2, rep2 = theorem_decide(analyse(expr))
-        sqrts_taken += len(sqrts)
+        assert bool(sqrts) == ((text, p) in NON_STABLE), (text, p)
         assert yes1 == yes2
         assert {c: r.satisfied for c, r in rep1.items()} == \
                {c: r.satisfied for c, r in rep2.items()}
-    assert sqrts_taken, "no square root taken under the flip"
 
 
 def test_star_modes():

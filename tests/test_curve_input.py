@@ -32,6 +32,12 @@ def test_parse_example3():
     assert e.factors[1].rhs_unit == 1 and e.factors[1].rhs_pow == 2
 
 
+def test_parsing_twice_gives_equal_exprs():
+    a, b = parse_expr(EX2, 11), parse_expr(EX2, 11)
+    assert a == b and a is not b
+    assert a != parse_expr(EX2, 23)
+
+
 def test_parse_example1():
     e = parse_expr(EX1[0], EX1[1])
     assert e.c_unit == 1 and e.c_pow == 0

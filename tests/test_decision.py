@@ -1,8 +1,10 @@
+import pytest
+
 from conftest import EX1, EX2, EX3, decide_with_doubled_recheck
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
-from clustersol.decision import (CONDITION_IDS, corollary_gate,
+from clustersol.decision import (CONDITION_IDS, ConditionReport, corollary_gate,
                                  interval_has_integer, solubility_decide,
                                  tameness_flags, theorem_decide)
 from clustersol.oracle import is_locally_soluble
@@ -95,6 +97,21 @@ def test_reports_cover_all_ids_and_are_deterministic():
     assert set(r1) == set(CONDITION_IDS)
     assert {k: (v.satisfied, v.witnesses) for k, v in r1.items()} == \
            {k: (v.satisfied, v.witnesses) for k, v in r2.items()}
+
+
+def test_reports_compare_by_value():
+    expr = parse_expr(EX1[0], EX1[1])
+    v1, _ = solubility_decide(expr)
+    v2, _ = solubility_decide(expr)
+    assert v1 == v2 and v1.reports is not v2.reports
+    rep = v2.reports["ii.a"]
+    assert rep.witnesses and rep == v1.reports["ii.a"]
+    rep.witnesses[0] += "'"
+    assert rep != v1.reports["ii.a"] and v1.reports != v2.reports
+    assert ConditionReport("i") == ConditionReport("i", False, [], {}, False)
+    assert ConditionReport("i") != ConditionReport("ii.a")
+    with pytest.raises(TypeError):      # mutable, so unhashable
+        hash(ConditionReport("i"))
 
 
 def test_precision_doubling_agreement_golden():

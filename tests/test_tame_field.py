@@ -310,6 +310,13 @@ def test_word_compose_relation():
     assert (w.a - t.p) % t.e == 0 and w.b % t.d == 1
 
 
+def test_galois_word_is_an_immutable_value():
+    assert GaloisWord(1, 0) == TAU and hash(GaloisWord(1, 0)) == hash(TAU)
+    assert GaloisWord() == GaloisWord(a=0, b=0) != FROB
+    with pytest.raises(AttributeError):
+        TAU.a = 2
+
+
 # --- digit view ---
 
 def test_teichmuller_digit_view_tau_semantics():
