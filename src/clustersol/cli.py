@@ -304,15 +304,17 @@ def cmd_render(cfg):
     return 0
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def convert(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return n
+    return convert
 
 
 def _int_list(text):
@@ -346,29 +348,29 @@ def _parse_args(argv):
                      help="curve file with a 'p = <int>' header")
     src.add_argument("--expr", help="inline curve expression")
     an.add_argument("--p", type=int, help="prime (required with --expr)")
-    an.add_argument("--prec", type=_positive_int, help="pi-adic working precision override")
+    an.add_argument("--prec", type=_int_at_least(1), help="pi-adic working precision override")
     an.add_argument("--json", dest="as_json", action="store_true")
 
     orc = sub.add_parser("oracle", help="brute-force point search over Q_p")
     orc.add_argument("--expr", required=True)
     orc.add_argument("--p", type=int, required=True)
-    orc.add_argument("--max-level", type=int)
+    orc.add_argument("--max-level", type=_int_at_least(0))
     orc.add_argument("--json", dest="as_json", action="store_true")
 
     cmp_ = sub.add_parser("compare", help="random corpus: theorem vs oracle")
     cmp_.add_argument("--seed", type=int, required=True)
-    cmp_.add_argument("--count", type=int, required=True)
+    cmp_.add_argument("--count", type=_int_at_least(0), required=True)
     cmp_.add_argument("--p-list", type=_int_list, required=True,
                       help="comma-separated odd primes, e.g. 7,11,17")
     cmp_.add_argument("--genus", dest="genus_range", metavar="GENUS", default="2..4",
                       type=_genus_range, help="genus range lo..hi")
-    cmp_.add_argument("--jobs", type=int, default=1)
+    cmp_.add_argument("--jobs", type=_int_at_least(1), default=1)
     cmp_.add_argument("--json", dest="as_json", action="store_true")
 
     ren = sub.add_parser("render", help="render the cluster picture")
     ren.add_argument("--expr", required=True)
     ren.add_argument("--p", type=int, required=True)
-    ren.add_argument("--prec", type=_positive_int)
+    ren.add_argument("--prec", type=_int_at_least(1))
     ren.add_argument("--format", dest="fmt", choices=("ascii", "latex"), default="ascii")
 
     ns = top.parse_args(argv)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import InternalError, PrecisionExhausted, ZeroElement
 from .curves import extract_roots, galois_perms, perm_order, required_tower
-from .tame import FROB, TAU, GaloisWord, Tower, truncated_sum
+from .tame import FROB, TAU, GaloisWord, get_tower, truncated_sum
 
 INF = math.inf
 
@@ -586,11 +586,14 @@ def default_precision(expr, e):
 
 
 def analyse(expr, prec=None):
-    """Embed the roots, build the picture, and compute all cluster data."""
+    """Embed the roots, build the picture, and compute all cluster data.
+
+    The tower is this process's one for (p, d, e, prec) (``tame.get_tower``).
+    """
     d, e = required_tower(expr)
     if prec is None:
         prec = default_precision(expr, e)
-    tower = Tower(expr.p, d, e, prec)
+    tower = get_tower(expr.p, d, e, prec)
     rs = extract_roots(expr, tower)
     galois_perms(rs)
     picture = build_picture(rs, expr)

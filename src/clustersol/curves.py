@@ -10,16 +10,16 @@ extraction in a tame tower; anything else is rejected as unsupported.
 
 Pairwise valuations are read one way only: v(x - y) >= N exactly when x
 and y agree in every pi-adic digit below pi^N (``match_key``).  So the
-roots' digit trie is their cluster tree (``digit_trie``), and a Galois
-image matches a root when both agree below pi^N, N = max_pair + 2 for
-max_pair the trie's deepest split: one dictionary lookup per image.
+roots' digit trie is their cluster tree (``digit_trie``).  The Galois
+action on the roots reads no digit at all: each root is tagged by its
+factor and branch, and tau and frob permute the tags (``galois_perms``).
 """
 
 import math
 import re
 from typing import NamedTuple
 
-from .errors import (AmbiguousMatch, DegreeTooSmall, InternalError,
+from .errors import (DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
@@ -461,16 +461,18 @@ def _factor_key(f):
     return ("bin", f.center.coeffs, f.n, f.rhs_unit, f.rhs_pow)
 
 
+def _frob_factor(f, p):
+    """The factor whose roots are the Frobenius images of f's: zeta_N -> zeta_N^p."""
+    return f._replace(center=f.center.conj_power(p))
+
+
 def galois_closure_check(expr):
     """Check the factor multiset is stable under zeta_N -> zeta_N^p."""
     bag = {}
     for f in expr.factors:
         bag[_factor_key(f)] = bag.get(_factor_key(f), 0) + 1
     for f in expr.factors:
-        c = f.center.conj_power(expr.p)
-        g = Linear(c) if isinstance(f, Linear) else \
-            Binomial(c, f.n, f.rhs_unit, f.rhs_pow)
-        if bag.get(_factor_key(g), 0) != bag.get(_factor_key(f), 0):
+        if bag.get(_factor_key(_frob_factor(f, expr.p)), 0) != bag[_factor_key(f)]:
             raise NotGaloisClosed(
                 f"factor with center {f.center!r} has an incomplete Frobenius orbit")
     return True
@@ -511,10 +513,11 @@ def required_tower(expr):
 # ------------------------------------------------------------------
 
 class RootSet:
-    __slots__ = ("tower", "roots", "tags", "tau_perm", "frob_perm", "trie")
+    __slots__ = ("expr", "tower", "roots", "tags", "tau_perm", "frob_perm", "trie")
 
-    def __init__(self, tower, roots, tags, tau_perm=None, frob_perm=None, trie=None):
-        self.tower, self.roots, self.tags = tower, roots, tags
+    def __init__(self, expr, tower, roots, tags, tau_perm=None, frob_perm=None,
+                 trie=None):
+        self.expr, self.tower, self.roots, self.tags = expr, tower, roots, tags
         self.tau_perm, self.frob_perm, self.trie = tau_perm, frob_perm, trie
 
     @property
@@ -568,7 +571,7 @@ def extract_roots(expr, tower):
         raise PrecisionExhausted(
             f"f is squarefree, but two roots agree in all {tower.M} stored digits"
         ) from None
-    return RootSet(tower, roots, tags, trie=trie)
+    return RootSet(expr, tower, roots, tags, trie=trie)
 
 
 def digit_trie(roots, tags):
@@ -627,40 +630,47 @@ def match_key(x, N):
 
 
 def galois_perms(rs):
-    """Fill tau_perm, frob_perm by matching Galois images against the roots.
+    """Fill tau_perm and frob_perm from the roots' (factor, branch) tags.
 
-    The roots are bucketed by ``match_key`` at N = max_pair + 2, max_pair
-    the deepest split of the digit trie, and each image is one lookup.
+    Root j of (x - c)^n - u p^m is c + zeta_n^j y pi^(me/n), for y the
+    canonical radical u^(1/n) and zeta_n = zeta_e^(e/n), Teichmueller
+    lifts; a linear factor is the case n = 1.  tau fixes c and y and
+    multiplies pi^(me/n) by zeta_n^m: (fi, j) -> (fi, j + m mod n).  frob
+    fixes pi, sends c to its conjugate c' and y to zeta_n^s y, where
+    res(y)^(p-1) = res(zeta_n)^s in F_q decides s: n | q - 1, so the
+    powers of res(zeta_n) are distinct.  So (fi, j) -> (fi', s + pj mod n)
+    for fi' the factor with centre c' and the same (n, u, m).
     """
-    t = rs.tower
-    n = rs.size
-
-    def deepest(node):
-        return 0 if isinstance(node, int) else max([node[0]] + [deepest(c) for c in node[1]])
-
-    N = deepest(rs.trie) + 2
-    buckets = {}
-    for j, r in enumerate(rs.roots):
-        buckets.setdefault(match_key(r, N), []).append(j)
-
-    def match(img):
-        hits = buckets.get(match_key(img, N), ())
-        if len(hits) != 1:
-            raise AmbiguousMatch(
-                f"Galois image matches {len(hits)} roots; raise the precision")
-        return hits[0]
-
-    rs.tau_perm = [match(r.tau()) for r in rs.roots]
-    rs.frob_perm = [match(r.frob()) for r in rs.roots]
+    t, fq, p, size = rs.tower, rs.tower.fq, rs.tower.p, rs.size
+    index = {tag: i for i, tag in enumerate(rs.tags)}
+    by_key = {_factor_key(f): fi for fi, f in enumerate(rs.expr.factors)}
+    rs.tau_perm, rs.frob_perm = [None] * size, [None] * size
+    for fi, f in enumerate(rs.expr.factors):
+        fi2 = by_key.get(_factor_key(_frob_factor(f, p)))
+        if fi2 is None:
+            raise NotGaloisClosed(
+                f"factor with center {f.center!r} has no Frobenius conjugate")
+        n, m, s = (f.n, f.rhs_pow, 0) if isinstance(f, Binomial) else (1, 0, 0)
+        if n > 1:
+            target = fq.pow(t.w_residue(t.unit_nth_root(f.rhs_unit, n)), p - 1)
+            zeta, z = t.w_residue(t.zeta(n)), fq.one
+            while z != target:
+                z, s = fq.mul(z, zeta), s + 1
+                if s == n:
+                    raise InternalError("Frobenius image of a radical is not a root")
+        for j in range(n):
+            i = index[fi, j]
+            rs.tau_perm[i] = index[fi, (j + m) % n]
+            rs.frob_perm[i] = index[fi2, (s + p * j) % n]
     for name, perm in (("tau", rs.tau_perm), ("frob", rs.frob_perm)):
-        if sorted(perm) != list(range(n)):
-            raise AmbiguousMatch(f"{name} image is not a permutation")
+        if sorted(perm) != list(range(size)):
+            raise InternalError(f"{name} image is not a permutation")
     # tame relation frob o tau == tau^p o frob on indices
-    lhs = [rs.frob_perm[rs.tau_perm[i]] for i in range(n)]
-    rhs = list(range(n))
-    for _ in range(t.p % perm_order(rs.tau_perm)):
+    lhs = [rs.frob_perm[rs.tau_perm[i]] for i in range(size)]
+    rhs = list(range(size))
+    for _ in range(p % perm_order(rs.tau_perm)):
         rhs = [rs.tau_perm[i] for i in rhs]
-    rhs = [rhs[rs.frob_perm[i]] for i in range(n)]
+    rhs = [rhs[rs.frob_perm[i]] for i in range(size)]
     if lhs != rhs:
         raise InternalError("tame relation fails on the root permutations")
     return rs

@@ -292,11 +292,12 @@ def solubility_decide(expr, prec=None):
     Each is read from trusted digits or the read raises
     PrecisionExhausted:
 
-    * the trie and the permutations come from ``curves.match_key``, which
-      raises on any digit at or above an element's trusted level, and
-      a Galois image that matches no root or two raises AmbiguousMatch;
-      roots equal in every stored digit are decided exactly by the
-      resultant of f and f' (``curves.extract_roots``);
+    * the trie comes from ``curves.match_key``, which raises on any
+      digit at or above an element's trusted level; roots equal in every
+      stored digit are decided exactly by the resultant of f and f'
+      (``curves.extract_roots``);
+    * the permutations read no digit: ``curves.galois_perms`` derives
+      them exactly from the roots' (factor, branch) tags;
     * radicands and differences go through ``tame._normalise``, which
       raises when a nonzero leading digit, or a zero, is known only
       from untrusted digits;

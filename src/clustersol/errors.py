@@ -53,10 +53,6 @@ class RootCollision(ClusterSolError):
     pass
 
 
-class AmbiguousMatch(ClusterSolError):
-    pass
-
-
 class NonRationalCoefficient(ClusterSolError):
     pass
 

@@ -12,31 +12,36 @@ W columns are multiplied and raised to powers by the same kernel as F_q
 (``fq._mulmod`` / ``fq._powmod``), at modulus p^M instead of p.
 Valuations are normalised so that v(p) = 1 and v(pi) = 1/e.
 
-The two tame Galois generators are realised concretely:
+The two tame Galois generators are
 
     tau:  fixes W pointwise and sends pi to zeta_e * pi
           (zeta_e the Teichmueller lift of omega^((q-1)/e)),
     frob: fixes pi and acts on W as the unique automorphism reducing
           to x -> x^p on the residue field.
 
-These satisfy frob o tau = tau^p o frob exactly, and chi(tau) = zeta_e,
+They satisfy frob o tau = tau^p o frob, and chi(tau) = zeta_e,
 chi(frob) = 1 for the ramification character chi(s) = s(pi)/pi mod m.
+No element is ever moved by them here: on the roots of a curve their
+action is read exactly from the roots' (factor, branch) tags
+(``curves.galois_perms``), and on square roots from residues
+(``clusters.SqrtSymbol``).
 
 Every lift into W is a Newton iteration that inverts nothing in W: the
-m-th roots of unity by z <- z + z(1 - z^m)/m on X^m - 1, unit n-th roots
-by inverse-root Newton r <- r + r(1 - u r^n)/n, and the Frobenius image
-of t by coupled Newton, which refines an inverse of Ptilde' alongside the
-root.  The only inverse is a residue's, by the extended Euclidean
-algorithm in F_p[t].
+m-th roots of unity by z <- z + z(1 - z^m)/m on X^m - 1, and unit n-th
+roots by inverse-root Newton r <- r + r(1 - u r^n)/n.  The only inverse
+is a residue's, by the extended Euclidean algorithm in F_p[t].
 
-Roots of unity, the Frobenius image of t and the unit radicals u^(1/n)
-depend only on W and on the integers m, u and n, not on e or on any
-curve, so they are lifted lazily into one store per (p, d), ``_lifts``,
-which every tower over W shares (``Tower._lift``).  A tower at M digits
-reduces a stored lift taken to M0 >= M digits mod p^M; at M > M0 it
-continues the Newton loop from the stored value, whose M0 digits are
-already correct, and stores the longer lift.  Hensel lifts are unique,
-so either way the tower gets the same tuple as a lift from the residue.
+Roots of unity and the unit radicals u^(1/n) depend only on W and on the
+integers m, u and n, not on e or on any curve, so they are lifted lazily
+into one store per (p, d), ``_lifts``, which every tower over W shares
+(``Tower._lift``).  A tower at M digits reduces a stored lift taken to
+M0 >= M digits mod p^M; at M > M0 it continues the Newton loop from the
+stored value, whose M0 digits are already correct, and stores the longer
+lift.  Hensel lifts are unique, so either way the tower gets the same
+tuple as a lift from the residue.  A tower keeps each root of unity and
+radical it computes, and ``get_tower`` keeps one tower per (e, prec) in
+the same store, so a process checks each lift once per tower, and
+clearing the store drops its towers too.
 
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise
@@ -71,11 +76,19 @@ FROB = GaloisWord(0, 1)
 def _lifts(p, d):
     """The lifts into W = Z_p[t]/(Ptilde) shared by every tower over it.
 
-    Maps m to (M, zeta_m), (u, n) to (M, u^(-1/n)) and "frob" to (M, the
-    Frobenius image of t, an approximate inverse of Ptilde' there), all mod
-    p^M for the largest M lifted so far.
+    Maps m to (M, zeta_m) and (u, n) to (M, u^(-1/n)), both mod p^M for
+    the largest M lifted so far, and "towers" to the towers over W that
+    ``get_tower`` built, by (e, prec).
     """
     return {}
+
+
+def get_tower(p, d, e, prec):
+    """This process's tower for (p, d, e, prec), kept in the (p, d) store."""
+    towers = _lifts(p, d).setdefault("towers", {})
+    if (e, prec) not in towers:
+        towers[e, prec] = Tower(p, d, e, prec)
+    return towers[e, prec]
 
 
 def stored_digits(prec, e):
@@ -101,14 +114,12 @@ class Tower:
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
-        self._zeta_cache = {}
-        self._frob_pows = None                # computed lazily
+        self._kept = {}                       # zeta(m) by m, u^(1/n) by (u, n)
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
                 "needed for a Galois tame tower")
         self.zeta_e_res = self.fq.pow(self.fq.omega, (self.q - 1) // e) if e > 1 else self.fq.one
-        self._zeta_e_pows = None
 
     # ------------------------------------------------------------------
     # W = Z_p[t]/(Ptilde) arithmetic on coordinate tuples mod p^M
@@ -213,77 +224,12 @@ class Tower:
         The unique m-th root of unity in W with that residue: z^m = 1 is
         u X^m = 1 at u = 1.
         """
-        if m in self._zeta_cache:
-            return self._zeta_cache[m]
-        if (self.q - 1) % m != 0:
-            raise InternalError(f"mu_{m} not contained in the residue field")
-        z = self._inverse_root(
-            m, 1, m, lambda: (self.fq.pow(self.fq.omega, (self.q - 1) // m),))
-        self._zeta_cache[m] = z
-        return z
-
-    def frob_t_image(self):
-        """Image of the W generator t under the Frobenius lift, with powers.
-
-        The lift is the root of Ptilde congruent to t^p.  Coupled Newton
-        refines it together with v, an approximate inverse of Ptilde'(z):
-        v <- v (2 - Ptilde'(z) v), then z <- z - Ptilde(z) v.  z doubles
-        its correct digits per step and v keeps at least half of them, so
-        only v's residue is inverted.
-        """
-        if self._frob_pows is not None:
-            return self._frob_pows
-        d = self.d
-        if d == 1:
-            self._frob_pows = [self.w_one()]
-            return self._frob_pows
-        low = self.fq.modulus
-        t = (0, 1) + (0,) * (d - 2)
-
-        def ptilde(z):
-            """Ptilde(z) and Ptilde'(z), by one Horner pass."""
-            val, der = self.w_one(), self.w_zero()
-            for c in reversed(low):
-                der = self.w_add(self.w_mul(der, z), val)
-                val = self.w_add(self.w_mul(val, z), self.w_from_int(c))
-            return val, der
-
-        def start():
-            z = self.w_pow(t, self.p)
-            return z, tuple(self.fq.inv(self.w_residue(ptilde(z)[1])))
-
-        def step(z, v):
-            val, der = ptilde(z)
-            v = self.w_mul(v, self.w_sub(self.w_from_int(2), self.w_mul(der, v)))
-            return [self.w_sub(z, self.w_mul(val, v)), v]
-
-        z, _ = self._lift("frob", start, step,
-                          lambda z, v: ptilde(z)[0] == self.w_zero())
-        pows = [self.w_one()]
-        for _ in range(d - 1):
-            pows.append(self.w_mul(pows[-1], z))
-        self._frob_pows = pows
-        return pows
-
-    def w_frob(self, a):
-        if self.d == 1:
-            return a
-        acc = [0] * self.d
-        for c, row in zip(a, self.frob_t_image()):
-            if c:
-                for k, x in enumerate(row):
-                    acc[k] += c * x
-        pM = self.pM
-        return tuple([x % pM for x in acc])
-
-    def zeta_e_pows(self):
-        if self._zeta_e_pows is None:
-            z = self.zeta(self.e) if self.e > 1 else self.w_one()
-            pows = [self.w_one()]
-            for _ in range(self.e - 1):
-                pows.append(self.w_mul(pows[-1], z))
-            self._zeta_e_pows = pows
-        return self._zeta_e_pows
+        if m not in self._kept:
+            if (self.q - 1) % m != 0:
+                raise InternalError(f"mu_{m} not contained in the residue field")
+            self._kept[m] = self._inverse_root(
+                m, 1, m, lambda: (self.fq.pow(self.fq.omega, (self.q - 1) // m),))
+        return self._kept[m]
 
     # ------------------------------------------------------------------
     # elements
@@ -322,7 +268,7 @@ class Tower:
         The root whose residue is the lexicographically least n-th root of
         u mod p in F_q, refined p-adically: r = u^(-1/n) is the lift
         stored under (u, n), and y = u r^(n-1) is the root, since u r^n = 1
-        gives y^n = u.
+        gives y^n = u.  The tower keeps y.
         """
         def start():
             res = self.fq.canonical_nth_root(self.fq.from_int(u), n)
@@ -330,8 +276,10 @@ class Tower:
                 raise InternalError(f"{u} has no {n}-th root in the residue field")
             return (tuple(self.fq.inv(res)),)
 
-        r = self._inverse_root((u, n), u, n, start)
-        return self.w_scale(self.w_pow(r, n - 1), u)
+        if (u, n) not in self._kept:
+            r = self._inverse_root((u, n), u, n, start)
+            self._kept[u, n] = self.w_scale(self.w_pow(r, n - 1), u)
+        return self._kept[u, n]
 
 
 class Elt:
@@ -442,29 +390,6 @@ class Elt:
         for _ in range(steps):
             z = z * (two - u * z)
         return Elt(t, -self.vL, z.unit, min(self.rel, z.rel))
-
-    # --- Galois action ---
-
-    def tau(self):
-        if self.is_zero:
-            return self
-        t = self.tower
-        if t.e == 1:
-            return self
-        zp = t.zeta_e_pows()
-        shift = self.vL % t.e
-        low, pM = t.fq.modulus, t.pM
-        cols = tuple([_mulmod(col, zp[(i + shift) % t.e], low, pM) if any(col) else col
-                      for i, col in enumerate(self.unit)])
-        return Elt(t, self.vL, cols, self.rel)
-
-    def frob(self):
-        if self.is_zero:
-            return self
-        t = self.tower
-        if t.d == 1:
-            return self
-        return Elt(t, self.vL, tuple(t.w_frob(c) for c in self.unit), self.rel)
 
 
 def _aligned(x, v0):

@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 from clustersol.errors import InternalError
+from clustersol.tame import Elt
 
 EX1 = ("(x^4-p^17)*(x^3-p^2)", 17)
 EX2 = "p*((x-1)^2+p^2)*((x-zeta(3))^2+p^2)*((x-zeta(3)^2)^2+p^2)"
@@ -68,3 +69,84 @@ def flip_canonical_sqrt(monkeypatch):
 
     monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", flipped)
     return calls
+
+
+# --- the reference Galois action on tower elements ---
+#
+# tau fixes W and sends pi to zeta_e pi; frob fixes pi and acts on W as the
+# lift of x -> x^p.  The package reads the action on roots from their tags
+# (``curves.galois_perms``); these move elements, for checking it.
+
+def frob_t_image(t):
+    """Image of the W generator t under the Frobenius lift, with powers.
+
+    The lift is the root of Ptilde congruent to t^p, kept in the (p, d)
+    store under "frob".  Coupled Newton refines it together with v, an
+    approximate inverse of Ptilde'(z): v <- v (2 - Ptilde'(z) v), then
+    z <- z - Ptilde(z) v, so only v's residue is inverted.
+    """
+    d = t.d
+    if d == 1:
+        return [t.w_one()]
+    low = t.fq.modulus
+
+    def ptilde(z):
+        """Ptilde(z) and Ptilde'(z), by one Horner pass."""
+        val, der = t.w_one(), t.w_zero()
+        for c in reversed(low):
+            der = t.w_add(t.w_mul(der, z), val)
+            val = t.w_add(t.w_mul(val, z), t.w_from_int(c))
+        return val, der
+
+    def start():
+        z = t.w_pow((0, 1) + (0,) * (d - 2), t.p)
+        return z, tuple(t.fq.inv(t.w_residue(ptilde(z)[1])))
+
+    def step(z, v):
+        val, der = ptilde(z)
+        v = t.w_mul(v, t.w_sub(t.w_from_int(2), t.w_mul(der, v)))
+        return [t.w_sub(z, t.w_mul(val, v)), v]
+
+    z, _ = t._lift("frob", start, step, lambda z, v: ptilde(z)[0] == t.w_zero())
+    pows = [t.w_one()]
+    for _ in range(d - 1):
+        pows.append(t.w_mul(pows[-1], z))
+    return pows
+
+
+def w_frob(t, a):
+    """The Frobenius lift applied to a W value."""
+    if t.d == 1:
+        return a
+    acc = [0] * t.d
+    for c, row in zip(a, frob_t_image(t)):
+        for k, x in enumerate(row):
+            acc[k] += c * x
+    return tuple(x % t.pM for x in acc)
+
+
+def zeta_e_pows(t):
+    """[1, zeta_e, ..., zeta_e^(e-1)] in W."""
+    pows = [t.w_one()]
+    for _ in range(t.e - 1):
+        pows.append(t.w_mul(pows[-1], t.zeta(t.e)))
+    return pows
+
+
+def tau(x):
+    """tau(x): column i of pi^vL * sum col_i pi^i gains zeta_e^(vL + i)."""
+    t = x.tower
+    if x.is_zero or t.e == 1:
+        return x
+    zp = zeta_e_pows(t)
+    shift = x.vL % t.e
+    return Elt(t, x.vL, tuple(t.w_mul(col, zp[(i + shift) % t.e]) if any(col) else col
+                              for i, col in enumerate(x.unit)), x.rel)
+
+
+def frob(x):
+    """frob(x): the Frobenius lift on every column."""
+    t = x.tower
+    if x.is_zero or t.d == 1:
+        return x
+    return Elt(t, x.vL, tuple(w_frob(t, c) for c in x.unit), x.rel)

@@ -119,6 +119,33 @@ def test_compare_zero_count(capsys):
     assert code == 0 and json.loads(out)["count"] == 0
 
 
+def _usage_error(capsys, command, args, flag, lo):
+    code, out, err = run(capsys, command, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: clustersol " + command)
+    assert f"argument {flag}: expected an integer >= {lo}" in err
+
+
+@pytest.mark.parametrize("count", ["-3", "-1", "x"])
+def test_compare_negative_count_is_a_usage_error(capsys, count):
+    _usage_error(capsys, "compare", ["--seed", "1", "--count", count, "--p-list", "7"],
+                 "--count", 0)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_compare_jobs_below_one_is_a_usage_error(capsys, jobs):
+    _usage_error(capsys, "compare", ["--seed", "1", "--count", "2", "--p-list", "7",
+                                     "--jobs", jobs], "--jobs", 1)
+
+
+def test_oracle_negative_max_level_is_a_usage_error(capsys):
+    _usage_error(capsys, "oracle", ["--expr", EX2, "--p", "11", "--max-level", "-1"],
+                 "--max-level", 0)
+    code, out, _ = run(capsys, "oracle", "--expr", EX2, "--p", "11",
+                       "--max-level", "0", "--json")
+    assert code == 0 and json.loads(out)["max_level_reached"] == 0
+
+
 def test_analyze_curve_file_reports_good_curves_around_a_bad_one(capsys, tmp_path):
     # the middle curve is not squarefree; the batch still reports the others
     path = tmp_path / "c.txt"

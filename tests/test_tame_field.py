@@ -1,11 +1,12 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import clustersol.decision as decision_mod
-from conftest import EX1, decide_with_doubled_recheck
+from conftest import EX1, decide_with_doubled_recheck, frob, frob_t_image, tau
 from clustersol.clusters import analyse
 from clustersol.curves import parse_expr
 from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
@@ -74,9 +75,9 @@ def teichmuller(t, res):
 def apply_word(word, x):
     """tau^a o frob^b applied to x, one generator at a time."""
     for _ in range(word.b):
-        x = x.frob()
+        x = frob(x)
     for _ in range(word.a):
-        x = x.tau()
+        x = tau(x)
     return x
 
 
@@ -241,10 +242,10 @@ def test_tame_relation(p, d, e, prec):
     rng = random.Random(p * e)
     for _ in range(50):
         x = rand_elt(t, rng)
-        lhs = x.tau().frob()
-        rhs = x.frob()
+        lhs = frob(tau(x))
+        rhs = frob(x)
         for _ in range(p % max(e, 1) if e > 1 else 0):
-            rhs = rhs.tau()
+            rhs = tau(rhs)
         assert close(lhs, rhs)
 
 
@@ -253,10 +254,10 @@ def test_thousand_case_galois_relation():
     rng = random.Random(1234)
     for _ in range(1000):
         x = rand_elt(t, rng, max_val=1)
-        rhs = x.frob()
+        rhs = frob(x)
         for _ in range(t.p):
-            rhs = rhs.tau()
-        assert close(x.tau().frob(), rhs)
+            rhs = tau(rhs)
+        assert close(frob(tau(x)), rhs)
 
 
 def test_tau_order_and_frob_order():
@@ -266,11 +267,11 @@ def test_tau_order_and_frob_order():
         x = rand_elt(t, rng)
         y = x
         for _ in range(t.e):
-            y = y.tau()
+            y = tau(y)
         assert close(y, x)
         z = x
         for _ in range(t.d):
-            z = z.frob()
+            z = frob(z)
         assert close(z, x)
 
 
@@ -278,8 +279,8 @@ def test_galois_fixes_rationals():
     t = Tower(13, 2, 4, 40)
     for n in (1, 5, -3, 13, 13 ** 2 * 9):
         x = t.from_int(n)
-        assert (x.tau() - x).is_zero
-        assert (x.frob() - x).is_zero
+        assert (tau(x) - x).is_zero
+        assert (frob(x) - x).is_zero
 
 
 def test_galois_is_ring_hom():
@@ -287,8 +288,8 @@ def test_galois_is_ring_hom():
     rng = random.Random(77)
     for _ in range(50):
         x, y = rand_elt(t, rng), rand_elt(t, rng)
-        assert close((x * y).tau(), x.tau() * y.tau())
-        assert close((x + y).frob(), x.frob() + y.frob())
+        assert close(tau(x * y), tau(x) * tau(y))
+        assert close(frob(x + y), frob(x) + frob(y))
 
 
 def test_chi_values():
@@ -327,7 +328,7 @@ def test_teichmuller_digit_view_tau_semantics():
     for _ in range(15):
         x = rand_elt(t, rng, max_val=0)
         digits = teichmuller_digits(x, 6)
-        tau_digits = teichmuller_digits(x.tau(), 6)
+        tau_digits = teichmuller_digits(tau(x), 6)
         shift = x.vL % t.e
         scale = t.fq.pow(zeta, shift)
         for i, (a, b) in enumerate(zip(digits, tau_digits)):
@@ -352,9 +353,9 @@ def test_galois_word_application():
     for _ in range(20):
         x = rand_elt(t, rng)
         w = GaloisWord(2, 1)
-        assert close(apply_word(w, x), x.frob().tau().tau())
+        assert close(apply_word(w, x), tau(tau(frob(x))))
         wc = word_compose(t, TAU, FROB)     # tau o frob
-        assert close(apply_word(wc, x), x.frob().tau())
+        assert close(apply_word(wc, x), tau(frob(x)))
 
 
 # --- the Hensel lifts against Newton steps that invert in W ---
@@ -427,7 +428,7 @@ def reference_frob_t_image(t):
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
 def test_lifts_match_reference(p, d, e, prec):
     t = Tower(p, d, e, prec)
-    assert t.frob_t_image() == reference_frob_t_image(t)
+    assert frob_t_image(t) == reference_frob_t_image(t)
     divisors = [m for m in range(1, 25) if (t.q - 1) % m == 0]
     for m in divisors:
         assert t.zeta(m) == reference_zeta(t, m)
@@ -474,8 +475,8 @@ def test_lift_store_matches_reference(order):
         for p, d, e, _ in TOWERS:
             t = Tower(p, d, e, e * M)
             assert t.M == M
-            frob, zetas, radicals = reference_lifts(p, d, e, M)
-            assert t.frob_t_image() == frob
+            frob_pows, zetas, radicals = reference_lifts(p, d, e, M)
+            assert frob_t_image(t) == frob_pows
             for m, z in zetas.items():
                 assert t.zeta(m) == z
             for (u, n), y in radicals.items():
@@ -496,7 +497,7 @@ def test_every_lift_from_the_store_is_checked():
     try:
         first = Tower(p, d, 1, 16)
         first.zeta(3)
-        first.frob_t_image()
+        frob_t_image(first)
         first.unit_nth_root(3, 2)
         store = _lifts(p, d)
 
@@ -514,7 +515,7 @@ def test_every_lift_from_the_store_is_checked():
             with pytest.raises(InternalError):
                 t.zeta(3)
             with pytest.raises(InternalError):
-                t.frob_t_image()
+                frob_t_image(t)
             with pytest.raises(InternalError):
                 t.unit_nth_root(3, 2)
     finally:
@@ -553,6 +554,36 @@ def test_curves_sharing_a_radical_take_one_residue_root(monkeypatch):
     assert len(residue_roots) == 1
     _lifts.cache_clear()
     assert _root_digits(second.rs) == _root_digits(analyse(parse_expr(text, 7)).rs)
+
+
+def test_curves_on_one_tower_share_it_and_take_each_lift_once(monkeypatch):
+    """Two curves over the same (p, d, e, prec) get the same tower, which
+    keeps zeta_2 and sqrt(2) from the first curve: each is lifted, and
+    checked, once.  Clearing the store drops the tower with the lifts."""
+    _lifts.cache_clear()
+    lifted = []
+    real_lift = Tower._lift
+
+    def counting(t, key, *args):
+        lifted.append(key)
+        return real_lift(t, key, *args)
+
+    monkeypatch.setattr(Tower, "_lift", counting)
+    residue_roots = _counting_residue_roots(monkeypatch)
+    text = "(x^2-2*p)*(x-1)*(x-3)*(x-4)"
+    first = analyse(parse_expr(text, 7))
+    second = analyse(parse_expr("(x^2-2*p)*(x-2)*(x-3)*(x-5)", 7))
+    assert second.tower is first.tower
+    assert Counter(lifted) == {2: 1, (2, 2): 1}
+    assert len(residue_roots) == 1
+    _lifts.cache_clear()
+    fresh = analyse(parse_expr(text, 7))
+    monkeypatch.undo()
+    assert fresh.tower is not first.tower
+    assert Counter(lifted) == {2: 2, (2, 2): 2}
+    assert len(residue_roots) == 2
+    assert _root_digits(fresh.rs) == _root_digits(first.rs)
+    assert (fresh.rs.tau_perm, fresh.rs.frob_perm) == (first.rs.tau_perm, first.rs.frob_perm)
 
 
 @pytest.mark.parametrize("text,p", [EX1] + NON_STABLE)
