@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 
-from .clusters import analyse
 from .corpus import generate_corpus
 from .curves import (expand_to_integer_poly, galois_closure_check, parse_expr,
                      read_curve_file, require_odd_prime)
@@ -296,7 +295,7 @@ def cmd_render(cfg):
     from .render import render_ascii, render_latex
     expr = parse_expr(cfg.expr, cfg.p)
     galois_closure_check(expr)
-    analysis = analyse(expr, prec=cfg.prec)
+    analysis = solubility_decide(expr, prec=cfg.prec)[1]
     if cfg.fmt == "latex":
         print(render_latex(analysis.picture))
     else:

@@ -6,6 +6,11 @@ each proper cluster we compute depth, relative depth, nu, lambda, e,
 genus, the classification flags, the Galois action, and the +-1
 characters epsilon_s attached to even clusters and cotwins.
 
+All but the centroid is read off the tree.  tau and frob act as maps on
+its nodes.  A root r outside s meets s at the level N of the least
+cluster holding both, and z_s - r leads with the difference of the
+digits at pi^N that the two children holding them keep.
+
 Character computation never enlarges the tower.  The radicand
 theta^2 = c_f prod_{r not in s}(z_s - r) of the star s is read through its
 leading term u pi^W, u in F_q, and the word tau^a frob^b acts on the formal
@@ -36,11 +41,9 @@ canonical square root of zeta_e.  Triviality is then checked word by word.
 import math
 from fractions import Fraction
 
-from .errors import InternalError, PrecisionExhausted, ZeroElement
-from .curves import extract_roots, galois_perms, perm_order, required_tower
+from .errors import InternalError, PrecisionExhausted
+from .curves import digit, extract_roots, galois_perms, perm_order, required_tower
 from .tame import FROB, TAU, GaloisWord, get_tower, truncated_sum
-
-INF = math.inf
 
 
 # ------------------------------------------------------------------
@@ -48,7 +51,7 @@ INF = math.inf
 # ------------------------------------------------------------------
 
 class ClusterNode:
-    __slots__ = ("roots", "depth", "parent", "children", "name")
+    __slots__ = ("roots", "depth", "parent", "children", "name", "digit")
 
     def __init__(self, roots, depth, children):
         self.roots = tuple(sorted(roots))
@@ -56,6 +59,7 @@ class ClusterNode:
         self.parent = None
         self.children = children
         self.name = None
+        self.digit = None             # the roots' F_q digit at the parent's split level
         for c in children:
             c.parent = self
 
@@ -71,25 +75,18 @@ class ClusterNode:
     def is_even(self):
         return self.size % 2 == 0
 
-    @property
-    def rootset(self):
-        return frozenset(self.roots)
-
     def __repr__(self):
         d = "inf" if self.depth is None else str(self.depth)
         return f"ClusterNode({list(self.roots)}, d={d})"
 
 
 class ClusterPicture:
-    """The full laminar tree, with lookups by root set."""
+    """The full laminar tree, its nodes listed parents first."""
 
-    def __init__(self, top, rootset, expr):
+    def __init__(self, top):
         self.top = top
-        self.rootset = rootset
-        self.expr = expr
         self.nodes = []
         self._collect(top)
-        self.by_set = {n.rootset: n for n in self.nodes}
         self._assign_names()
 
     def _collect(self, node):
@@ -122,7 +119,7 @@ class ClusterPicture:
 
 
 def build_picture(rs, expr):
-    """The cluster tree: the root set's digit trie wrapped in nodes."""
+    """The cluster tree: the root set's digit trie wrapped in nodes, with their digits."""
     if rs.size < 5:
         raise InternalError("picture needs at least 5 roots")
     e = rs.tower.e
@@ -132,9 +129,11 @@ def build_picture(rs, expr):
             return ClusterNode([node], None, [])
         level, children = node
         kids = [make(c) for c in children]
+        for c in kids:
+            c.digit = digit(rs.roots[c.roots[0]], level)
         return ClusterNode([i for c in kids for i in c.roots], Fraction(level, e), kids)
 
-    return ClusterPicture(make(rs.trie), rs, expr)
+    return ClusterPicture(make(rs.trie))
 
 
 # ------------------------------------------------------------------
@@ -213,7 +212,7 @@ def canonical_sqrt_symbol(fq, u):
 # ------------------------------------------------------------------
 
 class ClusterInvariants:
-    """A proper cluster's invariants; the Galois fields are filled in later.
+    """A proper cluster's invariants, set by keyword; the characters are filled in later.
 
     delta (relative depth) is None for the top cluster, eps_tau is 0 when
     epsilon is undefined for the cluster.
@@ -224,19 +223,9 @@ class ClusterInvariants:
                  "fixed_inertia", "fixed_frob", "fixed_galois", "orbit",
                  "eps_tau", "eps_frob", "stable_children")
 
-    def __init__(self, name, roots, size, depth, delta, nu, lam, e, genus, vKc,
-                 is_even, ubereven, twin, cotwin, principal, fixed_inertia=None,
-                 fixed_frob=None, fixed_galois=None, orbit=None, eps_tau=None,
-                 eps_frob=None, stable_children=()):
-        self.name, self.roots, self.size = name, roots, size
-        self.depth, self.delta, self.nu, self.lam = depth, delta, nu, lam
-        self.e, self.genus, self.vKc = e, genus, vKc
-        self.is_even, self.ubereven, self.twin = is_even, ubereven, twin
-        self.cotwin, self.principal = cotwin, principal
-        self.fixed_inertia, self.fixed_frob = fixed_inertia, fixed_frob
-        self.fixed_galois, self.orbit = fixed_galois, orbit
-        self.eps_tau, self.eps_frob = eps_tau, eps_frob
-        self.stable_children = stable_children
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 class ClusterAnalysis:
@@ -254,14 +243,17 @@ class ClusterAnalysis:
         self._tau_order = perm_order(rs.tau_perm)
         self._frob_order = perm_order(rs.frob_perm)
         self._zeta2e = None
-        self._group = None
+        self._images = self._word_images()
         self.inv = {}
+        orbit = {}                    # numbered by their first node in proper()
         for node in picture.proper():
-            self.inv[node] = self._invariants(node)
-        self._fill_galois()
-        self._fill_epsilons()
+            if node not in orbit:
+                orbit.update(dict.fromkeys(self._images[node], len(set(orbit.values()))))
+            self.inv[node] = self._invariants(node, orbit[node])
+        for node, rec in self.inv.items():
+            rec.eps_tau, rec.eps_frob = self.epsilon(node, TAU), self.epsilon(node, FROB)
 
-    # --- plain invariants ---
+    # --- invariants ---
 
     def nu(self, node):
         """c_pow + sum over all roots r of min(d, v(z - r)), z in the node.
@@ -276,14 +268,16 @@ class ClusterAnalysis:
             child, a = a, a.parent
         return total
 
-    def genus_of(self, node):
-        odd = sum(1 for c in node.children if c.size % 2 == 1)
-        return max(0, (odd - 1) // 2)
+    def _invariants(self, node, orbit):
+        """All but the characters; nu is computed once and feeds lam, e and vKc.
 
-    def _invariants(self, node):
-        """The plain invariants; nu is computed once and feeds lam, e and vKc."""
+        The stable children are those fixed by every word fixing the node.
+        """
         d = node.depth
         nu = self.nu(node)
+        stab = [k for k, img in enumerate(self._images[node]) if img is node]
+        fixed_inertia = self.image(node, TAU) is node
+        fixed_frob = self.image(node, FROB) is node
         g2 = 2 * self.curve_genus
         ubereven = all(c.is_even for c in node.children)
         has_2g_child = any(c.size == g2 for c in node.children)
@@ -299,86 +293,73 @@ class ClusterAnalysis:
             nu=nu,
             lam=nu / 2 - d * sum(c.size // 2 for c in node.children),
             e=math.lcm(d.denominator, (nu / 2).denominator),
-            genus=self.genus_of(node),
+            genus=max(0, (sum(c.size % 2 for c in node.children) - 1) // 2),
             vKc=nu - node.size * d,
             is_even=node.is_even,
             ubereven=ubereven,
             twin=node.size == 2,
             cotwin=cotwin,
             principal=principal,
+            fixed_inertia=fixed_inertia,
+            fixed_frob=fixed_frob,
+            fixed_galois=fixed_inertia and fixed_frob,
+            orbit=orbit,
+            stable_children=tuple(c for c in node.children
+                                  if all(self._images[c][k] is c for k in stab)),
         )
 
     # --- Galois action on the picture ---
 
+    def _node_map(self, perm):
+        """A root permutation on nodes: a node's first root's image, climbed to its size."""
+        leaf = {n.roots[0]: n for n in self.picture.nodes if not n.is_proper}
+        out = {}
+        for node in self.picture.nodes:
+            img = leaf[perm[node.roots[0]]]
+            while img.size < node.size:
+                img = img.parent
+            if img.roots != tuple(sorted(perm[i] for i in node.roots)):
+                raise InternalError("Galois image of a cluster is not a cluster")
+            out[node] = img
+        return out
+
+    def _word_images(self):
+        """Each node's images under tau^a frob^b at index b ord(tau) + a.
+
+        The words with a < ord tau and b < ord frob are the whole group, as
+        frob tau = tau^p frob (``curves.galois_perms``).
+        """
+        tau, frob = self._node_map(self.rs.tau_perm), self._node_map(self.rs.frob_perm)
+        out = {}
+        for node in self.picture.nodes:
+            out[node] = images = []
+            moved = node
+            for _ in range(self._frob_order):
+                img = moved
+                for _ in range(self._tau_order):
+                    images.append(img)
+                    img = tau[img]
+                moved = frob[moved]
+        return out
+
     def image(self, node, word):
         """Image cluster of a node under tau^a frob^b."""
-        idx = set(node.roots)
-        for _ in range(word.b % self._frob_order):
-            idx = {self.rs.frob_perm[i] for i in idx}
-        for _ in range(word.a % self._tau_order):
-            idx = {self.rs.tau_perm[i] for i in idx}
-        out = self.picture.by_set.get(frozenset(idx))
-        if out is None:
-            raise InternalError("Galois image of a cluster is not a cluster")
-        return out
-
-    def group(self):
-        """All permutations of the roots generated by tau and frob."""
-        if self._group is None:
-            gens = [tuple(self.rs.tau_perm), tuple(self.rs.frob_perm)]
-            seen = {tuple(range(self.rs.size))}
-            frontier = list(seen)
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for h in gens:
-                        gh = tuple(h[i] for i in g)
-                        if gh not in seen:
-                            seen.add(gh)
-                            nxt.append(gh)
-                frontier = nxt
-                if len(seen) > 100000:
-                    raise InternalError("Galois permutation group unexpectedly large")
-            self._group = sorted(seen)
-        return self._group
-
-    def stable_children(self, node):
-        """Children fixed by every group element stabilising the node."""
-        stab = [g for g in self.group()
-                if frozenset(g[i] for i in node.roots) == node.rootset]
-        out = []
-        for c in node.children:
-            if all(frozenset(g[i] for i in c.roots) == c.rootset for g in stab):
-                out.append(c)
-        return out
-
-    def _fill_galois(self):
-        orbits = {}
-        for node in self.picture.proper():
-            rec = self.inv[node]
-            rec.fixed_inertia = self.image(node, TAU) is node
-            rec.fixed_frob = self.image(node, FROB) is node
-            rec.fixed_galois = rec.fixed_inertia and rec.fixed_frob
-            rec.stable_children = tuple(self.stable_children(node))
-            key = min(tuple(sorted(g[i] for i in node.roots)) for g in self.group())
-            orbits.setdefault(key, len(orbits))
-            rec.orbit = orbits[key]
+        return self._images[node][word.b % self._frob_order * self._tau_order
+                                  + word.a % self._tau_order]
 
     # --- characters ---
 
     def star(self, node):
         """The cluster whose theta computes epsilon for this node."""
-        rec = self.inv[node]
-        if rec.cotwin:
-            g2 = 2 * self.curve_genus
-            return next(c for c in node.children if c.size == g2)
+        if self.inv[node].cotwin:
+            return next(c for c in node.children if c.size == 2 * self.curve_genus)
         return node
 
-    def _leading_term(self, z, roots, N=INF):
+    def _leading_term(self, z, roots, N):
         """(W, u, exact) for c_f prod_{r in roots}(z - r): valuations add, residues multiply.
 
-        z stands for a value it agrees with below pi^N.  For finite N a
-        factor z - r whose trusted digits run out is read below pi^N only
+        z stands for a value it agrees with below pi^N.  A factor z - r
+        whose trusted digits run out is read below pi^N only
         (``tame.truncated_sum``); one that is zero or has no digit below
         pi^N is known only to have valuation at least min(N, the level to
         which r is trusted): it adds that bound to W and leaves exact
@@ -393,8 +374,6 @@ class ClusterAnalysis:
             try:
                 diff = z - r
             except PrecisionExhausted:    # trusted digits ran out: read below pi^N
-                if N == INF:
-                    raise
                 diff = truncated_sum(t, [z, -r], N)[0]
             if diff.is_zero or diff.vL >= N:
                 w += min(N, r.abs_prec)
@@ -405,15 +384,26 @@ class ClusterAnalysis:
         return w, u, exact
 
     def radicand(self, node):
-        """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r)."""
+        """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r), z in the node.
+
+        The walk up the parent chain of nu: at an ancestor of level N each
+        root r of a sibling b of the child holding z gives z - r valuation
+        N and residue digit(child) - digit(b).
+        """
         if node in self._radicand_cache:
             return self._radicand_cache[node]
-        inside = node.rootset
-        w, u, exact = self._leading_term(
-            self.rs.roots[node.roots[0]],
-            [r for i, r in enumerate(self.rs.roots) if i not in inside])
-        if not exact:
-            raise ZeroElement(f"cluster {node.name} has a repeated root")
+        t = self.tower
+        fq, p = t.fq, t.p
+        w, u = t.e * self.expr.c_pow, fq.from_int(self.expr.c_unit)
+        child, a = node, node.parent
+        while a is not None:
+            level = int(a.depth * t.e)
+            for b in a.children:
+                if b is not child:
+                    w += level * b.size
+                    diff = tuple([(x - y) % p for x, y in zip(child.digit, b.digit)])
+                    u = fq.mul(u, fq.pow(diff, b.size))
+            child, a = a, a.parent
         self._radicand_cache[node] = (w, u)
         return w, u
 
@@ -505,15 +495,6 @@ class ClusterAnalysis:
         return all(self.epsilon(node, GaloisWord(a, 0)) == 1
                    for a in range(2 * self.tower.e))
 
-    def _fill_epsilons(self):
-        for node in self.picture.proper():
-            rec = self.inv[node]
-            if rec.is_even or rec.cotwin:
-                rec.eps_tau = self.epsilon(node, GaloisWord(1, 0))
-                rec.eps_frob = self.epsilon(node, GaloisWord(0, 1))
-            else:
-                rec.eps_tau = rec.eps_frob = 0
-
     # --- auxiliary point-level data for the decision engine ---
 
     def roots_fixed_pointwise(self, node):
@@ -563,15 +544,12 @@ class ClusterAnalysis:
         set, completed with the point at infinity when only one root
         remains; infinity is fixed by everything.
         """
-        g2 = 2 * self.curve_genus
-        child = next(c for c in cotwin_node.children if c.size == g2)
-        comp = sorted(set(range(self.rs.size)) - set(child.roots))
+        child = self.star(cotwin_node)
+        comp = [i for i in range(self.rs.size) if i not in child.roots]
         if len(comp) == 1:
             return (False, False)  # pair {root, infinity}: never swapped
         a, b = comp
-        tau_swaps = self.rs.tau_perm[a] == b
-        frob_swaps = self.rs.frob_perm[a] == b
-        return (tau_swaps, frob_swaps)
+        return (self.rs.tau_perm[a] == b, self.rs.frob_perm[a] == b)
 
 
 # ------------------------------------------------------------------

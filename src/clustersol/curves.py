@@ -10,9 +10,11 @@ extraction in a tame tower; anything else is rejected as unsupported.
 
 Pairwise valuations are read one way only: v(x - y) >= N exactly when x
 and y agree in every pi-adic digit below pi^N (``match_key``).  So the
-roots' digit trie is their cluster tree (``digit_trie``).  The Galois
-action on the roots reads no digit at all: each root is tagged by its
-factor and branch, and tau and frob permute the tags (``galois_perms``).
+roots' digit trie is their cluster tree (``digit_trie``), and x - y
+leads with the difference of their digits at pi^N, N = v(x - y)
+(``digit``).  The Galois action on the roots reads no digit at all: each
+root is tagged by its factor and branch, and tau and frob permute the
+tags (``galois_perms``).
 """
 
 import math
@@ -627,6 +629,19 @@ def match_key(x, N):
         m = t.p ** k
         key.append(tuple([c % m for c in col]))
     return tuple(key)
+
+
+def digit(x, N):
+    """The pi-adic digit of x at pi^N, in F_q: zero when x is zero or vL > N.
+
+    It is the p^k digit of column i for N - vL = i + ek, so it is trusted
+    wherever ``match_key(x, N + 1)`` does not raise.
+    """
+    t = x.tower
+    if x.is_zero or x.vL > N:
+        return t.fq.zero
+    k, i = divmod(N - x.vL, t.e)
+    return tuple([c // t.p ** k % t.p for c in x.unit[i]])
 
 
 def galois_perms(rs):

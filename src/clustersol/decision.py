@@ -95,6 +95,9 @@ def theorem_decide(A):
     def eps_ok_if_ubereven(n):
         return not rec(n).ubereven or A.eps_trivial_galois(n)
 
+    def center_ok(n):
+        return is_int(rec(n).depth) or A.center_value_is_square(n) is True
+
     # (i) and the (ii) preamble
     for s in proper:
         r = rec(s)
@@ -111,19 +114,18 @@ def theorem_decide(A):
                     reports["ii.a"].fire(r.name, {"parity": "even", "eps": "trivial"})
             # (ii)(b)
             stable = r.stable_children
-            center_ok = is_int(r.depth) or A.center_value_is_square(s) is True
             if any(c.size == 1 for c in stable):
                 reports["ii.b"].fire(r.name, {"route": "stable singleton"})
             elif (r.genus == 0 and not r.ubereven
                   and not any(c.size > 1 and c.size % 2 == 1 for c in stable)
-                  and is_even_int(r.nu) and center_ok):
+                  and is_even_int(r.nu) and center_ok(s)):
                 reports["ii.b"].fire(r.name,
                                      {"route": "genus 0, no proper stable odd child",
                                       "nu": str(r.nu)}, marker=True)
             # (ii)(c)
             if (not any(c.size > 1 for c in stable)
                     and is_int(r.lam) and is_even_int(r.nu)
-                    and (r.genus > 0 or r.ubereven) and center_ok):
+                    and (r.genus > 0 or r.ubereven) and center_ok(s)):
                 reports["ii.c"].fire(r.name, {"lambda": str(r.lam), "nu": str(r.nu)},
                                      marker=True)
             # (ii)(d)
@@ -287,23 +289,26 @@ def solubility_decide(expr, prec=None):
     """Full pipeline: one certified analysis, gate, theorem, verdict.
 
     Lemma (the precision certificate).  ``theorem_decide`` reads only
-    the digit trie (depths, nu, lambda), ``tau_perm`` and ``frob_perm``,
-    the radicand leading terms (W, u), and ``center_value_is_square``.
-    Each is read from trusted digits or the read raises
-    PrecisionExhausted:
+    the digit trie (depths, nu, lambda, and the digit each child keeps
+    at its parent's split), ``tau_perm`` and ``frob_perm``, and
+    ``center_value_is_square``.  Each is read from trusted digits or the
+    read raises PrecisionExhausted:
 
     * the trie comes from ``curves.match_key``, which raises on any
       digit at or above an element's trusted level; roots equal in every
       stored digit are decided exactly by the resultant of f and f'
       (``curves.extract_roots``);
+    * a child's digit at its parent's level N was read by ``match_key``
+      at N + 1, and the radicands' leading terms (W, u) are products of
+      differences of these digits (``ClusterAnalysis.radicand``);
     * the permutations read no digit: ``curves.galois_perms`` derives
-      them exactly from the roots' (factor, branch) tags;
-    * radicands and differences go through ``tame._normalise``, which
-      raises when a nonzero leading digit, or a zero, is known only
-      from untrusted digits;
-    * the centroid is read through a truncation z with v(z - centroid)
-      >= N, and each factor is read below pi^N only: one with no digit
-      there counts only by a lower bound
+      them exactly from the roots' (factor, branch) tags, and the Galois
+      data are their maps on the trie's nodes;
+    * only the centroid still goes through ``tame._normalise``, which
+      raises when a nonzero leading digit, or a zero, is known only from
+      untrusted digits: it is read through a truncation z with
+      v(z - centroid) >= N, and each factor is read below pi^N only; one
+      with no digit there counts only by a lower bound
       (``ClusterAnalysis.center_value_is_square``).
 
     Trusted digits are those of the exact roots, so when no read raises

@@ -150,3 +150,74 @@ def frob(x):
     if x.is_zero or t.d == 1:
         return x
     return Elt(t, x.vL, tuple(w_frob(t, c) for c in x.unit), x.rel)
+
+
+# --- the reference Galois data and radicands on sets of roots ---
+#
+# The package reads both off the cluster tree (``ClusterAnalysis``): the
+# action as node maps, the radicands from the children's digits.  These
+# enumerate the permutation group and subtract roots, as they were first
+# computed.
+
+def reference_group(A):
+    """All permutations of the roots generated by tau and frob."""
+    gens = [tuple(A.rs.tau_perm), tuple(A.rs.frob_perm)]
+    seen = {tuple(range(A.rs.size))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = tuple(h[i] for i in g)
+                if gh not in seen:
+                    seen.add(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    return sorted(seen)
+
+
+def reference_image(A, node, word):
+    """The node whose root set is the image of the node's under tau^a frob^b."""
+    idx = set(node.roots)
+    for _ in range(word.b):
+        idx = {A.rs.frob_perm[i] for i in idx}
+    for _ in range(word.a):
+        idx = {A.rs.tau_perm[i] for i in idx}
+    return next(n for n in A.picture.nodes if set(n.roots) == idx)
+
+
+def reference_galois(A):
+    """{node: (fixed_inertia, fixed_frob, stable_children, orbit)} for proper nodes.
+
+    Stable children are fixed by every group element stabilising the
+    node; orbits are numbered by the first appearance of their least
+    sorted image in ``picture.proper()``.
+    """
+    group = reference_group(A)
+    out, orbits = {}, {}
+    for node in A.picture.proper():
+        s = frozenset(node.roots)
+        stab = [g for g in group if frozenset(g[i] for i in node.roots) == s]
+        stable = tuple(c for c in node.children
+                       if all(frozenset(g[i] for i in c.roots) == frozenset(c.roots)
+                              for g in stab))
+        key = min(tuple(sorted(g[i] for i in node.roots)) for g in group)
+        orbit = orbits.setdefault(key, len(orbits))
+        out[node] = (frozenset(A.rs.tau_perm[i] for i in node.roots) == s,
+                     frozenset(A.rs.frob_perm[i] for i in node.roots) == s,
+                     stable, orbit)
+    return out
+
+
+def reference_radicand(A, node):
+    """(W, u) of c_f prod_{r not in node}(z - r), subtracting every root from z."""
+    t = A.tower
+    z = A.rs.roots[node.roots[0]]
+    lead = t.from_int(A.expr.c_unit).shift(t.e * A.expr.c_pow)
+    w, u = lead.vL, lead.residue()
+    for i, r in enumerate(A.rs.roots):
+        if i not in node.roots:
+            diff = z - r
+            w += diff.vL
+            u = t.fq.mul(u, diff.residue())
+    return w, u

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import EX1, EX2, EX3
 from clustersol.cli import main
+from test_certificate import close_centres
 
 
 def run(capsys, *argv):
@@ -100,6 +101,13 @@ def test_render_formats(capsys):
     code, out, _ = run(capsys, "render", "--expr", EX3[0], "--p", "7",
                        "--format", "latex")
     assert code == 0 and "\\clusterpicture" in out
+
+
+def test_render_climbs_the_precision_ladder(capsys):
+    # roots 1 and 1 + 7^20 agree in more digits than the first pass stores;
+    # analyze decides the curve at a higher rung, so render draws it there
+    code, out, _ = run(capsys, "render", "--expr", close_centres(20), "--p", "7")
+    assert code == 0 and "d=20" in out
 
 
 def test_compare_small_and_deterministic(capsys):

@@ -36,7 +36,7 @@ def reference_valuation_matrix(rs):
     return mat
 
 
-def reference_build_picture(rs, expr, mat):
+def reference_build_picture(rs, mat):
     """Ultrametric agglomeration of the root set by the valuation matrix."""
 
     def make(indices):
@@ -55,7 +55,7 @@ def reference_build_picture(rs, expr, mat):
         children.sort(key=lambda c: c.roots[0])
         return ClusterNode(indices, depth, children)
 
-    return ClusterPicture(make(list(range(rs.size))), rs, expr)
+    return ClusterPicture(make(list(range(rs.size))))
 
 
 def reference_nu(expr, mat, node, z):
@@ -84,7 +84,7 @@ def test_picture_and_nu_match_reference(scale):
         expr, rs = _root_set(text, p, scale)
         mat = reference_valuation_matrix(rs)
         picture = build_picture(galois_perms(rs), expr)
-        assert picture.serialize() == reference_build_picture(rs, expr, mat).serialize(), \
+        assert picture.serialize() == reference_build_picture(rs, mat).serialize(), \
             (text, p)
         A = ClusterAnalysis(expr, rs, picture)
         for node in picture.proper():

@@ -1,0 +1,87 @@
+"""Galois data and radicands read off the cluster tree, against references.
+
+Production acts on nodes by maps built once from the root permutations,
+and reads each radicand from the children's digits at every split above
+the cluster.  The references in ``conftest`` enumerate the permutation
+group on sets of roots and subtract roots at full precision.
+"""
+
+import pytest
+
+from conftest import (EX1, EX2, EX3, reference_galois, reference_image,
+                      reference_radicand)
+from clustersol.clusters import analyse
+from clustersol.corpus import generate_corpus
+from clustersol.curves import digit, parse_expr
+from test_epsilon_reference import NON_STABLE
+
+# exact zero roots, and children whose roots all have vL above the level
+# of the parent's split, so that their digit there is zero
+ZERO_DIGITS = [("(x)*(x^2-p^3)*(x-1)*(x-2)*(x-3)", 7),
+               ("(x)*(x-1)*(x-2)*(x-3)*(x-4)", 11),
+               ("2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)", 13)]
+CURVES = NON_STABLE + ZERO_DIGITS + [EX1, EX3, (EX2, 7), (EX2, 13)]
+CURVES += [(t, p) for p, t in generate_corpus(31, 60, [7, 11, 13, 17, 19, 23])]
+CURVES += [(t, p) for p, t in generate_corpus(32, 12, [101, 103], genus_range=(3, 4))]
+CURVES += [(t, p) for p, t in generate_corpus(33, 6, [1009], genus_range=(3, 4))]
+
+
+@pytest.fixture(scope="module")
+def analyses():
+    return [analyse(parse_expr(text, p)) for text, p in CURVES]
+
+
+def _level(A, node):
+    return int(node.depth * A.tower.e)
+
+
+def test_the_corpus_reaches_every_case(analyses):
+    assert sum("zeta" in text for text, _ in CURVES) >= 20
+    assert {101, 103, 1009} <= {A.expr.p for A in analyses}
+    assert any(r.is_zero for A in analyses for r in A.rs.roots)
+    assert any(all(not A.rs.roots[i].is_zero and A.rs.roots[i].vL > _level(A, n)
+                   for i in c.roots)
+               for A in analyses for n in A.picture.proper() for c in n.children)
+    recs = [rec for A in analyses for rec in A.inv.values()]
+    assert any(not rec.fixed_frob for rec in recs)
+    assert any(not rec.fixed_inertia for rec in recs)
+    assert any(0 < len(rec.stable_children) < len(node.children)
+               for A in analyses for node, rec in A.inv.items())
+
+
+def test_galois_data_matches_the_group_reference(analyses):
+    for A in analyses:
+        for node, ref in reference_galois(A).items():
+            rec = A.inv[node]
+            got = (rec.fixed_inertia, rec.fixed_frob, rec.stable_children, rec.orbit)
+            assert got == ref, (A.expr.text, node.name)
+            assert rec.fixed_galois == (ref[0] and ref[1])
+
+
+def test_images_match_the_root_set_reference(analyses):
+    for A in analyses:
+        for node in A.picture.nodes:
+            for w in A.epsilon_words():
+                assert A.image(node, w) is reference_image(A, node, w), \
+                    (A.expr.text, node, w)
+
+
+def test_radicands_match_the_subtraction_reference(analyses):
+    for A in analyses:
+        for node in A.picture.proper():
+            assert A.radicand(node) == reference_radicand(A, node), (A.expr.text, node.name)
+
+
+def test_split_digits_give_the_leading_coefficient_of_a_difference(analyses):
+    for A in analyses:
+        p = A.tower.p
+        for node in A.picture.proper():
+            level = _level(A, node)
+            for c in node.children:
+                assert c.digit == digit(A.rs.roots[c.roots[-1]], level)
+                for b in node.children:
+                    if b is not c:
+                        diff = A.rs.roots[c.roots[0]] - A.rs.roots[b.roots[0]]
+                        assert diff.vL == level
+                        assert diff.residue() == tuple(
+                            (x - y) % p for x, y in zip(c.digit, b.digit))
