@@ -28,23 +28,25 @@ from .curves import (expand_to_integer_poly, galois_closure_check, parse_expr,
                      read_curve_file, require_odd_prime)
 from .decision import CONDITION_IDS, solubility_decide
 from .errors import ClusterSolError, InternalError, ParseError, PrecisionExhausted
+from .numutil import rational_str
 
 # The oracle and the renderer are imported by the subcommands that run them,
 # so that a one-curve ``analyze`` neither loads nor compiles them.
 
 
-def _invariant_row(rec):
+def _invariant_row(rec, e):
+    """A cluster's invariants, its rationals (integers over e or 2e) written as fractions."""
     return {
         "name": rec.name,
         "roots": [r + 1 for r in rec.roots],
         "size": rec.size,
-        "d": str(rec.depth),
-        "delta": None if rec.delta is None else str(rec.delta),
-        "nu": str(rec.nu),
-        "lambda": str(rec.lam),
+        "d": rational_str(rec.depth_e, e),
+        "delta": None if rec.delta_e is None else rational_str(rec.delta_e, e),
+        "nu": rational_str(rec.nu_e, e),
+        "lambda": rational_str(rec.lam_2e, 2 * e),
         "e": rec.e,
         "genus": rec.genus,
-        "vKc": str(rec.vKc),          # convention value, see markers
+        "vKc": rational_str(rec.vKc_e, e),  # convention value, see markers
         "parity": "even" if rec.is_even else "odd",
         "flags": {
             "ubereven": rec.ubereven,
@@ -74,7 +76,7 @@ def build_report(expr, verdict, analysis, oracle_result=None):
         "tower": {"d": analysis.tower.d, "e": analysis.tower.e,
                   "prec": analysis.tower.e * analysis.tower.M},
         "picture": analysis.picture.serialize(),
-        "invariants": [_invariant_row(analysis.inv[n])
+        "invariants": [_invariant_row(analysis.inv[n], analysis.tower.e)
                        for n in analysis.picture.proper()],
         "conditions": [{
             "id": cid,

@@ -6,10 +6,14 @@ each proper cluster we compute depth, relative depth, nu, lambda, e,
 genus, the classification flags, the Galois action, and the +-1
 characters epsilon_s attached to even clusters and cotwins.
 
-All but the centroid is read off the tree.  tau and frob act as maps on
-its nodes.  A root r outside s meets s at the level N of the least
-cluster holding both, and z_s - r leads with the difference of the
-digits at pi^N that the two children holding them keep.
+Every quantity is read off the tree, as an integer or in F_q.  Depths
+are kept as levels N in pi units, depth N/e for the tower's e, and nu,
+lambda and the other invariants as integers over e or 2e; only a
+printed picture or report writes them as fractions.  tau and frob act
+as maps on the nodes.  A root r outside s meets s at the level N of the
+least cluster holding both, and z_s - r leads with the difference of
+the digits at pi^N that the two children holding them keep.  The
+centroid's factors are read from the digits of s's own split.
 
 Character computation never enlarges the tower.  The radicand
 theta^2 = c_f prod_{r not in s}(z_s - r) of the star s is read through its
@@ -39,11 +43,11 @@ canonical square root of zeta_e.  Triviality is then checked word by word.
 """
 
 import math
-from fractions import Fraction
 
-from .errors import InternalError, PrecisionExhausted
-from .curves import digit, extract_roots, galois_perms, perm_order, required_tower
-from .tame import FROB, TAU, GaloisWord, get_tower, truncated_sum
+from .errors import InternalError
+from .curves import extract_roots, galois_perms, perm_order, required_tower
+from .numutil import rational_str
+from .tame import FROB, TAU, GaloisWord, get_tower
 
 
 # ------------------------------------------------------------------
@@ -51,11 +55,15 @@ from .tame import FROB, TAU, GaloisWord, get_tower, truncated_sum
 # ------------------------------------------------------------------
 
 class ClusterNode:
-    __slots__ = ("roots", "depth", "parent", "children", "name", "digit")
+    __slots__ = ("roots", "size", "is_proper", "is_even", "level", "parent",
+                 "children", "name", "digit")
 
-    def __init__(self, roots, depth, children):
+    def __init__(self, roots, level, children):
         self.roots = tuple(sorted(roots))
-        self.depth = depth            # Fraction, or None for singletons
+        self.size = len(self.roots)
+        self.is_proper = self.size > 1
+        self.is_even = self.size % 2 == 0
+        self.level = level            # depth level/e: pi units of the tower; None for singletons
         self.parent = None
         self.children = children
         self.name = None
@@ -63,28 +71,17 @@ class ClusterNode:
         for c in children:
             c.parent = self
 
-    @property
-    def size(self):
-        return len(self.roots)
-
-    @property
-    def is_proper(self):
-        return self.size > 1
-
-    @property
-    def is_even(self):
-        return self.size % 2 == 0
-
     def __repr__(self):
-        d = "inf" if self.depth is None else str(self.depth)
-        return f"ClusterNode({list(self.roots)}, d={d})"
+        n = "inf" if self.level is None else self.level
+        return f"ClusterNode({list(self.roots)}, N={n})"
 
 
 class ClusterPicture:
-    """The full laminar tree, its nodes listed parents first."""
+    """The full laminar tree, its nodes listed parents first; e is the tower's."""
 
-    def __init__(self, top):
+    def __init__(self, top, e):
         self.top = top
+        self.e = e
         self.nodes = []
         self._collect(top)
         self._assign_names()
@@ -115,25 +112,26 @@ class ClusterPicture:
         if not node.is_proper:
             return f"r{node.roots[0] + 1}"
         inner = " ".join(self.serialize(c) for c in node.children)
-        return f"{{d={node.depth} {inner}}}"
+        return f"{{d={rational_str(node.level, self.e)} {inner}}}"
 
 
 def build_picture(rs, expr):
-    """The cluster tree: the root set's digit trie wrapped in nodes, with their digits."""
+    """The cluster tree: the root set's digit trie wrapped in nodes, with their split digits."""
     if rs.size < 5:
         raise InternalError("picture needs at least 5 roots")
-    e = rs.tower.e
 
     def make(node):
         if isinstance(node, int):
             return ClusterNode([node], None, [])
-        level, children = node
-        kids = [make(c) for c in children]
-        for c in kids:
-            c.digit = digit(rs.roots[c.roots[0]], level)
-        return ClusterNode([i for c in kids for i in c.roots], Fraction(level, e), kids)
+        level, split = node
+        kids = []
+        for dg, sub in split.items():
+            kid = make(sub)
+            kid.digit = dg
+            kids.append(kid)
+        return ClusterNode([i for c in kids for i in c.roots], level, kids)
 
-    return ClusterPicture(make(rs.trie))
+    return ClusterPicture(make(rs.trie), rs.tower.e)
 
 
 # ------------------------------------------------------------------
@@ -214,12 +212,14 @@ def canonical_sqrt_symbol(fq, u):
 class ClusterInvariants:
     """A proper cluster's invariants, set by keyword; the characters are filled in later.
 
-    delta (relative depth) is None for the top cluster, eps_tau is 0 when
-    epsilon is undefined for the cluster.
+    Rational invariants are integers over the tower's e: depth_e = e*d,
+    delta_e = e*(relative depth), None for the top cluster, nu_e = e*nu and
+    vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the cluster's own e_s.
+    eps_tau is 0 when epsilon is undefined for the cluster.
     """
 
-    __slots__ = ("name", "roots", "size", "depth", "delta", "nu", "lam", "e", "genus",
-                 "vKc", "is_even", "ubereven", "twin", "cotwin", "principal",
+    __slots__ = ("name", "roots", "size", "depth_e", "delta_e", "nu_e", "lam_2e", "e",
+                 "genus", "vKc_e", "is_even", "ubereven", "twin", "cotwin", "principal",
                  "fixed_inertia", "fixed_frob", "fixed_galois", "orbit",
                  "eps_tau", "eps_frob", "stable_children")
 
@@ -255,16 +255,16 @@ class ClusterAnalysis:
 
     # --- invariants ---
 
-    def nu(self, node):
-        """c_pow + sum over all roots r of min(d, v(z - r)), z in the node.
+    def nu_e(self, node):
+        """e*nu = e*c_pow + sum over all roots r of min(N, e v(z - r)), z in the node.
 
-        v(z - r) for r outside the node is the depth of the least cluster
-        holding both, so the sum walks up the parent chain.
+        e v(z - r) for r outside the node is the level of the least
+        cluster holding both, so the sum walks up the parent chain.
         """
-        total = self.expr.c_pow + node.size * node.depth
+        total = self.tower.e * self.expr.c_pow + node.size * node.level
         child, a = node, node.parent
         while a is not None:
-            total += (a.size - child.size) * a.depth
+            total += (a.size - child.size) * a.level
             child, a = a, a.parent
         return total
 
@@ -273,8 +273,8 @@ class ClusterAnalysis:
 
         The stable children are those fixed by every word fixing the node.
         """
-        d = node.depth
-        nu = self.nu(node)
+        n, e = node.level, self.tower.e
+        nu = self.nu_e(node)
         stab = [k for k, img in enumerate(self._images[node]) if img is node]
         fixed_inertia = self.image(node, TAU) is node
         fixed_frob = self.image(node, FROB) is node
@@ -288,13 +288,13 @@ class ClusterAnalysis:
             name=node.name,
             roots=node.roots,
             size=node.size,
-            depth=d,
-            delta=None if node.parent is None else d - node.parent.depth,
-            nu=nu,
-            lam=nu / 2 - d * sum(c.size // 2 for c in node.children),
-            e=math.lcm(d.denominator, (nu / 2).denominator),
+            depth_e=n,
+            delta_e=None if node.parent is None else n - node.parent.level,
+            nu_e=nu,
+            lam_2e=nu - 2 * n * sum(c.size // 2 for c in node.children),
+            e=math.lcm(e // math.gcd(n, e), 2 * e // math.gcd(nu, 2 * e)),
             genus=max(0, (sum(c.size % 2 for c in node.children) - 1) // 2),
-            vKc=nu - node.size * d,
+            vKc_e=nu - node.size * n,
             is_even=node.is_even,
             ubereven=ubereven,
             twin=node.size == 2,
@@ -355,34 +355,6 @@ class ClusterAnalysis:
             return next(c for c in node.children if c.size == 2 * self.curve_genus)
         return node
 
-    def _leading_term(self, z, roots, N):
-        """(W, u, exact) for c_f prod_{r in roots}(z - r): valuations add, residues multiply.
-
-        z stands for a value it agrees with below pi^N.  A factor z - r
-        whose trusted digits run out is read below pi^N only
-        (``tame.truncated_sum``); one that is zero or has no digit below
-        pi^N is known only to have valuation at least min(N, the level to
-        which r is trusted): it adds that bound to W and leaves exact
-        False.  Every difference is still computed, so a cancellation
-        below the trusted digits raises wherever it occurs.
-        """
-        t = self.tower
-        fq = t.fq
-        lead = t.from_int(self.expr.c_unit).shift(t.e * self.expr.c_pow)
-        w, u, exact = lead.vL, lead.residue(), True
-        for r in roots:
-            try:
-                diff = z - r
-            except PrecisionExhausted:    # trusted digits ran out: read below pi^N
-                diff = truncated_sum(t, [z, -r], N)[0]
-            if diff.is_zero or diff.vL >= N:
-                w += min(N, r.abs_prec)
-                exact = False
-            else:
-                w += diff.vL
-                u = fq.mul(u, diff.residue())
-        return w, u, exact
-
     def radicand(self, node):
         """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r), z in the node.
 
@@ -397,10 +369,9 @@ class ClusterAnalysis:
         w, u = t.e * self.expr.c_pow, fq.from_int(self.expr.c_unit)
         child, a = node, node.parent
         while a is not None:
-            level = int(a.depth * t.e)
             for b in a.children:
                 if b is not child:
-                    w += level * b.size
+                    w += a.level * b.size
                     diff = tuple([(x - y) % p for x, y in zip(child.digit, b.digit)])
                     u = fq.mul(u, fq.pow(diff, b.size))
             child, a = a, a.parent
@@ -508,34 +479,37 @@ class ClusterAnalysis:
         The centroid of a Galois-fixed cluster is Q_p-rational; f evaluated
         there has valuation nu_s (for a twin always exactly), and the point
         search succeeds at the centre precisely when the unit part is a
-        quadratic residue.  None when the valuation is not nu_s.
+        quadratic residue.  None when the valuation is not nu_s, or the
+        value is not in Q_p.
 
-        The centroid is read through a truncation z with v(z - centroid)
-        >= N (``tame.truncated_sum``); z is zero when the roots' sum
-        cancels in every trusted digit, as for an exact zero centroid.  A
-        root r with v(z - r) < N gives centroid - r the leading term of
-        z - r.  Any other root bounds v(centroid - r) from below only:
-        that decides None when the bound already exceeds nu, and raises
-        PrecisionExhausted otherwise.
+        Read from the node's split at level N: its roots agree below pi^N,
+        and child c keeps its digit delta_c at pi^N.  With p not dividing
+        |s|, the centroid z agrees with them below pi^N and has digit
+        m = sum |c| delta_c / |s| there.  So z - r leads as in the
+        radicand for r outside s, and with (m - delta_c) pi^N for r in c:
+        a child with delta_c = m puts v(f(z)) above nu.  When p divides
+        |s| the mean leaves the cluster's disc, and there is no answer;
+        the gate excludes that case, as p > 2(g^2 - 1) >= 2g + 2 >= |s|.
         """
-        t = self.tower
-        n = node.size
-        z, N = truncated_sum(t, [self.rs.roots[i] for i in node.roots])
-        inv_n = t.from_int(pow(n, -1, t.pM)) if n % t.p else t.from_int(n).inv()
-        z = z * inv_n
-        N = min(N + inv_n.vL, z.abs_prec)
-        w, res, exact = self._leading_term(z, self.rs.roots, N)
-        nu = self.inv[node].nu
-        if not exact:
-            if Fraction(w, t.e) > nu:
-                return None
-            raise PrecisionExhausted(
-                f"centroid of cluster {node.name} known only below pi^{N}")
-        if Fraction(w, t.e) != nu:
-            return None  # degenerate centroid; no verdict from this test
-        if any(c != 0 for c in res[1:]):
+        fq = self.tower.fq
+        p, n = fq.p, node.size
+        if n % p == 0:
+            return None
+        m = [0] * fq.d
+        for c in node.children:
+            for j, x in enumerate(c.digit):
+                m[j] += c.size * x
+        inv_n = pow(n, -1, p)
+        m = [x * inv_n % p for x in m]
+        u = self.radicand(node)[1]
+        for c in node.children:
+            diff = tuple([(x - y) % p for x, y in zip(m, c.digit)])
+            if not any(diff):
+                return None  # v(f(z)) > nu: no verdict from this test
+            u = fq.mul(u, fq.pow(diff, c.size))
+        if any(u[1:]):
             return None  # not Q_p-rational; should not happen for fixed clusters
-        return pow(res[0], (t.p - 1) // 2, t.p) == 1
+        return pow(u[0], (p - 1) // 2, p) == 1
 
     def dual_pair_swap(self, cotwin_node):
         """Swap characters (under tau, frob) of the cotwin's dual pair.

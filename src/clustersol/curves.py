@@ -8,13 +8,13 @@ with integer-or-cyclotomic centers, n_i and the conductors prime to p,
 and u_i a nonzero integer prime to p.  This family admits exact root
 extraction in a tame tower; anything else is rejected as unsupported.
 
-Pairwise valuations are read one way only: v(x - y) >= N exactly when x
-and y agree in every pi-adic digit below pi^N (``match_key``).  So the
-roots' digit trie is their cluster tree (``digit_trie``), and x - y
-leads with the difference of their digits at pi^N, N = v(x - y)
-(``digit``).  The Galois action on the roots reads no digit at all: each
-root is tagged by its factor and branch, and tau and frob permute the
-tags (``galois_perms``).
+Pairwise valuations are read one way only, one trusted pi-adic digit at
+a time (``digit``): v(x - y) >= N exactly when x and y agree in every
+digit below pi^N.  So the roots' digit trie is their cluster tree
+(``digit_trie``), and x - y leads with the difference of their digits at
+pi^N, N = v(x - y).  The Galois action on the roots reads no digit at
+all: each root is tagged by its factor and branch, and tau and frob
+permute the tags (``galois_perms``).
 """
 
 import math
@@ -577,11 +577,13 @@ def extract_roots(expr, tower):
 
 
 def digit_trie(roots, tags):
-    """The roots' cluster tree: a node is a root index or (N, children).
+    """The roots' cluster tree: a node is a root index or (N, {digit: child}).
 
     Its roots agree below pi^N but not below pi^(N+1), so N is their least
-    pairwise valuation in pi units; the children bucket them by
-    ``match_key`` at N + 1, which raises when a digit is not trusted.
+    pairwise valuation in pi units.  The children bucket them by their
+    ``digit`` at pi^N, which raises when the digit is not trusted, and are
+    keyed by it.  Roots agreeing below pi^N that share that digit agree
+    below pi^(N+1), so one digit per root and level splits the trie.
     """
     groups = {}
     for i, r in enumerate(roots):
@@ -597,51 +599,31 @@ def digit_trie(roots, tags):
         while True:
             buckets = {}
             for i in block:
-                buckets.setdefault(match_key(roots[i], N + 1), []).append(i)
+                buckets.setdefault(digit(roots[i], N), []).append(i)
             if len(buckets) > 1:
-                return (N, [split(b, N + 1) for b in buckets.values()])
+                return (N, {dg: split(b, N + 1) for dg, b in buckets.items()})
             N += 1
 
     return split(list(range(len(roots))),
                  min([r.vL for r in roots if not r.is_zero], default=0))
 
 
-def match_key(x, N):
-    """The pi-adic digits of x below pi^N, as a hashable key.
-
-    Two elements have equal keys exactly when v(x - y) >= N: the same vL
-    and, column by column, the same W coordinates mod p^ceil((N - vL - i)/e)
-    for column i.  Elements with vL >= N (and zero) share the key None.
-    Only trusted digits are read; a key that needs more raises
-    PrecisionExhausted.
-    """
-    if x.is_zero or x.vL >= N:
-        return None
-    t = x.tower
-    if N > x.abs_prec:
-        raise PrecisionExhausted(
-            f"matching needs digits below pi^{N}, trusted only below pi^{x.abs_prec}")
-    key = [x.vL]
-    for i, col in enumerate(x.unit):
-        k = -(-(N - x.vL - i) // t.e)
-        if k <= 0:
-            break
-        m = t.p ** k
-        key.append(tuple([c % m for c in col]))
-    return tuple(key)
-
-
 def digit(x, N):
     """The pi-adic digit of x at pi^N, in F_q: zero when x is zero or vL > N.
 
-    It is the p^k digit of column i for N - vL = i + ek, so it is trusted
-    wherever ``match_key(x, N + 1)`` does not raise.
+    It is the p^k digit of column i for N - vL = i + ek.  Digits below
+    the trusted level abs_prec are read; one at or above it raises
+    PrecisionExhausted.
     """
     t = x.tower
     if x.is_zero or x.vL > N:
         return t.fq.zero
+    if N >= x.abs_prec:
+        raise PrecisionExhausted(
+            f"matching needs digits below pi^{N + 1}, trusted only below pi^{x.abs_prec}")
     k, i = divmod(N - x.vL, t.e)
-    return tuple([c // t.p ** k % t.p for c in x.unit[i]])
+    pk, p = t.p ** k, t.p
+    return tuple([c // pk % p for c in x.unit[i]])
 
 
 def galois_perms(rs):

@@ -9,12 +9,12 @@ even after one fires.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .clusters import analyse, default_precision
 from .curves import required_tower
 from .errors import PrecisionExhausted
+from .numutil import rational_str
 from .tame import FROB, TAU, stored_digits
 
 CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
@@ -65,29 +65,38 @@ class SolubilityVerdict(NamedTuple):
     odd_degree_consistent: bool = True
 
 
-def interval_has_integer(lo, hi):
-    """[lo, hi] cap Z nonempty, closed endpoints, exact rationals."""
-    return math.ceil(lo) <= math.floor(hi)
+def interval_has_integer(lo, hi, den):
+    """[lo/den, hi/den] cap Z nonempty, closed endpoints, for den > 0."""
+    return -(-lo // den) <= hi // den
 
 
-def is_int(x):
-    return Fraction(x).denominator == 1
+def is_int(n, den):
+    """Whether n/den is an integer."""
+    return n % den == 0
 
 
-def is_even_int(x):
-    x = Fraction(x)
-    return x.denominator == 1 and x.numerator % 2 == 0
+def is_even_int(n, den):
+    """Whether n/den is an even integer."""
+    return n % (2 * den) == 0
 
 
 def theorem_decide(A):
     """Evaluate all theorem conditions on a ClusterAnalysis.
 
-    Returns (component_yes, {cid: ConditionReport}).
+    Depths, nu and relative depths are integers over the tower's e, lambda
+    and the (iii) and (vi.a) interval ends over 2e (``ClusterInvariants``);
+    witnesses write them as fractions.  Returns (component_yes,
+    {cid: ConditionReport}).
     """
     reports = {cid: ConditionReport(cid) for cid in CONDITION_IDS}
     top = A.picture.top
     top_rec = A.inv[top]
     proper = A.picture.proper()
+    e = A.tower.e
+    e2 = 2 * e
+
+    def q(n, den=e):
+        return rational_str(n, den)
 
     def rec(n):
         return A.inv[n]
@@ -96,7 +105,7 @@ def theorem_decide(A):
         return not rec(n).ubereven or A.eps_trivial_galois(n)
 
     def center_ok(n):
-        return is_int(rec(n).depth) or A.center_value_is_square(n) is True
+        return is_int(rec(n).depth_e, e) or A.center_value_is_square(n) is True
 
     # (i) and the (ii) preamble
     for s in proper:
@@ -118,15 +127,15 @@ def theorem_decide(A):
                 reports["ii.b"].fire(r.name, {"route": "stable singleton"})
             elif (r.genus == 0 and not r.ubereven
                   and not any(c.size > 1 and c.size % 2 == 1 for c in stable)
-                  and is_even_int(r.nu) and center_ok(s)):
+                  and is_even_int(r.nu_e, e) and center_ok(s)):
                 reports["ii.b"].fire(r.name,
                                      {"route": "genus 0, no proper stable odd child",
-                                      "nu": str(r.nu)}, marker=True)
+                                      "nu": q(r.nu_e)}, marker=True)
             # (ii)(c)
             if (not any(c.size > 1 for c in stable)
-                    and is_int(r.lam) and is_even_int(r.nu)
+                    and is_int(r.lam_2e, e2) and is_even_int(r.nu_e, e)
                     and (r.genus > 0 or r.ubereven) and center_ok(s)):
-                reports["ii.c"].fire(r.name, {"lambda": str(r.lam), "nu": str(r.nu)},
+                reports["ii.c"].fire(r.name, {"lambda": q(r.lam_2e, e2), "nu": q(r.nu_e)},
                                      marker=True)
             # (ii)(d)
             singles = [c for c in s.children if c.size == 1]
@@ -146,19 +155,20 @@ def theorem_decide(A):
             if not (rp.principal and rp.fixed_galois):
                 continue
             if rp.size % 2 == 1:
-                lo, hi = -r.lam - rp.delta / 2, -r.lam
-                if interval_has_integer(lo, hi):
+                lo, hi = -r.lam_2e - rp.delta_e, -r.lam_2e
+                interval = [q(lo, e2), q(hi, e2)]
+                if interval_has_integer(lo, hi, e2):
                     reports["iii"].fire(f"{rp.name}<{r.name}",
-                                        {"branch": "odd", "interval": [str(lo), str(hi)]})
+                                        {"branch": "odd", "interval": interval})
                 else:
                     reports["iii"].note(f"{rp.name}<{r.name}",
-                                        {"branch": "odd", "interval": [str(lo), str(hi)],
+                                        {"branch": "odd", "interval": interval,
                                          "integer_intersection": "empty"})
             else:
-                if A.eps_trivial_galois(sp) and interval_has_integer(-rp.depth, -r.depth):
+                lo, hi = -rp.depth_e, -r.depth_e
+                if A.eps_trivial_galois(sp) and interval_has_integer(lo, hi, e):
                     reports["iii"].fire(f"{rp.name}<{r.name}",
-                                        {"branch": "even",
-                                         "interval": [str(-rp.depth), str(-r.depth)]})
+                                        {"branch": "even", "interval": [q(lo), q(hi)]})
 
     # (iv) twins
     for s in proper:
@@ -168,23 +178,23 @@ def theorem_decide(A):
         parent = s.parent
         triv_inertia = A.eps_trivial_inertia(s)
         if A.eps_trivial_galois(s):
-            lo, hi = -r.depth, -rec(parent).depth
-            if interval_has_integer(lo, hi):
-                reports["iv.a"].fire(r.name, {"interval": [str(lo), str(hi)]})
+            lo, hi = -r.depth_e, -rec(parent).depth_e
+            if interval_has_integer(lo, hi, e):
+                reports["iv.a"].fire(r.name, {"interval": [q(lo), q(hi)]})
             else:
-                reports["iv.a"].note(r.name, {"interval": [str(lo), str(hi)],
+                reports["iv.a"].note(r.name, {"interval": [q(lo), q(hi)],
                                               "integer_intersection": "empty"})
         if (triv_inertia and A.epsilon(s, FROB) == -1
-                and is_int(r.depth) and is_even_int(r.nu)):
-            reports["iv.b"].fire(r.name, {"d": str(r.depth), "nu": str(r.nu)})
+                and is_int(r.depth_e, e) and is_even_int(r.nu_e, e)):
+            reports["iv.b"].fire(r.name, {"d": q(r.depth_e), "nu": q(r.nu_e)})
         if not triv_inertia:
             if A.roots_fixed_pointwise(s):
                 reports["iv.c"].fire(r.name, {"route": "rational branch points"},
                                      marker=True)
-            elif is_even_int(r.nu) and (is_int(r.depth)
-                                        or A.center_value_is_square(s)):
+            elif is_even_int(r.nu_e, e) and (is_int(r.depth_e, e)
+                                             or A.center_value_is_square(s)):
                 reports["iv.c"].fire(r.name, {"route": "crosses fixed",
-                                              "nu": str(r.nu), "d": str(r.depth)},
+                                              "nu": q(r.nu_e), "d": q(r.depth_e)},
                                      marker=True)
 
     if not top_rec.principal:
@@ -194,15 +204,14 @@ def theorem_decide(A):
             if not (r.cotwin and r.fixed_galois):
                 continue
             child = next(c for c in s.children if c.size == 2 * A.curve_genus)
-            d_child = rec(child).depth if child.is_proper else None
             triv_inertia = A.eps_trivial_inertia(s)
-            if A.eps_trivial_galois(s) and d_child is not None:
-                lo, hi = -d_child, -r.depth
-                if interval_has_integer(lo, hi):
-                    reports["v.a"].fire(r.name, {"interval": [str(lo), str(hi)]})
+            if A.eps_trivial_galois(s) and child.is_proper:
+                lo, hi = -child.level, -r.depth_e
+                if interval_has_integer(lo, hi, e):
+                    reports["v.a"].fire(r.name, {"interval": [q(lo), q(hi)]})
             if (triv_inertia and A.epsilon(s, FROB) == -1
-                    and is_int(r.depth) and is_even_int(r.nu)):
-                reports["v.b"].fire(r.name, {"d": str(r.depth), "nu": str(r.nu)})
+                    and is_int(r.depth_e, e) and is_even_int(r.nu_e, e)):
+                reports["v.b"].fire(r.name, {"d": q(r.depth_e), "nu": q(r.nu_e)})
             if not triv_inertia:
                 tau_swaps, frob_swaps = A.dual_pair_swap(s)
                 if tau_swaps or not frob_swaps:
@@ -224,24 +233,24 @@ def theorem_decide(A):
                         # singleton child: the relative depth is infinite, the
                         # interval unbounded below, and the root is rational
                         reports["vi.a"].fire(name,
-                                             {"interval": ["-inf", str(-top_rec.lam)],
+                                             {"interval": ["-inf", q(-top_rec.lam_2e, e2)],
                                               "note": "rational Weierstrass point"},
                                              marker=True)
                     if ra and fixed_in and fixed_fr:
-                        lo, hi = -top_rec.lam - ra.delta / 2, -top_rec.lam
-                        if interval_has_integer(lo, hi):
-                            reports["vi.a"].fire(name,
-                                                 {"interval": [str(lo), str(hi)]},
+                        lo, hi = -top_rec.lam_2e - ra.delta_e, -top_rec.lam_2e
+                        interval = [q(lo, e2), q(hi, e2)]
+                        if interval_has_integer(lo, hi, e2):
+                            reports["vi.a"].fire(name, {"interval": interval},
                                                  marker=True)
                         else:
                             reports["vi.a"].note(
-                                name, {"interval": [str(lo), str(hi)],
+                                name, {"interval": interval,
                                        "integer_intersection": "empty"},
                                 marker=True)
-                    if (fixed_in and not fixed_fr and is_int(top_rec.depth)
-                            and is_even_int(top_rec.nu)):
-                        reports["vi.b"].fire(name, {"d_R": str(top_rec.depth),
-                                                    "nu_R": str(top_rec.nu)},
+                    if (fixed_in and not fixed_fr and is_int(top_rec.depth_e, e)
+                            and is_even_int(top_rec.nu_e, e)):
+                        reports["vi.b"].fire(name, {"d_R": q(top_rec.depth_e),
+                                                    "nu_R": q(top_rec.nu_e)},
                                              marker=True)
                     if swaps and A.epsilon(top, FROB) == 1:
                         reports["vi.c"].fire(name, {"eps_R_frob": 1})
@@ -249,12 +258,12 @@ def theorem_decide(A):
                     if ra is None:
                         continue
                     if fixed_in and fixed_fr and A.eps_trivial_galois(a_node):
-                        lo, hi = -ra.depth, -top_rec.depth
-                        if interval_has_integer(lo, hi):
-                            reports["vi.d"].fire(name, {"interval": [str(lo), str(hi)]})
+                        lo, hi = -ra.depth_e, -top_rec.depth_e
+                        if interval_has_integer(lo, hi, e):
+                            reports["vi.d"].fire(name, {"interval": [q(lo), q(hi)]})
                     if (fixed_in and not fixed_fr and A.eps_trivial_galois(a_node)
-                            and is_int(top_rec.depth)):
-                        reports["vi.e"].fire(name, {"d_R": str(top_rec.depth)})
+                            and is_int(top_rec.depth_e, e)):
+                        reports["vi.e"].fire(name, {"d_R": q(top_rec.depth_e)})
                     if (swaps and A.eps_trivial_galois(a_node)
                             and A.epsilon(top, FROB) == 1):
                         reports["vi.f"].fire(name, {"eps_R_frob": 1})
@@ -289,27 +298,28 @@ def solubility_decide(expr, prec=None):
     """Full pipeline: one certified analysis, gate, theorem, verdict.
 
     Lemma (the precision certificate).  ``theorem_decide`` reads only
-    the digit trie (depths, nu, lambda, and the digit each child keeps
-    at its parent's split), ``tau_perm`` and ``frob_perm``, and
-    ``center_value_is_square``.  Each is read from trusted digits or the
-    read raises PrecisionExhausted:
+    the digit trie (levels, and the digit each child keeps at its
+    parent's split), ``tau_perm`` and ``frob_perm``; depths, nu, lambda
+    and the intervals are integers computed from the levels, and the
+    radicands and the centroid's value are F_q products of split digits.
+    Every digit is read by one reader, ``curves.digit``, which raises
+    PrecisionExhausted on a digit at or above an element's trusted level:
 
-    * the trie comes from ``curves.match_key``, which raises on any
-      digit at or above an element's trusted level; roots equal in every
-      stored digit are decided exactly by the resultant of f and f'
-      (``curves.extract_roots``);
-    * a child's digit at its parent's level N was read by ``match_key``
-      at N + 1, and the radicands' leading terms (W, u) are products of
-      differences of these digits (``ClusterAnalysis.radicand``);
+    * the trie buckets the roots of a block by their digit at its level
+      N; roots equal in every stored digit are decided exactly by the
+      resultant of f and f' (``curves.extract_roots``);
+    * each child keeps the digit it was bucketed by, and the radicands'
+      leading terms (W, u) are products of differences of these digits
+      (``ClusterAnalysis.radicand``);
+    * the centroid of s has digit m = sum |c| delta_c / |s| at the level
+      of its split, so f at the centroid leads with the radicand of s
+      times prod_c (m - delta_c)^|c|, read from the same digits; when
+      p divides |s| the read answers None, a case the gate excludes, as
+      p > 2(g^2 - 1) >= 2g + 2 >= |s| (``center_value_is_square``).  No
+      centroid read raises;
     * the permutations read no digit: ``curves.galois_perms`` derives
       them exactly from the roots' (factor, branch) tags, and the Galois
-      data are their maps on the trie's nodes;
-    * only the centroid still goes through ``tame._normalise``, which
-      raises when a nonzero leading digit, or a zero, is known only from
-      untrusted digits: it is read through a truncation z with
-      v(z - centroid) >= N, and each factor is read below pi^N only; one
-      with no digit there counts only by a lower bound
-      (``ClusterAnalysis.center_value_is_square``).
+      data are their maps on the trie's nodes.
 
     Trusted digits are those of the exact roots, so when no read raises
     every value above equals the one the exact roots give.  A pass at

@@ -15,10 +15,6 @@ class WildRamification(ClusterSolError):
     pass
 
 
-class DivisionByZero(ClusterSolError):
-    pass
-
-
 class ZeroElement(ClusterSolError):
     pass
 

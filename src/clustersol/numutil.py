@@ -2,7 +2,6 @@
 
 import functools
 import math
-from fractions import Fraction
 
 
 def is_prime(n):
@@ -80,9 +79,7 @@ def mult_order(a, m):
 
 
 def vp(n, p):
-    """p-adic valuation of a nonzero integer or Fraction."""
-    if isinstance(n, Fraction):
-        return vp(n.numerator, p) - vp(n.denominator, p)
+    """p-adic valuation of a nonzero integer."""
     if n == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -90,6 +87,18 @@ def vp(n, p):
         n //= p
         v += 1
     return v
+
+
+def lowest_terms(n, d):
+    """(numerator, denominator) of n/d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def rational_str(n, d):
+    """n/d for d > 0, written as str(Fraction(n, d)) writes it: "n" or "a/b"."""
+    n, d = lowest_terms(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # --- exact integer polynomials, little-endian coefficient lists ---

@@ -10,18 +10,14 @@ Both renderers order children by least root index, so output is
 deterministic.
 """
 
-from fractions import Fraction
+from .numutil import lowest_terms, rational_str
 
 
-def _fmt_depth(d):
-    return str(d)
-
-
-def _fmt_depth_latex(d):
-    d = Fraction(d)
-    if d.denominator == 1:
-        return str(d.numerator)
-    return f"\\frac{{{d.numerator}}}{{{d.denominator}}}"
+def _fmt_depth_latex(level, e):
+    n, d = lowest_terms(level, e)
+    if d == 1:
+        return str(n)
+    return f"\\frac{{{n}}}{{{d}}}"
 
 
 def render_ascii(picture, node=None):
@@ -29,7 +25,7 @@ def render_ascii(picture, node=None):
     if not node.is_proper:
         return f"r{node.roots[0] + 1}"
     inner = " ".join(render_ascii(picture, c) for c in node.children)
-    return f"({inner} | d={_fmt_depth(node.depth)})"
+    return f"({inner} | d={rational_str(node.level, picture.e)})"
 
 
 def _latex_name(node, picture):
@@ -57,9 +53,9 @@ def render_latex(picture):
             walk(c)
         counter["c"] += 1
         cid = f"c{counter['c']}"
-        rel = node.depth if node.parent is None else node.depth - node.parent.depth
+        rel = node.level if node.parent is None else node.level - node.parent.level
         members = "".join(f"({ids[c]})" for c in node.children)
-        lines.append(f"\\ClusterLDName {cid}[][{_fmt_depth_latex(rel)}]"
+        lines.append(f"\\ClusterLDName {cid}[][{_fmt_depth_latex(rel, picture.e)}]"
                      f"[{_latex_name(node, picture)}] = {members};")
         ids[node] = cid
         last[0] = cid

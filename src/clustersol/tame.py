@@ -50,11 +50,10 @@ PrecisionExhausted rather than fabricating digits.
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (DivisionByZero, InternalError, NonOddPrime,
-                     PrecisionExhausted, WildRamification, ZeroElement)
+from .errors import (InternalError, NonOddPrime, PrecisionExhausted,
+                     WildRamification, ZeroElement)
 from .fq import _mulmod, _powmod, get_field
 from .numutil import is_prime
 
@@ -307,6 +306,7 @@ class Elt:
     def valuation(self):
         if self.is_zero:
             return INF
+        from fractions import Fraction    # not on the decision path: only repr and tests
         return Fraction(self.vL, self.tower.e)
 
     def residue(self):
@@ -378,19 +378,6 @@ class Elt:
         out.append(tuple([x % pM for x in acc[e - 1]]))
         return Elt(t, vL, tuple(out), rel)
 
-    def inv(self):
-        if self.is_zero:
-            raise DivisionByZero("inverse of zero")
-        t = self.tower
-        res_inv = t.fq.inv(self.residue())
-        z = Elt(t, 0, (res_inv,) + (t.w_zero(),) * (t.e - 1), self.rel)
-        u = Elt(t, 0, self.unit, self.rel)
-        two = t.from_int(2)
-        steps = max(t.e * t.M, 2).bit_length() + 1
-        for _ in range(steps):
-            z = z * (two - u * z)
-        return Elt(t, -self.vL, z.unit, min(self.rel, z.rel))
-
 
 def _aligned(x, v0):
     """The unit of x re-expressed at valuation v0 <= x.vL."""
@@ -405,18 +392,6 @@ def _aligned(x, v0):
     return tuple(cols)
 
 
-def _lowest_digit(tower, raw):
-    """pi-offset of the first nonzero digit of raw columns, None if all are 0."""
-    best = None
-    for i, col in enumerate(raw):
-        vpcol = tower.w_vp(col)
-        if vpcol is not None:
-            cand = i + tower.e * vpcol
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def _normalise(tower, v0, raw, abs_pi):
     """Strip leading zero pi-digits from raw columns at valuation v0.
 
@@ -426,7 +401,11 @@ def _normalise(tower, v0, raw, abs_pi):
     v0 + e*M, as for r + (-r).
     """
     t = tower
-    best = _lowest_digit(t, raw)
+    best = None                           # pi-offset of the first nonzero digit
+    for i, col in enumerate(raw):
+        vpcol = t.w_vp(col)
+        if vpcol is not None and (best is None or i + t.e * vpcol < best):
+            best = i + t.e * vpcol
     if best is None:
         if abs_pi >= v0 + t.e * t.M:
             return t.zero()
@@ -446,25 +425,3 @@ def _normalise(tower, v0, raw, abs_pi):
     if rel < 1:
         raise PrecisionExhausted("no trusted leading digit after cancellation")
     return Elt(t, v0 + best, tuple(cols), min(rel, t.M))
-
-
-def truncated_sum(tower, elts, N=INF):
-    """(z, N'): the sum of elts, not all zero, read below pi^N' = min(N, their trust).
-
-    v(z - sum) >= N'.  One alignment and one normalisation for all terms,
-    so no partial sum is read.  When every digit below pi^N' cancels, z is
-    zero and the sum is known only to be 0 + O(pi^N'); it truncates there
-    rather than raising.
-    """
-    t = tower
-    live = [x for x in elts if not x.is_zero]
-    trust = min(x.abs_prec for x in live)
-    cut = min(N, trust)
-    v0 = min(x.vL for x in live)
-    pM = t.pM
-    raw = tuple(tuple([sum(cs) % pM for cs in zip(*cols)])
-                for cols in zip(*[_aligned(x, v0) for x in live]))
-    best = _lowest_digit(t, raw)
-    if best is None or v0 + best >= cut:
-        return t.zero(), cut
-    return _normalise(t, v0, raw, trust), cut

@@ -2,13 +2,14 @@ import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
-from clustersol.errors import InternalError
-from clustersol.tame import Elt
+from clustersol.errors import InternalError, PrecisionExhausted
+from clustersol.tame import INF, Elt, _aligned, _normalise
 
 EX1 = ("(x^4-p^17)*(x^3-p^2)", 17)
 EX2 = "p*((x-1)^2+p^2)*((x-zeta(3))^2+p^2)*((x-zeta(3)^2)^2+p^2)"
@@ -37,6 +38,16 @@ def latex_structure(text):
         return (depth, tuple(build(i) if i.startswith("c") else i for i in items))
 
     return build(order[-1])  # the top cluster is emitted last
+
+
+def as_fractions(A, node):
+    """A proper node's depth, nu, lambda and vKc as Fractions.
+
+    The analysis keeps them as integers over the tower's e (lambda over 2e).
+    """
+    rec, e = A.inv[node], A.tower.e
+    return SimpleNamespace(depth=Fraction(rec.depth_e, e), nu=Fraction(rec.nu_e, e),
+                           lam=Fraction(rec.lam_2e, 2 * e), vKc=Fraction(rec.vKc_e, e))
 
 
 def decide_with_doubled_recheck(expr, prec=None):
@@ -221,3 +232,128 @@ def reference_radicand(A, node):
             w += diff.vL
             u = t.fq.mul(u, diff.residue())
     return w, u
+
+
+# --- the reference reads that subtract tower elements ---
+#
+# The package reads every digit through ``curves.digit`` and the centroid
+# from the digits of its cluster's split (``ClusterAnalysis``).  These read
+# keys of digits, sums of roots and leading terms of differences, as they
+# were first computed.
+
+def match_key(x, N):
+    """The pi-adic digits of x below pi^N, as a hashable key.
+
+    Two elements have equal keys exactly when v(x - y) >= N: the same vL
+    and, column by column, the same W coordinates mod p^ceil((N - vL - i)/e)
+    for column i.  Elements with vL >= N (and zero) share the key None.
+    Only trusted digits are read; a key that needs more raises
+    PrecisionExhausted.
+    """
+    if x.is_zero or x.vL >= N:
+        return None
+    t = x.tower
+    if N > x.abs_prec:
+        raise PrecisionExhausted(
+            f"matching needs digits below pi^{N}, trusted only below pi^{x.abs_prec}")
+    key = [x.vL]
+    for i, col in enumerate(x.unit):
+        k = -(-(N - x.vL - i) // t.e)
+        if k <= 0:
+            break
+        m = t.p ** k
+        key.append(tuple([c % m for c in col]))
+    return tuple(key)
+
+
+def elt_inv(x):
+    """1/x by Newton's iteration z <- z(2 - xz) from the residue's inverse."""
+    if x.is_zero:
+        raise ZeroDivisionError("inverse of zero")
+    t = x.tower
+    res_inv = t.fq.inv(x.residue())
+    z = Elt(t, 0, (res_inv,) + (t.w_zero(),) * (t.e - 1), x.rel)
+    u = Elt(t, 0, x.unit, x.rel)
+    two = t.from_int(2)
+    for _ in range(max(t.e * t.M, 2).bit_length() + 1):
+        z = z * (two - u * z)
+    return Elt(t, -x.vL, z.unit, min(x.rel, z.rel))
+
+
+def truncated_sum(tower, elts, N=INF):
+    """(z, N'): the sum of elts, not all zero, read below pi^N' = min(N, their trust).
+
+    v(z - sum) >= N'.  One alignment and one normalisation for all terms,
+    so no partial sum is read.  When every digit below pi^N' cancels, z is
+    zero and the sum is known only to be 0 + O(pi^N'); it truncates there
+    rather than raising.
+    """
+    t = tower
+    live = [x for x in elts if not x.is_zero]
+    trust = min(x.abs_prec for x in live)
+    cut = min(N, trust)
+    v0 = min(x.vL for x in live)
+    raw = tuple(tuple([sum(cs) % t.pM for cs in zip(*cols)])
+                for cols in zip(*[_aligned(x, v0) for x in live]))
+    vps = [(i, t.w_vp(col)) for i, col in enumerate(raw)]
+    best = min([i + t.e * v for i, v in vps if v is not None], default=None)
+    if best is None or v0 + best >= cut:
+        return t.zero(), cut
+    return _normalise(t, v0, raw, trust), cut
+
+
+def reference_leading_term(A, z, roots, N):
+    """(W, u, exact) for c_f prod_{r in roots}(z - r): valuations add, residues multiply.
+
+    z stands for a value it agrees with below pi^N.  A factor z - r
+    whose trusted digits run out is read below pi^N only
+    (``truncated_sum``); one that is zero or has no digit below pi^N is
+    known only to have valuation at least min(N, the level to which r is
+    trusted): it adds that bound to W and leaves exact False.  Every
+    difference is still computed, so a cancellation below the trusted
+    digits raises wherever it occurs.
+    """
+    t = A.tower
+    lead = t.from_int(A.expr.c_unit).shift(t.e * A.expr.c_pow)
+    w, u, exact = lead.vL, lead.residue(), True
+    for r in roots:
+        try:
+            diff = z - r
+        except PrecisionExhausted:    # trusted digits ran out: read below pi^N
+            diff = truncated_sum(t, [z, -r], N)[0]
+        if diff.is_zero or diff.vL >= N:
+            w += min(N, r.abs_prec)
+            exact = False
+        else:
+            w += diff.vL
+            u = t.fq.mul(u, diff.residue())
+    return w, u, exact
+
+
+def reference_center_value_is_square(A, node):
+    """``ClusterAnalysis.center_value_is_square`` by summing the node's roots.
+
+    The centroid is read through a truncation z with v(z - centroid) >= N
+    (``truncated_sum``); z is zero when the roots' sum cancels in every
+    trusted digit.  A root r with v(z - r) < N gives centroid - r the
+    leading term of z - r.  Any other root bounds v(centroid - r) from
+    below only: that decides None when the bound already exceeds nu, and
+    raises PrecisionExhausted otherwise.
+    """
+    t = A.tower
+    n = node.size
+    z, N = truncated_sum(t, [A.rs.roots[i] for i in node.roots])
+    inv_n = t.from_int(pow(n, -1, t.pM)) if n % t.p else elt_inv(t.from_int(n))
+    z = z * inv_n
+    N = min(N + inv_n.vL, z.abs_prec)
+    w, res, exact = reference_leading_term(A, z, A.rs.roots, N)
+    nu_e = A.inv[node].nu_e
+    if not exact:
+        if w > nu_e:
+            return None
+        raise PrecisionExhausted(f"centroid of cluster {node.name} known only below pi^{N}")
+    if w != nu_e:
+        return None
+    if any(c != 0 for c in res[1:]):
+        return None
+    return pow(res[0], (t.p - 1) // 2, t.p) == 1

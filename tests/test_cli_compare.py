@@ -42,6 +42,14 @@ def test_import_leaves_the_process_pool_out():
         "module 'clustersol' has no attribute 'no_such_name'"]
 
 
+def test_import_leaves_fractions_out():
+    # the analysis keeps its rationals as integers; fractions loads decimal
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c",
+                    "import clustersol.cli, sys; assert 'fractions' not in sys.modules"],
+                   env=env, check=True)
+
+
 def test_compare_jobs_2_prints_the_jobs_1_report(capsys):
     reports = []
     for jobs in ("1", "2"):

@@ -3,7 +3,9 @@
 The references subtract every pair of roots at full precision into a
 matrix of valuations and agglomerate the picture from it, exactly as the
 picture was first computed.  Production reads the same valuations from
-the roots' pi-adic digits (``curves.digit_trie``).
+the roots' pi-adic digits, one digit per root and level
+(``curves.digit_trie``); a second reference buckets the roots by their
+whole ``conftest.match_key`` at each level.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import clustersol.curves as curves
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, match_key
 from clustersol.clusters import (ClusterAnalysis, ClusterNode, ClusterPicture,
                                  build_picture, default_precision)
 from clustersol.corpus import generate_corpus
@@ -19,7 +21,9 @@ from clustersol.curves import (Cyclo, extract_roots, galois_perms, parse_expr,
                                required_tower)
 from clustersol.errors import PrecisionExhausted, RootCollision
 from clustersol.tame import Elt, Tower
+from test_certificate import close_centres
 from test_epsilon_reference import NON_STABLE
+from test_tree_reads import SPLIT_CORPUS
 
 
 def reference_valuation_matrix(rs):
@@ -38,6 +42,7 @@ def reference_valuation_matrix(rs):
 
 def reference_build_picture(rs, mat):
     """Ultrametric agglomeration of the root set by the valuation matrix."""
+    e = rs.tower.e
 
     def make(indices):
         if len(indices) == 1:
@@ -53,17 +58,55 @@ def reference_build_picture(rs, mat):
                 blocks.append([i])
         children = [make(b) for b in blocks]
         children.sort(key=lambda c: c.roots[0])
-        return ClusterNode(indices, depth, children)
+        return ClusterNode(indices, int(depth * e), children)
 
-    return ClusterPicture(make(list(range(rs.size))))
+    return ClusterPicture(make(list(range(rs.size))), e)
 
 
-def reference_nu(expr, mat, node, z):
+def reference_nu(expr, mat, node, z, e):
     """c_pow + sum over all roots r of min(d, v(z - r)), centred at root z."""
+    depth = Fraction(node.level, e)
     total = Fraction(expr.c_pow)
     for r in range(len(mat)):
-        total += node.depth if r == z else min(node.depth, mat[z][r])
+        total += depth if r == z else min(depth, mat[z][r])
     return total
+
+
+def _key_digit(t, key, N):
+    """The digit at pi^N of an element whose ``match_key`` at N + 1 is key."""
+    if key is None:
+        return t.fq.zero
+    k, i = divmod(N - key[0], t.e)
+    return tuple([c // t.p ** k % t.p for c in key[1 + i]])
+
+
+def reference_digit_trie(roots, tags):
+    """``curves.digit_trie`` as first built: a block at level N is bucketed by
+    the roots' whole ``match_key`` at N + 1, and each child is keyed by the
+    digit at pi^N read off its key."""
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault((r.vL, r.unit), []).append(i)
+    pairs = [g[:2] for g in groups.values() if len(g) > 1]
+    if pairs:
+        i, j = min(pairs)
+        raise RootCollision(f"roots {tags[i]} and {tags[j]} coincide: f is not squarefree")
+    t = roots[0].tower
+
+    def split(block, N):
+        if len(block) == 1:
+            return block[0]
+        while True:
+            buckets = {}
+            for i in block:
+                buckets.setdefault(match_key(roots[i], N + 1), []).append(i)
+            if len(buckets) > 1:
+                return (N, {_key_digit(t, key, N): split(b, N + 1)
+                            for key, b in buckets.items()})
+            N += 1
+
+    return split(list(range(len(roots))),
+                 min([r.vL for r in roots if not r.is_zero], default=0))
 
 
 CURVES = NON_STABLE + [EX1, EX3, (EX2, 7)]
@@ -87,8 +130,10 @@ def test_picture_and_nu_match_reference(scale):
         assert picture.serialize() == reference_build_picture(rs, mat).serialize(), \
             (text, p)
         A = ClusterAnalysis(expr, rs, picture)
+        e = rs.tower.e
         for node in picture.proper():
-            assert A.inv[node].nu == reference_nu(expr, mat, node, node.roots[0]), (text, p)
+            assert Fraction(A.inv[node].nu_e, e) == \
+                reference_nu(expr, mat, node, node.roots[0], e), (text, p)
 
 
 def test_three_coinciding_roots_collide():
@@ -97,12 +142,8 @@ def test_three_coinciding_roots_collide():
         extract_roots(expr, Tower(7, 1, 1, 16))
 
 
-def test_under_trusted_root_raises_from_extract_roots(monkeypatch):
-    # the roots 1 and 8 meet at v = 1; the root 1 known only below pi^1
-    # cannot show it, so reading its digit at pi^1 must raise
-    expr = parse_expr("(x-1)*(x-8)*(x-2)*(x-3)*(x-4)", 7)
-    rs = extract_roots(expr, Tower(7, 1, 1, 16))
-    assert rs.trie == (0, [(1, [0, 1]), 2, 3, 4])
+def _trust_the_root_1_below_pi_1(monkeypatch):
+    """Embed the centre 1 with one trusted digit from now on."""
     embed = curves.embed_cyclo
 
     def coarse_one(tower, c):
@@ -110,5 +151,54 @@ def test_under_trusted_root_raises_from_extract_roots(monkeypatch):
         return Elt(tower, x.vL, x.unit, 1) if c == Cyclo.integer(1) else x
 
     monkeypatch.setattr(curves, "embed_cyclo", coarse_one)
+
+
+def test_under_trusted_root_raises_from_extract_roots(monkeypatch):
+    # the roots 1 and 8 meet at v = 1; the root 1 known only below pi^1
+    # cannot show it, so reading its digit at pi^1 must raise
+    expr = parse_expr("(x-1)*(x-8)*(x-2)*(x-3)*(x-4)", 7)
+    rs = extract_roots(expr, Tower(7, 1, 1, 16))
+    assert rs.trie == (0, {(1,): (1, {(0,): 0, (1,): 1}), (2,): 2, (3,): 3, (4,): 4})
+    _trust_the_root_1_below_pi_1(monkeypatch)
     with pytest.raises(PrecisionExhausted):
         extract_roots(expr, Tower(7, 1, 1, 16))
+
+
+def _ordered(trie):
+    """The trie with each child map as its list of (digit, child) items, so order counts."""
+    if isinstance(trie, int):
+        return trie
+    level, split = trie
+    return (level, [(dg, _ordered(c)) for dg, c in split.items()])
+
+
+def _both_tries(monkeypatch, expr, tower):
+    """``extract_roots``' trie, or its error, by one digit and by match_key."""
+    out = []
+    for trie in (curves.digit_trie, reference_digit_trie):
+        monkeypatch.setattr(curves, "digit_trie", trie)
+        try:
+            out.append(_ordered(extract_roots(expr, tower).trie))
+        except (PrecisionExhausted, RootCollision) as ex:
+            out.append((type(ex).__name__, str(ex)))
+    return out
+
+
+def test_one_digit_trie_equals_the_match_key_trie(monkeypatch):
+    for text, p in SPLIT_CORPUS:
+        expr = parse_expr(text, p)
+        d, e = required_tower(expr)
+        got, ref = _both_tries(monkeypatch, expr, Tower(p, d, e, default_precision(expr, e)))
+        assert got == ref, (text, p)
+
+
+def test_one_digit_trie_raises_where_the_match_key_trie_raises(monkeypatch):
+    # equal stored digits, decided by the resultant
+    expr = parse_expr(close_centres(20), 7)
+    got, ref = _both_tries(monkeypatch, expr, Tower(7, 1, 1, default_precision(expr, 1)))
+    assert got == ref and got[0] == "PrecisionExhausted"
+    # the root 1, trusted below pi^1 only, cannot show where it meets 8
+    expr = parse_expr("(x-1)*(x-8)*(x-2)*(x-3)*(x-4)", 7)
+    _trust_the_root_1_below_pi_1(monkeypatch)
+    got, ref = _both_tries(monkeypatch, expr, Tower(7, 1, 1, 16))
+    assert got == ref and got[0] == "PrecisionExhausted"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EX1, EX2, EX3, flip_canonical_sqrt
+from conftest import EX1, EX2, EX3, as_fractions, flip_canonical_sqrt
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
@@ -33,24 +33,24 @@ def ex3():
 
 def test_picture_example1(ex1):
     top = ex1.picture.top
-    assert top.depth == Fraction(2, 3)
+    assert Fraction(top.level, ex1.tower.e) == Fraction(2, 3)
     assert sorted(c.size for c in top.children) == [1, 1, 1, 4]
     big = max(top.children, key=lambda c: c.size)
-    assert big.depth == Fraction(17, 4)
+    assert Fraction(big.level, ex1.tower.e) == Fraction(17, 4)
 
 
 def test_picture_example2(ex2):
     top = ex2.picture.top
-    assert top.depth == 0
+    assert top.level == 0
     assert [c.size for c in top.children] == [2, 2, 2]
-    assert all(c.depth == 1 for c in top.children)
+    assert all(c.level == ex2.tower.e for c in top.children)        # depth 1
 
 
 def test_picture_example3(ex3):
     top = ex3.picture.top
-    assert top.depth == 0
+    assert top.level == 0
     assert [c.size for c in top.children] == [3, 3]
-    assert all(c.depth == Fraction(2, 3) for c in top.children)
+    assert all(Fraction(c.level, ex3.tower.e) == Fraction(2, 3) for c in top.children)
     assert ex3.picture.serialize() == "{d=0 {d=2/3 r1 r2 r3} {d=2/3 r4 r5 r6}}"
 
 
@@ -64,10 +64,10 @@ def test_laminar_and_ultrametric_invariants():
             assert ra <= rb or rb <= ra or not (ra & rb)
         for n in A.picture.proper():
             vals = [mat[i][j] for i in n.roots for j in n.roots if i < j]
-            assert min(vals) == n.depth
+            assert min(vals) == Fraction(n.level, A.tower.e)
             for c in n.children:
                 if c.is_proper:
-                    assert c.depth > n.depth
+                    assert c.level > n.level
 
 
 # --- invariants (golden + derived) ---
@@ -75,30 +75,30 @@ def test_laminar_and_ultrametric_invariants():
 def test_nu_values(ex2, ex3):
     top3 = ex3.picture.top
     s1 = top3.children[0]
-    assert ex3.inv[s1].nu == 3          # 1 + 3*(2/3) + 3*0
-    assert ex3.inv[top3].nu == 1
-    assert ex2.inv[ex2.picture.top].nu == 1
+    assert as_fractions(ex3, s1).nu == 3                # 1 + 3*(2/3) + 3*0
+    assert as_fractions(ex3, top3).nu == 1
+    assert as_fractions(ex2, ex2.picture.top).nu == 1
 
 
 def test_nu_center_independence(ex1, ex2, ex3):
     for A in (ex1, ex2, ex3):
         mat = reference_valuation_matrix(A.rs)
         for node in A.picture.proper():
-            values = {reference_nu(A.expr, mat, node, z) for z in node.roots}
-            assert values == {A.inv[node].nu}
+            values = {reference_nu(A.expr, mat, node, z, A.tower.e) for z in node.roots}
+            assert values == {as_fractions(A, node).nu}
 
 
 def test_lambda_values(ex1, ex3):
-    assert ex1.inv[ex1.picture.top].lam == 1            # 14/6 - (2/3)*2
-    assert ex3.inv[ex3.picture.top].lam == Fraction(1, 2)
+    assert as_fractions(ex1, ex1.picture.top).lam == 1  # 14/6 - (2/3)*2
+    assert as_fractions(ex3, ex3.picture.top).lam == Fraction(1, 2)
 
 
 def test_vkc_values(ex1):
     top = ex1.picture.top
     big = next(c for c in top.children if c.size == 4)
-    assert ex1.inv[top].vKc == 0                         # 14/3 - 7 * (2/3)
-    assert ex1.inv[big].nu == 19                         # 4 * 17/4 + 3 * 2/3
-    assert ex1.inv[big].vKc == 2 and ex1.inv[big].e == 4
+    assert as_fractions(ex1, top).vKc == 0              # 14/3 - 7 * (2/3)
+    assert as_fractions(ex1, big).nu == 19              # 4 * 17/4 + 3 * 2/3
+    assert as_fractions(ex1, big).vKc == 2 and ex1.inv[big].e == 4
 
 
 def test_e_values(ex1, ex2, ex3):
@@ -112,12 +112,12 @@ def test_e_minimality():
     for p, text in generate_corpus(11, 20, [7, 11]):
         A = analyse(parse_expr(text, p))
         for node in A.picture.proper():
-            rec = A.inv[node]
+            rec, q = A.inv[node], as_fractions(A, node)
             for div in range(1, rec.e):
-                assert not ((div * rec.depth).denominator == 1
-                            and (div * rec.nu / 2).denominator == 1)
-            assert (rec.e * rec.depth).denominator == 1
-            assert (rec.e * rec.nu / 2).denominator == 1
+                assert not ((div * q.depth).denominator == 1
+                            and (div * q.nu / 2).denominator == 1)
+            assert (rec.e * q.depth).denominator == 1
+            assert (rec.e * q.nu / 2).denominator == 1
 
 
 def test_genus_values(ex1, ex2):
@@ -130,9 +130,9 @@ def test_genus_values(ex1, ex2):
 
 def test_vKc_values(ex2, ex3):
     t1 = ex2.picture.top.children[0]
-    assert ex2.inv[t1].vKc == 1                         # nu=3, |s|d=2
+    assert as_fractions(ex2, t1).vKc == 1               # nu=3, |s|d=2
     s1 = ex3.picture.top.children[0]
-    assert ex3.inv[s1].vKc == 1                         # 3 - 3*(2/3)
+    assert as_fractions(ex3, s1).vKc == 1               # 3 - 3*(2/3)
 
 
 def test_classification_flags(ex2, ex3):
@@ -173,7 +173,7 @@ def test_images_preserve_size_and_depth():
         for node in A.picture.proper():
             for w in (TAU, FROB, GaloisWord(1, 1)):
                 img = A.image(node, w)
-                assert img.size == node.size and img.depth == node.depth
+                assert img.size == node.size and img.level == node.level
 
 
 def test_stable_children_trivial_action():

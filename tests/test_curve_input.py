@@ -108,7 +108,9 @@ def test_roots_example3():
                 assert mat[i][j] == Fraction(2, 3)
                 assert mat[i + 3][j + 3] == Fraction(2, 3)
             assert mat[i][j + 3] == 0
-    assert rs.trie == (0, [(2, [0, 1, 2]), (2, [3, 4, 5])])   # in pi units, e = 3
+    # in pi units, e = 3, each child keyed by its digit: the cube roots of 1 mod 7
+    assert rs.trie == (0, {(0,): (2, {(1,): 0, (4,): 1, (2,): 2}),
+                           (1,): (2, {(1,): 3, (4,): 4, (2,): 5})})
     # tau cycles within each factor, frobenius fixes everything (7 = 1 mod 3)
     assert rs.frob_perm == list(range(6))
     assert sorted(rs.tau_perm[:3]) == [0, 1, 2] and rs.tau_perm[:3] != [0, 1, 2]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import EX1, EX2, EX3, decide_with_doubled_recheck
@@ -5,8 +7,8 @@ from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
 from clustersol.decision import (CONDITION_IDS, ConditionReport, corollary_gate,
-                                 interval_has_integer, solubility_decide,
-                                 tameness_flags, theorem_decide)
+                                 interval_has_integer, is_even_int, is_int,
+                                 solubility_decide, tameness_flags, theorem_decide)
 from clustersol.oracle import is_locally_soluble
 
 from hypothesis import given, strategies as st
@@ -15,11 +17,21 @@ from hypothesis import given, strategies as st
 # --- interval helper ---
 
 @given(st.fractions(min_value=-50, max_value=50),
-       st.fractions(min_value=0, max_value=10))
-def test_interval_helper(lo, width):
+       st.fractions(min_value=0, max_value=10),
+       st.integers(min_value=1, max_value=6))
+def test_interval_helper(lo, width, k):
+    # ends as integers over a common denominator, as the theorem keeps them
     hi = lo + width
+    den = k * lo.denominator * hi.denominator
     brute = any(lo <= n <= hi for n in range(-60, 61))
-    assert interval_has_integer(lo, hi) == brute
+    assert interval_has_integer(int(lo * den), int(hi * den), den) == brute
+
+
+@given(st.integers(min_value=-200, max_value=200), st.integers(min_value=1, max_value=24))
+def test_integer_tests_on_n_over_den(n, den):
+    q = Fraction(n, den)
+    assert is_int(n, den) == (q.denominator == 1)
+    assert is_even_int(n, den) == (q.denominator == 1 and q.numerator % 2 == 0)
 
 
 # --- gate ---

@@ -5,18 +5,18 @@ The reference applies tau and frob to every root (``conftest.tau`` and
 precision and keeps the roots whose difference has valuation above
 max_pair + 1, exactly as the permutations were first computed.
 Production reads them from the (factor, branch) tags and moves no root
-(``curves.galois_perms``).  ``match_key``, which the digit trie reads,
-is checked here too.
+(``curves.galois_perms``).  ``curves.digit``, which the digit trie
+reads, is checked here too, against the reference ``conftest.match_key``.
 """
 
 import random
 
 import pytest
 
-from conftest import EX1, EX2, EX3, frob, tau
+from conftest import EX1, EX2, EX3, frob, match_key, tau
 from clustersol.clusters import analyse, default_precision
 from clustersol.corpus import generate_corpus
-from clustersol.curves import (extract_roots, galois_perms, match_key, parse_expr,
+from clustersol.curves import (digit, extract_roots, galois_perms, parse_expr,
                                required_tower)
 from clustersol.errors import NotGaloisClosed, PrecisionExhausted
 from clustersol.tame import Elt, Tower
@@ -98,6 +98,38 @@ def test_match_key_reads_only_trusted_digits():
     with pytest.raises(PrecisionExhausted):
         match_key(x, 9)
     assert match_key(x, 2) is None and match_key(t.zero(), 50) is None
+
+
+def test_digit_refuses_an_untrusted_digit():
+    t = Tower(7, 2, 3, 36)
+    x = Elt(t, 2, ((3, 1), (5, 0), (0, 6)), 2)       # trusted below pi^(2 + 3*2)
+    assert [digit(x, N) for N in range(1, 8)] == [
+        (0, 0), (3, 1), (5, 0), (0, 6), (0, 0), (0, 0), (0, 0)]
+    with pytest.raises(PrecisionExhausted, match=r"below pi\^9, trusted only below pi\^8"):
+        digit(x, 8)
+    assert digit(t.zero(), 50) == (0, 0)
+
+
+@pytest.mark.parametrize("p,d,e,prec", TOWERS)
+def test_digit_raises_where_match_key_raises(p, d, e, prec):
+    # one digit at pi^N is read exactly where the key below pi^(N+1) is,
+    # and elements with equal keys below pi^N split by it as by that key
+    t = Tower(p, d, e, prec)
+    rng = random.Random(p * d + e + 1)
+    for _ in range(100):
+        x = rand_elt(t, rng, max_val=1)
+        x = Elt(t, x.vL, x.unit, rng.randint(1, t.M)) if not x.is_zero else x
+        y = x + rand_elt(t, rng, max_val=0).shift(rng.randrange(4 * e))
+        for N in range(-2 * e, 8 * e):
+            try:
+                key = match_key(x, N + 1)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    digit(x, N)
+                continue
+            dx = digit(x, N)                  # read wherever the key is
+            if y.abs_prec > N and match_key(y, N) == match_key(x, N):
+                assert (match_key(y, N + 1) == key) == (digit(y, N) == dx)
 
 
 def test_galois_perms_raises_on_untrusted_root():

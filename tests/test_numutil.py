@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from clustersol.numutil import (cyclotomic_poly, factorint, is_prime,
+from clustersol.numutil import (cyclotomic_poly, factorint, is_prime, lowest_terms,
                                 mult_order, poly_deriv, poly_eval, poly_trim,
-                                resultant, vp)
+                                rational_str, resultant, vp)
 
 
 def poly_mul(f, g):
@@ -75,3 +76,10 @@ def test_resultant_detects_common_root():
     g = poly_mul([1, 1], [-3, 1])       # (x+1)(x-3)
     assert resultant(f, g) == 0
     assert resultant(f, poly_deriv(f)) != 0
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=96))
+def test_rational_str_writes_n_over_d_as_fraction_does(n, d):
+    q = Fraction(n, d)
+    assert rational_str(n, d) == str(q)
+    assert lowest_terms(n, d) == (q.numerator, q.denominator)

@@ -64,7 +64,7 @@ def test_ascii_round_trip():
         def from_picture(node):
             if not node.is_proper:
                 return f"r{node.roots[0] + 1}"
-            return (node.depth, [from_picture(c) for c in node.children])
+            return (Fraction(node.level, A.tower.e), [from_picture(c) for c in node.children])
 
         assert _shape(parsed) == _shape(from_picture(A.picture.top))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import clustersol.decision as decision_mod
-from conftest import EX1, decide_with_doubled_recheck, frob, frob_t_image, tau
+from conftest import EX1, decide_with_doubled_recheck, elt_inv, frob, frob_t_image, tau
 from clustersol.clusters import analyse
 from clustersol.curves import parse_expr
 from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
@@ -140,7 +140,7 @@ def test_pi_power_is_p():
 
 def test_inv_pi():
     t = Tower(7, 2, 3, 30)
-    assert uniformiser(t).inv().valuation() == Fraction(-1, 3)
+    assert elt_inv(uniformiser(t)).valuation() == Fraction(-1, 3)
 
 
 def test_cancellation_tracks_precision():
@@ -186,7 +186,7 @@ def test_field_axioms_random(p, d, e, prec):
         assert close(x * (y + z), x * y + x * z)
         assert close((x * y) * z, x * (y * z))
         if not x.is_zero:
-            assert close(x * x.inv(), t.one())
+            assert close(x * elt_inv(x), t.one())
 
 
 def test_thousand_case_axiom_suite():
@@ -198,7 +198,7 @@ def test_thousand_case_axiom_suite():
         assert close((x + y) + z, x + (y + z))
         assert close(x * (y + z), x * y + x * z)
         if not x.is_zero:
-            assert close(x * x.inv(), t.one())
+            assert close(x * elt_inv(x), t.one())
 
 
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
@@ -298,7 +298,7 @@ def test_chi_values():
     pi = uniformiser(t)
 
     def chi(word):
-        return (apply_word(word, pi) * pi.inv()).residue()
+        return (apply_word(word, pi) * elt_inv(pi)).residue()
 
     assert chi(TAU) == t.zeta_e_res
     assert chi(FROB) == t.fq.one
