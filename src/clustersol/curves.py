@@ -8,13 +8,16 @@ with integer-or-cyclotomic centers, n_i and the conductors prime to p,
 and u_i a nonzero integer prime to p.  This family admits exact root
 extraction in a tame tower; anything else is rejected as unsupported.
 
+Each root is written straight into its tower columns (``extract_roots``).
+
 Pairwise valuations are read one way only, one trusted pi-adic digit at
 a time (``digit``): v(x - y) >= N exactly when x and y agree in every
 digit below pi^N.  So the roots' digit trie is their cluster tree
 (``digit_trie``), and x - y leads with the difference of their digits at
 pi^N, N = v(x - y).  The Galois action on the roots reads no digit at
 all: each root is tagged by its factor and branch, and tau and frob
-permute the tags (``galois_perms``).
+permute the tags (``galois_perms``), with Frobenius's shift of each
+radical kept by the tower (``tame.Tower.frob_shift``).
 """
 
 import math
@@ -26,6 +29,7 @@ from .errors import (DegreeTooSmall, InternalError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
 from .numutil import cyclotomic_poly, is_prime, mult_order, poly_deriv, resultant
+from .tame import add_branch
 
 
 # ------------------------------------------------------------------
@@ -92,6 +96,8 @@ class Cyclo:
 
     def conj_power(self, k):
         """Apply zeta_N -> zeta_N^k."""
+        if self.is_rational:
+            return self
         out = [0] * self.N
         for j, c in enumerate(self.coeffs):
             out[(j * k) % self.N] += c
@@ -544,6 +550,13 @@ def embed_cyclo(tower, c):
 def extract_roots(expr, tower):
     """Embed all roots of f into the tower, tagged by (factor, branch).
 
+    Root j of (x - c)^n - u p^m is c + w_j pi^k, with k = me/n, y the
+    tower's u^(1/n) and w_j = y zeta_n^j = w_(j-1) zeta_n in W; a linear
+    factor's root is its centre.  Each root is written into columns by
+    ``tame.add_branch``: a zero centre gives w_j pi^k, trusted in all M
+    digits; otherwise the root is trusted below min(abs_prec(c), k + eM),
+    and a sum that cancels is normalised under that level.
+
     Roots equal in every stored digit are RootCollision when f is not
     squarefree (the resultant of f and f' is 0), else PrecisionExhausted.
     """
@@ -557,13 +570,13 @@ def extract_roots(expr, tower):
         n, u, m = f.n, f.rhs_unit, f.rhs_pow
         if (m * tower.e) % n != 0:
             raise InternalError("tower ramification does not split the binomial")
-        y = tower.unit_nth_root(u, n)
-        branch = tower.from_w(y, 0).shift(m * tower.e // n)
-        zeta_n = tower.from_w(tower.zeta(n), 0) if n > 1 else tower.one()
+        k, w = m * tower.e // n, tower.unit_nth_root(u, n)
+        zeta_n = tower.zeta(n) if n > 1 else None
         for j in range(n):
-            roots.append(center + branch)
+            if j:
+                w = tower.w_mul(w, zeta_n)
+            roots.append(add_branch(center, k, w))
             tags.append((fi, j))
-            branch = branch * zeta_n
     try:
         trie = digit_trie(roots, tags)
     except RootCollision:                 # equal stored digits: is f squarefree?
@@ -615,13 +628,14 @@ def digit(x, N):
     the trusted level abs_prec are read; one at or above it raises
     PrecisionExhausted.
     """
-    t = x.tower
-    if x.is_zero or x.vL > N:
+    t, vL = x.tower, x.vL
+    if vL is None or vL > N:
         return t.fq.zero
-    if N >= x.abs_prec:
+    e = t.e
+    if N >= vL + e * x.rel:
         raise PrecisionExhausted(
-            f"matching needs digits below pi^{N + 1}, trusted only below pi^{x.abs_prec}")
-    k, i = divmod(N - x.vL, t.e)
+            f"matching needs digits below pi^{N + 1}, trusted only below pi^{vL + e * x.rel}")
+    k, i = divmod(N - vL, e)
     pk, p = t.p ** k, t.p
     return tuple([c // pk % p for c in x.unit[i]])
 
@@ -633,12 +647,11 @@ def galois_perms(rs):
     canonical radical u^(1/n) and zeta_n = zeta_e^(e/n), Teichmueller
     lifts; a linear factor is the case n = 1.  tau fixes c and y and
     multiplies pi^(me/n) by zeta_n^m: (fi, j) -> (fi, j + m mod n).  frob
-    fixes pi, sends c to its conjugate c' and y to zeta_n^s y, where
-    res(y)^(p-1) = res(zeta_n)^s in F_q decides s: n | q - 1, so the
-    powers of res(zeta_n) are distinct.  So (fi, j) -> (fi', s + pj mod n)
-    for fi' the factor with centre c' and the same (n, u, m).
+    fixes pi, sends c to its conjugate c' and y to zeta_n^s y, with s the
+    tower's ``frob_shift(u, n)``.  So (fi, j) -> (fi', s + pj mod n) for
+    fi' the factor with centre c' and the same (n, u, m).
     """
-    t, fq, p, size = rs.tower, rs.tower.fq, rs.tower.p, rs.size
+    t, p, size = rs.tower, rs.tower.p, rs.size
     index = {tag: i for i, tag in enumerate(rs.tags)}
     by_key = {_factor_key(f): fi for fi, f in enumerate(rs.expr.factors)}
     rs.tau_perm, rs.frob_perm = [None] * size, [None] * size
@@ -649,12 +662,7 @@ def galois_perms(rs):
                 f"factor with center {f.center!r} has no Frobenius conjugate")
         n, m, s = (f.n, f.rhs_pow, 0) if isinstance(f, Binomial) else (1, 0, 0)
         if n > 1:
-            target = fq.pow(t.w_residue(t.unit_nth_root(f.rhs_unit, n)), p - 1)
-            zeta, z = t.w_residue(t.zeta(n)), fq.one
-            while z != target:
-                z, s = fq.mul(z, zeta), s + 1
-                if s == n:
-                    raise InternalError("Frobenius image of a radical is not a root")
+            s = t.frob_shift(f.rhs_unit, n)
         for j in range(n):
             i = index[fi, j]
             rs.tau_perm[i] = index[fi, (j + m) % n]

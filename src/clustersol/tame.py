@@ -46,6 +46,12 @@ clearing the store drops its towers too.
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise
 PrecisionExhausted rather than fabricating digits.
+
+A root c + w pi^k of a curve is written straight into columns
+(``add_branch``), and the tower keeps each radical's Frobenius shift
+(``Tower.frob_shift``), so deciding a curve does no ring arithmetic on
+elements: the ring operations of ``Elt`` serve the kernel timing of
+``Elt.__mul__`` and the tests' references.
 """
 
 import functools
@@ -113,7 +119,8 @@ class Tower:
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
-        self._kept = {}                       # zeta(m) by m, u^(1/n) by (u, n)
+        self._kept = {}                       # zeta(m) by m, u^(1/n) by (u, n), its
+                                              # Frobenius shift by ("frob", u, n)
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
@@ -237,9 +244,6 @@ class Tower:
     def zero(self):
         return Elt(self, None, None, self.M)
 
-    def one(self):
-        return self.from_int(1)
-
     def from_int(self, n):
         if n % self.p == 0 and n != 0:
             v = 0
@@ -279,6 +283,26 @@ class Tower:
             r = self._inverse_root((u, n), u, n, start)
             self._kept[u, n] = self.w_scale(self.w_pow(r, n - 1), u)
         return self._kept[u, n]
+
+    def frob_shift(self, u, n):
+        """The s with frob(y) = zeta_n^s y, for y = u^(1/n) (``unit_nth_root``).
+
+        frob(y) is an n-th root of u, so it is zeta_n^s y for one s < n;
+        reducing, res(y)^(p-1) = res(zeta_n)^s in F_q decides s, since
+        n | q - 1 makes the powers of res(zeta_n) distinct.  s depends
+        only on (p, d, u, n), and the tower keeps it beside y.
+        """
+        key = ("frob", u, n)
+        if key not in self._kept:
+            fq = self.fq
+            target = fq.pow(self.w_residue(self.unit_nth_root(u, n)), self.p - 1)
+            zeta, z, s = self.w_residue(self.zeta(n)), fq.one, 0
+            while z != target:
+                z, s = fq.mul(z, zeta), s + 1
+                if s == n:
+                    raise InternalError("Frobenius image of a radical is not a root")
+            self._kept[key] = s
+        return self._kept[key]
 
 
 class Elt:
@@ -390,6 +414,31 @@ def _aligned(x, v0):
         k = i + delta
         cols[k % t.e] = t.w_scale(col, t.p ** (k // t.e))
     return tuple(cols)
+
+
+def add_branch(c, k, w):
+    """c + w pi^k for a unit w of W, written straight into columns.
+
+    At v0 = min(v(c), k) the columns are c's, with p^((k - v0) // e) w
+    added into column (k - v0) mod e.  Column 0 is then a unit unless
+    v(c) = k, the one case where the sum can cancel, down to an exact
+    zero; only that case is normalised.  w pi^k is taken as known in all
+    M digits, so the digits are trusted below min(abs_prec(c), k + eM),
+    exactly as for c + Elt(w pi^k); a zero c gives w pi^k itself.
+    """
+    t = c.tower
+    e, M = t.e, t.M
+    if c.vL is None:
+        return Elt(t, k, (w,) + (t.w_zero(),) * (e - 1), M)
+    v0 = min(c.vL, k)
+    level = min(c.vL + e * c.rel, k + e * M)
+    q, i = divmod(k - v0, e)
+    pq, pM = t.p ** q, t.pM
+    cols = list(_aligned(c, v0))
+    cols[i] = tuple([(a + pq * b) % pM for a, b in zip(cols[i], w)])
+    if c.vL == k:
+        return _normalise(t, k, tuple(cols), level)
+    return Elt(t, v0, tuple(cols), min((level - v0) // e, M))
 
 
 def _normalise(tower, v0, raw, abs_pi):

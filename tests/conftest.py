@@ -8,7 +8,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
-from clustersol.errors import InternalError, PrecisionExhausted
+from clustersol.curves import (Linear, RootSet, digit_trie, embed_cyclo,
+                               expand_to_integer_poly)
+from clustersol.errors import InternalError, PrecisionExhausted, RootCollision
+from clustersol.numutil import poly_deriv, resultant
 from clustersol.tame import INF, Elt, _aligned, _normalise
 
 EX1 = ("(x^4-p^17)*(x^3-p^2)", 17)
@@ -80,6 +83,44 @@ def flip_canonical_sqrt(monkeypatch):
 
     monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", flipped)
     return calls
+
+
+# --- the reference root construction by ring arithmetic ---
+#
+# The package writes each root straight into its columns
+# (``tame.add_branch``), stepping the branches in W.  This builds them as
+# they were first built: the centre plus the branch, each branch the last
+# one times zeta_n, all as tower elements.
+
+def reference_extract_roots(expr, tower):
+    """``curves.extract_roots`` by tower arithmetic: center + branch, branch * zeta_n."""
+    roots, tags = [], []
+    for fi, f in enumerate(expr.factors):
+        center = embed_cyclo(tower, f.center)
+        if isinstance(f, Linear):
+            roots.append(center)
+            tags.append((fi, 0))
+            continue
+        n, u, m = f.n, f.rhs_unit, f.rhs_pow
+        if (m * tower.e) % n != 0:
+            raise InternalError("tower ramification does not split the binomial")
+        y = tower.unit_nth_root(u, n)
+        branch = tower.from_w(y, 0).shift(m * tower.e // n)
+        zeta_n = tower.from_w(tower.zeta(n), 0) if n > 1 else tower.from_int(1)
+        for j in range(n):
+            roots.append(center + branch)
+            tags.append((fi, j))
+            branch = branch * zeta_n
+    try:
+        trie = digit_trie(roots, tags)
+    except RootCollision:                 # equal stored digits: is f squarefree?
+        f = expand_to_integer_poly(expr)
+        if resultant(f, poly_deriv(f)) == 0:
+            raise
+        raise PrecisionExhausted(
+            f"f is squarefree, but two roots agree in all {tower.M} stored digits"
+        ) from None
+    return RootSet(expr, tower, roots, tags, trie=trie)
 
 
 # --- the reference Galois action on tower elements ---

@@ -145,7 +145,7 @@ def test_inv_pi():
 
 def test_cancellation_tracks_precision():
     t = Tower(7, 1, 1, 20)
-    y = t.from_int(1 + 7 ** 10) - t.one()
+    y = t.from_int(1 + 7 ** 10) - t.from_int(1)
     assert y.valuation() == 10
     assert y.rel == 10
     # y is 7^10 + O(7^20): subtracting 7^10 leaves a zero known only below
@@ -169,7 +169,7 @@ def test_subtraction_is_addition_of_the_negative(p, d, e, prec):
 
 def test_precision_exhausted_on_deep_cancellation():
     t = Tower(7, 1, 1, 8)
-    x = (t.from_int(1 + 7 ** 5) - t.one()) * t.from_int(1 + 7 ** 5)
+    x = (t.from_int(1 + 7 ** 5) - t.from_int(1)) * t.from_int(1 + 7 ** 5)
     # x = 7^5 + 7^10 with only 3 trusted digits; subtracting 7^5 cancels
     # past the trusted precision
     with pytest.raises(PrecisionExhausted):
@@ -186,7 +186,7 @@ def test_field_axioms_random(p, d, e, prec):
         assert close(x * (y + z), x * y + x * z)
         assert close((x * y) * z, x * (y * z))
         if not x.is_zero:
-            assert close(x * elt_inv(x), t.one())
+            assert close(x * elt_inv(x), t.from_int(1))
 
 
 def test_thousand_case_axiom_suite():
@@ -198,7 +198,7 @@ def test_thousand_case_axiom_suite():
         assert close((x + y) + z, x + (y + z))
         assert close(x * (y + z), x * y + x * z)
         if not x.is_zero:
-            assert close(x * elt_inv(x), t.one())
+            assert close(x * elt_inv(x), t.from_int(1))
 
 
 @pytest.mark.parametrize("p,d,e,prec", TOWERS)
