@@ -17,7 +17,7 @@ digit below pi^N.  So the roots' digit trie is their cluster tree
 pi^N, N = v(x - y).  The Galois action on the roots reads no digit at
 all: each root is tagged by its factor and branch, and tau and frob
 permute the tags (``galois_perms``), with Frobenius's shift of each
-radical kept by the tower (``tame.Tower.frob_shift``).
+radical kept once per (p, d) (``tame.Tower.frob_shift``).
 """
 
 import math
@@ -96,8 +96,6 @@ class Cyclo:
 
     def conj_power(self, k):
         """Apply zeta_N -> zeta_N^k."""
-        if self.is_rational:
-            return self
         out = [0] * self.N
         for j, c in enumerate(self.coeffs):
             out[(j * k) % self.N] += c

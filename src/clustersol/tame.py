@@ -48,10 +48,10 @@ unit part; additions that cancel below the trusted level raise
 PrecisionExhausted rather than fabricating digits.
 
 A root c + w pi^k of a curve is written straight into columns
-(``add_branch``), and the tower keeps each radical's Frobenius shift
-(``Tower.frob_shift``), so deciding a curve does no ring arithmetic on
-elements: the ring operations of ``Elt`` serve the kernel timing of
-``Elt.__mul__`` and the tests' references.
+(``add_branch``), and the (p, d) store keeps each radical's Frobenius
+shift (``Tower.frob_shift``), so deciding a curve does no ring
+arithmetic on elements: the ring operations of ``Elt`` serve the kernel
+timing of ``Elt.__mul__`` and the tests' references.
 """
 
 import functools
@@ -82,8 +82,9 @@ def _lifts(p, d):
     """The lifts into W = Z_p[t]/(Ptilde) shared by every tower over it.
 
     Maps m to (M, zeta_m) and (u, n) to (M, u^(-1/n)), both mod p^M for
-    the largest M lifted so far, and "towers" to the towers over W that
-    ``get_tower`` built, by (e, prec).
+    the largest M lifted so far, "shifts" to the Frobenius shifts of the
+    u^(1/n) by (u, n) (``Tower.frob_shift``), and "towers" to the towers
+    over W that ``get_tower`` built, by (e, prec).
     """
     return {}
 
@@ -119,8 +120,7 @@ class Tower:
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
-        self._kept = {}                       # zeta(m) by m, u^(1/n) by (u, n), its
-                                              # Frobenius shift by ("frob", u, n)
+        self._kept = {}                       # zeta(m) by m, u^(1/n) by (u, n)
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
@@ -290,10 +290,11 @@ class Tower:
         frob(y) is an n-th root of u, so it is zeta_n^s y for one s < n;
         reducing, res(y)^(p-1) = res(zeta_n)^s in F_q decides s, since
         n | q - 1 makes the powers of res(zeta_n) distinct.  s depends
-        only on (p, d, u, n), and the tower keeps it beside y.
+        only on (p, d, u, n), like the lift of y, so it is kept beside
+        that lift in the (p, d) store, for every tower over W.
         """
-        key = ("frob", u, n)
-        if key not in self._kept:
+        shifts = _lifts(self.p, self.d).setdefault("shifts", {})
+        if (u, n) not in shifts:
             fq = self.fq
             target = fq.pow(self.w_residue(self.unit_nth_root(u, n)), self.p - 1)
             zeta, z, s = self.w_residue(self.zeta(n)), fq.one, 0
@@ -301,8 +302,8 @@ class Tower:
                 z, s = fq.mul(z, zeta), s + 1
                 if s == n:
                     raise InternalError("Frobenius image of a radical is not a root")
-            self._kept[key] = s
-        return self._kept[key]
+            shifts[u, n] = s
+        return shifts[u, n]
 
 
 class Elt:

@@ -2,7 +2,7 @@
 
 ``curves.extract_roots`` writes root j of (x - c)^n - u p^m, which is
 c + w_j pi^k, into the tower's columns (``tame.add_branch``), and the
-tower keeps the Frobenius shift of each radical (``Tower.frob_shift``).
+(p, d) store keeps the Frobenius shift of each radical (``Tower.frob_shift``).
 ``conftest.reference_extract_roots`` builds the same roots as tower
 elements, center + branch and branch * zeta_n, as they were first built.
 So deciding a curve does no ring arithmetic on tower elements.
@@ -162,9 +162,9 @@ def test_deciding_a_curve_does_no_elt_ring_arithmetic(monkeypatch):
         solubility_decide(parse_expr(close_centres(200), 7))
 
 
-# --- the Frobenius shift of a radical, once per tower ---
+# --- the Frobenius shift of a radical, once per (p, d) ---
 
-def test_the_frobenius_shift_is_computed_once_per_tower_and_radical(monkeypatch):
+def test_the_frobenius_shift_is_computed_once_per_field_and_radical(monkeypatch):
     # both curves take the tower (7, 2, 2, 32); their radicals are (3, 2)
     # three times, (1, 2) and (-1, 2).  3 and -1 are not squares mod 7, so
     # frob sends their roots y to y^7 = -y: s = 1
@@ -189,15 +189,20 @@ def test_the_frobenius_shift_is_computed_once_per_tower_and_radical(monkeypatch)
     assert t.d == 2 and computed == [(3, 2), (1, 2), (-1, 2)]
     assert s == {(3, 2): 1, (1, 2): 0, (-1, 2): 1}
     assert perms_and_shifts()[2] == []           # the same tower computes nothing again
+    real = Tower.unit_nth_root                   # nor does another tower over the same W
+    monkeypatch.setattr(Tower, "unit_nth_root", lambda *a: pytest.fail("s computed again"))
+    assert {(u, n): Tower(7, 2, 1, 20).frob_shift(u, n) for u, n in s} == s
+    monkeypatch.setattr(Tower, "unit_nth_root", real)
     _lifts.cache_clear()
     t2, perms2, computed2, s2 = perms_and_shifts()
     assert t2 is not t and (perms2, computed2, s2) == (perms, computed, s)
 
 
 def test_a_shift_that_never_reaches_the_radical_raises_and_is_not_kept():
+    _lifts.cache_clear()
     t = Tower(13, 2, 2, 32)
     t._kept[2] = t.w_one()                       # a wrong zeta_2: its powers are all 1
     for _ in range(2):
         with pytest.raises(InternalError, match="Frobenius image of a radical"):
             t.frob_shift(2, 2)
-    assert ("frob", 2, 2) not in t._kept
+    assert (2, 2) not in _lifts(13, 2).get("shifts", {})
