@@ -23,9 +23,10 @@ radicals by
     tau(sqrt(omega)) = sqrt(omega)        frob(sqrt(omega)) = sqrt(omega)^p
     tau(sqrt(pi))    = zeta_2e sqrt(pi)   frob(sqrt(pi))    = sqrt(pi)
 
-with omega the residue-field generator and zeta_2e a primitive 2e-th root
-of unity squaring to zeta_e, so zeta_2e^e = -1.  epsilon_s(w) is the ratio
-w(theta_s) / theta_{w(s)}, a literal +-1 in the residue field.
+with omega the residue-field generator and zeta_2e = sqrt(omega)^((q-1)/e),
+a primitive 2e-th root of unity squaring to zeta_e, so zeta_2e^e = -1
+(``zeta_2e``).  epsilon_s(w) is the sign with w(theta_s) = +-theta_{w(s)},
+read by comparing the two symbols in the residue field.
 
 When the word fixes the star the two square roots cancel, whichever root
 is taken, and the value is the power-residue symbol
@@ -35,13 +36,14 @@ is taken, and the value is the power-residue symbol
 one exponentiation and no square root.  If the star is fixed by tau and
 frob, then e | W and u lies in F_p, so epsilon_s is a character of the
 whole quotient with epsilon(tau) = (-1)^(W/e) and
-epsilon(frob) = u^((p-1)/2); triviality is decided on the generators.
-Square roots are taken only for stars that are not Galois-fixed: a word
-that moves the star uses one canonical symbol s * sqrt(omega)^alpha per
-cluster, memoised, and an odd power of zeta_2e with e even uses the
-canonical square root of zeta_e.  Triviality is then checked word by word.
+epsilon(frob) = u^((p-1)/2); triviality is decided on the generator
+values the cluster's record keeps.  Square roots are taken only for stars
+that are not Galois-fixed: a word that moves the star uses one canonical
+symbol s * sqrt(omega)^alpha per cluster, memoised, and triviality is
+then checked word by word.
 """
 
+import functools
 import math
 
 from .errors import InternalError
@@ -154,23 +156,16 @@ class SqrtSymbol:
             s = self.fq.mul(s, self.fq.omega)
         return SqrtSymbol(self.fq, s, self.alpha ^ other.alpha)
 
-    def inv(self):
-        s = self.fq.inv(self.s)
-        if self.alpha:
-            s = self.fq.mul(s, self.fq.inv(self.fq.omega))
-        return SqrtSymbol(self.fq, s, self.alpha)
-
     def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        r = SqrtSymbol(self.fq, self.fq.one, 0)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        """(s sqrt(omega)^alpha)^k = s^k omega^(alpha floor(k/2)) sqrt(omega)^(alpha k), k >= 0."""
+        fq = self.fq
+        s = fq.pow(self.s, k)
+        if self.alpha:
+            s = fq.mul(s, fq.pow(fq.omega, k // 2))
+        return SqrtSymbol(fq, s, self.alpha * k)
+
+    def __eq__(self, other):
+        return self.s == other.s and self.alpha == other.alpha
 
     def frob_iter(self, b):
         """Image under frob^b: radicals of unity are raised to the p^b."""
@@ -184,16 +179,6 @@ class SqrtSymbol:
     def __neg__(self):
         return SqrtSymbol(self.fq, self.fq.neg(self.s), self.alpha)
 
-    def as_sign(self):
-        """Return +1 / -1 if the symbol is literally a sign, else None."""
-        if self.alpha:
-            return None
-        if self.s == self.fq.one:
-            return 1
-        if self.s == self.fq.neg(self.fq.one):
-            return -1
-        return None
-
 
 def canonical_sqrt_symbol(fq, u):
     """Canonical formal square root of u in F_q^*."""
@@ -203,6 +188,22 @@ def canonical_sqrt_symbol(fq, u):
         r = fq.canonical_sqrt(fq.mul(u, fq.inv(fq.omega)))
         alpha = 1
     return SqrtSymbol(fq, r, alpha)
+
+
+@functools.cache
+def zeta_2e(fq, e):
+    """zeta_2e = sqrt(omega)^k, k = (q - 1)/e, as a symbol: computed once per (fq, e).
+
+    It squares to zeta_e = omega^k, and its e-th power is
+    omega^((q-1)/2) = -1.  For odd e it is the only symbol that does both;
+    for even e so is its negative, and the lexicographically smaller of
+    +-s is the root ``canonical_sqrt_symbol`` takes of zeta_e.
+    """
+    k = (fq.q - 1) // e
+    s = fq.pow(fq.omega, k // 2)
+    if e % 2 == 0:
+        s = min(s, fq.neg(s))
+    return SqrtSymbol(fq, s, k)
 
 
 # ------------------------------------------------------------------
@@ -239,10 +240,8 @@ class ClusterAnalysis:
         self.curve_genus = expr.genus
         self._radicand_cache = {}
         self._sqrt_cache = {}
-        self._eps_cache = {}
         self._tau_order = perm_order(rs.tau_perm)
         self._frob_order = perm_order(rs.frob_perm)
-        self._zeta2e = None
         self._images = self._word_images()
         self.inv = {}
         orbit = {}                    # numbered by their first node in proper()
@@ -385,64 +384,38 @@ class ClusterAnalysis:
             self._sqrt_cache[node] = canonical_sqrt_symbol(self.tower.fq, u)
         return self._sqrt_cache[node]
 
-    def zeta2e_symbol(self):
-        """Primitive 2e-th root of unity squaring to zeta_e (so zeta_2e^e = -1)."""
-        if self._zeta2e is None:
-            fq = self.tower.fq
-            zeta_e = self.tower.zeta_e_res
-            sym = canonical_sqrt_symbol(fq, zeta_e)
-            if (sym ** self.tower.e).as_sign() != -1:
-                sym = -sym
-            if (sym ** self.tower.e).as_sign() != -1:
-                raise InternalError("no primitive 2e-th root of unity found")
-            self._zeta2e = sym
-        return self._zeta2e
-
-    def _zeta2e_power(self, m):
-        """zeta_2e^m as a symbol.
-
-        Even powers are powers of zeta_e; for odd e, zeta_2e = -zeta_e^((e+1)/2).
-        Only an odd power with e even needs the square root of zeta_e, and
-        never for a tau-fixed star, whose W is a multiple of e.
-        """
-        t = self.tower
-        fq = t.fq
-        m %= 2 * t.e
-        if m % 2 and t.e % 2 == 0:
-            return self.zeta2e_symbol() ** m
-        s = fq.one
-        if m % 2:
-            m += t.e                 # zeta_2e^m = -zeta_2e^(m+e)
-            s = fq.neg(s)
-        return SqrtSymbol(fq, fq.mul(s, fq.pow(t.zeta_e_res, m // 2)), 0)
-
     def epsilon(self, node, word):
-        """epsilon_s evaluated on tau^a frob^b; 0 unless s is even or a cotwin."""
+        """epsilon_s evaluated on tau^a frob^b; 0 unless s is even or a cotwin.
+
+        The sign with w(theta_s) zeta_2e^(aW) = +-theta_{w(s)}, theta_{w(s)}
+        the symbol 1 when w fixes the star.
+        """
         rec = self.inv[node]
         if not (rec.is_even or rec.cotwin):
             return 0
-        a, b = word.a % (2 * self.tower.e), word.b % (2 * self.tower.d)
-        key = (node, a, b)
-        if key in self._eps_cache:
-            return self._eps_cache[key]
+        t = self.tower
+        fq = t.fq
+        b = word.b % (2 * t.d)
         star = self.star(node)
         target = self.image(star, word)
         w, u = self.radicand(star)
-        fq = self.tower.fq
         if target is star:
             # frob^b(sqrt(u)) / sqrt(u) = u^((p^b-1)/2) for either root
             pb = pow(fq.p, b, 2 * (fq.q - 1))
-            sym = SqrtSymbol(fq, fq.pow(u, (pb - 1) // 2), 0)
+            lhs = SqrtSymbol(fq, fq.pow(u, (pb - 1) // 2), 0)
+            theta = SqrtSymbol(fq, fq.one, 0)
         else:
             if self.radicand(target)[0] != w:
                 raise InternalError("Galois image of a radicand changed valuation")
-            sym = self._sqrt_symbol(star).frob_iter(b) * self._sqrt_symbol(target).inv()
-        sign = (sym * self._zeta2e_power(a * w)).as_sign()
-        if sign is None:
-            raise InternalError(
-                f"epsilon value is not +-1 on cluster {node.name} (precision or convention bug)")
-        self._eps_cache[key] = sign
-        return sign
+            lhs = self._sqrt_symbol(star).frob_iter(b)
+            theta = self._sqrt_symbol(target)
+        lhs = lhs * zeta_2e(fq, t.e) ** (word.a * w % (2 * t.e))
+        if lhs == theta:
+            return 1
+        if lhs == -theta:
+            return -1
+        raise InternalError(
+            f"epsilon value is not +-1 on cluster {node.name} (precision or convention bug)")
 
     def _star_fixed(self, node, *words):
         """Whether every given word maps the node's star to itself."""
@@ -457,12 +430,13 @@ class ClusterAnalysis:
     def eps_trivial_galois(self, node):
         if self._star_fixed(node, TAU, FROB):
             # a character of the whole quotient: the generators decide
-            return self.epsilon(node, TAU) == 1 and self.epsilon(node, FROB) == 1
+            rec = self.inv[node]
+            return rec.eps_tau == 1 and rec.eps_frob == 1
         return all(self.epsilon(node, w) == 1 for w in self.epsilon_words())
 
     def eps_trivial_inertia(self, node):
         if self._star_fixed(node, TAU):
-            return self.epsilon(node, TAU) == 1
+            return self.inv[node].eps_tau == 1
         return all(self.epsilon(node, GaloisWord(a, 0)) == 1
                    for a in range(2 * self.tower.e))
 

@@ -28,7 +28,8 @@ from .errors import (DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
-from .numutil import cyclotomic_poly, is_prime, mult_order, poly_deriv, resultant
+from .numutil import (cyclotomic_poly, is_prime, mult_order, poly_deriv,
+                      poly_divmod_monic, resultant)
 from .tame import add_branch
 
 
@@ -46,9 +47,8 @@ class Cyclo:
         phi = len(cyclotomic_poly(N)) - 1
         c = list(coeffs)
         if len(c) > phi:
-            c = _poly_rem(c, cyclotomic_poly(N))
-        c += [0] * (phi - len(c))
-        self.coeffs = tuple(c[:phi])
+            c = poly_divmod_monic(c, cyclotomic_poly(N))[1]
+        self.coeffs = tuple(c + [0] * (phi - len(c)))
 
     @classmethod
     def integer(cls, n, N=1):
@@ -61,14 +61,16 @@ class Cyclo:
         coeffs[k] = 1
         return cls(N, coeffs)
 
-    def promote(self, M):
-        """Re-express in Z[zeta_M]; requires N | M."""
-        if self.N == M:
+    def substitute(self, M, k):
+        """The image in Z[zeta_M] under zeta_N -> zeta_M^k; requires N | M.
+
+        k = M/N re-expresses the element, and M = N, k = p conjugates it.
+        """
+        if (M, k) == (self.N, 1):
             return self
-        step = M // self.N
         out = [0] * M
         for j, c in enumerate(self.coeffs):
-            out[(j * step) % M] += c
+            out[(j * k) % M] += c
         return Cyclo(M, out)
 
     def __add__(self, other):
@@ -94,13 +96,6 @@ class Cyclo:
                     out[i + j] += a * b
         return Cyclo(self.N, out)
 
-    def conj_power(self, k):
-        """Apply zeta_N -> zeta_N^k."""
-        out = [0] * self.N
-        for j, c in enumerate(self.coeffs):
-            out[(j * k) % self.N] += c
-        return Cyclo(self.N, out)
-
     @property
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
@@ -124,21 +119,6 @@ class Cyclo:
             if c:
                 parts.append(f"{c}*zeta({self.N})^{j}" if j else str(c))
         return " + ".join(parts) or "0"
-
-
-def _poly_rem(f, g):
-    f = list(f)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = f[-1]
-        k = len(f) - len(g)
-        for i, b in enumerate(g):
-            f[k + i] -= c * b
-        f.pop()
-    return f
 
 
 # ------------------------------------------------------------------
@@ -442,7 +422,7 @@ def parse_expr(text, p):
         N = math.lcm(N, f.center.N)
     promoted = []
     for f in factors:
-        c = f.center.promote(N)
+        c = f.center.substitute(N, N // f.center.N)
         if isinstance(f, Linear):
             promoted.append(Linear(c))
         else:
@@ -469,7 +449,7 @@ def _factor_key(f):
 
 def _frob_factor(f, p):
     """The factor whose roots are the Frobenius images of f's: zeta_N -> zeta_N^p."""
-    return f._replace(center=f.center.conj_power(p))
+    return f._replace(center=f.center.substitute(f.center.N, p))
 
 
 def galois_closure_check(expr):

@@ -184,7 +184,7 @@ def theorem_decide(A):
             else:
                 reports["iv.a"].note(r.name, {"interval": [q(lo), q(hi)],
                                               "integer_intersection": "empty"})
-        if (triv_inertia and A.epsilon(s, FROB) == -1
+        if (triv_inertia and r.eps_frob == -1
                 and is_int(r.depth_e, e) and is_even_int(r.nu_e, e)):
             reports["iv.b"].fire(r.name, {"d": q(r.depth_e), "nu": q(r.nu_e)})
         if not triv_inertia:
@@ -209,7 +209,7 @@ def theorem_decide(A):
                 lo, hi = -child.level, -r.depth_e
                 if interval_has_integer(lo, hi, e):
                     reports["v.a"].fire(r.name, {"interval": [q(lo), q(hi)]})
-            if (triv_inertia and A.epsilon(s, FROB) == -1
+            if (triv_inertia and r.eps_frob == -1
                     and is_int(r.depth_e, e) and is_even_int(r.nu_e, e)):
                 reports["v.b"].fire(r.name, {"d": q(r.depth_e), "nu": q(r.nu_e)})
             if not triv_inertia:
@@ -252,7 +252,7 @@ def theorem_decide(A):
                         reports["vi.b"].fire(name, {"d_R": q(top_rec.depth_e),
                                                     "nu_R": q(top_rec.nu_e)},
                                              marker=True)
-                    if swaps and A.epsilon(top, FROB) == 1:
+                    if swaps and top_rec.eps_frob == 1:
                         reports["vi.c"].fire(name, {"eps_R_frob": 1})
                 else:
                     if ra is None:
@@ -265,7 +265,7 @@ def theorem_decide(A):
                             and is_int(top_rec.depth_e, e)):
                         reports["vi.e"].fire(name, {"d_R": q(top_rec.depth_e)})
                     if (swaps and A.eps_trivial_galois(a_node)
-                            and A.epsilon(top, FROB) == 1):
+                            and top_rec.eps_frob == 1):
                         reports["vi.f"].fire(name, {"eps_R_frob": 1})
 
     component_yes = any(r.satisfied for r in reports.values())

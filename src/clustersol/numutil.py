@@ -120,25 +120,22 @@ def poly_deriv(f):
     return poly_trim([i * a for i, a in enumerate(f)][1:])
 
 
-def poly_divexact(f, g):
-    """Exact division of integer polynomials; raises if not exact."""
-    f = poly_trim(list(f))
-    g = poly_trim(list(g))
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [0] * max(len(f) - len(g) + 1, 1)
-    while len(f) >= len(g):
-        q, r = divmod(f[-1], g[-1])
-        if r:
-            raise ValueError("inexact polynomial division")
-        k = len(f) - len(g)
-        out[k] = q
-        for i, b in enumerate(g):
-            f[k + i] -= q * b
-        f = poly_trim(f[:-1])
-    if f:
-        raise ValueError("inexact polynomial division")
-    return poly_trim(out)
+def poly_divmod_monic(f, g):
+    """(quotient, remainder) of integer polynomials f by a monic g.
+
+    The remainder is the low len(g) - 1 coefficients, untrimmed (all of f
+    when f is shorter).
+    """
+    r = list(f)
+    n = len(g) - 1
+    quot = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - n - 1, -1, -1):
+        c = r[k + n]
+        if c:
+            quot[k] = c
+            for i in range(n):
+                r[k + i] -= c * g[i]
+    return quot, r[:n]
 
 
 def resultant(f, g):
@@ -184,7 +181,9 @@ def _cyclotomic(n):
     f = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            f = poly_divexact(f, _cyclotomic(d))
+            f, rem = poly_divmod_monic(f, _cyclotomic(d))
+            if any(rem):
+                raise ValueError("inexact polynomial division")
     return tuple(f)
 
 

@@ -61,7 +61,7 @@ from typing import NamedTuple
 from .errors import (InternalError, NonOddPrime, PrecisionExhausted,
                      WildRamification, ZeroElement)
 from .fq import _mulmod, _powmod, get_field
-from .numutil import is_prime
+from .numutil import is_prime, vp
 
 INF = math.inf
 
@@ -168,18 +168,7 @@ class Tower:
 
     def w_vp(self, a):
         """min p-adic valuation of the coordinates, or None if 0 mod p^M."""
-        best = None
-        for x in a:
-            if x:
-                v = 0
-                while x % self.p == 0:
-                    x //= self.p
-                    v += 1
-                if best is None or v < best:
-                    best = v
-                if best == 0:
-                    return 0
-        return best
+        return min([vp(x, self.p) for x in a if x], default=None)
 
     def w_divp(self, a, k):
         pk = self.p ** k
@@ -245,16 +234,11 @@ class Tower:
         return Elt(self, None, None, self.M)
 
     def from_int(self, n):
-        if n % self.p == 0 and n != 0:
-            v = 0
-            while n % self.p == 0:
-                n //= self.p
-                v += 1
-            return self.from_int(n).shift(self.e * v)
         if n == 0:
             return self.zero()
-        unit = (self.w_from_int(n),) + (self.w_zero(),) * (self.e - 1)
-        return Elt(self, 0, unit, self.M)
+        v = vp(n, self.p)
+        unit = (self.w_from_int(n // self.p ** v),) + (self.w_zero(),) * (self.e - 1)
+        return Elt(self, self.e * v, unit, self.M)
 
     def from_w(self, col, vL=0):
         vp = self.w_vp(col)

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import sys
@@ -8,6 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
+from clustersol.clusters import SqrtSymbol, canonical_sqrt_symbol
 from clustersol.curves import (Linear, RootSet, digit_trie, embed_cyclo,
                                expand_to_integer_poly)
 from clustersol.errors import InternalError, PrecisionExhausted, RootCollision
@@ -273,6 +275,67 @@ def reference_radicand(A, node):
             w += diff.vL
             u = t.fq.mul(u, diff.residue())
     return w, u
+
+
+# --- the reference zeta_2e and symbol arithmetic ---
+#
+# The package takes zeta_2e = sqrt(omega)^((q-1)/e) in closed form
+# (``clusters.zeta_2e``), raises symbols by a closed form, and reads a
+# character by comparing symbols.  These compute zeta_2e as it was first
+# computed, from the canonical square root of zeta_e, raise symbols by
+# repeated multiplication, and invert them.
+
+def symbol_power(sym, k):
+    """sym^k by repeated multiplication, k >= 0."""
+    out = SqrtSymbol(sym.fq, sym.fq.one, 0)
+    for _ in range(k):
+        out = out * sym
+    return out
+
+
+def symbol_inv(sym):
+    """1/sym: s^-1, times omega^-1 when the symbol carries sqrt(omega)."""
+    fq = sym.fq
+    s = fq.inv(sym.s)
+    if sym.alpha:
+        s = fq.mul(s, fq.inv(fq.omega))
+    return SqrtSymbol(fq, s, sym.alpha)
+
+
+def symbol_sign(sym):
+    """+1 or -1 when the symbol is literally that sign, else None."""
+    fq = sym.fq
+    if sym.alpha:
+        return None
+    return {fq.one: 1, fq.neg(fq.one): -1}.get(sym.s)
+
+
+@functools.cache
+def reference_zeta2e(fq, e):
+    """The canonical square root of zeta_e, negated unless its e-th power is -1."""
+    zeta_e = fq.pow(fq.omega, (fq.q - 1) // e)
+    sym = canonical_sqrt_symbol(fq, zeta_e)
+    if symbol_sign(symbol_power(sym, e)) != -1:
+        sym = -sym
+    if symbol_sign(symbol_power(sym, e)) != -1:
+        raise InternalError("no primitive 2e-th root of unity found")
+    return sym
+
+
+def reference_zeta2e_power(fq, e, m):
+    """zeta_2e^m, taking the square root of zeta_e only for odd m with e even.
+
+    Even powers are powers of zeta_e; for odd e, zeta_2e = -zeta_e^((e+1)/2).
+    """
+    m %= 2 * e
+    if m % 2 and e % 2 == 0:
+        return symbol_power(reference_zeta2e(fq, e), m)
+    s = fq.one
+    if m % 2:
+        m += e                   # zeta_2e^m = -zeta_2e^(m+e)
+        s = fq.neg(s)
+    zeta_e = fq.pow(fq.omega, (fq.q - 1) // e)
+    return SqrtSymbol(fq, fq.mul(s, fq.pow(zeta_e, m // 2)), 0)
 
 
 # --- the reference reads that subtract tower elements ---

@@ -2,19 +2,25 @@
 
 The reference takes two canonical square roots for every word, exactly as
 the characters were first evaluated: eps(w) = w(sqrt(u_s)) zeta_2e^(aW) /
-sqrt(u_{w(s)}).  Production replaces this by a power-residue symbol when
-the word fixes the star and decides triviality on the generators when the
-star is Galois-fixed; the values themselves must agree word by word.
+sqrt(u_{w(s)}), with zeta_2e the canonical square root of zeta_e
+(``conftest.reference_zeta2e``).  Production replaces this by a
+power-residue symbol when the word fixes the star, compares symbols
+instead of dividing them, takes zeta_2e in closed form, and decides
+triviality on the generators when the star is Galois-fixed; the values
+themselves must agree word by word.
 """
 
 import pytest
 
 import clustersol.clusters as clusters_mod
-from conftest import EX1, EX2, EX3, flip_canonical_sqrt
-from clustersol.clusters import analyse, canonical_sqrt_symbol
+from conftest import (EX1, EX2, EX3, flip_canonical_sqrt, reference_zeta2e,
+                      reference_zeta2e_power, symbol_inv, symbol_sign)
+from clustersol.clusters import analyse, canonical_sqrt_symbol, zeta_2e
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
+from clustersol.fq import get_field
+from clustersol.numutil import is_prime
 from clustersol.tame import FROB, TAU
 
 
@@ -32,9 +38,9 @@ def reference_epsilon(A, node, word):
     sym1 = canonical_sqrt_symbol(fq, u1)
     sym2 = canonical_sqrt_symbol(fq, u2)
     sym = sym1.frob_iter(word.b % (2 * A.tower.d))
-    sym = sym * A.zeta2e_symbol() ** ((word.a % (2 * A.tower.e)) * w1)
-    sym = sym * sym2.inv()
-    sign = sym.as_sign()
+    sym = sym * reference_zeta2e_power(fq, A.tower.e, (word.a % (2 * A.tower.e)) * w1)
+    sym = sym * symbol_inv(sym2)
+    sign = symbol_sign(sym)
     assert sign in (1, -1)
     return sign
 
@@ -75,6 +81,31 @@ def _check_against_reference(A):
     return moved
 
 
+def test_zeta2e_closed_form_matches_the_square_root_reference():
+    """zeta_2e and zeta_2e^m, m < 2e, against the canonical-root reference.
+
+    Over every field F_q with p <= 103 and d <= 4 and every e <= 24
+    dividing q - 1.  With k = (q - 1)/e, odd e forces even k, so six
+    parity cases of (e, m, k) can occur, and all of them do.
+    """
+    cases = set()
+    pairs = 0
+    for p in filter(is_prime, range(3, 104)):
+        for d in range(1, 5):
+            fq = get_field(p, d)
+            for e in range(1, 25):
+                if (fq.q - 1) % e:
+                    continue
+                z = zeta_2e(fq, e)
+                assert z == reference_zeta2e(fq, e), (p, d, e)
+                for m in range(2 * e):
+                    assert z ** m == reference_zeta2e_power(fq, e, m), (p, d, e, m)
+                    cases.add((e % 2, m % 2, (fq.q - 1) // e % 2))
+                pairs += 1
+    assert pairs == 1022
+    assert len(cases) == 6
+
+
 @pytest.mark.parametrize("flip", [False, True])
 def test_epsilon_matches_all_words_reference(flip, monkeypatch):
     sqrts = flip_canonical_sqrt(monkeypatch) if flip else []
@@ -99,9 +130,8 @@ def test_no_square_root_when_the_star_is_fixed(monkeypatch):
         if not fixed:
             continue
         B = analyse(parse_expr(text, p))
-        B._eps_cache.clear()        # forget what construction evaluated
-        B._sqrt_cache.clear()
-        B._zeta2e = None
+        B._sqrt_cache.clear()       # forget what construction evaluated
+        zeta_2e.cache_clear()
         monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", forbidden)
         for node, node_b in zip(A.picture.proper(), B.picture.proper()):
             if node in fixed:

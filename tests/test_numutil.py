@@ -4,8 +4,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from clustersol.numutil import (cyclotomic_poly, factorint, is_prime, lowest_terms,
-                                mult_order, poly_deriv, poly_eval, poly_trim,
-                                rational_str, resultant, vp)
+                                mult_order, poly_deriv, poly_divmod_monic, poly_eval,
+                                poly_trim, rational_str, resultant, vp)
 
 
 def poly_mul(f, g):
@@ -54,6 +54,16 @@ def test_cyclotomic():
     assert cyclotomic_poly(4) == [1, 0, 1]
     assert cyclotomic_poly(6) == [1, -1, 1]
     assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12),
+       st.lists(st.integers(-50, 50), max_size=6))
+def test_divmod_by_a_monic_polynomial_reconstructs(f, low):
+    g = low + [1]
+    quot, rem = poly_divmod_monic(f, g)
+    assert len(rem) == min(len(f), len(g) - 1)
+    total = poly_mul(quot, g) + [0] * len(f)
+    assert poly_trim([a + b for a, b in zip(total, rem + [0] * len(total))]) == poly_trim(f)
 
 
 def test_resultant_vs_root_product():
