@@ -31,16 +31,20 @@ read by comparing the two symbols in the residue field.
 When the word fixes the star the two square roots cancel, whichever root
 is taken, and the value is the power-residue symbol
 
-    epsilon_s(tau^a frob^b) = u^((p^b - 1)/2) * zeta_2e^(aW),
+    epsilon_s(tau^a frob^b) = u^((p^b - 1)/2) * zeta_2e^(aW).
 
-one exponentiation and no square root.  If the star is fixed by tau and
-frob, then e | W and u lies in F_p, so epsilon_s is a character of the
-whole quotient with epsilon(tau) = (-1)^(W/e) and
-epsilon(frob) = u^((p-1)/2); triviality is decided on the generator
-values the cluster's record keeps.  Square roots are taken only for stars
-that are not Galois-fixed: a word that moves the star uses one canonical
-symbol s * sqrt(omega)^alpha per cluster, memoised, and triviality is
-then checked word by word.
+On the generators it has a closed form and needs no F_q work.
+zeta_2e^m is +-1 exactly when e | m, and then (-1)^(m/e), so
+epsilon(tau) = (-1)^(W/e); u^((p-1)/2) is +-1 exactly when u lies in F_p,
+and then it is u's Legendre symbol (u_0 / p) = epsilon(frob).  A radicand
+with e not dividing W, or u outside F_p, has no +-1 value there and
+raises.  Other words that fix the star take one exponentiation.  If the
+star is fixed by tau and frob, epsilon_s is a character of the whole
+quotient, and triviality is decided on the two generator values the
+cluster's record keeps.  Square roots are taken only for stars that are
+not Galois-fixed: a word that moves the star uses one canonical symbol
+s * sqrt(omega)^alpha per cluster, memoised, and triviality is then
+checked word by word.
 """
 
 import functools
@@ -310,15 +314,22 @@ class ClusterAnalysis:
     # --- Galois action on the picture ---
 
     def _node_map(self, perm):
-        """A root permutation on nodes: a node's first root's image, climbed to its size."""
+        """A root permutation on nodes, children first.
+
+        A leaf goes to its root's image's leaf, and a proper node to the
+        common parent of its children's images, which must have the
+        node's size: then it holds exactly the images of the node's roots.
+        """
         leaf = {n.roots[0]: n for n in self.picture.nodes if not n.is_proper}
         out = {}
-        for node in self.picture.nodes:
-            img = leaf[perm[node.roots[0]]]
-            while img.size < node.size:
-                img = img.parent
-            if img.roots != tuple(sorted(perm[i] for i in node.roots)):
-                raise InternalError("Galois image of a cluster is not a cluster")
+        for node in reversed(self.picture.nodes):
+            if node.is_proper:
+                img = out[node.children[0]].parent
+                if img.size != node.size or any(out[c].parent is not img
+                                                for c in node.children):
+                    raise InternalError("Galois image of a cluster is not a cluster")
+            else:
+                img = leaf[perm[node.roots[0]]]
             out[node] = img
         return out
 
@@ -399,6 +410,12 @@ class ClusterAnalysis:
         star = self.star(node)
         target = self.image(star, word)
         w, u = self.radicand(star)
+        m = word.a * w % (2 * t.e)
+        if target is star and m % t.e == 0 and b < 2 and not (b and any(u[1:])):
+            # zeta_2e^m = (-1)^(m/e), and for b = 1 and u in F_p u^((p-1)/2) is
+            # u[0]'s Legendre symbol; other fixed-star values take the symbols below
+            sign = -1 if m else 1
+            return sign if not b or pow(u[0], (fq.p - 1) // 2, fq.p) == 1 else -sign
         if target is star:
             # frob^b(sqrt(u)) / sqrt(u) = u^((p^b-1)/2) for either root
             pb = pow(fq.p, b, 2 * (fq.q - 1))
@@ -409,7 +426,8 @@ class ClusterAnalysis:
                 raise InternalError("Galois image of a radicand changed valuation")
             lhs = self._sqrt_symbol(star).frob_iter(b)
             theta = self._sqrt_symbol(target)
-        lhs = lhs * zeta_2e(fq, t.e) ** (word.a * w % (2 * t.e))
+        if m:
+            lhs = lhs * zeta_2e(fq, t.e) ** m
         if lhs == theta:
             return 1
         if lhs == -theta:

@@ -65,8 +65,10 @@ class Cyclo:
         """The image in Z[zeta_M] under zeta_N -> zeta_M^k; requires N | M.
 
         k = M/N re-expresses the element, and M = N, k = p conjugates it.
+        M = N with k = 1 mod N, as for any rational element under k = p,
+        is the identity.
         """
-        if (M, k) == (self.N, 1):
+        if M == self.N and k % M == 1 % M:
             return self
         out = [0] * M
         for j, c in enumerate(self.coeffs):
@@ -174,18 +176,23 @@ class CurveExpr(NamedTuple):
 # tokenizer / parser
 # ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]+|\*\*|[()^*+\-])")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z]+|\*\*|[()^*+\-]")
+_NON_TOKEN_RE = re.compile(r"[^\s\dA-Za-z()^*+\-]")    # starts no token
 
 
 def _tokenize(text):
-    pos, toks = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character at {text[pos:pos + 10]!r}")
-        tok = m.group(1)
-        toks.append("^" if tok == "**" else tok)
-        pos = m.end()
+    """The tokens, with "**" as "^" and "$" last; whitespace only separates them.
+
+    A character that starts no token is reported from the end of the
+    token before it.
+    """
+    bad = _NON_TOKEN_RE.search(text)
+    if bad:
+        end = len(text[:bad.start()].rstrip())
+        raise ParseError(f"unexpected character at {text[end:end + 10]!r}")
+    toks = _TOKEN_RE.findall(text)
+    if "**" in text:
+        toks = ["^" if tok == "**" else tok for tok in toks]
     toks.append("$")
     return toks
 
@@ -391,6 +398,8 @@ def _combine_center(terms):
     for _, z in terms:
         if z is not None:
             N = math.lcm(N, z[0])
+    if N == 1:
+        return Cyclo.integer(sum(coeff for coeff, _ in terms))
     acc = Cyclo.integer(0, N)
     for coeff, z in terms:
         if z is None:

@@ -264,9 +264,29 @@ class FqField:
         return sorted(roots)
 
     def canonical_sqrt(self, a):
-        """The lexicographically least square root, or None."""
-        roots = self.nth_roots(a, 2)
-        return roots[0] if roots else None
+        """The lexicographically least square root, or None.
+
+        Tonelli-Shanks with q - 1 = 2^s m, m odd, and the generator omega
+        as the non-residue: x = a^((m+1)/2) has x^2 = a b for b = a^m in
+        the 2-Sylow subgroup, and each step multiplies x by a power of
+        omega^m that lowers the order of b, until b = 1.
+        """
+        if a == self.zero:
+            return a
+        m, s = self.q - 1, 0
+        while m % 2 == 0:
+            m, s = m // 2, s + 1
+        x, b, g = self.pow(a, (m + 1) // 2), self.pow(a, m), self.pow(self.omega, m)
+        while b != self.one:
+            i, c = 0, b
+            while c != self.one:
+                c, i = self.mul(c, c), i + 1
+            if i == s:
+                return None          # b has order 2^s: a is not a square
+            g = self.pow(g, 1 << (s - i - 1))
+            x, g, s = self.mul(x, g), self.mul(g, g), i
+            b = self.mul(b, g)
+        return min(x, self.neg(x))
 
     def canonical_nth_root(self, a, n):
         roots = self.nth_roots(a, n)

@@ -125,7 +125,6 @@ class Tower:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
                 "needed for a Galois tame tower")
-        self.zeta_e_res = self.fq.pow(self.fq.omega, (self.q - 1) // e) if e > 1 else self.fq.one
 
     # ------------------------------------------------------------------
     # W = Z_p[t]/(Ptilde) arithmetic on coordinate tuples mod p^M

@@ -179,6 +179,11 @@ def w_frob(t, a):
     return tuple(x % t.pM for x in acc)
 
 
+def zeta_e_res(t):
+    """zeta_e mod pi: omega^((q - 1)/e), the residue of the tower's zeta_e."""
+    return t.fq.pow(t.fq.omega, (t.q - 1) // t.e)
+
+
 def zeta_e_pows(t):
     """[1, zeta_e, ..., zeta_e^(e-1)] in W."""
     pows = [t.w_one()]
@@ -204,6 +209,12 @@ def frob(x):
     if x.is_zero or t.d == 1:
         return x
     return Elt(t, x.vL, tuple(w_frob(t, c) for c in x.unit), x.rel)
+
+
+def reference_canonical_sqrt(fq, a):
+    """``FqField.canonical_sqrt`` as it was first taken: the least of all square roots."""
+    roots = fq.nth_roots(a, 2)
+    return roots[0] if roots else None
 
 
 # --- the reference Galois data and radicands on sets of roots ---

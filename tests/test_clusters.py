@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import EX1, EX2, EX3, as_fractions, flip_canonical_sqrt
-from clustersol.clusters import analyse
+from clustersol.clusters import ClusterAnalysis, analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
+from clustersol.errors import InternalError
 from clustersol.tame import FROB, TAU, GaloisWord
 from test_cluster_trie import reference_nu, reference_valuation_matrix
 from test_epsilon_reference import NON_STABLE
@@ -174,6 +175,22 @@ def test_images_preserve_size_and_depth():
             for w in (TAU, FROB, GaloisWord(1, 1)):
                 img = A.image(node, w)
                 assert img.size == node.size and img.level == node.level
+
+
+def test_a_permutation_that_splits_a_twin_is_refused():
+    """tau_perm corrupted so that a twin's image is no cluster.
+
+    The picture is {R {s1 {t1 r1 r2} {t2 r3 r4}} r5 r6 r7 r8}.  Sending r2
+    to r5 leaves t1's images with two parents.  Sending t1 onto {r5, r6}
+    and t2 onto {r7, r8} gives each twin's images the one parent R, which
+    is bigger than a twin.
+    """
+    A = analyse(parse_expr("(x)*(x-49)*(x-7)*(x-56)*(x-1)*(x-2)*(x-3)*(x-4)", 7))
+    assert A.picture.serialize() == "{d=0 {d=1 {d=2 r1 r2} {d=2 r3 r4}} r5 r6 r7 r8}"
+    for swap in ({1: 4, 4: 1}, {0: 4, 1: 5, 2: 6, 3: 7, 4: 0, 5: 1, 6: 2, 7: 3}):
+        A.rs.tau_perm = [swap.get(r, r) for r in range(A.rs.size)]
+        with pytest.raises(InternalError, match="Galois image of a cluster is not a cluster"):
+            ClusterAnalysis(A.expr, A.rs, A.picture)
 
 
 def test_stable_children_trivial_action():

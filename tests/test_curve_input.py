@@ -61,6 +61,17 @@ def test_parse_rejects_unsupported():
         parse_expr("(x^3-p^2)*)", 7)
 
 
+def test_parse_accepts_trailing_whitespace():
+    ref = parse_expr("(x^5-p)", 7)
+    for text in ("(x^5-p) ", "(x^5-p)\t", " (x^5-p) \t "):
+        assert parse_expr(text, 7) == ref
+    # a bad character is still reported from the end of the token before it
+    for text, rest in (("(x^5-p) @", " @"), ("(x^5-p)*\t#x", "\t#x")):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 7)
+        assert str(err.value) == f"unexpected character at {rest!r}"
+
+
 def test_parse_cyclotomic_centers():
     e = parse_expr(EX2, 11)
     centers = [f.center for f in e.factors]

@@ -19,6 +19,7 @@ from clustersol.clusters import analyse, canonical_sqrt_symbol, zeta_2e
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
+from clustersol.errors import InternalError
 from clustersol.fq import get_field
 from clustersol.numutil import is_prime
 from clustersol.tame import FROB, TAU
@@ -161,3 +162,40 @@ def test_theorem_takes_no_square_root_on_galois_fixed_pictures(monkeypatch):
         assert yes == theorem_decide(A)[0]
         decided += 1
     assert decided > 5
+
+
+def _patch_radicand(monkeypatch, A, node, dw=0, factor=None):
+    """Make A read node's radicand (W, u) as (W + dw, u * factor): no root set gives it."""
+    real, fq = A.radicand, A.tower.fq
+
+    def radicand(n):
+        w, u = real(n)
+        if n is node:
+            return w + dw, u if factor is None else fq.mul(u, factor)
+        return w, u
+
+    monkeypatch.setattr(A, "radicand", radicand)
+    A._sqrt_cache.clear()
+
+
+@pytest.mark.parametrize("path", ["tau", "frob", "moved"])
+def test_an_inconsistent_radicand_has_no_sign(path, monkeypatch):
+    """epsilon raises, on each of its paths, when the radicand has no +-1 value.
+
+    On EX2 at p = 11 (e = 2, d = 2) the top cluster is Galois-fixed and
+    frob swaps the twins t2 and t3.  tau on a fixed star needs e | W;
+    frob on a fixed star needs u in F_p; a moved star needs its image's
+    radicand to be the Frobenius image of its own.
+    """
+    A = analyse(parse_expr(EX2, 11))
+    top = A.picture.top
+    t2, t3 = [n for n in top.children if A.image(n, FROB) is not n]
+    node, word, patched, change = {
+        "tau": (top, TAU, top, {"dw": 1}),
+        "frob": (top, FROB, top, {"factor": A.tower.fq.omega}),
+        "moved": (t2, FROB, t3, {"factor": A.tower.fq.omega}),
+    }[path]
+    assert A.epsilon(node, word) in (1, -1)
+    _patch_radicand(monkeypatch, A, patched, **change)
+    with pytest.raises(InternalError, match=r"epsilon value is not \+-1"):
+        A.epsilon(node, word)

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from conftest import reference_canonical_sqrt
 from clustersol.errors import NonOddPrime
 from clustersol.fq import FqField, _mulmod, _powmod, get_field
+from clustersol.numutil import is_prime
 from clustersol.tame import Tower
 from test_numutil import poly_mul
 from test_tame_field import TOWERS
@@ -72,6 +75,33 @@ def test_sqrt_and_nth_roots(p, d):
             assert roots == sorted(roots)
             for r in roots:
                 assert F.pow(r, n) == a
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_canonical_sqrt_matches_reference_on_every_small_field(d):
+    """Tonelli-Shanks against the least of all square roots: every element, q <= 2000."""
+    fields = 0
+    for p in filter(is_prime, range(3, 2001)):
+        if p ** d > 2000:
+            break
+        F = get_field(p, d)
+        for a in itertools.product(range(p), repeat=d):
+            assert F.canonical_sqrt(a) == reference_canonical_sqrt(F, a), (p, d, a)
+        fields += 1
+    assert fields == {1: 302, 2: 13, 3: 4, 4: 2, 5: 1, 6: 1}[d]
+
+
+@pytest.mark.parametrize("p,d,s", [(17, 4, 6), (97, 1, 5), (97, 3, 5), (257, 2, 9),
+                                   (12289, 1, 12)])
+def test_canonical_sqrt_matches_reference_with_a_large_two_part(p, d, s):
+    """Samples, and their squares, where 2^s exactly divides q - 1: many Tonelli-Shanks steps."""
+    F = get_field(p, d)
+    assert (F.q - 1) % 2 ** s == 0 and (F.q - 1) // 2 ** s % 2 == 1
+    rng = random.Random(p * 10 + d)
+    for _ in range(300):
+        a = rand_elt(F, rng)
+        for x in (a, F.mul(a, a)):
+            assert F.canonical_sqrt(x) == reference_canonical_sqrt(F, x), (p, d, x)
 
 
 def test_euler_criterion_against_enumeration():
