@@ -1,17 +1,15 @@
 """Command-line entry points: analyze, oracle, compare, render.
 
 Exit codes: 0 ok, 1 usage or parse failure, 2 inapplicable input,
-3 internal error, 4 precision exhausted (a quantity the verdict reads
-needed untrusted digits at the working precision and with twice and
-four times the digits it stored; ``decision.PRECISION_RUNGS``).  All
-output is deterministic for fixed inputs and seeds; the JSON schema is
+3 internal error, 4 precision exhausted (a read past the digits that
+``clusters.default_precision`` sized from the factors: a fault in its
+lemma).  All output is deterministic for fixed inputs and seeds; the
+JSON schema is
 
     {curve, p, tower: {d, e, prec}, picture, invariants[], conditions[],
      component_verdict, solubility, convention_markers[], oracle?}
 
-with tower.prec the effective pi-adic precision e*M of the pass that
-decided the curve: --prec starts the ladder, and a request below the
-floor of 8 p-adic digits is raised to it.
+with tower.prec the sized pi-adic precision e*M that decided the curve.
 
 A batch (``analyze --curve FILE``, ``compare``) fails only the bad curve:
 it becomes the row {curve, p, error: {class, message}} and the others are
@@ -145,10 +143,10 @@ def _error_row(p, text, ex):
             "error": {"class": type(ex).__name__, "message": str(ex)}}
 
 
-def _analyze_one(p, text, prec):
+def _analyze_one(p, text):
     expr = parse_expr(text, p)
     galois_closure_check(expr)
-    verdict, analysis = solubility_decide(expr, prec=prec)
+    verdict, analysis = solubility_decide(expr)
     return build_report(expr, verdict, analysis)
 
 
@@ -158,12 +156,12 @@ def cmd_analyze(cfg):
         reports, failure = [], None
         for text in exprs:
             try:
-                reports.append(_analyze_one(p, text, cfg.prec))
+                reports.append(_analyze_one(p, text))
             except ClusterSolError as ex:       # fail this curve, not the batch
                 reports.append(_error_row(p, text, ex))
                 failure = failure or _exit_code(ex)
     else:
-        reports, failure = [_analyze_one(cfg.p, cfg.expr, cfg.prec)], None
+        reports, failure = [_analyze_one(cfg.p, cfg.expr)], None
     if cfg.as_json:
         print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     else:
@@ -297,7 +295,7 @@ def cmd_render(cfg):
     from .render import render_ascii, render_latex
     expr = parse_expr(cfg.expr, cfg.p)
     galois_closure_check(expr)
-    analysis = solubility_decide(expr, prec=cfg.prec)[1]
+    analysis = solubility_decide(expr)[1]
     if cfg.fmt == "latex":
         print(render_latex(analysis.picture))
     else:
@@ -349,7 +347,6 @@ def _parse_args(argv):
                      help="curve file with a 'p = <int>' header")
     src.add_argument("--expr", help="inline curve expression")
     an.add_argument("--p", type=int, help="prime (required with --expr)")
-    an.add_argument("--prec", type=_int_at_least(1), help="pi-adic working precision override")
     an.add_argument("--json", dest="as_json", action="store_true")
 
     orc = sub.add_parser("oracle", help="brute-force point search over Q_p")
@@ -371,7 +368,6 @@ def _parse_args(argv):
     ren = sub.add_parser("render", help="render the cluster picture")
     ren.add_argument("--expr", required=True)
     ren.add_argument("--p", type=int, required=True)
-    ren.add_argument("--prec", type=_int_at_least(1))
     ren.add_argument("--format", dest="fmt", choices=("ascii", "latex"), default="ascii")
 
     ns = top.parse_args(argv)

@@ -50,10 +50,11 @@ checked word by word.
 import functools
 import math
 
-from .errors import InternalError
-from .curves import extract_roots, galois_perms, perm_order, required_tower
-from .numutil import rational_str
-from .tame import FROB, TAU, GaloisWord, get_tower
+from .errors import InternalError, RootCollision
+from .curves import (Binomial, Cyclo, Linear, extract_roots, galois_perms, perm_order,
+                     required_tower, resultant_norm)
+from .numutil import cyclotomic_poly, rational_str, resultant, vp
+from .tame import FROB, TAU, GaloisWord, get_tower, stored_digits
 
 
 # ------------------------------------------------------------------
@@ -523,21 +524,101 @@ class ClusterAnalysis:
 # ------------------------------------------------------------------
 
 def default_precision(expr, e):
-    """Working pi-adic digits: 8e(1 + largest p-power valuation in the input)."""
-    maxval = max([expr.c_pow, 1] +
-                 [f.rhs_pow for f in expr.factors if hasattr(f, "rhs_pow")])
-    return 8 * e * (1 + maxval)
+    """The pi-adic precision e*M that decides the curve, sized from its factors.
+
+    Lemma (the sizing).  Every root is trusted below at least e(M-1) + 1
+    pi-digits: ``from_int`` and ``from_w`` trust e*M, and ``add_branch``
+    trusts a sum below min(abs_prec(c), k + eM) up to its column floor.
+    ``digit_trie`` reads a root at levels up to its largest v(r - r'),
+    and ``add_branch`` keeps a branch c + w pi^k with v(c) = k, the one
+    sum that can cancel, when its valuation is at most e(M-1).  So
+    M = max(8, ceil(B/e) + 1) stored digits decide the curve when B, in
+    pi units, bounds every pairwise v(r - r') and the valuation of every
+    branch with v(c) = k.  B is read from the factor data (c, n, u, m);
+    no tower digit is read:
+
+    * two roots of one binomial (x - c)^n - u p^m differ by a unit times
+      pi^k, k = me/n, since p does not divide n;
+    * two roots of different factors differ by (c - c') + w pi^k - w' pi^k'
+      (a linear factor has no branch).  When the least of the three
+      valuations is attained once, it is v(r - r').  When it is attained
+      more than once, it still is unless the residues of the tied terms
+      cancel: some w' - w equals c - c' mod p, for w and w' the n-th and
+      n'-th roots of u and u' mod p (or 0 for a term not tied), which is
+      the resultant of X^n - u and (X + c - c')^n' - u' vanishing mod p;
+    * v_p of an element of Z[zeta_N] is the least valuation v of its
+      coefficients when the norm of x/p^v is prime to p, since then x/p^v
+      is a unit at every prime above p.  Otherwise, which needs p to
+      split in Q(zeta_N), v_p(x) is only bounded below, and the centre
+      difference is taken as for a tie that cancels, as is a tie whose
+      centre difference is not rational;
+    * where two factors f_i, f_j tie in a way that may cancel, their roots
+      are integral, so each v(r - r') is at most the sum over their pairs
+      of roots, v_p(res(f_i, f_j)), which is at most v_p of its norm to Q
+      (``curves.resultant_norm``).  A zero norm is two factors sharing a
+      root: RootCollision;
+    * a branch c + w pi^k can cancel only if v(c) = k, or if v(c) is only
+      bounded below; then v(r) is at most v_p of the norm of res(f_i, x),
+      which is f_i(0) up to sign.  A root that is exactly 0 needs no bound
+      when its centre is an integer: ``add_branch`` then reads it exactly.
+
+    Identical factors are skipped: ``curves.extract_roots`` rejects them.
+    At this precision two distinct roots differ in a trusted digit, and
+    no read raises; PrecisionExhausted from a read is a fault in this
+    lemma.
+    """
+    p, fs, N, inf = expr.p, expr.factors, expr.conductor, math.inf
+    ks = [f.rhs_pow * e // f.n if isinstance(f, Binomial) else inf for f in fs]
+
+    def valuation(coeffs):
+        """(v, x / p^v, whether v = v_p(x)) for x = sum_j coeffs[j] zeta_N^j and v
+        its coefficients' least valuation; (inf, [0], True) for x = 0."""
+        if not any(coeffs):
+            return inf, [0], True
+        v = min(vp(c, p) for c in coeffs if c)
+        unit = tuple(c // p ** v for c in coeffs)
+        return v, unit, not any(unit[1:]) or resultant(cyclotomic_poly(N), unit) % p != 0
+
+    def shifted(f, tied, d):
+        """(X + d)^n - u for f's branch if it is tied, else X + d."""
+        n, u = (f.n, f.rhs_unit) if tied else (1, 0)
+        return [math.comb(n, k) * d ** (n - k) - (k == 0) * u for k in range(n + 1)]
+
+    bound = 0
+    for i, f in enumerate(fs):
+        if ks[i] < inf:
+            v, _, exact = valuation(f.center.coeffs)
+            bound = max(bound, ks[i] if f.n > 1 else 0)
+            if not exact or e * v == ks[i]:                 # c + w pi^k may cancel
+                norm = resultant_norm(f, Linear(Cyclo.integer(0, N)), p)
+                bound = max(bound, e * vp(norm, p) if norm else 0)
+        for j in range(i):
+            if f == fs[j]:
+                continue
+            v, unit, exact = valuation([x - y for x, y in zip(f.center.coeffs,
+                                                              fs[j].center.coeffs)])
+            low = min(e * v, ks[i], ks[j])
+            centre = e * v == low
+            if not exact or centre + (ks[i] == low) + (ks[j] == low) > 1 and (
+                    centre and any(unit[1:]) or resultant(
+                        shifted(f, ks[i] == low, 0),
+                        shifted(fs[j], ks[j] == low, unit[0] % p if centre else 0)) % p == 0):
+                norm = resultant_norm(fs[j], f, p)          # a tie that may cancel
+                if not norm:
+                    raise RootCollision(f"factors {j} and {i} share a root: f is not squarefree")
+                low = e * vp(norm, p)
+            bound = max(bound, low)
+    return e * stored_digits(bound + e, e)
 
 
 def analyse(expr, prec=None):
     """Embed the roots, build the picture, and compute all cluster data.
 
-    The tower is this process's one for (p, d, e, prec) (``tame.get_tower``).
+    The tower is this process's one for (p, d, e, prec) (``tame.get_tower``),
+    at the sized precision (``default_precision``) or prec if that is larger.
     """
     d, e = required_tower(expr)
-    if prec is None:
-        prec = default_precision(expr, e)
-    tower = get_tower(expr.p, d, e, prec)
+    tower = get_tower(expr.p, d, e, max(prec or 0, default_precision(expr, e)))
     rs = extract_roots(expr, tower)
     galois_perms(rs)
     picture = build_picture(rs, expr)

@@ -28,8 +28,7 @@ from .errors import (DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
-from .numutil import (cyclotomic_poly, is_prime, mult_order, poly_deriv,
-                      poly_divmod_monic, resultant)
+from .numutil import cyclotomic_poly, is_prime, mult_order, poly_divmod_monic, resultant
 from .tame import add_branch
 
 
@@ -151,6 +150,7 @@ class CurveExpr(NamedTuple):
     c_unit: int            # sign * unit integer, coprime to p
     c_pow: int             # power of p in the leading coefficient
     factors: list
+    frob: tuple            # per factor, the index of its Frobenius partner or None
     text: str = ""
 
     @property
@@ -440,7 +440,8 @@ def parse_expr(text, p):
             if f.rhs_unit % p == 0:
                 raise UnsupportedFactor("rhs unit must be coprime to p")
             promoted.append(Binomial(c, f.n, f.rhs_unit, f.rhs_pow))
-    expr = CurveExpr(p, c_unit, c_pow, promoted, text=text.strip())
+    expr = CurveExpr(p, c_unit, c_pow, promoted, _frob_partners(p, promoted),
+                     text=text.strip())
     if expr.degree < 5:
         raise DegreeTooSmall(f"deg f = {expr.degree} < 5")
     return expr
@@ -456,18 +457,18 @@ def _factor_key(f):
     return ("bin", f.center.coeffs, f.n, f.rhs_unit, f.rhs_pow)
 
 
-def _frob_factor(f, p):
-    """The factor whose roots are the Frobenius images of f's: zeta_N -> zeta_N^p."""
-    return f._replace(center=f.center.substitute(f.center.N, p))
+def _frob_partners(p, factors):
+    """Per factor, the index of the one with its roots' images under zeta_N -> zeta_N^p, or None."""
+    by_key = {_factor_key(f): fi for fi, f in enumerate(factors)}
+    return tuple(by_key.get(_factor_key(f._replace(center=f.center.substitute(f.center.N, p))))
+                 for f in factors)
 
 
 def galois_closure_check(expr):
     """Check the factor multiset is stable under zeta_N -> zeta_N^p."""
-    bag = {}
-    for f in expr.factors:
-        bag[_factor_key(f)] = bag.get(_factor_key(f), 0) + 1
-    for f in expr.factors:
-        if bag.get(_factor_key(_frob_factor(f, expr.p)), 0) != bag[_factor_key(f)]:
+    keys = [_factor_key(f) for f in expr.factors]
+    for f, key, fi2 in zip(expr.factors, keys, expr.frob, strict=True):
+        if fi2 is None or keys.count(keys[fi2]) != keys.count(key):
             raise NotGaloisClosed(
                 f"factor with center {f.center!r} has an incomplete Frobenius orbit")
     return True
@@ -544,9 +545,9 @@ def extract_roots(expr, tower):
     digits; otherwise the root is trusted below min(abs_prec(c), k + eM),
     and a sum that cancels is normalised under that level.
 
-    Roots equal in every stored digit are RootCollision when f is not
-    squarefree (the resultant of f and f' is 0), else PrecisionExhausted.
+    Two equal factors have equal roots: RootCollision.
     """
+    reject_repeated_factors(expr)
     roots, tags = [], []
     for fi, f in enumerate(expr.factors):
         center = embed_cyclo(tower, f.center)
@@ -564,16 +565,16 @@ def extract_roots(expr, tower):
                 w = tower.w_mul(w, zeta_n)
             roots.append(add_branch(center, k, w))
             tags.append((fi, j))
-    try:
-        trie = digit_trie(roots, tags)
-    except RootCollision:                 # equal stored digits: is f squarefree?
-        f = expand_to_integer_poly(expr)
-        if resultant(f, poly_deriv(f)) == 0:
-            raise
-        raise PrecisionExhausted(
-            f"f is squarefree, but two roots agree in all {tower.M} stored digits"
-        ) from None
-    return RootSet(expr, tower, roots, tags, trie=trie)
+    return RootSet(expr, tower, roots, tags, trie=digit_trie(roots, tags))
+
+
+def reject_repeated_factors(expr):
+    """RootCollision naming the first root of the first factor that repeats later."""
+    fs = expr.factors
+    for i, f in enumerate(fs):
+        if f in fs[i + 1:]:
+            raise RootCollision(
+                f"roots {(i, 0)} and {(fs.index(f, i + 1), 0)} coincide: f is not squarefree")
 
 
 def digit_trie(roots, tags):
@@ -584,6 +585,9 @@ def digit_trie(roots, tags):
     ``digit`` at pi^N, which raises when the digit is not trusted, and are
     keyed by it.  Roots agreeing below pi^N that share that digit agree
     below pi^(N+1), so one digit per root and level splits the trie.
+    Roots equal in every stored digit raise PrecisionExhausted: at the
+    precision ``clusters.default_precision`` sizes, distinct roots differ
+    in a trusted digit, and ``extract_roots`` rejects equal factors.
     """
     groups = {}
     for i, r in enumerate(roots):
@@ -591,7 +595,7 @@ def digit_trie(roots, tags):
     pairs = [g[:2] for g in groups.values() if len(g) > 1]
     if pairs:
         i, j = min(pairs)
-        raise RootCollision(f"roots {tags[i]} and {tags[j]} coincide: f is not squarefree")
+        raise PrecisionExhausted(f"roots {tags[i]} and {tags[j]} agree in every stored digit")
 
     def split(block, N):
         if len(block) == 1:
@@ -640,10 +644,8 @@ def galois_perms(rs):
     """
     t, p, size = rs.tower, rs.tower.p, rs.size
     index = {tag: i for i, tag in enumerate(rs.tags)}
-    by_key = {_factor_key(f): fi for fi, f in enumerate(rs.expr.factors)}
     rs.tau_perm, rs.frob_perm = [None] * size, [None] * size
-    for fi, f in enumerate(rs.expr.factors):
-        fi2 = by_key.get(_factor_key(_frob_factor(f, p)))
+    for fi, (f, fi2) in enumerate(zip(rs.expr.factors, rs.expr.frob, strict=True)):
         if fi2 is None:
             raise NotGaloisClosed(
                 f"factor with center {f.center!r} has no Frobenius conjugate")
@@ -713,6 +715,28 @@ def expand_to_integer_poly(expr):
                 "expanded coefficient has a nonzero cyclotomic part")
         out.append(cf * coeff.to_int())
     return out
+
+
+def resultant_norm(f, g, p):
+    """The norm to Q of res(f, g), 0 exactly when the factors share a root.
+
+    With y = x - (f's centre) and d = f's centre - g's, it is the resultant
+    of y^n - a with the product of (y + d)^n' - a' over d's conjugates (a
+    linear factor has n = 1, a = 0), an integer polynomial.
+    """
+    N, one = f.center.N, Cyclo.integer(1, f.center.N)
+    f, g = sorted((f, g), key=lambda h: -h.degree)          # the product over g's degree
+    n, a = (f.n, f.rhs_unit * p ** f.rhs_pow) if isinstance(f, Binomial) else (1, 0)
+    n2, a2 = (g.n, g.rhs_unit * p ** g.rhs_pow) if isinstance(g, Binomial) else (1, 0)
+    d, product = f.center - g.center, [one]
+    for k in ([1] if d.is_rational else range(N)):
+        if math.gcd(k, N) == 1:
+            conj = [one]
+            for _ in range(n2):
+                conj = _cyclo_poly_mul(conj, [d.substitute(N, k), one])
+            conj[0] = conj[0] - Cyclo.integer(a2, N)
+            product = _cyclo_poly_mul(product, conj)
+    return resultant([-a] + [0] * (n - 1) + [1], [c.to_int() for c in product])
 
 
 def _cyclo_poly_mul(a, b):

@@ -11,17 +11,13 @@ even after one fires.
 import math
 from typing import NamedTuple
 
-from .clusters import analyse, default_precision
-from .curves import required_tower
-from .errors import PrecisionExhausted
+from .clusters import analyse
 from .numutil import rational_str
-from .tame import FROB, TAU, stored_digits
+from .tame import FROB, TAU
 
 CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
                  "iv.a", "iv.b", "iv.c", "v.a", "v.b", "v.c",
                  "vi.a", "vi.b", "vi.c", "vi.d", "vi.e", "vi.f"]
-
-PRECISION_RUNGS = 3     # analyses at the working precision, then 2x and 4x its digits
 
 
 class ConditionReport:
@@ -306,8 +302,8 @@ def solubility_decide(expr, prec=None):
     PrecisionExhausted on a digit at or above an element's trusted level:
 
     * the trie buckets the roots of a block by their digit at its level
-      N; roots equal in every stored digit are decided exactly by the
-      resultant of f and f' (``curves.extract_roots``);
+      N, and at the precision ``clusters.default_precision`` sizes from
+      the factors no such read raises (the sizing lemma there);
     * each child keeps the digit it was bucketed by, and the radicands'
       leading terms (W, u) are products of differences of these digits
       (``ClusterAnalysis.radicand``);
@@ -321,27 +317,14 @@ def solubility_decide(expr, prec=None):
       them exactly from the roots' (factor, branch) tags, and the Galois
       data are their maps on the trie's nodes.
 
-    Trusted digits are those of the exact roots, so when no read raises
-    every value above equals the one the exact roots give.  A pass at
-    any higher precision that does not raise therefore gives the same
-    reports: a second pass at doubled precision cannot disagree, and one
-    pass decides the curve.  The tests keep that second pass as the
-    reference.
-
-    When a read raises PrecisionExhausted the curve is analysed afresh
-    with twice the digits the exhausted tower stored, up to
-    PRECISION_RUNGS analyses in all; the last rung's error propagates.
+    Trusted digits are those of the exact roots, so every value above
+    equals the one the exact roots give, and a pass at any higher
+    precision (prec, read as a floor) gives the same reports.  One pass
+    decides the curve; the tests keep a second at doubled precision as
+    the reference.
     """
-    for rung in range(PRECISION_RUNGS):
-        try:
-            A = analyse(expr, prec=prec)
-            component_yes, reports = theorem_decide(A)
-            break
-        except PrecisionExhausted:
-            if rung == PRECISION_RUNGS - 1:
-                raise
-            e = required_tower(expr)[1]
-            prec = 2 * e * stored_digits(prec or default_precision(expr, e), e)
+    A = analyse(expr, prec=prec)
+    component_yes, reports = theorem_decide(A)
     flags = tameness_flags(A)
     applicable, reasons = corollary_gate(expr.p, expr.genus, flags)
     fired = [cid for cid in CONDITION_IDS if reports[cid].satisfied]

@@ -40,8 +40,9 @@ stored value, whose M0 digits are already correct, and stores the longer
 lift.  Hensel lifts are unique, so either way the tower gets the same
 tuple as a lift from the residue.  A tower keeps each root of unity and
 radical it computes, and ``get_tower`` keeps one tower per (e, prec) in
-the same store, so a process checks each lift once per tower, and
-clearing the store drops its towers too.
+the same store, most curves over W one per e (their sized precision is
+usually the floor of 8 digits), so a process checks each lift once per
+tower, and clearing the store drops its towers too.
 
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise

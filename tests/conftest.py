@@ -11,9 +11,8 @@ import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 from clustersol.clusters import SqrtSymbol, canonical_sqrt_symbol
 from clustersol.curves import (Linear, RootSet, digit_trie, embed_cyclo,
-                               expand_to_integer_poly)
-from clustersol.errors import InternalError, PrecisionExhausted, RootCollision
-from clustersol.numutil import poly_deriv, resultant
+                               reject_repeated_factors)
+from clustersol.errors import InternalError, PrecisionExhausted
 from clustersol.tame import INF, Elt, _aligned, _normalise
 
 EX1 = ("(x^4-p^17)*(x^3-p^2)", 17)
@@ -53,6 +52,20 @@ def as_fractions(A, node):
     rec, e = A.inv[node], A.tower.e
     return SimpleNamespace(depth=Fraction(rec.depth_e, e), nu=Fraction(rec.nu_e, e),
                            lam=Fraction(rec.lam_2e, 2 * e), vKc=Fraction(rec.vKc_e, e))
+
+
+def reference_precision(expr, e):
+    """8e(1 + the largest p-power valuation in the input) pi-adic digits: far
+    above the sized precision, so the references' towers have digits to spare."""
+    maxval = max([expr.c_pow, 1] +
+                 [f.rhs_pow for f in expr.factors if hasattr(f, "rhs_pow")])
+    return 8 * e * (1 + maxval)
+
+
+def size_one_digit_short(monkeypatch):
+    """Make ``clusters.default_precision`` size every curve one p-adic digit short."""
+    real = clusters_mod.default_precision
+    monkeypatch.setattr(clusters_mod, "default_precision", lambda expr, e: real(expr, e) - e)
 
 
 def decide_with_doubled_recheck(expr, prec=None):
@@ -96,6 +109,7 @@ def flip_canonical_sqrt(monkeypatch):
 
 def reference_extract_roots(expr, tower):
     """``curves.extract_roots`` by tower arithmetic: center + branch, branch * zeta_n."""
+    reject_repeated_factors(expr)
     roots, tags = [], []
     for fi, f in enumerate(expr.factors):
         center = embed_cyclo(tower, f.center)
@@ -113,16 +127,7 @@ def reference_extract_roots(expr, tower):
             roots.append(center + branch)
             tags.append((fi, j))
             branch = branch * zeta_n
-    try:
-        trie = digit_trie(roots, tags)
-    except RootCollision:                 # equal stored digits: is f squarefree?
-        f = expand_to_integer_poly(expr)
-        if resultant(f, poly_deriv(f)) == 0:
-            raise
-        raise PrecisionExhausted(
-            f"f is squarefree, but two roots agree in all {tower.M} stored digits"
-        ) from None
-    return RootSet(expr, tower, roots, tags, trie=trie)
+    return RootSet(expr, tower, roots, tags, trie=digit_trie(roots, tags))
 
 
 # --- the reference Galois action on tower elements ---

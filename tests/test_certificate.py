@@ -1,10 +1,12 @@
 """One analysis pass: the precision certificate, exact zeros and the
-escalation ladder.
+sized precision.
 
 ``solubility_decide`` runs one pass; every quantity the theorem reads is
 checked against the trusted digits, so a pass at doubled precision
 (``conftest.decide_with_doubled_recheck``, the reference here) must give
-the same reports.  A read that runs out of digits escalates the precision.
+the same reports.  The precision is sized from the factors
+(``clusters.default_precision``): each curve below is decided at its
+size, and a tower one digit short raises.
 """
 
 from fractions import Fraction
@@ -15,8 +17,8 @@ import clustersol.decision as decision_mod
 import conftest
 from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck,
                       reference_center_value_is_square, reference_leading_term,
-                      truncated_sum)
-from clustersol.clusters import analyse
+                      size_one_digit_short, truncated_sum)
+from clustersol.clusters import analyse, default_precision
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
 from clustersol.decision import solubility_decide
@@ -31,6 +33,37 @@ EXACT_ZERO_CENTROID = ("2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)", 13)
 def close_centres(k):
     """Roots 1 and 1 + 7^k: they agree in k digits, f stays squarefree."""
     return f"(x-1)*(x-{1 + 7**k})*(x-2)*(x-3)*(x-4)"
+
+
+ZETA3 = Tower(7, 1, 1, 16).zeta(3)[0]      # the towers' zeta_3 at p = 7, 4 mod 7
+NEAR = ZETA3 % 7 + 7                        # zeta_3 - NEAR has valuation 1 there
+U = (NEAR - ZETA3) // 7 % 7**11             # zeta_3 - NEAR + 7U has valuation 12
+# Curves sized above the floor of 8 digits, with the stored digits M each
+# needs; close centres are checked on their own
+CLOSE = [(close_centres(k), 7, k + 1) for k in (20, 40, 200)]
+SIZED = [
+    # zeta centres 11^10 zeta_3 apart, at a p inert in Q(zeta_3)
+    (f"(x-zeta(3))*(x-zeta(3)^2)*(x-{1 + 11**10}*zeta(3))*(x-{1 + 11**10}*zeta(3)^2)"
+     "*(x-1)", 11, 11),
+    # an integer centre 7^12 from zeta_3, which 7 splits: its coefficients show no p
+    (f"(x-zeta(3))*(x-zeta(3)^2)*(x-{ZETA3 % 7**12})*(x)*(x-3)", 7, 13),
+    # ties that cancel: one centre with u = u' mod p, and the root 8 + 6*7
+    # of (x-8)^1-6p, whose branch cancels the leading digit of its centre's
+    # difference to a centre 7^12 away
+    (f"((x-1)^1-2*p)*((x-1)^1-{2 + 7**10}*p)*(x-2)*(x-3)*(x-4)", 7, 12),
+    (f"((x-8)^1-6*p)*(x-{50 + 7**12})*(x-2)*(x-3)*(x-4)", 7, 13),
+    # zeta_3 - NEAR + 7U: a branch that cancels a zeta centre down to valuation 12
+    (f"((x-(zeta(3)-{NEAR}))^1-{U}*p)*((x-(zeta(3)^2-{NEAR}))^1-{U}*p)*(x-1)*(x-2)*(x-3)",
+     7, 13),
+]
+# a tie that cancels beside a zeta centre whose conjugate factor, not in f,
+# shares the root 4 = (4 - 14 zeta_3) + 2 zeta_3 * 7; e = 3.  f is closed
+# under Frobenius, which fixes zeta_3 at p = 7, but not rational, so the
+# oracle cannot expand it
+NOT_RATIONAL = [("((x-(4-14*zeta(3)))^3-8*p^3)*((x-1)^1-2*p)*((x-1)^1-282475251*p)", 7, 12)]
+# the same tie on the root 7 + 6*7 = 49: its near roots have valuation 2, so
+# they are trusted one digit past e*M, and one digit fewer still decides it
+LOOSE = [(f"((x-7)^1-6*p)*(x-{49 + 7**12})*(x-1)*(x-2)*(x-3)", 7, 13)]
 
 
 def _corpus():
@@ -175,7 +208,7 @@ def test_a_centroid_factor_with_a_trusted_leading_digit_is_not_bounded():
         reference_leading_term(A, z, [r], 2 * t.M)
 
 
-# --- collisions and the escalation ladder ---
+# --- the sized precision ---
 
 def _recorded_passes(monkeypatch):
     passes = []
@@ -189,39 +222,73 @@ def _recorded_passes(monkeypatch):
     return passes
 
 
-def test_close_centres_escalate_to_doubled_precision(monkeypatch):
+@pytest.mark.parametrize("text,p,M", SIZED + LOOSE)
+def test_a_crafted_curve_is_decided_in_one_pass_at_its_sized_precision(monkeypatch, text,
+                                                                       p, M):
     passes = _recorded_passes(monkeypatch)
-    expr = parse_expr(close_centres(20), 7)
+    expr = parse_expr(text, p)
     v, A = solubility_decide(expr)
-    assert passes == [None, 32]
-    assert A.tower.prec == 32 and A.picture.serialize() == "{d=0 {d=20 r1 r2} r3 r4 r5}"
-    oracle = is_locally_soluble(expand_to_integer_poly(expr), 7)
+    assert passes == [None]
+    assert A.tower.M == M and A.tower.prec == default_precision(expr, A.tower.e)
+    oracle = is_locally_soluble(expand_to_integer_poly(expr), p)
     assert v.status == "Soluble" and oracle.soluble is True
 
 
-def test_the_ladder_starts_at_the_requested_precision(monkeypatch):
+@pytest.mark.parametrize("text,p,M", NOT_RATIONAL)
+def test_a_curve_over_q_p_is_decided_in_one_pass_at_its_sized_precision(monkeypatch, text,
+                                                                        p, M):
     passes = _recorded_passes(monkeypatch)
-    v, A = solubility_decide(parse_expr(close_centres(20), 7), prec=40)
-    assert passes == [40] and A.tower.prec == 40
-    passes.clear()
-    v, A = solubility_decide(parse_expr(close_centres(40), 7))
-    assert passes == [None, 32, 64] and A.tower.prec == 64
+    v, A = decide_with_doubled_recheck(parse_expr(text, p))
+    assert passes == [None, 2 * A.tower.prec] and A.tower.M == M
 
 
-def test_the_ladder_doubles_the_stored_digits(monkeypatch):
-    # prec 1 stores the floor of 8 digits; the next rungs store 16 and 32
-    passes = _recorded_passes(monkeypatch)
-    v, A = solubility_decide(parse_expr(close_centres(20), 7), prec=1)
-    assert passes == [1, 16, 32] and A.tower.M == 32
+def test_close_centres_are_decided_at_their_sized_precision():
+    for text, p, M in CLOSE:
+        expr = parse_expr(text, p)
+        v, A = solubility_decide(expr)
+        assert A.tower.prec == M
+        assert A.picture.serialize() == f"{{d=0 {{d={M - 1} r1 r2}} r3 r4 r5}}"
+        oracle = is_locally_soluble(expand_to_integer_poly(expr), 7)
+        assert v.status == "Soluble" and oracle.soluble is True
 
 
-def test_the_ladder_ends_at_four_times_the_precision(monkeypatch):
-    passes = _recorded_passes(monkeypatch)
-    with pytest.raises(PrecisionExhausted, match="f is squarefree"):
-        solubility_decide(parse_expr(close_centres(200), 7))
-    assert passes == [None, 32, 64]
+def test_sizing_one_digit_short_raises_on_every_crafted_curve(monkeypatch):
+    size_one_digit_short(monkeypatch)
+    for text, p, M in CLOSE + SIZED + NOT_RATIONAL:
+        with pytest.raises(PrecisionExhausted):
+            solubility_decide(parse_expr(text, p))
 
 
-def test_a_repeated_root_is_still_a_collision():
-    with pytest.raises(RootCollision, match="f is not squarefree"):
-        solubility_decide(parse_expr("(x^3-p^2)*(x^3-p^2)", 7))
+def test_prec_is_a_floor_on_the_sized_precision():
+    expr = parse_expr(close_centres(20), 7)
+    assert solubility_decide(expr, prec=40)[1].tower.prec == 40
+    assert solubility_decide(expr, prec=1)[1].tower.prec == 21
+    # EX3 has e = 3 and is sized at the floor of 8 stored digits
+    assert solubility_decide(parse_expr(*EX3), prec=1)[1].tower.prec == 8 * 3
+
+
+def test_a_repeated_root_is_still_a_collision(monkeypatch):
+    expr = parse_expr("(x^3-p^2)*(x^3-p^2)", 7)
+    message = r"roots \(0, 0\) and \(1, 0\) coincide: f is not squarefree"
+    with pytest.raises(RootCollision, match=message):
+        solubility_decide(expr)
+    size_one_digit_short(monkeypatch)        # the same at any precision
+    with pytest.raises(RootCollision, match=message):
+        solubility_decide(expr)
+
+
+@pytest.mark.parametrize("text", ["((x-7)^1-6*p)*(x-49)*(x-1)*(x-2)*(x-3)",
+                                  "(x-15)*((x-1)^1-2*p)*(x-2)*(x-3)*(x-4)"])
+def test_a_cancelling_tie_of_equal_roots_is_not_squarefree(text):
+    # 7 + 6*7 = 49 and 1 + 2*7 = 15: two factors share a root, which the
+    # sizing finds exactly
+    with pytest.raises(RootCollision, match="factors 0 and 1 share a root: f is not squarefree"):
+        solubility_decide(parse_expr(text, 7))
+
+
+def test_a_branch_that_cancels_a_zeta_centre_to_zero_is_not_a_collision():
+    # 7 zeta_3 + 7 * (-zeta_3) = 0 is a root, and f is squarefree.  The sizing
+    # reports no collision; add_branch cannot yet read a zeta centre's exact
+    # zero (ROADMAP), so the read raises at any precision
+    with pytest.raises(PrecisionExhausted, match="cancellation below trusted precision"):
+        solubility_decide(parse_expr("((x-7*zeta(3))^6-p^6)*(x-1)*(x-2)", 7))

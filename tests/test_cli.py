@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import EX1, EX2, EX3
+from conftest import EX1, EX2, EX3, size_one_digit_short
 from clustersol.cli import main
 from test_certificate import close_centres
 
@@ -27,18 +27,17 @@ def test_analyze_json_schema(capsys):
                 "component_verdict", "solubility", "convention_markers"):
         assert key in rep
     assert rep["solubility"] == "Insoluble"
-    assert rep["tower"] == {"d": 1, "e": 3, "prec": 72}
+    assert rep["tower"] == {"d": 1, "e": 3, "prec": 24}
     assert {c["id"] for c in rep["conditions"]} >= {"i", "ii.a", "vi.f"}
 
 
 def test_analyze_reports_effective_precision(capsys):
-    # --prec 1 is raised to the floor of 8 stored p-adic digits per column
-    code, out, _ = run(capsys, "analyze", "--expr", EX3[0], "--p", "7",
-                       "--prec", "1", "--json")
+    # the roots 1 and 1 + 7^20 meet at level 20: the tower is sized to 21 digits
+    code, out, _ = run(capsys, "analyze", "--expr", close_centres(20), "--p", "7", "--json")
     assert code == 0
-    assert json.loads(out)["tower"] == {"d": 1, "e": 3, "prec": 8 * 3}
-    code, out, _ = run(capsys, "analyze", "--expr", EX3[0], "--p", "7", "--prec", "1")
-    assert code == 0 and "prec = 24 pi-digits" in out
+    assert json.loads(out)["tower"] == {"d": 1, "e": 1, "prec": 21}
+    code, out, _ = run(capsys, "analyze", "--expr", close_centres(20), "--p", "7")
+    assert code == 0 and "prec = 21 pi-digits" in out
 
 
 def test_analyze_curve_file(capsys, tmp_path):
@@ -58,24 +57,15 @@ def test_analyze_inapplicable_exit_code(capsys):
     assert code == 2 and "Inapplicable" in out
 
 
-def test_analyze_precision_exhausted_exit_code(capsys):
-    # the roots 1 and 1 + 7^200 agree beyond every rung of the precision ladder
-    code, _, err = run(capsys, "analyze", "--expr",
-                       f"(x-1)*(x-{1 + 7**200})*(x-2)*(x-3)*(x-4)", "--p", "7")
+def test_analyze_precision_exhausted_exit_code(capsys, monkeypatch):
+    # sized one digit short, the roots 1 and 1 + 7^200 agree in every stored digit
+    size_one_digit_short(monkeypatch)
+    code, _, err = run(capsys, "analyze", "--expr", close_centres(200), "--p", "7")
     assert code == 4 and "error (PrecisionExhausted):" in err
 
 
 def test_usage_error(capsys):
     assert run(capsys, "analyze", "--expr", EX1[0])[0] == 1   # missing --p
-
-
-@pytest.mark.parametrize("command, prec", [("analyze", "0"), ("analyze", "-5"),
-                                           ("analyze", "x"), ("render", "0")])
-def test_precision_below_one_is_a_usage_error(capsys, command, prec):
-    code, out, err = run(capsys, command, "--expr", EX3[0], "--p", "7", "--prec", prec)
-    assert code == 1 and out == ""
-    assert err.startswith("usage: clustersol " + command)
-    assert f"argument --prec: expected an integer >= 1, got '{prec}'" in err
 
 
 def test_oracle_command(capsys):
@@ -104,8 +94,8 @@ def test_render_formats(capsys):
 
 
 def test_render_climbs_the_precision_ladder(capsys):
-    # roots 1 and 1 + 7^20 agree in more digits than the first pass stores;
-    # analyze decides the curve at a higher rung, so render draws it there
+    # roots 1 and 1 + 7^20 agree in 20 digits; render draws the picture of
+    # the pass that decides the curve, at its sized precision of 21 digits
     code, out, _ = run(capsys, "render", "--expr", close_centres(20), "--p", "7")
     assert code == 0 and "d=20" in out
 
@@ -169,7 +159,9 @@ def test_analyze_curve_file_reports_good_curves_around_a_bad_one(capsys, tmp_pat
     assert out.count("verdict:") == 2
 
 
-def test_analyze_curve_file_exit_code_is_the_first_failure(capsys, tmp_path):
+def test_analyze_curve_file_exit_code_is_the_first_failure(capsys, tmp_path, monkeypatch):
+    # sized one digit short, the second curve raises PrecisionExhausted
+    size_one_digit_short(monkeypatch)
     path = tmp_path / "c.txt"
     path.write_text(f"p = 13\n(x^8-p)*(x-1)\n(x-1)*(x-{1 + 13**100})*(x-2)*(x-3)*(x-4)\n"
                     "(x^3-p^2)*(x^3-p^2)\n")

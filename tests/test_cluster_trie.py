@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import clustersol.curves as curves
-from conftest import EX1, EX2, EX3, match_key
+from conftest import EX1, EX2, EX3, match_key, reference_precision
 from clustersol.clusters import (ClusterAnalysis, ClusterNode, ClusterPicture,
                                  build_picture, default_precision)
 from clustersol.corpus import generate_corpus
@@ -90,7 +90,7 @@ def reference_digit_trie(roots, tags):
     pairs = [g[:2] for g in groups.values() if len(g) > 1]
     if pairs:
         i, j = min(pairs)
-        raise RootCollision(f"roots {tags[i]} and {tags[j]} coincide: f is not squarefree")
+        raise PrecisionExhausted(f"roots {tags[i]} and {tags[j]} agree in every stored digit")
     t = roots[0].tower
 
     def split(block, N):
@@ -117,7 +117,7 @@ CURVES += [(text, p) for p, text in generate_corpus(80, 6, [101, 103])]
 def _root_set(text, p, scale=1):
     expr = parse_expr(text, p)
     d, e = required_tower(expr)
-    return expr, extract_roots(expr, Tower(p, d, e, scale * default_precision(expr, e)))
+    return expr, extract_roots(expr, Tower(p, d, e, scale * reference_precision(expr, e)))
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -193,9 +193,9 @@ def test_one_digit_trie_equals_the_match_key_trie(monkeypatch):
 
 
 def test_one_digit_trie_raises_where_the_match_key_trie_raises(monkeypatch):
-    # equal stored digits, decided by the resultant
+    # roots 20 digits apart agree in every digit of a tower sized to 16
     expr = parse_expr(close_centres(20), 7)
-    got, ref = _both_tries(monkeypatch, expr, Tower(7, 1, 1, default_precision(expr, 1)))
+    got, ref = _both_tries(monkeypatch, expr, Tower(7, 1, 1, 16))
     assert got == ref and got[0] == "PrecisionExhausted"
     # the root 1, trusted below pi^1 only, cannot show where it meets 8
     expr = parse_expr("(x-1)*(x-8)*(x-2)*(x-3)*(x-4)", 7)

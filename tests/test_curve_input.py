@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EX1, EX2, EX3
-from clustersol.curves import (Binomial, Cyclo, expand_to_integer_poly,
+from conftest import EX1, EX2, EX3, reference_precision
+from clustersol.curves import (Cyclo, expand_to_integer_poly,
                                extract_roots, galois_closure_check, galois_perms,
                                parse_expr, read_curve_file, required_tower)
 from clustersol.errors import (DegreeTooSmall, NotGaloisClosed, ParseError,
@@ -14,9 +14,7 @@ from test_cluster_trie import reference_valuation_matrix
 
 def make_rootset(expr, prec_mult=1):
     d, e = required_tower(expr)
-    maxval = max([expr.c_pow, 1] + [f.rhs_pow for f in expr.factors
-                                    if isinstance(f, Binomial)])
-    t = Tower(expr.p, d, e, prec_mult * 8 * e * (1 + maxval))
+    t = Tower(expr.p, d, e, prec_mult * reference_precision(expr, e))
     rs = extract_roots(expr, t)
     return galois_perms(rs)
 

@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from conftest import EX1, EX2, EX3, frob, match_key, tau
-from clustersol.clusters import analyse, default_precision
+from conftest import EX1, EX2, EX3, frob, match_key, reference_precision, tau
+from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import (digit, extract_roots, galois_perms, parse_expr,
                                required_tower)
@@ -59,7 +59,7 @@ CURVES += [(text, p) for p, text in generate_corpus(78, 4, [101, 103])]
 def _root_set(text, p, scale=1):
     expr = parse_expr(text, p)
     d, e = required_tower(expr)
-    return extract_roots(expr, Tower(p, d, e, scale * default_precision(expr, e)))
+    return extract_roots(expr, Tower(p, d, e, scale * reference_precision(expr, e)))
 
 
 @pytest.mark.parametrize("scale", [1, 2])

@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
-PINNED = ("b3c22f0242c0d91377a452c29d651853c6253e12abe081227836ed0955a06e02", 1082, 1)
+PINNED = ("d84c4ca106512c5237d1f3996ab75113cdf677db65ee0d148748d8d4c9480494", 1082, 1)
 
 
 def test_report_digest_is_pinned():

@@ -547,7 +547,7 @@ def test_curves_sharing_a_radical_take_one_residue_root(monkeypatch):
     _lifts.cache_clear()
     residue_roots = _counting_residue_roots(monkeypatch)
     first = analyse(parse_expr("(x^2-2*p)*(x-1)*(x-3)*(x-4)", 7))
-    text = "((x-1)^2-2*p^3)*(x-2)*(x-4)*(x-5)"
+    text = f"((x-1)^2-2*p^3)*(x-2)*(x-{2 + 7**20})*(x-5)"      # sized to 21 digits
     second = analyse(parse_expr(text, 7))
     monkeypatch.undo()
     assert first.tower.d == second.tower.d == 1
