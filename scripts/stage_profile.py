@@ -11,7 +11,7 @@ took over all curves:
     closure   galois_closure_check
     roots     required_tower, the tower, extract_roots
     perms     galois_perms
-    picture   build_picture
+    picture   build_picture: the digit trie, built as the picture's nodes
     analysis  ClusterAnalysis
     theorem   theorem_decide and the gate
 

@@ -32,36 +32,36 @@ from .numutil import rational_str
 # so that a one-curve ``analyze`` neither loads nor compiles them.
 
 
-def _invariant_row(rec, e):
+def _invariant_row(node, e):
     """A cluster's invariants, its rationals (integers over e or 2e) written as fractions."""
     return {
-        "name": rec.name,
-        "roots": [r + 1 for r in rec.roots],
-        "size": rec.size,
-        "d": rational_str(rec.depth_e, e),
-        "delta": None if rec.delta_e is None else rational_str(rec.delta_e, e),
-        "nu": rational_str(rec.nu_e, e),
-        "lambda": rational_str(rec.lam_2e, 2 * e),
-        "e": rec.e,
-        "genus": rec.genus,
-        "vKc": rational_str(rec.vKc_e, e),  # convention value, see markers
-        "parity": "even" if rec.is_even else "odd",
+        "name": node.name,
+        "roots": [r + 1 for r in node.roots],
+        "size": node.size,
+        "d": rational_str(node.level, e),
+        "delta": None if node.delta_e is None else rational_str(node.delta_e, e),
+        "nu": rational_str(node.nu_e, e),
+        "lambda": rational_str(node.lam_2e, 2 * e),
+        "e": node.e,
+        "genus": node.genus,
+        "vKc": rational_str(node.vKc_e, e),  # convention value, see markers
+        "parity": "even" if node.is_even else "odd",
         "flags": {
-            "ubereven": rec.ubereven,
-            "twin": rec.twin,
-            "cotwin": rec.cotwin,
-            "principal": rec.principal,
+            "ubereven": node.ubereven,
+            "twin": node.twin,
+            "cotwin": node.cotwin,
+            "principal": node.principal,
         },
         "fixed": {
-            "inertia": rec.fixed_inertia,
-            "frobenius": rec.fixed_frob,
-            "galois": rec.fixed_galois,
+            "inertia": node.fixed_inertia,
+            "frobenius": node.fixed_frob,
+            "galois": node.fixed_galois,
         },
-        "orbit": rec.orbit,
-        "epsilon": None if rec.eps_tau == 0 else
-                   {"tau": rec.eps_tau, "frob": rec.eps_frob},
+        "orbit": node.orbit,
+        "epsilon": None if node.eps_tau == 0 else
+                   {"tau": node.eps_tau, "frob": node.eps_frob},
         "stable_children": [c.name or f"r{c.roots[0] + 1}"
-                            for c in rec.stable_children],
+                            for c in node.stable_children],
     }
 
 
@@ -74,8 +74,7 @@ def build_report(expr, verdict, analysis, oracle_result=None):
         "tower": {"d": analysis.tower.d, "e": analysis.tower.e,
                   "prec": analysis.tower.e * analysis.tower.M},
         "picture": analysis.picture.serialize(),
-        "invariants": [_invariant_row(analysis.inv[n], analysis.tower.e)
-                       for n in analysis.picture.proper()],
+        "invariants": [_invariant_row(n, analysis.tower.e) for n in analysis.picture.proper()],
         "conditions": [{
             "id": cid,
             "satisfied": reports[cid].satisfied,

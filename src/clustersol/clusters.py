@@ -1,10 +1,11 @@
 """Cluster pictures and their invariants.
 
 The picture is the laminar family of subsets of the roots cut out by
-p-adic discs, the roots' pi-adic digit trie (``curves.digit_trie``).  For
+p-adic discs, the roots' pi-adic digit trie (``build_picture``).  For
 each proper cluster we compute depth, relative depth, nu, lambda, e,
 genus, the classification flags, the Galois action, and the +-1
-characters epsilon_s attached to even clusters and cotwins.
+characters epsilon_s attached to even clusters and cotwins, and keep
+them on the cluster's node.
 
 Every quantity is read off the tree, as an integer or in F_q.  Depths
 are kept as levels N in pi units, depth N/e for the tower's e, and nu,
@@ -50,9 +51,9 @@ checked word by word.
 import functools
 import math
 
-from .errors import InternalError, RootCollision
-from .curves import (Binomial, Cyclo, Linear, extract_roots, galois_perms, perm_order,
-                     required_tower, resultant_norm)
+from .errors import InternalError, PrecisionExhausted, RootCollision
+from .curves import (Binomial, Cyclo, Linear, digit, extract_roots, galois_perms,
+                     perm_order, required_tower, resultant_norm)
 from .numutil import cyclotomic_poly, rational_str, resultant, vp
 from .tame import FROB, TAU, GaloisWord, get_tower, stored_digits
 
@@ -62,8 +63,20 @@ from .tame import FROB, TAU, GaloisWord, get_tower, stored_digits
 # ------------------------------------------------------------------
 
 class ClusterNode:
+    """A cluster: its roots, its level and children, and its invariants.
+
+    The first slots are set when the tree is built.  A ClusterAnalysis of
+    the picture sets the rest on each proper node: integers over the
+    tower's e, delta_e = e*(relative depth), None for the top cluster,
+    nu_e = e*nu and vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the
+    cluster's own e_s.  eps_tau is 0 when epsilon is undefined for it.
+    """
+
     __slots__ = ("roots", "size", "is_proper", "is_even", "level", "parent",
-                 "children", "name", "digit")
+                 "children", "name", "digit",
+                 "delta_e", "nu_e", "lam_2e", "e", "genus", "vKc_e", "ubereven", "twin",
+                 "cotwin", "principal", "fixed_inertia", "fixed_frob", "fixed_galois",
+                 "orbit", "eps_tau", "eps_frob", "stable_children")
 
     def __init__(self, roots, level, children):
         self.roots = tuple(sorted(roots))
@@ -123,22 +136,48 @@ class ClusterPicture:
 
 
 def build_picture(rs, expr):
-    """The cluster tree: the root set's digit trie wrapped in nodes, with their split digits."""
+    """The roots' cluster tree, read from their pi-adic digits.
+
+    A node's roots agree below pi^N but not below pi^(N+1), so N is their
+    least pairwise valuation in pi units.  The children bucket them by
+    their ``curves.digit`` at pi^N, which raises when the digit is not
+    trusted, and each child keeps that digit.  Roots agreeing below pi^N
+    that share that digit agree below pi^(N+1), so one digit per root and
+    level splits the tree.  Roots equal in every stored digit raise
+    PrecisionExhausted: at the precision ``default_precision`` sizes,
+    distinct roots differ in a trusted digit, and ``extract_roots``
+    rejects equal factors.
+    """
     if rs.size < 5:
         raise InternalError("picture needs at least 5 roots")
+    roots, tags = rs.roots, rs.tags
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault((r.vL, r.unit), []).append(i)
+    pairs = [g[:2] for g in groups.values() if len(g) > 1]
+    if pairs:
+        i, j = min(pairs)
+        raise PrecisionExhausted(f"roots {tags[i]} and {tags[j]} agree in every stored digit")
 
-    def make(node):
-        if isinstance(node, int):
-            return ClusterNode([node], None, [])
-        level, split = node
+    def split(block, N):
+        if len(block) == 1:
+            return ClusterNode(block, None, [])
+        while True:
+            buckets = {}
+            for i in block:
+                buckets.setdefault(digit(roots[i], N), []).append(i)
+            if len(buckets) > 1:
+                break
+            N += 1
         kids = []
-        for dg, sub in split.items():
-            kid = make(sub)
+        for dg, b in buckets.items():
+            kid = split(b, N + 1)
             kid.digit = dg
             kids.append(kid)
-        return ClusterNode([i for c in kids for i in c.roots], level, kids)
+        return ClusterNode(block, N, kids)
 
-    return ClusterPicture(make(rs.trie), rs.tower.e)
+    top = split(list(range(rs.size)), min([r.vL for r in roots if not r.is_zero], default=0))
+    return ClusterPicture(top, rs.tower.e)
 
 
 # ------------------------------------------------------------------
@@ -215,27 +254,11 @@ def zeta_2e(fq, e):
 # invariants, Galois data, characters
 # ------------------------------------------------------------------
 
-class ClusterInvariants:
-    """A proper cluster's invariants, set by keyword; the characters are filled in later.
-
-    Rational invariants are integers over the tower's e: depth_e = e*d,
-    delta_e = e*(relative depth), None for the top cluster, nu_e = e*nu and
-    vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the cluster's own e_s.
-    eps_tau is 0 when epsilon is undefined for the cluster.
-    """
-
-    __slots__ = ("name", "roots", "size", "depth_e", "delta_e", "nu_e", "lam_2e", "e",
-                 "genus", "vKc_e", "is_even", "ubereven", "twin", "cotwin", "principal",
-                 "fixed_inertia", "fixed_frob", "fixed_galois", "orbit",
-                 "eps_tau", "eps_frob", "stable_children")
-
-    def __init__(self, **fields):
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
 class ClusterAnalysis:
-    """Everything the decision engine consumes, for one embedded curve."""
+    """Everything the decision engine consumes, for one embedded curve.
+
+    The invariants are set on the picture's proper nodes.
+    """
 
     def __init__(self, expr, rs, picture):
         self.expr = expr
@@ -248,69 +271,53 @@ class ClusterAnalysis:
         self._tau_order = perm_order(rs.tau_perm)
         self._frob_order = perm_order(rs.frob_perm)
         self._images = self._word_images()
-        self.inv = {}
+        proper = picture.proper()
         orbit = {}                    # numbered by their first node in proper()
-        for node in picture.proper():
+        for node in proper:
             if node not in orbit:
                 orbit.update(dict.fromkeys(self._images[node], len(set(orbit.values()))))
-            self.inv[node] = self._invariants(node, orbit[node])
-        for node, rec in self.inv.items():
-            rec.eps_tau, rec.eps_frob = self.epsilon(node, TAU), self.epsilon(node, FROB)
+            self._invariants(node, orbit[node])
+        for node in proper:
+            node.eps_tau, node.eps_frob = self.epsilon(node, TAU), self.epsilon(node, FROB)
 
     # --- invariants ---
 
-    def nu_e(self, node):
-        """e*nu = e*c_pow + sum over all roots r of min(N, e v(z - r)), z in the node.
-
-        e v(z - r) for r outside the node is the level of the least
-        cluster holding both, so the sum walks up the parent chain.
-        """
-        total = self.tower.e * self.expr.c_pow + node.size * node.level
-        child, a = node, node.parent
-        while a is not None:
-            total += (a.size - child.size) * a.level
-            child, a = a, a.parent
-        return total
-
     def _invariants(self, node, orbit):
-        """All but the characters; nu is computed once and feeds lam, e and vKc.
+        """Set all but the characters on the node.
 
-        The stable children are those fixed by every word fixing the node.
+        e*nu = e*c_pow + sum over all roots r of min(N, e v(z - r)), z in
+        the node; e v(z - r) for r outside the node is the level of the
+        least cluster holding both, so the sum walks up the parent chain.
+        nu feeds lambda, e and vKc.  The stable children are those fixed
+        by every word fixing the node.
         """
         n, e = node.level, self.tower.e
-        nu = self.nu_e(node)
+        vkc = e * self.expr.c_pow
+        child, a = node, node.parent
+        while a is not None:
+            vkc += (a.size - child.size) * a.level
+            child, a = a, a.parent
+        nu = vkc + node.size * n
         stab = [k for k, img in enumerate(self._images[node]) if img is node]
-        fixed_inertia = self.image(node, TAU) is node
-        fixed_frob = self.image(node, FROB) is node
+        node.fixed_inertia = self.image(node, TAU) is node
+        node.fixed_frob = self.image(node, FROB) is node
+        node.fixed_galois = node.fixed_inertia and node.fixed_frob
         g2 = 2 * self.curve_genus
-        ubereven = all(c.is_even for c in node.children)
+        node.ubereven = all(c.is_even for c in node.children)
         has_2g_child = any(c.size == g2 for c in node.children)
-        principal = node.size >= 3 and not has_2g_child and not (
+        node.principal = node.size >= 3 and not has_2g_child and not (
             node is self.picture.top and node.is_even and len(node.children) == 2)
-        cotwin = has_2g_child and not ubereven
-        return ClusterInvariants(
-            name=node.name,
-            roots=node.roots,
-            size=node.size,
-            depth_e=n,
-            delta_e=None if node.parent is None else n - node.parent.level,
-            nu_e=nu,
-            lam_2e=nu - 2 * n * sum(c.size // 2 for c in node.children),
-            e=math.lcm(e // math.gcd(n, e), 2 * e // math.gcd(nu, 2 * e)),
-            genus=max(0, (sum(c.size % 2 for c in node.children) - 1) // 2),
-            vKc_e=nu - node.size * n,
-            is_even=node.is_even,
-            ubereven=ubereven,
-            twin=node.size == 2,
-            cotwin=cotwin,
-            principal=principal,
-            fixed_inertia=fixed_inertia,
-            fixed_frob=fixed_frob,
-            fixed_galois=fixed_inertia and fixed_frob,
-            orbit=orbit,
-            stable_children=tuple(c for c in node.children
-                                  if all(self._images[c][k] is c for k in stab)),
-        )
+        node.cotwin = has_2g_child and not node.ubereven
+        node.twin = node.size == 2
+        node.delta_e = None if node.parent is None else n - node.parent.level
+        node.nu_e = nu
+        node.vKc_e = vkc
+        node.lam_2e = nu - 2 * n * sum(c.size // 2 for c in node.children)
+        node.e = math.lcm(e // math.gcd(n, e), 2 * e // math.gcd(nu, 2 * e))
+        node.genus = max(0, (sum(c.size % 2 for c in node.children) - 1) // 2)
+        node.orbit = orbit
+        node.stable_children = tuple(c for c in node.children
+                                     if all(self._images[c][k] is c for k in stab))
 
     # --- Galois action on the picture ---
 
@@ -362,32 +369,30 @@ class ClusterAnalysis:
 
     def star(self, node):
         """The cluster whose theta computes epsilon for this node."""
-        if self.inv[node].cotwin:
+        if node.cotwin:
             return next(c for c in node.children if c.size == 2 * self.curve_genus)
         return node
 
     def radicand(self, node):
         """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r), z in the node.
 
-        The walk up the parent chain of nu: at an ancestor of level N each
-        root r of a sibling b of the child holding z gives z - r valuation
-        N and residue digit(child) - digit(b).
+        W is the node's e*vKc.  u is read on the walk up the parent chain:
+        at an ancestor each root r of a sibling b of the child holding z
+        gives z - r the residue digit(child) - digit(b).
         """
         if node in self._radicand_cache:
             return self._radicand_cache[node]
-        t = self.tower
-        fq, p = t.fq, t.p
-        w, u = t.e * self.expr.c_pow, fq.from_int(self.expr.c_unit)
+        fq = self.tower.fq
+        p, u = fq.p, fq.from_int(self.expr.c_unit)
         child, a = node, node.parent
         while a is not None:
             for b in a.children:
                 if b is not child:
-                    w += a.level * b.size
                     diff = tuple([(x - y) % p for x, y in zip(child.digit, b.digit)])
                     u = fq.mul(u, fq.pow(diff, b.size))
             child, a = a, a.parent
-        self._radicand_cache[node] = (w, u)
-        return w, u
+        self._radicand_cache[node] = node.vKc_e, u
+        return node.vKc_e, u
 
     def _sqrt_symbol(self, node):
         """Canonical formal square root of the node's radicand residue, memoised."""
@@ -402,8 +407,7 @@ class ClusterAnalysis:
         The sign with w(theta_s) zeta_2e^(aW) = +-theta_{w(s)}, theta_{w(s)}
         the symbol 1 when w fixes the star.
         """
-        rec = self.inv[node]
-        if not (rec.is_even or rec.cotwin):
+        if not (node.is_even or node.cotwin):
             return 0
         t = self.tower
         fq = t.fq
@@ -449,13 +453,12 @@ class ClusterAnalysis:
     def eps_trivial_galois(self, node):
         if self._star_fixed(node, TAU, FROB):
             # a character of the whole quotient: the generators decide
-            rec = self.inv[node]
-            return rec.eps_tau == 1 and rec.eps_frob == 1
+            return node.eps_tau == 1 and node.eps_frob == 1
         return all(self.epsilon(node, w) == 1 for w in self.epsilon_words())
 
     def eps_trivial_inertia(self, node):
         if self._star_fixed(node, TAU):
-            return self.inv[node].eps_tau == 1
+            return node.eps_tau == 1
         return all(self.epsilon(node, GaloisWord(a, 0)) == 1
                    for a in range(2 * self.tower.e))
 
@@ -529,7 +532,7 @@ def default_precision(expr, e):
     Lemma (the sizing).  Every root is trusted below at least e(M-1) + 1
     pi-digits: ``from_int`` and ``from_w`` trust e*M, and ``add_branch``
     trusts a sum below min(abs_prec(c), k + eM) up to its column floor.
-    ``digit_trie`` reads a root at levels up to its largest v(r - r'),
+    ``build_picture`` reads a root at levels up to its largest v(r - r'),
     and ``add_branch`` keeps a branch c + w pi^k with v(c) = k, the one
     sum that can cancel, when its valuation is at most e(M-1).  So
     M = max(8, ceil(B/e) + 1) stored digits decide the curve when B, in
@@ -559,8 +562,11 @@ def default_precision(expr, e):
       root: RootCollision;
     * a branch c + w pi^k can cancel only if v(c) = k, or if v(c) is only
       bounded below; then v(r) is at most v_p of the norm of res(f_i, x),
-      which is f_i(0) up to sign.  A root that is exactly 0 needs no bound
-      when its centre is an integer: ``add_branch`` then reads it exactly.
+      which is f_i(0) up to sign.  A root that is exactly 0 needs no bound,
+      whatever its centre: then c^n = u p^m, and as p is unramified in
+      Q(zeta_N), c/p^v is a unit for v the least valuation of c's
+      coefficients, so ``curves.embed_cyclo`` trusts c in all M digits
+      and ``add_branch`` reads the zero exactly.
 
     Identical factors are skipped: ``curves.extract_roots`` rejects them.
     At this precision two distinct roots differ in a trusted digit, and

@@ -13,11 +13,11 @@ Each root is written straight into its tower columns (``extract_roots``).
 Pairwise valuations are read one way only, one trusted pi-adic digit at
 a time (``digit``): v(x - y) >= N exactly when x and y agree in every
 digit below pi^N.  So the roots' digit trie is their cluster tree
-(``digit_trie``), and x - y leads with the difference of their digits at
-pi^N, N = v(x - y).  The Galois action on the roots reads no digit at
-all: each root is tagged by its factor and branch, and tau and frob
-permute the tags (``galois_perms``), with Frobenius's shift of each
-radical kept once per (p, d) (``tame.Tower.frob_shift``).
+(``clusters.build_picture``), and x - y leads with the difference of
+their digits at pi^N, N = v(x - y).  The Galois action on the roots
+reads no digit at all: each root is tagged by its factor and branch,
+and tau and frob permute the tags (``galois_perms``), with Frobenius's
+shift of each radical kept once per (p, d) (``tame.Tower.frob_shift``).
 """
 
 import math
@@ -28,7 +28,7 @@ from .errors import (DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
-from .numutil import cyclotomic_poly, is_prime, mult_order, poly_divmod_monic, resultant
+from .numutil import cyclotomic_poly, is_prime, mult_order, poly_divmod_monic, resultant, vp
 from .tame import add_branch
 
 
@@ -509,12 +509,11 @@ def required_tower(expr):
 # ------------------------------------------------------------------
 
 class RootSet:
-    __slots__ = ("expr", "tower", "roots", "tags", "tau_perm", "frob_perm", "trie")
+    __slots__ = ("expr", "tower", "roots", "tags", "tau_perm", "frob_perm")
 
-    def __init__(self, expr, tower, roots, tags, tau_perm=None, frob_perm=None,
-                 trie=None):
+    def __init__(self, expr, tower, roots, tags):
         self.expr, self.tower, self.roots, self.tags = expr, tower, roots, tags
-        self.tau_perm, self.frob_perm, self.trie = tau_perm, frob_perm, trie
+        self.tau_perm = self.frob_perm = None
 
     @property
     def size(self):
@@ -522,17 +521,24 @@ class RootSet:
 
 
 def embed_cyclo(tower, c):
-    """Exact embedding of a cyclotomic integer via Teichmueller lifts."""
+    """Exact embedding of a cyclotomic integer via Teichmueller lifts.
+
+    p^v, v the coefficients' least valuation, is divided out before the
+    sum, so the centre is trusted below pi^(e(v + M)), as ``from_int``
+    trusts an integer.
+    """
     if c.is_rational:
         return tower.from_int(c.coeffs[0])
+    p = tower.p
+    v = min(vp(x, p) for x in c.coeffs if x)
     zN = tower.zeta(c.N)
     acc = tower.w_zero()
     zp = tower.w_one()
     for coeff in c.coeffs:
         if coeff:
-            acc = tower.w_add(acc, tower.w_scale(zp, coeff))
+            acc = tower.w_add(acc, tower.w_scale(zp, coeff // p ** v))
         zp = tower.w_mul(zp, zN)
-    return tower.from_w(acc, 0)
+    return tower.from_w(acc, tower.e * v)
 
 
 def extract_roots(expr, tower):
@@ -565,7 +571,7 @@ def extract_roots(expr, tower):
                 w = tower.w_mul(w, zeta_n)
             roots.append(add_branch(center, k, w))
             tags.append((fi, j))
-    return RootSet(expr, tower, roots, tags, trie=digit_trie(roots, tags))
+    return RootSet(expr, tower, roots, tags)
 
 
 def reject_repeated_factors(expr):
@@ -575,41 +581,6 @@ def reject_repeated_factors(expr):
         if f in fs[i + 1:]:
             raise RootCollision(
                 f"roots {(i, 0)} and {(fs.index(f, i + 1), 0)} coincide: f is not squarefree")
-
-
-def digit_trie(roots, tags):
-    """The roots' cluster tree: a node is a root index or (N, {digit: child}).
-
-    Its roots agree below pi^N but not below pi^(N+1), so N is their least
-    pairwise valuation in pi units.  The children bucket them by their
-    ``digit`` at pi^N, which raises when the digit is not trusted, and are
-    keyed by it.  Roots agreeing below pi^N that share that digit agree
-    below pi^(N+1), so one digit per root and level splits the trie.
-    Roots equal in every stored digit raise PrecisionExhausted: at the
-    precision ``clusters.default_precision`` sizes, distinct roots differ
-    in a trusted digit, and ``extract_roots`` rejects equal factors.
-    """
-    groups = {}
-    for i, r in enumerate(roots):
-        groups.setdefault((r.vL, r.unit), []).append(i)
-    pairs = [g[:2] for g in groups.values() if len(g) > 1]
-    if pairs:
-        i, j = min(pairs)
-        raise PrecisionExhausted(f"roots {tags[i]} and {tags[j]} agree in every stored digit")
-
-    def split(block, N):
-        if len(block) == 1:
-            return block[0]
-        while True:
-            buckets = {}
-            for i in block:
-                buckets.setdefault(digit(roots[i], N), []).append(i)
-            if len(buckets) > 1:
-                return (N, {dg: split(b, N + 1) for dg, b in buckets.items()})
-            N += 1
-
-    return split(list(range(len(roots))),
-                 min([r.vL for r in roots if not r.is_zero], default=0))
 
 
 def digit(x, N):

@@ -21,13 +21,13 @@ CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
 
 
 class ConditionReport:
-    """One sub-condition's outcome; reports are equal when all their fields are."""
+    """One sub-condition's outcome, kept under its id; equal when all fields are."""
 
-    __slots__ = ("cid", "satisfied", "witnesses", "consumed", "convention_marker")
+    __slots__ = ("satisfied", "witnesses", "consumed", "convention_marker")
 
-    def __init__(self, cid, satisfied=False, witnesses=None, consumed=None,
+    def __init__(self, satisfied=False, witnesses=None, consumed=None,
                  convention_marker=False):
-        self.cid, self.satisfied, self.convention_marker = cid, satisfied, convention_marker
+        self.satisfied, self.convention_marker = satisfied, convention_marker
         self.witnesses = [] if witnesses is None else witnesses
         self.consumed = {} if consumed is None else consumed
 
@@ -58,7 +58,6 @@ class SolubilityVerdict(NamedTuple):
     reasons: dict
     odd_degree_shortcut: bool
     convention_dependent: bool
-    odd_degree_consistent: bool = True
 
 
 def interval_has_integer(lo, hi, den):
@@ -80,13 +79,12 @@ def theorem_decide(A):
     """Evaluate all theorem conditions on a ClusterAnalysis.
 
     Depths, nu and relative depths are integers over the tower's e, lambda
-    and the (iii) and (vi.a) interval ends over 2e (``ClusterInvariants``);
+    and the (iii) and (vi.a) interval ends over 2e (``ClusterNode``);
     witnesses write them as fractions.  Returns (component_yes,
     {cid: ConditionReport}).
     """
-    reports = {cid: ConditionReport(cid) for cid in CONDITION_IDS}
+    reports = {cid: ConditionReport() for cid in CONDITION_IDS}
     top = A.picture.top
-    top_rec = A.inv[top]
     proper = A.picture.proper()
     e = A.tower.e
     e2 = 2 * e
@@ -94,124 +92,114 @@ def theorem_decide(A):
     def q(n, den=e):
         return rational_str(n, den)
 
-    def rec(n):
-        return A.inv[n]
-
     def eps_ok_if_ubereven(n):
-        return not rec(n).ubereven or A.eps_trivial_galois(n)
+        return not n.ubereven or A.eps_trivial_galois(n)
 
     def center_ok(n):
-        return is_int(rec(n).depth_e, e) or A.center_value_is_square(n) is True
+        return is_int(n.level, e) or A.center_value_is_square(n) is True
 
     # (i) and the (ii) preamble
     for s in proper:
-        r = rec(s)
-        if not (r.principal and r.fixed_galois):
+        if not (s.principal and s.fixed_galois):
             continue
-        if r.e == 1 and eps_ok_if_ubereven(s):
-            reports["i"].fire(r.name, {"e": 1})
-        if r.e > 1 and eps_ok_if_ubereven(s):
+        if s.e == 1 and eps_ok_if_ubereven(s):
+            reports["i"].fire(s.name, {"e": 1})
+        if s.e > 1 and eps_ok_if_ubereven(s):
             # (ii)(a)
             if s is top:
-                if top_rec.size % 2 == 1:
-                    reports["ii.a"].fire(r.name, {"parity": "odd", "e": r.e})
+                if top.size % 2 == 1:
+                    reports["ii.a"].fire(s.name, {"parity": "odd", "e": s.e})
                 elif A.eps_trivial_galois(top):
-                    reports["ii.a"].fire(r.name, {"parity": "even", "eps": "trivial"})
+                    reports["ii.a"].fire(s.name, {"parity": "even", "eps": "trivial"})
             # (ii)(b)
-            stable = r.stable_children
+            stable = s.stable_children
             if any(c.size == 1 for c in stable):
-                reports["ii.b"].fire(r.name, {"route": "stable singleton"})
-            elif (r.genus == 0 and not r.ubereven
+                reports["ii.b"].fire(s.name, {"route": "stable singleton"})
+            elif (s.genus == 0 and not s.ubereven
                   and not any(c.size > 1 and c.size % 2 == 1 for c in stable)
-                  and is_even_int(r.nu_e, e) and center_ok(s)):
-                reports["ii.b"].fire(r.name,
+                  and is_even_int(s.nu_e, e) and center_ok(s)):
+                reports["ii.b"].fire(s.name,
                                      {"route": "genus 0, no proper stable odd child",
-                                      "nu": q(r.nu_e)}, marker=True)
+                                      "nu": q(s.nu_e)}, marker=True)
             # (ii)(c)
             if (not any(c.size > 1 for c in stable)
-                    and is_int(r.lam_2e, e2) and is_even_int(r.nu_e, e)
-                    and (r.genus > 0 or r.ubereven) and center_ok(s)):
-                reports["ii.c"].fire(r.name, {"lambda": q(r.lam_2e, e2), "nu": q(r.nu_e)},
+                    and is_int(s.lam_2e, e2) and is_even_int(s.nu_e, e)
+                    and (s.genus > 0 or s.ubereven) and center_ok(s)):
+                reports["ii.c"].fire(s.name, {"lambda": q(s.lam_2e, e2), "nu": q(s.nu_e)},
                                      marker=True)
             # (ii)(d)
             singles = [c for c in s.children if c.size == 1]
             if singles and all(
                     A.image(c, TAU) is c and A.image(c, FROB) is c for c in singles):
-                reports["ii.d"].fire(r.name, {"singletons": len(singles)})
+                reports["ii.d"].fire(s.name, {"singletons": len(singles)})
 
     # (iii) linking chains between nested principal clusters
     for s in proper:
-        r = rec(s)
-        if not (r.principal and r.fixed_galois):
+        if not (s.principal and s.fixed_galois):
             continue
         for sp in s.children:
-            if not sp.is_proper:
+            if not (sp.is_proper and sp.principal and sp.fixed_galois):
                 continue
-            rp = rec(sp)
-            if not (rp.principal and rp.fixed_galois):
-                continue
-            if rp.size % 2 == 1:
-                lo, hi = -r.lam_2e - rp.delta_e, -r.lam_2e
+            if sp.size % 2 == 1:
+                lo, hi = -s.lam_2e - sp.delta_e, -s.lam_2e
                 interval = [q(lo, e2), q(hi, e2)]
                 if interval_has_integer(lo, hi, e2):
-                    reports["iii"].fire(f"{rp.name}<{r.name}",
+                    reports["iii"].fire(f"{sp.name}<{s.name}",
                                         {"branch": "odd", "interval": interval})
                 else:
-                    reports["iii"].note(f"{rp.name}<{r.name}",
+                    reports["iii"].note(f"{sp.name}<{s.name}",
                                         {"branch": "odd", "interval": interval,
                                          "integer_intersection": "empty"})
             else:
-                lo, hi = -rp.depth_e, -r.depth_e
+                lo, hi = -sp.level, -s.level
                 if A.eps_trivial_galois(sp) and interval_has_integer(lo, hi, e):
-                    reports["iii"].fire(f"{rp.name}<{r.name}",
+                    reports["iii"].fire(f"{sp.name}<{s.name}",
                                         {"branch": "even", "interval": [q(lo), q(hi)]})
 
     # (iv) twins
     for s in proper:
-        r = rec(s)
-        if not (r.twin and r.fixed_galois):
+        if not (s.twin and s.fixed_galois):
             continue
         parent = s.parent
         triv_inertia = A.eps_trivial_inertia(s)
         if A.eps_trivial_galois(s):
-            lo, hi = -r.depth_e, -rec(parent).depth_e
+            lo, hi = -s.level, -parent.level
             if interval_has_integer(lo, hi, e):
-                reports["iv.a"].fire(r.name, {"interval": [q(lo), q(hi)]})
+                reports["iv.a"].fire(s.name, {"interval": [q(lo), q(hi)]})
             else:
-                reports["iv.a"].note(r.name, {"interval": [q(lo), q(hi)],
+                reports["iv.a"].note(s.name, {"interval": [q(lo), q(hi)],
                                               "integer_intersection": "empty"})
-        if (triv_inertia and r.eps_frob == -1
-                and is_int(r.depth_e, e) and is_even_int(r.nu_e, e)):
-            reports["iv.b"].fire(r.name, {"d": q(r.depth_e), "nu": q(r.nu_e)})
+        if (triv_inertia and s.eps_frob == -1
+                and is_int(s.level, e) and is_even_int(s.nu_e, e)):
+            reports["iv.b"].fire(s.name, {"d": q(s.level), "nu": q(s.nu_e)})
         if not triv_inertia:
             if A.roots_fixed_pointwise(s):
-                reports["iv.c"].fire(r.name, {"route": "rational branch points"},
+                reports["iv.c"].fire(s.name, {"route": "rational branch points"},
                                      marker=True)
-            elif is_even_int(r.nu_e, e) and (is_int(r.depth_e, e)
+            elif is_even_int(s.nu_e, e) and (is_int(s.level, e)
                                              or A.center_value_is_square(s)):
-                reports["iv.c"].fire(r.name, {"route": "crosses fixed",
-                                              "nu": q(r.nu_e), "d": q(r.depth_e)},
+                reports["iv.c"].fire(s.name, {"route": "crosses fixed",
+                                              "nu": q(s.nu_e), "d": q(s.level)},
                                      marker=True)
 
-    if not top_rec.principal:
+    if not top.principal:
         # (v) cotwins, read with t the cotwin and s its child of size 2g
         for s in proper:
-            r = rec(s)
-            if not (r.cotwin and r.fixed_galois):
+            if not (s.cotwin and s.fixed_galois):
                 continue
             child = next(c for c in s.children if c.size == 2 * A.curve_genus)
             triv_inertia = A.eps_trivial_inertia(s)
             if A.eps_trivial_galois(s) and child.is_proper:
-                lo, hi = -child.level, -r.depth_e
+                lo, hi = -child.level, -s.level
                 if interval_has_integer(lo, hi, e):
-                    reports["v.a"].fire(r.name, {"interval": [q(lo), q(hi)]})
-            if (triv_inertia and r.eps_frob == -1
-                    and is_int(r.depth_e, e) and is_even_int(r.nu_e, e)):
-                reports["v.b"].fire(r.name, {"d": q(r.depth_e), "nu": q(r.nu_e)})
+                    reports["v.a"].fire(s.name, {"interval": [q(lo), q(hi)]})
+            if (triv_inertia and s.eps_frob == -1
+                    and is_int(s.level, e) and is_even_int(s.nu_e, e)):
+                reports["v.b"].fire(s.name, {"d": q(s.level), "nu": q(s.nu_e)})
             if not triv_inertia:
                 tau_swaps, frob_swaps = A.dual_pair_swap(s)
                 if tau_swaps or not frob_swaps:
-                    reports["v.c"].fire(r.name,
+                    reports["v.c"].fire(s.name,
                                         {"dual_pair_tau_swaps": tau_swaps,
                                          "dual_pair_frob_swaps": frob_swaps},
                                         marker=True)
@@ -219,21 +207,20 @@ def theorem_decide(A):
         # (vi) top cluster with exactly two children
         if len(top.children) == 2:
             for a_node, b_node in (top.children, list(reversed(top.children))):
-                ra = rec(a_node) if a_node.is_proper else None
                 fixed_in = A.image(a_node, TAU) is a_node
                 fixed_fr = A.image(a_node, FROB) is a_node
                 swaps = A.image(a_node, TAU) is b_node
-                name = ra.name if ra else f"r{a_node.roots[0] + 1}"
+                name = a_node.name or f"r{a_node.roots[0] + 1}"
                 if a_node.size % 2 == 1:
-                    if ra is None and fixed_in and fixed_fr:
+                    if not a_node.is_proper and fixed_in and fixed_fr:
                         # singleton child: the relative depth is infinite, the
                         # interval unbounded below, and the root is rational
                         reports["vi.a"].fire(name,
-                                             {"interval": ["-inf", q(-top_rec.lam_2e, e2)],
+                                             {"interval": ["-inf", q(-top.lam_2e, e2)],
                                               "note": "rational Weierstrass point"},
                                              marker=True)
-                    if ra and fixed_in and fixed_fr:
-                        lo, hi = -top_rec.lam_2e - ra.delta_e, -top_rec.lam_2e
+                    if a_node.is_proper and fixed_in and fixed_fr:
+                        lo, hi = -top.lam_2e - a_node.delta_e, -top.lam_2e
                         interval = [q(lo, e2), q(hi, e2)]
                         if interval_has_integer(lo, hi, e2):
                             reports["vi.a"].fire(name, {"interval": interval},
@@ -243,25 +230,25 @@ def theorem_decide(A):
                                 name, {"interval": interval,
                                        "integer_intersection": "empty"},
                                 marker=True)
-                    if (fixed_in and not fixed_fr and is_int(top_rec.depth_e, e)
-                            and is_even_int(top_rec.nu_e, e)):
-                        reports["vi.b"].fire(name, {"d_R": q(top_rec.depth_e),
-                                                    "nu_R": q(top_rec.nu_e)},
+                    if (fixed_in and not fixed_fr and is_int(top.level, e)
+                            and is_even_int(top.nu_e, e)):
+                        reports["vi.b"].fire(name, {"d_R": q(top.level),
+                                                    "nu_R": q(top.nu_e)},
                                              marker=True)
-                    if swaps and top_rec.eps_frob == 1:
+                    if swaps and top.eps_frob == 1:
                         reports["vi.c"].fire(name, {"eps_R_frob": 1})
                 else:
-                    if ra is None:
+                    if not a_node.is_proper:
                         continue
                     if fixed_in and fixed_fr and A.eps_trivial_galois(a_node):
-                        lo, hi = -ra.depth_e, -top_rec.depth_e
+                        lo, hi = -a_node.level, -top.level
                         if interval_has_integer(lo, hi, e):
                             reports["vi.d"].fire(name, {"interval": [q(lo), q(hi)]})
                     if (fixed_in and not fixed_fr and A.eps_trivial_galois(a_node)
-                            and is_int(top_rec.depth_e, e)):
-                        reports["vi.e"].fire(name, {"d_R": q(top_rec.depth_e)})
+                            and is_int(top.level, e)):
+                        reports["vi.e"].fire(name, {"d_R": q(top.level)})
                     if (swaps and A.eps_trivial_galois(a_node)
-                            and top_rec.eps_frob == 1):
+                            and top.eps_frob == 1):
                         reports["vi.f"].fire(name, {"eps_R_frob": 1})
 
     component_yes = any(r.satisfied for r in reports.values())
@@ -274,7 +261,7 @@ def tameness_flags(A):
     flags = {
         "p_odd": p % 2 == 1,
         "tower_tame": math.gcd(A.tower.e, p) == 1,
-        "cluster_e_tame": all(math.gcd(A.inv[s].e, p) == 1 for s in A.picture.proper()),
+        "cluster_e_tame": all(math.gcd(s.e, p) == 1 for s in A.picture.proper()),
     }
     return flags
 
@@ -290,22 +277,22 @@ def corollary_gate(p, genus, tame_flags):
     return applicable, reasons
 
 
-def solubility_decide(expr, prec=None):
+def solubility_decide(expr):
     """Full pipeline: one certified analysis, gate, theorem, verdict.
 
     Lemma (the precision certificate).  ``theorem_decide`` reads only
-    the digit trie (levels, and the digit each child keeps at its
+    the cluster tree (levels, and the digit each child keeps at its
     parent's split), ``tau_perm`` and ``frob_perm``; depths, nu, lambda
     and the intervals are integers computed from the levels, and the
     radicands and the centroid's value are F_q products of split digits.
     Every digit is read by one reader, ``curves.digit``, which raises
     PrecisionExhausted on a digit at or above an element's trusted level:
 
-    * the trie buckets the roots of a block by their digit at its level
-      N, and at the precision ``clusters.default_precision`` sizes from
+    * ``clusters.build_picture`` buckets the roots of a block by their
+      digit at its level N, and at the precision ``clusters.default_precision`` sizes from
       the factors no such read raises (the sizing lemma there);
     * each child keeps the digit it was bucketed by, and the radicands'
-      leading terms (W, u) are products of differences of these digits
+      leading coefficients u are products of differences of these digits
       (``ClusterAnalysis.radicand``);
     * the centroid of s has digit m = sum |c| delta_c / |s| at the level
       of its split, so f at the centroid leads with the radicand of s
@@ -315,15 +302,15 @@ def solubility_decide(expr, prec=None):
       centroid read raises;
     * the permutations read no digit: ``curves.galois_perms`` derives
       them exactly from the roots' (factor, branch) tags, and the Galois
-      data are their maps on the trie's nodes.
+      data are their maps on the tree's nodes.
 
     Trusted digits are those of the exact roots, so every value above
     equals the one the exact roots give, and a pass at any higher
-    precision (prec, read as a floor) gives the same reports.  One pass
-    decides the curve; the tests keep a second at doubled precision as
-    the reference.
+    precision (``analyse``'s prec, read as a floor) gives the same
+    reports.  One pass decides the curve; the tests keep a second at
+    doubled precision as the reference.
     """
-    A = analyse(expr, prec=prec)
+    A = analyse(expr)
     component_yes, reports = theorem_decide(A)
     flags = tameness_flags(A)
     applicable, reasons = corollary_gate(expr.p, expr.genus, flags)
@@ -338,7 +325,5 @@ def solubility_decide(expr, prec=None):
         reasons=reasons,
         odd_degree_shortcut=expr.degree % 2 == 1,
         convention_dependent=convention,
-        odd_degree_consistent=(expr.degree % 2 == 0) or not applicable
-                              or component_yes,
     )
     return verdict, A

@@ -39,7 +39,9 @@ def _mulmod(f, g, low, m):
 
 
 def _powmod(f, n, low, m):
-    """f^n in Z[t]/(t^d + low(t)) with coefficients mod m, for n >= 0."""
+    """f^n in Z[t]/(t^d + low(t)) with coefficients mod m; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
     d = len(low)
     if d == 1:
         return (pow(f[0], n, m),)

@@ -10,8 +10,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 from clustersol.clusters import SqrtSymbol, canonical_sqrt_symbol
-from clustersol.curves import (Linear, RootSet, digit_trie, embed_cyclo,
-                               reject_repeated_factors)
+from clustersol.curves import Linear, RootSet, embed_cyclo, reject_repeated_factors
 from clustersol.errors import InternalError, PrecisionExhausted
 from clustersol.tame import INF, Elt, _aligned, _normalise
 
@@ -47,11 +46,19 @@ def latex_structure(text):
 def as_fractions(A, node):
     """A proper node's depth, nu, lambda and vKc as Fractions.
 
-    The analysis keeps them as integers over the tower's e (lambda over 2e).
+    The analysis keeps them on the node as integers over the tower's e
+    (lambda over 2e).
     """
-    rec, e = A.inv[node], A.tower.e
-    return SimpleNamespace(depth=Fraction(rec.depth_e, e), nu=Fraction(rec.nu_e, e),
-                           lam=Fraction(rec.lam_2e, 2 * e), vKc=Fraction(rec.vKc_e, e))
+    e = A.tower.e
+    return SimpleNamespace(depth=Fraction(node.level, e), nu=Fraction(node.nu_e, e),
+                           lam=Fraction(node.lam_2e, 2 * e), vKc=Fraction(node.vKc_e, e))
+
+
+def nested_trie(node):
+    """The tree under node as a root index or (level, {digit: child}), children in order."""
+    if not node.is_proper:
+        return node.roots[0]
+    return (node.level, {c.digit: nested_trie(c) for c in node.children})
 
 
 def reference_precision(expr, e):
@@ -68,15 +75,15 @@ def size_one_digit_short(monkeypatch):
     monkeypatch.setattr(clusters_mod, "default_precision", lambda expr, e: real(expr, e) - e)
 
 
-def decide_with_doubled_recheck(expr, prec=None):
+def decide_with_doubled_recheck(expr):
     """``solubility_decide``, checked against a second analysis at doubled precision.
 
     The reference for the precision certificate: the theorem's reports on
-    ``analyse(expr, prec=2 * prec)`` must equal those behind the verdict,
-    else InternalError.  Both calls go through ``clustersol.decision``, so
+    ``analyse(expr, prec=2 * prec)``, for prec the verdict's own, must equal
+    those behind the verdict, else InternalError.  Both calls go through ``clustersol.decision``, so
     a test that patches them there sees this pass too.
     """
-    verdict, A = decision_mod.solubility_decide(expr, prec)
+    verdict, A = decision_mod.solubility_decide(expr)
     A2 = decision_mod.analyse(expr, prec=2 * A.tower.prec)
     if decision_mod.theorem_decide(A2) != (verdict.component_yes, verdict.reports):
         raise InternalError("a certified verdict changed at doubled precision")
@@ -127,7 +134,7 @@ def reference_extract_roots(expr, tower):
             roots.append(center + branch)
             tags.append((fi, j))
             branch = branch * zeta_n
-    return RootSet(expr, tower, roots, tags, trie=digit_trie(roots, tags))
+    return RootSet(expr, tower, roots, tags)
 
 
 # --- the reference Galois action on tower elements ---
@@ -467,7 +474,7 @@ def reference_center_value_is_square(A, node):
     z = z * inv_n
     N = min(N + inv_n.vL, z.abs_prec)
     w, res, exact = reference_leading_term(A, z, A.rs.roots, N)
-    nu_e = A.inv[node].nu_e
+    nu_e = node.nu_e
     if not exact:
         if w > nu_e:
             return None

@@ -15,12 +15,13 @@ import pytest
 
 import clustersol.decision as decision_mod
 import conftest
-from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck,
-                      reference_center_value_is_square, reference_leading_term,
-                      size_one_digit_short, truncated_sum)
-from clustersol.clusters import analyse, default_precision
+from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck, nested_trie,
+                      reference_center_value_is_square, reference_extract_roots,
+                      reference_leading_term, reference_precision, size_one_digit_short,
+                      truncated_sum)
+from clustersol.clusters import analyse, build_picture, default_precision
 from clustersol.corpus import generate_corpus
-from clustersol.curves import expand_to_integer_poly, parse_expr
+from clustersol.curves import expand_to_integer_poly, parse_expr, required_tower
 from clustersol.decision import solubility_decide
 from clustersol.errors import InternalError, PrecisionExhausted, RootCollision
 from clustersol.oracle import is_locally_soluble
@@ -157,7 +158,7 @@ def test_exact_zero_centroid_curve_is_decided_and_agrees_with_the_oracle():
     v, A = solubility_decide(expr)
     top = A.picture.top
     # the centroid of R is 0 exactly; f(0) = 8 p^13 has valuation 13 != nu_R
-    assert Fraction(A.inv[top].nu_e, A.tower.e) == Fraction(21, 2)
+    assert Fraction(top.nu_e, A.tower.e) == Fraction(21, 2)
     assert A.center_value_is_square(top) is None
     assert reference_center_value_is_square(A, top) is None
     oracle = is_locally_soluble(expand_to_integer_poly(expr), expr.p)
@@ -186,7 +187,7 @@ def test_a_centroid_equal_to_a_nonzero_root_counts_by_its_bound():
     expr = parse_expr("(x-7)*((x-7)^2-p)*(x-1)*(x-2)*(x-3)", 7)
     A = analyse(expr)
     node = next(n for n in A.picture.proper() if n.size == 3)
-    assert Fraction(A.inv[node].nu_e, A.tower.e) == Fraction(3, 2)
+    assert Fraction(node.nu_e, A.tower.e) == Fraction(3, 2)
     assert A.center_value_is_square(node) is None
     assert reference_center_value_is_square(A, node) is None
     v, A = solubility_decide(expr)
@@ -261,10 +262,10 @@ def test_sizing_one_digit_short_raises_on_every_crafted_curve(monkeypatch):
 
 def test_prec_is_a_floor_on_the_sized_precision():
     expr = parse_expr(close_centres(20), 7)
-    assert solubility_decide(expr, prec=40)[1].tower.prec == 40
-    assert solubility_decide(expr, prec=1)[1].tower.prec == 21
+    assert analyse(expr, prec=40).tower.prec == 40
+    assert analyse(expr, prec=1).tower.prec == 21
     # EX3 has e = 3 and is sized at the floor of 8 stored digits
-    assert solubility_decide(parse_expr(*EX3), prec=1)[1].tower.prec == 8 * 3
+    assert analyse(parse_expr(*EX3), prec=1).tower.prec == 8 * 3
 
 
 def test_a_repeated_root_is_still_a_collision(monkeypatch):
@@ -286,9 +287,14 @@ def test_a_cancelling_tie_of_equal_roots_is_not_squarefree(text):
         solubility_decide(parse_expr(text, 7))
 
 
-def test_a_branch_that_cancels_a_zeta_centre_to_zero_is_not_a_collision():
-    # 7 zeta_3 + 7 * (-zeta_3) = 0 is a root, and f is squarefree.  The sizing
-    # reports no collision; add_branch cannot yet read a zeta centre's exact
-    # zero (ROADMAP), so the read raises at any precision
-    with pytest.raises(PrecisionExhausted, match="cancellation below trusted precision"):
-        solubility_decide(parse_expr("((x-7*zeta(3))^6-p^6)*(x-1)*(x-2)", 7))
+def test_a_branch_that_cancels_a_zeta_centre_to_zero_is_decided():
+    # 7 zeta_3 + 7 * (-zeta_3) = 0 is a root, and f is squarefree.  The centre
+    # 7 zeta_3 is trusted below pi^(e(1 + M)), as an integer centre is, so
+    # add_branch reads the exact zero
+    expr = parse_expr("((x-7*zeta(3))^6-p^6)*(x-1)*(x-2)", 7)
+    v, A = solubility_decide(expr)
+    assert v.status == "Inapplicable" and v.fired == ["i", "v.a"]
+    d, e = required_tower(expr)
+    rs = reference_extract_roots(expr, Tower(7, d, e, reference_precision(expr, e)))
+    assert A.rs.roots[5].is_zero
+    assert nested_trie(A.picture.top) == nested_trie(build_picture(rs, expr).top)

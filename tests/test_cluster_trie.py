@@ -4,7 +4,7 @@ The references subtract every pair of roots at full precision into a
 matrix of valuations and agglomerate the picture from it, exactly as the
 picture was first computed.  Production reads the same valuations from
 the roots' pi-adic digits, one digit per root and level
-(``curves.digit_trie``); a second reference buckets the roots by their
+(``clusters.build_picture``); a second reference buckets the roots by their
 whole ``conftest.match_key`` at each level.
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import clustersol.curves as curves
-from conftest import EX1, EX2, EX3, match_key, reference_precision
+from conftest import EX1, EX2, EX3, match_key, nested_trie, reference_precision
 from clustersol.clusters import (ClusterAnalysis, ClusterNode, ClusterPicture,
                                  build_picture, default_precision)
 from clustersol.corpus import generate_corpus
@@ -81,9 +81,9 @@ def _key_digit(t, key, N):
 
 
 def reference_digit_trie(roots, tags):
-    """``curves.digit_trie`` as first built: a block at level N is bucketed by
-    the roots' whole ``match_key`` at N + 1, and each child is keyed by the
-    digit at pi^N read off its key."""
+    """The picture's tree as first built, as ``conftest.nested_trie`` writes it:
+    a block at level N is bucketed by the roots' whole ``match_key`` at N + 1,
+    and each child is keyed by the digit at pi^N read off its key."""
     groups = {}
     for i, r in enumerate(roots):
         groups.setdefault((r.vL, r.unit), []).append(i)
@@ -132,7 +132,7 @@ def test_picture_and_nu_match_reference(scale):
         A = ClusterAnalysis(expr, rs, picture)
         e = rs.tower.e
         for node in picture.proper():
-            assert Fraction(A.inv[node].nu_e, e) == \
+            assert Fraction(node.nu_e, e) == \
                 reference_nu(expr, mat, node, node.roots[0], e), (text, p)
 
 
@@ -153,15 +153,17 @@ def _trust_the_root_1_below_pi_1(monkeypatch):
     monkeypatch.setattr(curves, "embed_cyclo", coarse_one)
 
 
-def test_under_trusted_root_raises_from_extract_roots(monkeypatch):
+def test_under_trusted_root_raises_from_build_picture(monkeypatch):
     # the roots 1 and 8 meet at v = 1; the root 1 known only below pi^1
     # cannot show it, so reading its digit at pi^1 must raise
     expr = parse_expr("(x-1)*(x-8)*(x-2)*(x-3)*(x-4)", 7)
     rs = extract_roots(expr, Tower(7, 1, 1, 16))
-    assert rs.trie == (0, {(1,): (1, {(0,): 0, (1,): 1}), (2,): 2, (3,): 3, (4,): 4})
+    assert nested_trie(build_picture(rs, expr).top) == \
+        (0, {(1,): (1, {(0,): 0, (1,): 1}), (2,): 2, (3,): 3, (4,): 4})
     _trust_the_root_1_below_pi_1(monkeypatch)
+    rs = extract_roots(expr, Tower(7, 1, 1, 16))
     with pytest.raises(PrecisionExhausted):
-        extract_roots(expr, Tower(7, 1, 1, 16))
+        build_picture(rs, expr)
 
 
 def _ordered(trie):
@@ -172,33 +174,33 @@ def _ordered(trie):
     return (level, [(dg, _ordered(c)) for dg, c in split.items()])
 
 
-def _both_tries(monkeypatch, expr, tower):
-    """``extract_roots``' trie, or its error, by one digit and by match_key."""
+def _both_tries(expr, tower):
+    """The picture's tree, or its error, by one digit and by match_key."""
     out = []
-    for trie in (curves.digit_trie, reference_digit_trie):
-        monkeypatch.setattr(curves, "digit_trie", trie)
+    for build in (lambda rs: nested_trie(build_picture(rs, expr).top),
+                  lambda rs: reference_digit_trie(rs.roots, rs.tags)):
         try:
-            out.append(_ordered(extract_roots(expr, tower).trie))
+            out.append(_ordered(build(extract_roots(expr, tower))))
         except (PrecisionExhausted, RootCollision) as ex:
             out.append((type(ex).__name__, str(ex)))
     return out
 
 
-def test_one_digit_trie_equals_the_match_key_trie(monkeypatch):
+def test_one_digit_trie_equals_the_match_key_trie():
     for text, p in SPLIT_CORPUS:
         expr = parse_expr(text, p)
         d, e = required_tower(expr)
-        got, ref = _both_tries(monkeypatch, expr, Tower(p, d, e, default_precision(expr, e)))
+        got, ref = _both_tries(expr, Tower(p, d, e, default_precision(expr, e)))
         assert got == ref, (text, p)
 
 
 def test_one_digit_trie_raises_where_the_match_key_trie_raises(monkeypatch):
     # roots 20 digits apart agree in every digit of a tower sized to 16
     expr = parse_expr(close_centres(20), 7)
-    got, ref = _both_tries(monkeypatch, expr, Tower(7, 1, 1, 16))
+    got, ref = _both_tries(expr, Tower(7, 1, 1, 16))
     assert got == ref and got[0] == "PrecisionExhausted"
     # the root 1, trusted below pi^1 only, cannot show where it meets 8
     expr = parse_expr("(x-1)*(x-8)*(x-2)*(x-3)*(x-4)", 7)
     _trust_the_root_1_below_pi_1(monkeypatch)
-    got, ref = _both_tries(monkeypatch, expr, Tower(7, 1, 1, 16))
+    got, ref = _both_tries(expr, Tower(7, 1, 1, 16))
     assert got == ref and got[0] == "PrecisionExhausted"

@@ -99,34 +99,34 @@ def test_vkc_values(ex1):
     big = next(c for c in top.children if c.size == 4)
     assert as_fractions(ex1, top).vKc == 0              # 14/3 - 7 * (2/3)
     assert as_fractions(ex1, big).nu == 19              # 4 * 17/4 + 3 * 2/3
-    assert as_fractions(ex1, big).vKc == 2 and ex1.inv[big].e == 4
+    assert as_fractions(ex1, big).vKc == 2 and big.e == 4
 
 
 def test_e_values(ex1, ex2, ex3):
-    assert ex2.inv[ex2.picture.top].e == 2
+    assert ex2.picture.top.e == 2
     for c in ex3.picture.top.children:
-        assert ex3.inv[c].e == 6
-    assert ex1.inv[ex1.picture.top].e == 3
+        assert c.e == 6
+    assert ex1.picture.top.e == 3
 
 
 def test_e_minimality():
     for p, text in generate_corpus(11, 20, [7, 11]):
         A = analyse(parse_expr(text, p))
         for node in A.picture.proper():
-            rec, q = A.inv[node], as_fractions(A, node)
-            for div in range(1, rec.e):
+            q = as_fractions(A, node)
+            for div in range(1, node.e):
                 assert not ((div * q.depth).denominator == 1
                             and (div * q.nu / 2).denominator == 1)
-            assert (rec.e * q.depth).denominator == 1
-            assert (rec.e * q.nu / 2).denominator == 1
+            assert (node.e * q.depth).denominator == 1
+            assert (node.e * q.nu / 2).denominator == 1
 
 
 def test_genus_values(ex1, ex2):
-    assert ex1.inv[ex1.picture.top].genus == 1          # 3 odd children
+    assert ex1.picture.top.genus == 1          # 3 odd children
     top2 = ex2.picture.top
-    assert ex2.inv[top2].genus == 0                     # uebereven
+    assert top2.genus == 0                     # uebereven
     for c in top2.children:
-        assert ex2.inv[c].genus == 0                    # twins
+        assert c.genus == 0                    # twins
 
 
 def test_vKc_values(ex2, ex3):
@@ -137,35 +137,34 @@ def test_vKc_values(ex2, ex3):
 
 
 def test_classification_flags(ex2, ex3):
-    top2 = ex2.inv[ex2.picture.top]
+    top2 = ex2.picture.top
     assert top2.principal and top2.ubereven
-    top3 = ex3.inv[ex3.picture.top]
+    top3 = ex3.picture.top
     assert not top3.principal                           # even top, two children
     for c in ex2.picture.top.children:
-        assert ex2.inv[c].twin
+        assert c.twin
 
 
 def test_cotwin_flag():
     A = analyse(parse_expr("(x-1)*(x^4-p)", 13))
-    rec = A.inv[A.picture.top]
-    assert rec.cotwin and not rec.principal
+    top = A.picture.top
+    assert top.cotwin and not top.principal
 
 
 # --- galois data ---
 
 def test_cluster_galois_example3(ex3):
     for c in ex3.picture.top.children:
-        rec = ex3.inv[c]
-        assert rec.fixed_inertia and rec.fixed_frob
-        assert rec.stable_children == ()                # singletons tau-cycled
+        assert c.fixed_inertia and c.fixed_frob
+        assert c.stable_children == ()                # singletons tau-cycled
 
 
 def test_cluster_galois_example2(ex2):
     twins = ex2.picture.top.children
-    assert ex2.inv[twins[0]].fixed_galois
-    assert not ex2.inv[twins[1]].fixed_frob             # zeta twins swapped
-    assert ex2.inv[twins[1]].orbit == ex2.inv[twins[2]].orbit
-    assert ex2.inv[twins[0]].orbit != ex2.inv[twins[1]].orbit
+    assert twins[0].fixed_galois
+    assert not twins[1].fixed_frob             # zeta twins swapped
+    assert twins[1].orbit == twins[2].orbit
+    assert twins[0].orbit != twins[1].orbit
 
 
 def test_images_preserve_size_and_depth():
@@ -196,28 +195,26 @@ def test_a_permutation_that_splits_a_twin_is_refused():
 def test_stable_children_trivial_action():
     A = analyse(parse_expr("(x-1)*(x-2)*(x-3)*(x-4)*(x-5)", 7))
     top = A.picture.top
-    assert set(A.inv[top].stable_children) == set(top.children)
+    assert set(top.stable_children) == set(top.children)
 
 
 # --- epsilon characters ---
 
 def test_epsilon_example2(ex2):
-    rec = ex2.inv[ex2.picture.top]
-    assert rec.eps_tau == -1
+    assert ex2.picture.top.eps_tau == -1
     t1 = ex2.picture.top.children[0]
-    assert ex2.inv[t1].eps_tau == -1
+    assert t1.eps_tau == -1
 
 
 def test_epsilon_identity_is_one(ex2):
     for node in ex2.picture.proper():
-        rec = ex2.inv[node]
-        if rec.is_even or rec.cotwin:
+        if node.is_even or node.cotwin:
             assert ex2.epsilon(node, GaloisWord(0, 0)) == 1
 
 
 def test_epsilon_zero_for_odd_non_cotwin(ex1):
     top = ex1.picture.top                               # size 7, odd
-    assert ex1.inv[top].eps_tau == 0
+    assert top.eps_tau == 0
     assert ex1.epsilon(top, TAU) == 0
 
 
@@ -225,8 +222,7 @@ def test_epsilon_pm_one_and_square():
     for p, text in generate_corpus(5, 20, [7, 11, 13]):
         A = analyse(parse_expr(text, p))
         for node in A.picture.proper():
-            rec = A.inv[node]
-            if not (rec.is_even or rec.cotwin):
+            if not (node.is_even or node.cotwin):
                 continue
             for w in (TAU, FROB, GaloisWord(1, 1)):
                 val = A.epsilon(node, w)
@@ -238,8 +234,7 @@ def test_epsilon_multiplicative_on_stabilizer():
         A = analyse(parse_expr(text, p))
         words = [GaloisWord(a, b) for a in range(2) for b in range(2)]
         for node in A.picture.proper():
-            rec = A.inv[node]
-            if not (rec.is_even or rec.cotwin):
+            if not (node.is_even or node.cotwin):
                 continue
             star = A.star(node)
             stab = [w for w in words if A.image(star, w) is star]
@@ -256,8 +251,7 @@ def test_epsilon_tau_parity_matches_radicand_valuation():
     for p, text in generate_corpus(21, 15, [7, 13]):
         A = analyse(parse_expr(text, p))
         for node in A.picture.proper():
-            rec = A.inv[node]
-            if not (rec.is_even or rec.cotwin):
+            if not (node.is_even or node.cotwin):
                 continue
             star = A.star(node)
             if A.image(star, TAU) is not star:

@@ -27,8 +27,7 @@ from clustersol.tame import FROB, TAU
 
 def reference_epsilon(A, node, word):
     """epsilon_s(tau^a frob^b) from two canonical square roots per word."""
-    rec = A.inv[node]
-    if not (rec.is_even or rec.cotwin):
+    if not (node.is_even or node.cotwin):
         return 0
     star = A.star(node)
     target = A.image(star, word)
@@ -63,7 +62,7 @@ CURVES += [(text, p) for p, text in generate_corpus(4242, 24, [7, 11, 13, 17])]
 
 
 def _character_nodes(A):
-    return [n for n in A.picture.proper() if A.inv[n].is_even or A.inv[n].cotwin]
+    return [n for n in A.picture.proper() if n.is_even or n.cotwin]
 
 
 def _check_against_reference(A):
@@ -152,7 +151,7 @@ def test_theorem_takes_no_square_root_on_galois_fixed_pictures(monkeypatch):
     decided = 0
     for text, p in CURVES:
         A = analyse(parse_expr(text, p))
-        if not all(A.inv[n].fixed_galois for n in A.picture.proper()):
+        if not all(n.fixed_galois for n in A.picture.proper()):
             continue
         monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", forbidden)
         try:

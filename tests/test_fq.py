@@ -174,3 +174,13 @@ def test_kernel_matches_reference(p, d, tower):
                 assert t.w_mul(f, g) == want
                 n = rng.getrandbits(100)
                 assert t.w_pow(f, n) == reference_powmod(f, n, low, m)
+
+
+def test_a_negative_exponent_raises_on_both_branches():
+    # FqField.pow inverts before it exponentiates; the kernel takes n >= 0
+    # only: at d > 1 halving -1 would never reach 0
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            _powmod((3,) * d, -1, get_field(7, d).modulus, 7)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Tower(7, 2, 1, 8).w_pow((3, 1), -1)

@@ -8,8 +8,10 @@ files are exempt: their imports are re-exports.
 Every function, class and method defined in ``src/clustersol/`` must be
 read by name (a name or an attribute) somewhere in the package, or be
 exported in ``__init__.__all__``; dunders are exempt.  Code that only the
-tests use belongs in ``tests/``.  The check matches by name, so a dead
-method that shares its name with a live attribute is not seen.
+tests use belongs in ``tests/``.  Every ``__slots__`` entry and
+``NamedTuple`` field of a class in ``src/clustersol/`` must be read as an
+attribute somewhere in the package.  The checks match by name, so a dead
+method or field that shares its name with a live attribute is not seen.
 """
 
 import ast
@@ -74,6 +76,37 @@ def dead_definitions(sources):
     return sorted(where + (name,) for name, where in defined.items() if name not in read)
 
 
+def _is_named_tuple(cls):
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               or isinstance(b, ast.Attribute) and b.attr == "NamedTuple" for b in cls.bases)
+
+
+def _declared_fields(cls):
+    """(line, name) of each ``__slots__`` entry and ``NamedTuple`` field of a class."""
+    for stmt in cls.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)):
+            yield from ((stmt.lineno, elt.value) for elt in ast.walk(stmt.value)
+                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+        elif (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and _is_named_tuple(cls)):
+            yield stmt.lineno, stmt.target.id
+
+
+def dead_fields(sources):
+    """(file, line, Class.field) of each declared field that no source reads as an attribute."""
+    declared, read = [], set()
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                declared += [(fname, line, node.name, name)
+                             for line, name in _declared_fields(node)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((fname, line, f"{cls}.{name}")
+                  for fname, line, cls, name in declared if name not in read)
+
+
 def test_scan_sees_the_modules():
     names = {p.name for p in FILES}
     assert {"tame.py", "clusters.py", "test_hygiene.py"} <= names
@@ -101,11 +134,33 @@ def test_dead_definitions_are_detected():
     }
     assert dead_definitions(sources) == [
         ("a.py", 2, "g"), ("a.py", 5, "C"), ("a.py", 8, "unused"), ("b.py", 1, "h2")]
+    fields = {
+        "a.py": ("class S:\n"
+                 "    __slots__ = ('x', 'y', 'z')\n"
+                 "    def __init__(self): self.x = self.y = self.z = 0\n"
+                 "    def __eq__(self, o): return getattr(self, 'z') == o.x\n"
+                 "class T(NamedTuple):\n"
+                 "    u: int\n"
+                 "    v: int = 0\n"
+                 "class U(typing.NamedTuple):\n"
+                 "    w: int\n"
+                 "class V:\n"
+                 "    k: int\n"),
+        "b.py": "t.u\nu.w.x\n",
+    }
+    assert dead_fields(fields) == [
+        ("a.py", 2, "S.y"), ("a.py", 2, "S.z"), ("a.py", 7, "T.v")]
 
 
 def test_no_dead_definitions():
     dead = dead_definitions({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
     assert not dead, "defined but never read: " + ", ".join(
+        f"{name} ({fname}:{line})" for fname, line, name in dead)
+
+
+def test_no_dead_fields():
+    dead = dead_fields({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert not dead, "declared but never read: " + ", ".join(
         f"{name} ({fname}:{line})" for fname, line, name in dead)
 
 

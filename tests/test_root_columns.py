@@ -12,10 +12,11 @@ import random
 
 import pytest
 
-from conftest import EX1, reference_extract_roots, reference_precision
+from conftest import EX1, nested_trie, reference_extract_roots, reference_precision
+from clustersol.clusters import analyse, build_picture
 from clustersol.curves import (Binomial, embed_cyclo, extract_roots, galois_perms,
                                parse_expr, required_tower)
-from clustersol.decision import solubility_decide
+from clustersol.decision import solubility_decide, theorem_decide
 from clustersol.errors import (ClusterSolError, InternalError, PrecisionExhausted,
                                RootCollision)
 from clustersol.tame import Elt, Tower, _lifts, add_branch, get_tower
@@ -44,12 +45,13 @@ def _tower(expr, prec=None):
 
 
 def _outcome(build, expr, tower):
-    """Tags, (vL, unit, rel) per root and the trie, or the error's class and message."""
+    """Tags, (vL, unit, rel) per root and the picture's tree, or the error's class and message."""
     try:
         rs = build(expr, tower)
+        tree = nested_trie(build_picture(rs, expr).top)
     except ClusterSolError as exc:
         return type(exc), str(exc)
-    return rs.tags, [(r.vL, r.unit, r.rel) for r in rs.roots], repr(rs.trie)
+    return rs.tags, [(r.vL, r.unit, r.rel) for r in rs.roots], tree
 
 
 def _cases(expr, rs):
@@ -154,9 +156,9 @@ def test_deciding_a_curve_does_no_elt_ring_arithmetic(monkeypatch):
         Tower(7, 1, 1, 8).from_int(1) + Tower(7, 1, 1, 8).from_int(1)
     for text, p in SMALL_P_42[:20] + CENTRES_AT_K + [EXACT_ZERO_CENTROID, EX1]:
         solubility_decide(parse_expr(text, p))
-    for text, p, prec in [(close_centres(20), 7, None), (close_centres(20), 7, 40),
-                          (close_centres(40), 7, None), (close_centres(200), 7, None)]:
-        solubility_decide(parse_expr(text, p), prec)
+    for k in (20, 40, 200):
+        solubility_decide(parse_expr(close_centres(k), 7))
+    theorem_decide(analyse(parse_expr(close_centres(20), 7), prec=40))
 
 
 # --- the Frobenius shift of a radical, once per (p, d) ---

@@ -51,20 +51,18 @@ def test_the_corpus_reaches_every_case(analyses):
     assert any(all(not A.rs.roots[i].is_zero and A.rs.roots[i].vL > n.level
                    for i in c.roots)
                for A in analyses for n in A.picture.proper() for c in n.children)
-    recs = [rec for A in analyses for rec in A.inv.values()]
-    assert any(not rec.fixed_frob for rec in recs)
-    assert any(not rec.fixed_inertia for rec in recs)
-    assert any(0 < len(rec.stable_children) < len(node.children)
-               for A in analyses for node, rec in A.inv.items())
+    nodes = [node for A in analyses for node in A.picture.proper()]
+    assert any(not node.fixed_frob for node in nodes)
+    assert any(not node.fixed_inertia for node in nodes)
+    assert any(0 < len(node.stable_children) < len(node.children) for node in nodes)
 
 
 def test_galois_data_matches_the_group_reference(analyses):
     for A in analyses:
         for node, ref in reference_galois(A).items():
-            rec = A.inv[node]
-            got = (rec.fixed_inertia, rec.fixed_frob, rec.stable_children, rec.orbit)
+            got = (node.fixed_inertia, node.fixed_frob, node.stable_children, node.orbit)
             assert got == ref, (A.expr.text, node.name)
-            assert rec.fixed_galois == (ref[0] and ref[1])
+            assert node.fixed_galois == (ref[0] and ref[1])
 
 
 def test_images_match_the_root_set_reference(analyses):
