@@ -15,10 +15,12 @@ took over all curves:
     analysis  ClusterAnalysis
     theorem   theorem_decide and the gate
 
-A third pass, untimed, counts calls of ``FqField.pow``, ``fq._mulmod``,
-``FqField.canonical_sqrt`` and ``Cyclo`` constructions.  A curve that
-raises is counted as an error in the stage that raised.  It takes no
-options:
+The warm-up pass, the first in the process, counts the Newton lifts into
+W (``Tower._inverse_root``) and the residue roots they start from
+(``FqField.canonical_nth_root``).  A third pass, untimed, counts calls of
+``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt`` and ``Cyclo``
+constructions.  A curve that raises is counted as an error in the stage
+that raised.  It takes no options:
 
     python3 scripts/stage_profile.py
 """
@@ -96,17 +98,21 @@ def counting(counts, name, fn):
     return wrapped
 
 
-def count_pass(corpus):
-    """Call counts of the kernels over one pass, by patching them for its duration."""
+# (name, owner, attribute) of the calls each counting pass counts
+LIFTS = [("Newton lifts", tame_mod.Tower, "_inverse_root"),
+         ("residue roots", fq_mod.FqField, "canonical_nth_root")]
+KERNELS = [("fq.pow", fq_mod.FqField, "pow"), ("_mulmod", fq_mod, "_mulmod"),
+           ("_mulmod", tame_mod, "_mulmod"), ("canonical_sqrt", fq_mod.FqField, "canonical_sqrt"),
+           ("Cyclo", Cyclo, "__init__")]
+
+
+def count_pass(corpus, patches):
+    """Call counts of the patched calls over one pass, by patching them for its duration."""
     counts = Counter()
-    patches = [(fq_mod.FqField, "pow"), (fq_mod.FqField, "canonical_sqrt"),
-               (Cyclo, "__init__"), (fq_mod, "_mulmod"), (tame_mod, "_mulmod")]
-    saved = [(owner, attr, getattr(owner, attr)) for owner, attr in patches]
-    names = {"pow": "fq.pow", "canonical_sqrt": "canonical_sqrt",
-             "__init__": "Cyclo", "_mulmod": "_mulmod"}
+    saved = [(owner, attr, getattr(owner, attr)) for _, owner, attr in patches]
     try:
-        for owner, attr, fn in saved:
-            setattr(owner, attr, counting(counts, names[attr], fn))
+        for name, owner, attr in patches:
+            setattr(owner, attr, counting(counts, name, getattr(owner, attr)))
         run_pass(corpus)
     finally:
         for owner, attr, fn in saved:
@@ -116,17 +122,20 @@ def count_pass(corpus):
 
 def main():
     corpus = generate_corpus(42, 640, (7, 11, 13, 17), genus_range=(2, 4))
-    run_pass(corpus)
+    lifts = count_pass(corpus, LIFTS)
     ms, errors = Counter(), Counter()
     run_pass(corpus, ms, errors)
-    counts = count_pass(corpus)
+    counts = count_pass(corpus, KERNELS)
     print(f"one warm pass over {len(corpus)} curves "
           f"({sum(errors.values())} raised: {dict(errors)})")
     for stage in STAGES:
         print(f"  {stage:<9} {ms[stage]:8.1f} ms")
     print(f"  {'total':<9} {sum(ms.values()):8.1f} ms")
-    print("calls in one pass:")
-    for name in ("fq.pow", "_mulmod", "canonical_sqrt", "Cyclo"):
+    print("calls in the warm-up pass:")
+    for name, _, _ in LIFTS:
+        print(f"  {name:<15} {lifts[name]:7d}")
+    print("calls in one warm pass:")
+    for name in dict.fromkeys(name for name, _, _ in KERNELS):
         print(f"  {name:<15} {counts[name]:7d}")
 
 

@@ -17,7 +17,7 @@ digit below pi^N.  So the roots' digit trie is their cluster tree
 their digits at pi^N, N = v(x - y).  The Galois action on the roots
 reads no digit at all: each root is tagged by its factor and branch,
 and tau and frob permute the tags (``galois_perms``), with Frobenius's
-shift of each radical kept once per (p, d) (``tame.Tower.frob_shift``).
+shift of each radical kept once per (p, d, M) (``tame.Tower.frob_shift``).
 """
 
 import math

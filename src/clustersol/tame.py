@@ -31,25 +31,20 @@ m-th roots of unity by z <- z + z(1 - z^m)/m on X^m - 1, and unit n-th
 roots by inverse-root Newton r <- r + r(1 - u r^n)/n.  The only inverse
 is a residue's, by the extended Euclidean algorithm in F_p[t].
 
-Roots of unity and the unit radicals u^(1/n) depend only on W and on the
-integers m, u and n, not on e or on any curve, so they are lifted lazily
-into one store per (p, d), ``_lifts``, which every tower over W shares
-(``Tower._lift``).  A tower at M digits reduces a stored lift taken to
-M0 >= M digits mod p^M; at M > M0 it continues the Newton loop from the
-stored value, whose M0 digits are already correct, and stores the longer
-lift.  Hensel lifts are unique, so either way the tower gets the same
-tuple as a lift from the residue.  A tower keeps each root of unity and
-radical it computes, and ``get_tower`` keeps one tower per (e, prec) in
-the same store, most curves over W one per e (their sized precision is
-usually the floor of 8 digits), so a process checks each lift once per
-tower, and clearing the store drops its towers too.
+Roots of unity and the unit radicals u^(1/n) mod p^M depend only on W,
+on M and on the integers m, u and n, not on e or on any curve, so they
+are lifted lazily into one store per (p, d, M), ``_lifts``, which every
+tower over W at M digits keeps as its own.  Each lift runs Newton from its
+residue and is checked before it is stored, so a lift another tower took
+is the very value that passed that check.  ``get_tower`` keeps one tower
+per (p, d, e, prec).
 
 Each element carries ``rel``, the number of trusted p-adic digits of its
 unit part; additions that cancel below the trusted level raise
 PrecisionExhausted rather than fabricating digits.
 
 A root c + w pi^k of a curve is written straight into columns
-(``add_branch``), and the (p, d) store keeps each radical's Frobenius
+(``add_branch``), and the (p, d, M) store keeps each radical's Frobenius
 shift (``Tower.frob_shift``), so deciding a curve does no ring
 arithmetic on elements: the ring operations of ``Elt`` serve the kernel
 timing of ``Elt.__mul__`` and the tests' references.
@@ -79,23 +74,19 @@ FROB = GaloisWord(0, 1)
 
 
 @functools.cache
-def _lifts(p, d):
-    """The lifts into W = Z_p[t]/(Ptilde) shared by every tower over it.
+def _lifts(p, d, M):
+    """The lifts into W = Z_p[t]/(Ptilde) mod p^M, kept by every tower over it.
 
-    Maps m to (M, zeta_m) and (u, n) to (M, u^(-1/n)), both mod p^M for
-    the largest M lifted so far, "shifts" to the Frobenius shifts of the
-    u^(1/n) by (u, n) (``Tower.frob_shift``), and "towers" to the towers
-    over W that ``get_tower`` built, by (e, prec).
+    Maps m to zeta_m, (u, n) to y = u^(1/n) (``Tower.unit_nth_root``) and
+    ("shift", u, n) to the Frobenius shift of y (``Tower.frob_shift``).
     """
     return {}
 
 
+@functools.cache
 def get_tower(p, d, e, prec):
-    """This process's tower for (p, d, e, prec), kept in the (p, d) store."""
-    towers = _lifts(p, d).setdefault("towers", {})
-    if (e, prec) not in towers:
-        towers[e, prec] = Tower(p, d, e, prec)
-    return towers[e, prec]
+    """This process's tower for (p, d, e, prec)."""
+    return Tower(p, d, e, prec)
 
 
 def stored_digits(prec, e):
@@ -121,11 +112,11 @@ class Tower:
         self.pM = p ** self.M
         self.fq = get_field(p, d)
         self.q = self.fq.q
-        self._kept = {}                       # zeta(m) by m, u^(1/n) by (u, n)
         if e > 1 and (self.q - 1) % e != 0:
             raise WildRamification(
                 f"residue field F_{p}^{d} lacks the {e}-th roots of unity "
                 "needed for a Galois tame tower")
+        self._kept = _lifts(p, d, self.M)
 
     # ------------------------------------------------------------------
     # W = Z_p[t]/(Ptilde) arithmetic on coordinate tuples mod p^M
@@ -158,10 +149,6 @@ class Tower:
     def w_pow(self, a, n):
         return _powmod(a, n, self.fq.modulus, self.pM)
 
-    def w_reduce(self, a):
-        pM = self.pM
-        return tuple([x % pM for x in a])
-
     def w_residue(self, a):
         p = self.p
         return tuple(x % p for x in a)
@@ -174,43 +161,22 @@ class Tower:
         pk = self.p ** k
         return tuple(x // pk for x in a)
 
-    def _lift(self, key, start, step, converged):
-        """The lift stored under ``key`` in the (p, d) store, mod p^M.
-
-        Newton runs from the stored lift reduced mod p^M when there is one,
-        else from ``start()``, correct mod p; each ``step`` doubles the
-        correct digits.  ``converged`` checks the result on every call, and
-        a lift longer than the stored one replaces it.  Returns the list of
-        W values the lift carries.
-        """
-        store = _lifts(self.p, self.d)
-        k, *x = store.get(key) or (1, *start())
-        stored = k
-        x = [self.w_reduce(c) for c in x]
-        while k < self.M:
-            x = step(*x)
-            k *= 2
-        if not converged(*x):
-            raise InternalError(f"the lift {key!r} failed to converge")
-        if self.M > stored:
-            store[key] = (self.M, *x)
-        return x
-
-    def _inverse_root(self, key, u, n, start):
-        """The root r of u X^n = 1 lifting ``start()``, by r <- r + r(1 - u r^n)/n.
+    def _inverse_root(self, u, n, r):
+        """The root of u X^n = 1 lifting the residue r, by r <- r + r(1 - u r^n)/n.
 
         With u r^n = 1 + eps the step leaves u r^n = 1 + O(eps^2), and it
-        inverts nothing in W.
+        inverts nothing in W.  Each step doubles the correct digits, and
+        the root is checked before it is returned.
         """
         one = self.w_one()
         inv_n = pow(n, -1, self.pM)
-
-        def step(r):
+        k = 1
+        while k < self.M:
             g = self.w_sub(one, self.w_scale(self.w_pow(r, n), u))
-            return [self.w_add(r, self.w_scale(self.w_mul(r, g), inv_n))]
-
-        r, = self._lift(key, start, step,
-                        lambda r: self.w_scale(self.w_pow(r, n), u) == one)
+            r = self.w_add(r, self.w_scale(self.w_mul(r, g), inv_n))
+            k *= 2
+        if self.w_scale(self.w_pow(r, n), u) != one:
+            raise InternalError(f"the root of {u} X^{n} = 1 failed to converge")
         return r
 
     def zeta(self, m):
@@ -223,7 +189,7 @@ class Tower:
             if (self.q - 1) % m != 0:
                 raise InternalError(f"mu_{m} not contained in the residue field")
             self._kept[m] = self._inverse_root(
-                m, 1, m, lambda: (self.fq.pow(self.fq.omega, (self.q - 1) // m),))
+                1, m, self.fq.pow(self.fq.omega, (self.q - 1) // m))
         return self._kept[m]
 
     # ------------------------------------------------------------------
@@ -253,18 +219,15 @@ class Tower:
         """Canonical n-th root in W of an integer u coprime to p.
 
         The root whose residue is the lexicographically least n-th root of
-        u mod p in F_q, refined p-adically: r = u^(-1/n) is the lift
-        stored under (u, n), and y = u r^(n-1) is the root, since u r^n = 1
-        gives y^n = u.  The tower keeps y.
+        u mod p in F_q, refined p-adically: r = u^(-1/n) is the lift from
+        the inverse of that residue, and y = u r^(n-1) is the root, since
+        u r^n = 1 gives y^n = u.  The (p, d, M) store keeps y.
         """
-        def start():
+        if (u, n) not in self._kept:
             res = self.fq.canonical_nth_root(self.fq.from_int(u), n)
             if res is None:
                 raise InternalError(f"{u} has no {n}-th root in the residue field")
-            return (tuple(self.fq.inv(res)),)
-
-        if (u, n) not in self._kept:
-            r = self._inverse_root((u, n), u, n, start)
+            r = self._inverse_root(u, n, self.fq.inv(res))
             self._kept[u, n] = self.w_scale(self.w_pow(r, n - 1), u)
         return self._kept[u, n]
 
@@ -274,11 +237,11 @@ class Tower:
         frob(y) is an n-th root of u, so it is zeta_n^s y for one s < n;
         reducing, res(y)^(p-1) = res(zeta_n)^s in F_q decides s, since
         n | q - 1 makes the powers of res(zeta_n) distinct.  s depends
-        only on (p, d, u, n), like the lift of y, so it is kept beside
-        that lift in the (p, d) store, for every tower over W.
+        only on (p, d, u, n), and it is kept beside the lift of y in the
+        (p, d, M) store, for every tower over W at M digits.
         """
-        shifts = _lifts(self.p, self.d).setdefault("shifts", {})
-        if (u, n) not in shifts:
+        key = "shift", u, n
+        if key not in self._kept:
             fq = self.fq
             target = fq.pow(self.w_residue(self.unit_nth_root(u, n)), self.p - 1)
             zeta, z, s = self.w_residue(self.zeta(n)), fq.one, 0
@@ -286,8 +249,8 @@ class Tower:
                 z, s = fq.mul(z, zeta), s + 1
                 if s == n:
                     raise InternalError("Frobenius image of a radical is not a root")
-            shifts[u, n] = s
-        return shifts[u, n]
+            self._kept[key] = s
+        return self._kept[key]
 
 
 class Elt:

@@ -12,7 +12,7 @@ import clustersol.decision as decision_mod
 from clustersol.clusters import SqrtSymbol, canonical_sqrt_symbol
 from clustersol.curves import Linear, RootSet, embed_cyclo, reject_repeated_factors
 from clustersol.errors import InternalError, PrecisionExhausted
-from clustersol.tame import INF, Elt, _aligned, _normalise
+from clustersol.tame import INF, Elt, _aligned, _lifts, _normalise, get_tower
 
 EX1 = ("(x^4-p^17)*(x^3-p^2)", 17)
 EX2 = "p*((x-1)^2+p^2)*((x-zeta(3))^2+p^2)*((x-zeta(3)^2)^2+p^2)"
@@ -137,6 +137,12 @@ def reference_extract_roots(expr, tower):
     return RootSet(expr, tower, roots, tags)
 
 
+def clear_lift_stores():
+    """Drop this process's towers and lifts, so the next analysis lifts from residues."""
+    get_tower.cache_clear()
+    _lifts.cache_clear()
+
+
 # --- the reference Galois action on tower elements ---
 #
 # tau fixes W and sends pi to zeta_e pi; frob fixes pi and acts on W as the
@@ -146,10 +152,10 @@ def reference_extract_roots(expr, tower):
 def frob_t_image(t):
     """Image of the W generator t under the Frobenius lift, with powers.
 
-    The lift is the root of Ptilde congruent to t^p, kept in the (p, d)
-    store under "frob".  Coupled Newton refines it together with v, an
-    approximate inverse of Ptilde'(z): v <- v (2 - Ptilde'(z) v), then
-    z <- z - Ptilde(z) v, so only v's residue is inverted.
+    The lift is the root of Ptilde congruent to t^p.  Coupled Newton
+    refines it together with v, an approximate inverse of Ptilde'(z):
+    v <- v (2 - Ptilde'(z) v), then z <- z - Ptilde(z) v, so only v's
+    residue is inverted.
     """
     d = t.d
     if d == 1:
@@ -164,16 +170,15 @@ def frob_t_image(t):
             val = t.w_add(t.w_mul(val, z), t.w_from_int(c))
         return val, der
 
-    def start():
-        z = t.w_pow((0, 1) + (0,) * (d - 2), t.p)
-        return z, tuple(t.fq.inv(t.w_residue(ptilde(z)[1])))
-
-    def step(z, v):
+    z = t.w_pow((0, 1) + (0,) * (d - 2), t.p)
+    v = t.fq.inv(t.w_residue(ptilde(z)[1]))
+    k = 1
+    while k < t.M:
         val, der = ptilde(z)
         v = t.w_mul(v, t.w_sub(t.w_from_int(2), t.w_mul(der, v)))
-        return [t.w_sub(z, t.w_mul(val, v)), v]
-
-    z, _ = t._lift("frob", start, step, lambda z, v: ptilde(z)[0] == t.w_zero())
+        z, k = t.w_sub(z, t.w_mul(val, v)), 2 * k
+    if ptilde(z)[0] != t.w_zero():
+        raise InternalError("the Frobenius lift of t failed to converge")
     pows = [t.w_one()]
     for _ in range(d - 1):
         pows.append(t.w_mul(pows[-1], z))

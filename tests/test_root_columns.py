@@ -2,7 +2,7 @@
 
 ``curves.extract_roots`` writes root j of (x - c)^n - u p^m, which is
 c + w_j pi^k, into the tower's columns (``tame.add_branch``), and the
-(p, d) store keeps the Frobenius shift of each radical (``Tower.frob_shift``).
+(p, d, M) store keeps the Frobenius shift of each radical (``Tower.frob_shift``).
 ``conftest.reference_extract_roots`` builds the same roots as tower
 elements, center + branch and branch * zeta_n, as they were first built.
 So deciding a curve does no ring arithmetic on tower elements.
@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from conftest import EX1, nested_trie, reference_extract_roots, reference_precision
+from conftest import (EX1, clear_lift_stores, nested_trie, reference_extract_roots,
+                      reference_precision)
 from clustersol.clusters import analyse, build_picture
 from clustersol.curves import (Binomial, embed_cyclo, extract_roots, galois_perms,
                                parse_expr, required_tower)
@@ -161,12 +162,12 @@ def test_deciding_a_curve_does_no_elt_ring_arithmetic(monkeypatch):
     theorem_decide(analyse(parse_expr(close_centres(20), 7), prec=40))
 
 
-# --- the Frobenius shift of a radical, once per (p, d) ---
+# --- the Frobenius shift of a radical, once per (p, d, M) ---
 
-def test_the_frobenius_shift_is_computed_once_per_field_and_radical(monkeypatch):
-    # both curves take the tower (7, 2, 2, 32); their radicals are (3, 2)
-    # three times, (1, 2) and (-1, 2).  3 and -1 are not squares mod 7, so
-    # frob sends their roots y to y^7 = -y: s = 1
+def test_the_frobenius_shift_is_computed_once_per_store_and_radical(monkeypatch):
+    # both curves take the tower (7, 2, 2, 32), at M = 16; their radicals are
+    # (3, 2) three times, (1, 2) and (-1, 2).  3 and -1 are not squares mod
+    # 7, so frob sends their roots y to y^7 = -y: s = 1
     texts = ["((x-1)^2-3*p)*((x-2)^2-3*p)*(x^2-p)", "((x-3)^2-3*p)*(x^2+p)*(x-1)"]
     exprs = [parse_expr(text, 7) for text in texts]
 
@@ -183,25 +184,29 @@ def test_the_frobenius_shift_is_computed_once_per_field_and_radical(monkeypatch)
         monkeypatch.setattr(Tower, "unit_nth_root", real)
         return t, perms, computed, {(u, n): t.frob_shift(u, n) for u, n in computed}
 
-    _lifts.cache_clear()
+    clear_lift_stores()
     t, perms, computed, s = perms_and_shifts()
-    assert t.d == 2 and computed == [(3, 2), (1, 2), (-1, 2)]
+    assert (t.d, t.M) == (2, 16) and computed == [(3, 2), (1, 2), (-1, 2)]
     assert s == {(3, 2): 1, (1, 2): 0, (-1, 2): 1}
     assert perms_and_shifts()[2] == []           # the same tower computes nothing again
-    real = Tower.unit_nth_root                   # nor does another tower over the same W
+    real = Tower.unit_nth_root                   # nor does another tower over W at M = 16
     monkeypatch.setattr(Tower, "unit_nth_root", lambda *a: pytest.fail("s computed again"))
-    assert {(u, n): Tower(7, 2, 1, 20).frob_shift(u, n) for u, n in s} == s
+    assert {(u, n): Tower(7, 2, 1, 16).frob_shift(u, n) for u, n in s} == s
     monkeypatch.setattr(Tower, "unit_nth_root", real)
-    _lifts.cache_clear()
+    other = Tower(7, 2, 1, 20)                   # a tower at M = 20 computes its own
+    assert {(u, n): other.frob_shift(u, n) for u, n in s} == s
+    assert {("shift", u, n) for u, n in s} <= set(_lifts(7, 2, 20))
+    clear_lift_stores()
     t2, perms2, computed2, s2 = perms_and_shifts()
     assert t2 is not t and (perms2, computed2, s2) == (perms, computed, s)
 
 
 def test_a_shift_that_never_reaches_the_radical_raises_and_is_not_kept():
-    _lifts.cache_clear()
+    clear_lift_stores()
     t = Tower(13, 2, 2, 32)
     t._kept[2] = t.w_one()                       # a wrong zeta_2: its powers are all 1
     for _ in range(2):
         with pytest.raises(InternalError, match="Frobenius image of a radical"):
             t.frob_shift(2, 2)
-    assert (2, 2) not in _lifts(13, 2).get("shifts", {})
+    assert ("shift", 2, 2) not in _lifts(13, 2, t.M)
+    clear_lift_stores()

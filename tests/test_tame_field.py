@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import clustersol.decision as decision_mod
-from conftest import (EX1, decide_with_doubled_recheck, elt_inv, frob, frob_t_image, tau,
-                      zeta_e_res)
+from conftest import (EX1, clear_lift_stores, decide_with_doubled_recheck, elt_inv, frob,
+                      frob_t_image, tau, zeta_e_res)
 from clustersol.clusters import analyse
 from clustersol.curves import parse_expr
 from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
@@ -447,7 +447,7 @@ def test_lifts_match_reference(p, d, e, prec):
     assert checked >= 10
 
 
-# --- the per-(p, d) lift store ---
+# --- the per-(p, d, M) lift store ---
 
 STORE_ORDERS = {"ascending": (8, 16, 40), "descending": (40, 16, 8),
                 "interleaved": (16, 8, 40)}
@@ -464,14 +464,28 @@ def reference_lifts(p, d, e, M):
     return reference_frob_t_image(t), zetas, radicals
 
 
+def _counting_newton_lifts(monkeypatch):
+    """Record (p, d, M, u, n) for each Newton lift taken (``Tower._inverse_root``)."""
+    lifted = []
+    real_lift = Tower._inverse_root
+
+    def counting(t, u, n, r):
+        lifted.append((t.p, t.d, t.M, u, n))
+        return real_lift(t, u, n, r)
+
+    monkeypatch.setattr(Tower, "_inverse_root", counting)
+    return lifted
+
+
 @pytest.mark.parametrize("order", sorted(STORE_ORDERS))
-def test_lift_store_matches_reference(order):
+def test_lift_store_matches_reference(order, monkeypatch):
     """Towers over shared rings, built in any order of M, get the reference lifts.
 
-    Each tower reduces or extends the lifts that towers before it stored,
-    unit radicals included.
+    Each M lifts from its own residues, and towers over one ring at one M
+    but of different e, such as (7, 1, 1) and (7, 1, 3), share each lift.
     """
-    _lifts.cache_clear()
+    clear_lift_stores()
+    lifted = _counting_newton_lifts(monkeypatch)
     for M in STORE_ORDERS[order]:
         for p, d, e, _ in TOWERS:
             t = Tower(p, d, e, e * M)
@@ -482,45 +496,51 @@ def test_lift_store_matches_reference(order):
                 assert t.zeta(m) == z
             for (u, n), y in radicals.items():
                 assert t.unit_nth_root(u, n) == y
-    rings = {(p, d) for p, d, _, _ in TOWERS}
-    assert _lifts.cache_info().currsize == len(rings)
-    for p, d, e, _ in TOWERS:
-        assert set(reference_lifts(p, d, e, 40)[2]) <= set(_lifts(p, d))
-    for p, d in rings:
-        assert all(entry[0] == 40 for entry in _lifts(p, d).values())
+    monkeypatch.undo()
+    stores = {(p, d, M) for p, d, _, _ in TOWERS for M in STORE_ORDERS[order]}
+    assert _lifts.cache_info().currsize == len(stores) < len(TOWERS) * 3
+    assert len(lifted) == sum(len(_lifts(*store)) for store in stores)   # each once
+    for p, d, M in stores:
+        zetas, radicals = {}, {}
+        for p2, d2, e, _ in TOWERS:
+            if (p2, d2) == (p, d):
+                zetas.update(reference_lifts(p, d, e, M)[1])
+                radicals.update(reference_lifts(p, d, e, M)[2])
+        assert _lifts(p, d, M) == zetas | radicals
+        assert {(u, n) for q, c, N, u, n in lifted if (q, c, N) == (p, d, M)} == \
+            {(1, m) for m in zetas} | set(radicals)
 
 
-def test_every_lift_from_the_store_is_checked():
-    """A wrong digit in a stored lift fails the convergence check, whether
-    the tower reduces the lift or extends it."""
-    p, d = 7, 2
-    _lifts.cache_clear()
-    try:
-        first = Tower(p, d, 1, 16)
-        first.zeta(3)
-        frob_t_image(first)
-        first.unit_nth_root(3, 2)
-        store = _lifts(p, d)
+@pytest.mark.parametrize("p,d,e,prec", TOWERS)
+def test_every_lift_is_checked_before_it_is_kept(p, d, e, prec, monkeypatch):
+    """A Newton lift from a residue start that is no root fails its
+    convergence check, and nothing is kept under its key.
 
-        def corrupt(col):
-            return ((col[0] + p ** 3) % p ** 16,) + col[1:]
-
-        M, z = store[3]
-        store[3] = (M, corrupt(z))
-        M, z, v = store["frob"]
-        store["frob"] = (M, corrupt(z), v)
-        M, r = store[(3, 2)]
-        store[(3, 2)] = (M, corrupt(r))
-        for prec in (8, 40):
-            t = Tower(p, d, 1, prec)
-            with pytest.raises(InternalError):
-                t.zeta(3)
-            with pytest.raises(InternalError):
-                frob_t_image(t)
-            with pytest.raises(InternalError):
-                t.unit_nth_root(3, 2)
-    finally:
-        _lifts.cache_clear()
+    The unit radicals start from omega times the canonical residue root,
+    which is no square root as omega^2 != 1, and zeta_m from 0.
+    """
+    clear_lift_stores()
+    t = Tower(p, d, e, prec)
+    real_root = FqField.canonical_nth_root
+    radicals = [u for u in (2, 3, 5, -1) if real_root(t.fq, t.fq.from_int(u), 2) is not None]
+    zetas = [m for m in range(2, 25) if (t.q - 1) % m == 0]
+    assert radicals and zetas
+    monkeypatch.setattr(FqField, "canonical_nth_root",
+                        lambda fq, a, n: fq.mul(real_root(fq, a, n), fq.omega))
+    for u in radicals:
+        with pytest.raises(InternalError, match="failed to converge"):
+            t.unit_nth_root(u, 2)
+    monkeypatch.setattr(t.fq, "omega", t.fq.zero)
+    for m in zetas:
+        with pytest.raises(InternalError, match="failed to converge"):
+            t.zeta(m)
+    monkeypatch.undo()
+    assert _lifts(p, d, t.M) == {}
+    for u in radicals:
+        assert t.unit_nth_root(u, 2) == reference_unit_nth_root(t, u, 2)
+    for m in zetas:
+        assert t.zeta(m) == reference_zeta(t, m)
+    clear_lift_stores()
 
 
 def _root_digits(rs):
@@ -540,48 +560,47 @@ def _counting_residue_roots(monkeypatch, tag=lambda: None):
     return residue_roots
 
 
-def test_curves_sharing_a_radical_take_one_residue_root(monkeypatch):
-    """Two curves over F_7 whose binomials share (u, n) = (2, 2) take the
-    residue root of 2 once between them; the second extends the first's
-    stored lift to its own precision and gets the roots of a fresh lift."""
-    _lifts.cache_clear()
+def test_curves_sharing_a_radical_at_one_M_take_one_residue_root(monkeypatch):
+    """Two curves over F_7 at M = 8 digits, on towers of ramification 2 and
+    6, share (u, n) = (2, 2) and take the residue root of 2 once between
+    them.  A third at 21 digits lifts from its own residue, and gets the
+    roots of a lift from a cleared store."""
+    clear_lift_stores()
+    lifted = _counting_newton_lifts(monkeypatch)
     residue_roots = _counting_residue_roots(monkeypatch)
     first = analyse(parse_expr("(x^2-2*p)*(x-1)*(x-3)*(x-4)", 7))
+    second = analyse(parse_expr("(x^2-2*p)*(x^3-p)*(x-3)", 7))
     text = f"((x-1)^2-2*p^3)*(x-2)*(x-{2 + 7**20})*(x-5)"      # sized to 21 digits
-    second = analyse(parse_expr(text, 7))
+    third = analyse(parse_expr(text, 7))
     monkeypatch.undo()
-    assert first.tower.d == second.tower.d == 1
-    assert second.tower.M > first.tower.M
-    assert len(residue_roots) == 1
-    _lifts.cache_clear()
-    assert _root_digits(second.rs) == _root_digits(analyse(parse_expr(text, 7)).rs)
+    towers = [A.tower for A in (first, second, third)]
+    assert [(t.d, t.e, t.M) for t in towers] == [(1, 2, 8), (1, 6, 8), (1, 2, 21)]
+    assert towers[0]._kept is towers[1]._kept is not towers[2]._kept
+    assert [x for x in lifted if x[3:] == (2, 2)] == [(7, 1, 8, 2, 2), (7, 1, 21, 2, 2)]
+    assert len(residue_roots) == 3              # sqrt(2) at 8 and 21 digits, 1^(1/3) at 8
+    clear_lift_stores()
+    assert _root_digits(third.rs) == _root_digits(analyse(parse_expr(text, 7)).rs)
 
 
 def test_curves_on_one_tower_share_it_and_take_each_lift_once(monkeypatch):
     """Two curves over the same (p, d, e, prec) get the same tower, which
     keeps zeta_2 and sqrt(2) from the first curve: each is lifted, and
-    checked, once.  Clearing the store drops the tower with the lifts."""
-    _lifts.cache_clear()
-    lifted = []
-    real_lift = Tower._lift
-
-    def counting(t, key, *args):
-        lifted.append(key)
-        return real_lift(t, key, *args)
-
-    monkeypatch.setattr(Tower, "_lift", counting)
+    checked, once.  Clearing the stores drops the tower with the lifts."""
+    clear_lift_stores()
+    lifted = _counting_newton_lifts(monkeypatch)
     residue_roots = _counting_residue_roots(monkeypatch)
     text = "(x^2-2*p)*(x-1)*(x-3)*(x-4)"
     first = analyse(parse_expr(text, 7))
     second = analyse(parse_expr("(x^2-2*p)*(x-2)*(x-3)*(x-5)", 7))
     assert second.tower is first.tower
-    assert Counter(lifted) == {2: 1, (2, 2): 1}
+    lifts = {(7, 1, 8, 1, 2), (7, 1, 8, 2, 2)}                 # zeta_2 and sqrt(2)
+    assert Counter(lifted) == dict.fromkeys(lifts, 1)
     assert len(residue_roots) == 1
-    _lifts.cache_clear()
+    clear_lift_stores()
     fresh = analyse(parse_expr(text, 7))
     monkeypatch.undo()
     assert fresh.tower is not first.tower
-    assert Counter(lifted) == {2: 2, (2, 2): 2}
+    assert Counter(lifted) == dict.fromkeys(lifts, 2)
     assert len(residue_roots) == 2
     assert _root_digits(fresh.rs) == _root_digits(first.rs)
     assert (fresh.rs.tau_perm, fresh.rs.frob_perm) == (first.rs.tau_perm, first.rs.frob_perm)
@@ -589,10 +608,10 @@ def test_curves_on_one_tower_share_it_and_take_each_lift_once(monkeypatch):
 
 @pytest.mark.parametrize("text,p", [EX1] + NON_STABLE)
 def test_recheck_equals_a_fresh_doubled_analysis(text, p, monkeypatch):
-    """The recheck takes no residue root: it extends the lifts the first pass
-    stored, and its roots and permutations are those of a lift from the
-    residue."""
-    _lifts.cache_clear()
+    """The recheck, at another M, lifts each radical of the first pass from
+    its own residue, and its roots and permutations are those of a lift
+    from cleared stores."""
+    clear_lift_stores()
     expr = parse_expr(text, p)
     passes = []
 
@@ -605,13 +624,14 @@ def test_recheck_equals_a_fresh_doubled_analysis(text, p, monkeypatch):
     decide_with_doubled_recheck(expr)
     monkeypatch.undo()
     first, recheck = passes
-    assert residue_roots and set(residue_roots) == {0}
     assert recheck.tower.M > first.tower.M
-    radicals = [entry for key, entry in _lifts(p, first.tower.d).items()
-                if isinstance(key, tuple)]
-    assert len(radicals) == len(residue_roots)
-    assert all(M == recheck.tower.M for M, _ in radicals)     # the recheck extended them
-    _lifts.cache_clear()
+    counts = Counter(residue_roots)
+    assert set(counts) == {0, 1} and counts[0] == counts[1]
+    d = first.tower.d
+    radicals = [{key for key in _lifts(p, d, A.tower.M) if isinstance(key, tuple) and
+                 len(key) == 2} for A in passes]                # (u, n), not shifts
+    assert radicals[0] == radicals[1] and len(radicals[0]) == counts[0]
+    clear_lift_stores()
     fresh = analyse(expr, prec=2 * first.tower.prec)
     assert _root_digits(recheck.rs) == _root_digits(fresh.rs)
     assert recheck.rs.tau_perm == fresh.rs.tau_perm
