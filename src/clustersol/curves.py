@@ -8,6 +8,33 @@ with integer-or-cyclotomic centers, n_i and the conductors prime to p,
 and u_i a nonzero integer prime to p.  This family admits exact root
 extraction in a tame tower; anything else is rejected as unsupported.
 
+The text is read with its whitespace removed and "**" as "^".  With INT
+a run of digits and sign one of '+' and '-', its grammar is
+
+    curve  := {sign} term {'*' term}
+    term   := INT | 'p' ['^' int] | factor
+    factor := '(' '(' 'x' tail ')' '^' int rhs ')'      (x - c)^n - u*p^m
+            | '(' 'x' '^' int rhs ')'                    x^n - u*p^m
+            | '(' 'x' tail ')'                           x - c
+    rhs    := sign [INT '*'] 'p' ['^' int]
+    tail   := {sign ('(' [sign] atom {sign atom} ')' | atom)}
+    atom   := INT ['*' zeta] | zeta ['*' INT]
+    zeta   := 'zeta' '(' int ')' ['^' int]
+    int    := {sign} INT
+
+Its parentheses nest four deep at most: it is a regular language, written
+once as ``_TERM_RE``.  The first of these checks that fails names the error:
+
+1. ParseError: a character that starts no token, two words or numbers with
+   no operator between them, or text that is not {sign} term {'*' term}
+   with each term an INT, p[^k] or a balanced parenthesised group;
+2. UnsupportedFactor, naming it: the first such group that is no factor;
+3. term by term from the left, ParseError for an integer past the
+   interpreter's digit limit, a zero INT, a negative power of p or a zeta
+   conductor below 1, and UnsupportedFactor, naming the factor, for n < 1,
+   m < 1 or p | u;
+4. DegreeTooSmall: deg f < 5.
+
 Each root is written straight into its tower columns (``extract_roots``).
 
 Pairwise valuations are read one way only, one trusted pi-adic digit at
@@ -173,223 +200,108 @@ class CurveExpr(NamedTuple):
 
 
 # ------------------------------------------------------------------
-# tokenizer / parser
+# parser: the grammar of the module docstring, over compact text
 # ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z]+|\*\*|[()^*+\-]")
 _NON_TOKEN_RE = re.compile(r"[^\s\dA-Za-z()^*+\-]")    # starts no token
+_INT = r"[+-]*\d+"
+_ZETA = rf"zeta\(({_INT})\)(?:\^({_INT}))?"
+_ATOM = rf"(?:(\d+)(?:\*{_ZETA})?|{_ZETA}(?:\*(\d+))?)"
+# a sign before each atom, optional before a group's first one
+_TAIL = rf"(?:[+-](?:\((?:(?:[+-]|(?<=\()){_ATOM})+\)|{_ATOM}))*"
+# (x - c)^n - u*p^m has a power, x^n - u*p^m no tail, and x - c no power
+_TERM_RE = re.compile(
+    rf"(?:(?P<int>\d+)|p(?:\^(?P<k>{_INT}))?|(?P<factor>\((?P<shift>\()?x(?P<tail>{_TAIL})"
+    rf"(?(shift)\)(?=\^)|(?=\)|(?<=x)\^))"
+    rf"(?:\^(?P<n>{_INT})(?P<rhs>[+-])(?:(?P<unit>\d+)\*)?p(?:\^(?P<m>{_INT}))?)?\)))"
+    rf"(?:\*(?=.)|\Z)")
+_ATOM_RE = re.compile(rf"(\)?)([+-]?)(\(?)([+-]?){_ATOM}")     # a tail's atom and what precedes it
 
 
-def _tokenize(text):
-    """The tokens, with "**" as "^" and "$" last; whitespace only separates them.
+def _int(literal):
+    """The value of {sign} digits; ParseError past the interpreter's digit limit."""
+    digits = literal.lstrip("+-")
+    try:
+        value = int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long") from None
+    return -value if literal.count("-") % 2 else value
 
-    A character that starts no token is reported from the end of the
-    token before it.
-    """
+
+def _compact(text):
+    """text with "**" read as "^" and its whitespace removed, once each character
+    starts a token and whitespace separates no two words or numbers."""
     bad = _NON_TOKEN_RE.search(text)
     if bad:
-        end = len(text[:bad.start()].rstrip())
+        end = len(text[:bad.start()].rstrip())      # reported from the token before it
         raise ParseError(f"unexpected character at {text[end:end + 10]!r}")
-    toks = _TOKEN_RE.findall(text)
-    if "**" in text:
-        toks = ["^" if tok == "**" else tok for tok in toks]
-    toks.append("$")
-    return toks
+    chunks = text.replace("**", "^").split()
+    for a, b in zip(chunks, chunks[1:]):
+        if a[-1].isalnum() and b[0].isalnum():
+            raise ParseError(f"missing operator in {a[-10:] + ' ' + b[:10]!r}")
+    return "".join(chunks)
 
 
-class _Parser:
-    def __init__(self, text, p):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.p = p
+def _terms(s):
+    """The term matches of compact text s, or None if s does not fit the grammar."""
+    pos, terms = len(s) - len(s.lstrip("+-")), []
+    while not terms or pos < len(s):
+        term = _TERM_RE.match(s, pos)
+        if term is None:
+            return None
+        terms.append(term)
+        pos = term.end()
+    return terms
 
-    def peek(self):
-        return self.toks[self.i]
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, tok):
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}")
-        return self.next()
-
-    def parse_int(self):
-        sign = 1
-        while self.peek() in "+-":
-            if self.next() == "-":
-                sign = -sign
-        t = self.next()
-        if not t.isdigit():
-            raise ParseError(f"expected integer, found {t!r}")
-        return sign * int(t)
-
-    # curve := term { '*' term }
-    def parse_curve(self):
-        c_unit, c_pow = 1, 0
-        factors = []
-        first = True
-        while True:
-            sign = 1
-            while self.peek() in "+-":
-                if self.next() == "-":
-                    sign = -sign
-                if not first:
-                    raise ParseError("unexpected sign between factors")
-            c_unit *= sign
-            t = self.peek()
-            if t == "(":
-                factors.append(self.parse_factor())
-            elif t == "p":
-                self.next()
-                k = 1
-                if self.peek() == "^":
-                    self.next()
-                    k = self.parse_int()
-                if k < 0:
-                    raise ParseError("negative power of p in leading coefficient")
-                c_pow += k
-            elif t.isdigit():
-                c_unit *= int(self.next())
-            else:
-                raise ParseError(f"unexpected token {t!r}")
-            first = False
-            if self.peek() == "*":
-                self.next()
-                continue
+def _malformed(s):
+    """The error for compact text s that does not fit the grammar: UnsupportedFactor
+    for the first top-level group that is no factor, if s fits it with each such
+    group read as (x); else ParseError."""
+    if re.search(r"\d[A-Za-z]|[A-Za-z]\d", s):
+        return ParseError(f"missing operator in {s[:40]!r}")
+    depth, cuts = 0, [0]                # the ends of the groups and of the text between
+    for paren in re.finditer("[()]", s):
+        depth += 1 if paren[0] == "(" else -1
+        if depth < 0:
             break
-        self.expect("$")
-        return c_unit, c_pow, factors
+        if (depth, paren[0]) in ((1, "("), (0, ")")):
+            cuts.append(paren.start() if depth else paren.end())
+    else:
+        cuts.append(len(s))
+        if not depth and _terms("(x)".join(s[i:j] for i, j in zip(cuts[::2], cuts[1::2]))):
+            bad = next(g for g in (s[i:j] for i, j in zip(cuts[1::2], cuts[2::2]))
+                       if not _TERM_RE.fullmatch(g))
+            return UnsupportedFactor(
+                f"factor {bad[:40]!r} is not (x - c)^n - u*p^m, x^n - u*p^m or x - c")
+    return ParseError(f"{s[:40]!r} is not {{sign}} term {{'*' term}}")
 
-    # factor := '(' poly ')'
-    def parse_factor(self):
-        self.expect("(")
-        fac = self.parse_poly()
-        self.expect(")")
-        return fac
 
-    # poly := 'x' ['^' n] [rhs] | '(' linear ')' '^' n rhs | linear
-    def parse_poly(self):
-        if self.peek() == "(":
-            self.next()
-            center = self.parse_linear_center()
-            self.expect(")")
-            self.expect("^")
-            n = self.parse_int()
-            unit, m = self.parse_rhs()
-            return Binomial(center, n, unit, m)
-        center = None
-        n = 1
-        if self.peek() != "x":
-            raise UnsupportedFactor(
-                f"factor must start with 'x' or '(x ...)', found {self.peek()!r}")
-        self.next()
-        if self.peek() == "^":
-            self.next()
-            n = self.parse_int()
-            unit, m = self.parse_rhs()
-            return Binomial(Cyclo.integer(0), n, unit, m)
-        if self.peek() in "+-":
-            center = self.parse_center_tail()
-        else:
-            center = Cyclo.integer(0)
-        if self.peek() == ")":
-            return Linear(center)
-        raise UnsupportedFactor("parenthesised polynomial does not match "
-                                "(x - c)^n - u*p^m or a linear x - c")
-
-    # after '(' ... : 'x' [('+'|'-') centersum]
-    def parse_linear_center(self):
-        if self.peek() != "x":
-            raise UnsupportedFactor("expected 'x' at start of linear part")
-        self.next()
-        if self.peek() in "+-":
-            return self.parse_center_tail()
-        return Cyclo.integer(0)
-
-    def parse_center_tail(self):
-        # consumes ('+'|'-') centersum; returns the CENTER c of (x - c)
-        terms = []
-        while self.peek() in "+-":
-            sign = -1 if self.next() == "+" else 1   # x + a means center -a
-            if self.peek() == "(":
-                self.next()
-                inner = self.parse_center_group()
-                self.expect(")")
-                terms.extend((sign * s, z) for s, z in inner)
-            else:
-                s, z = self.parse_center_atom()
-                terms.append((sign * s, z))
-        return _combine_center(terms)
-
-    def parse_center_group(self):
-        # centersum with leading optional sign, inside parentheses
-        terms = []
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.next() == "-" else 1
-        s, z = self.parse_center_atom()
-        terms.append((sign * s, z))
-        while self.peek() in "+-":
-            sign = -1 if self.next() == "-" else 1
-            s, z = self.parse_center_atom()
-            terms.append((sign * s, z))
-        return terms
-
-    def parse_center_atom(self):
-        # INT ['*' zeta-term] | zeta-term ['*' INT]
-        if self.peek().isdigit():
-            val = int(self.next())
-            if self.peek() == "*" and self.toks[self.i + 1] == "zeta":
-                self.next()
-                z = self.parse_zeta()
-                return val, z
-            return val, None
-        if self.peek() == "zeta":
-            z = self.parse_zeta()
-            if self.peek() == "*" and self.toks[self.i + 1].isdigit():
-                self.next()
-                return int(self.next()), z
-            return 1, z
-        raise UnsupportedFactor(f"bad center term near {self.peek()!r}")
-
-    def parse_zeta(self):
-        self.expect("zeta")
-        self.expect("(")
-        N = self.parse_int()
-        self.expect(")")
-        k = 1
-        if self.peek() == "^":
-            self.next()
-            k = self.parse_int()
-        if N < 1:
+def _center(tail):
+    """The centre c of the factor x + tail: its signed atoms, negated."""
+    terms, group = [], ""
+    for close, op, open_, sign, a, n1, k1, n2, k2, b in _ATOM_RE.findall(tail):
+        if close or open_:
+            group = op if open_ else ""             # the sign before the open group
+        N = n1 or n2
+        if N and _int(N) < 1:
             raise ParseError("zeta conductor must be >= 1")
-        return (N, k)
+        terms.append((-_int(group + (sign if open_ else op) + (a or b or "1")),
+                      (_int(N), _int(k1 or k2 or "1")) if N else None))
+    return _combine_center(terms)
 
-    def parse_rhs(self):
-        # ('+'|'-') [INT '*'] 'p' ['^' INT]   representing  - u * p^m
-        if self.peek() not in "+-":
-            raise UnsupportedFactor("power factor must end with +/- unit*p^m")
-        sign = 1 if self.next() == "-" else -1
-        unit = 1
-        if self.peek().isdigit():
-            unit = int(self.next())
-            if self.peek() != "*":
-                raise UnsupportedFactor(
-                    "right-hand side must be unit*p^m with m >= 1")
-            self.next()
-        if self.peek() != "p":
-            raise UnsupportedFactor("right-hand side must be a multiple of a power of p")
-        self.next()
-        m = 1
-        if self.peek() == "^":
-            self.next()
-            m = self.parse_int()
-        if m < 1:
-            raise UnsupportedFactor("p must appear with exponent >= 1 on the right-hand side")
-        return sign * unit, m
+
+def _factor(term, p):
+    """The Linear or Binomial of a factor term."""
+    center = _center(term["tail"])
+    if term["n"] is None:
+        return Linear(center)
+    n, m = _int(term["n"]), _int(term["m"] or "1")
+    u = -_int(term["rhs"] + (term["unit"] or "1"))       # x^n - u*p^m
+    if n < 1 or m < 1 or u % p == 0:
+        raise UnsupportedFactor(
+            f"factor {term['factor'][:40]!r} needs n >= 1, m >= 1 and u prime to p")
+    return Binomial(center, n, u, m)
 
 
 def _combine_center(terms):
@@ -418,29 +330,32 @@ def require_odd_prime(p):
 def parse_expr(text, p):
     """Parse one curve expression for the prime p."""
     require_odd_prime(p)
-    c_unit, c_pow, factors = _Parser(text, p).parse_curve()
-    if c_unit == 0:
-        raise ParseError("zero leading coefficient")
+    s = _compact(text)
+    terms = _terms(s)
+    if terms is None:
+        raise _malformed(s)
+    c_unit, c_pow, factors = _int(s[:len(s) - len(s.lstrip("+-"))] + "1"), 0, []
+    for term in terms:
+        if term["factor"]:
+            factors.append(_factor(term, p))
+        elif term["int"]:
+            c_unit *= _int(term["int"])
+            if not c_unit:
+                raise ParseError("zero leading coefficient")
+        else:
+            k = _int(term["k"] or "1")
+            if k < 0:
+                raise ParseError("negative power of p in leading coefficient")
+            c_pow += k
     # absorb p-divisibility of the unit part
     while c_unit % p == 0:
         c_unit //= p
         c_pow += 1
     # promote all centers to the common conductor
-    N = 1
-    for f in factors:
-        N = math.lcm(N, f.center.N)
-    promoted = []
-    for f in factors:
-        c = f.center.substitute(N, N // f.center.N)
-        if isinstance(f, Linear):
-            promoted.append(Linear(c))
-        else:
-            if f.n < 1:
-                raise UnsupportedFactor("exponent must be >= 1")
-            if f.rhs_unit % p == 0:
-                raise UnsupportedFactor("rhs unit must be coprime to p")
-            promoted.append(Binomial(c, f.n, f.rhs_unit, f.rhs_pow))
-    expr = CurveExpr(p, c_unit, c_pow, promoted, _frob_partners(p, promoted),
+    N = math.lcm(*(f.center.N for f in factors))
+    if N > 1:
+        factors = [f._replace(center=f.center.substitute(N, N // f.center.N)) for f in factors]
+    expr = CurveExpr(p, c_unit, c_pow, factors, _frob_partners(p, factors),
                      text=text.strip())
     if expr.degree < 5:
         raise DegreeTooSmall(f"deg f = {expr.degree} < 5")
@@ -736,7 +651,7 @@ def read_curve_file(path):
             if m:
                 if p is not None:
                     raise ParseError("duplicate 'p =' header")
-                p = int(m.group(1))
+                p = _int(m.group(1))
                 continue
             if p is None:
                 raise ParseError("curve file must start with a 'p = <int>' header")

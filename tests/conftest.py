@@ -69,6 +69,18 @@ def reference_precision(expr, e):
     return 8 * e * (1 + maxval)
 
 
+def curve_text(expr):
+    """expr written back as grammar text, each centre as (x-(...)) over its conductor."""
+    def center(c):
+        return "".join(f"{a:+d}*zeta({c.N})^{j}" if j else f"{a:+d}"
+                       for j, a in enumerate(c.coeffs) if a) or "0"
+
+    factors = [f"(x-({center(f.center)}))" if isinstance(f, Linear) else
+               f"((x-({center(f.center)}))^{f.n}{-f.rhs_unit:+d}*p^{f.rhs_pow})"
+               for f in expr.factors]
+    return "*".join([f"{expr.c_unit}*p^{expr.c_pow}"] + factors)
+
+
 def size_one_digit_short(monkeypatch):
     """Make ``clusters.default_precision`` size every curve one p-adic digit short."""
     real = clusters_mod.default_precision

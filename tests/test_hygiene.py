@@ -5,10 +5,11 @@ Each module under ``src/clustersol/`` and ``tests/`` is parsed with
 the same file (or listed in its ``__all__``).  Package ``__init__.py``
 files are exempt: their imports are re-exports.
 
-Every function, class and method defined in ``src/clustersol/`` must be
-read by name (a name or an attribute) somewhere in the package, or be
-exported in ``__init__.__all__``; dunders are exempt.  Code that only the
-tests use belongs in ``tests/``.  Every ``__slots__`` entry and
+Every function, class and method defined in ``src/clustersol/``, and
+every name a module assigns at its top level, must be read by name (a
+name or an attribute) somewhere in the package, or be exported in
+``__init__.__all__``; dunders, ``__all__`` among them, are exempt.  Code
+that only the tests use belongs in ``tests/``.  Every ``__slots__`` entry and
 ``NamedTuple`` field of a class in ``src/clustersol/`` must be read as an
 attribute somewhere in the package.  The checks match by name, so a dead
 method or field that shares its name with a live attribute is not seen.
@@ -73,6 +74,12 @@ def dead_definitions(sources):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+        for node in tree.body:                  # module-level names bound by assignment
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not (name.id.startswith("__") and name.id.endswith("__")):
+                    defined.setdefault(name.id, (fname, node.lineno))
     return sorted(where + (name,) for name, where in defined.items() if name not in read)
 
 
@@ -129,11 +136,16 @@ def test_dead_definitions_are_detected():
                  "    def __repr__(self): return self.m()\n"
                  "    def m(self): pass\n"
                  "    def unused(self): pass\n"
-                 "g = 1\n"),
-        "b.py": "def h2(): pass\nx.h\n",
+                 "g = 1\n"
+                 "_PART = 'x'\n"
+                 "_RE, (_A, _B) = f(_PART), (1, 2)\n"
+                 "__version__: str = '1'\n"
+                 "_SEEN: int = _A\n"),
+        "b.py": "def h2(): pass\nx.h\nprint(_RE)\n",
     }
     assert dead_definitions(sources) == [
-        ("a.py", 2, "g"), ("a.py", 5, "C"), ("a.py", 8, "unused"), ("b.py", 1, "h2")]
+        ("a.py", 2, "g"), ("a.py", 5, "C"), ("a.py", 8, "unused"),
+        ("a.py", 11, "_B"), ("a.py", 13, "_SEEN"), ("b.py", 1, "h2")]
     fields = {
         "a.py": ("class S:\n"
                  "    __slots__ = ('x', 'y', 'z')\n"
