@@ -18,8 +18,8 @@ took over all curves:
 The warm-up pass, the first in the process, counts the Newton lifts into
 W (``Tower._inverse_root``) and the residue roots they start from
 (``FqField.canonical_nth_root``).  A third pass, untimed, counts calls of
-``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt`` and ``Cyclo``
-constructions.  A curve that raises is counted as an error in the stage
+``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
+``ClusterAnalysis.epsilon`` and ``Cyclo`` constructions.  A curve that raises is counted as an error in the stage
 that raised.  It takes no options:
 
     python3 scripts/stage_profile.py
@@ -103,7 +103,7 @@ LIFTS = [("Newton lifts", tame_mod.Tower, "_inverse_root"),
          ("residue roots", fq_mod.FqField, "canonical_nth_root")]
 KERNELS = [("fq.pow", fq_mod.FqField, "pow"), ("_mulmod", fq_mod, "_mulmod"),
            ("_mulmod", tame_mod, "_mulmod"), ("canonical_sqrt", fq_mod.FqField, "canonical_sqrt"),
-           ("Cyclo", Cyclo, "__init__")]
+           ("epsilon", ClusterAnalysis, "epsilon"), ("Cyclo", Cyclo, "__init__")]
 
 
 def count_pass(corpus, patches):

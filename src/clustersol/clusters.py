@@ -18,7 +18,7 @@ centroid's factors are read from the digits of s's own split.
 
 Character computation never enlarges the tower.  The radicand
 theta^2 = c_f prod_{r not in s}(z_s - r) of the star s is read through its
-leading term u pi^W, u in F_q, and the word tau^a frob^b acts on the formal
+leading term u pi^W, u in F_q, and the generators act on the formal
 radicals by
 
     tau(sqrt(omega)) = sqrt(omega)        frob(sqrt(omega)) = sqrt(omega)^p
@@ -26,26 +26,22 @@ radicals by
 
 with omega the residue-field generator and zeta_2e = sqrt(omega)^((q-1)/e),
 a primitive 2e-th root of unity squaring to zeta_e, so zeta_2e^e = -1
-(``zeta_2e``).  epsilon_s(w) is the sign with w(theta_s) = +-theta_{w(s)},
-read by comparing the two symbols in the residue field.
-
-When the word fixes the star the two square roots cancel, whichever root
-is taken, and the value is the power-residue symbol
-
-    epsilon_s(tau^a frob^b) = u^((p^b - 1)/2) * zeta_2e^(aW).
-
-On the generators it has a closed form and needs no F_q work.
+(``zeta_2e``).  epsilon_s(g) is the sign with g(theta_s) = +-theta_{g(s)}.
+On a generator that fixes the star the two square roots cancel, whichever
+root is taken, and the value has a closed form with no F_q work:
 zeta_2e^m is +-1 exactly when e | m, and then (-1)^(m/e), so
 epsilon(tau) = (-1)^(W/e); u^((p-1)/2) is +-1 exactly when u lies in F_p,
-and then it is u's Legendre symbol (u_0 / p) = epsilon(frob).  A radicand
-with e not dividing W, or u outside F_p, has no +-1 value there and
-raises.  Other words that fix the star take one exponentiation.  If the
-star is fixed by tau and frob, epsilon_s is a character of the whole
-quotient, and triviality is decided on the two generator values the
-cluster's record keeps.  Square roots are taken only for stars that are
-not Galois-fixed: a word that moves the star uses one canonical symbol
-s * sqrt(omega)^alpha per cluster, memoised, and triviality is then
-checked word by word.
+and then it is u's Legendre symbol (u_0 / p) = epsilon(frob).  Any other
+radicand raises.  A generator that moves the star compares, in the
+residue field, one canonical symbol s * sqrt(omega)^alpha per cluster.
+
+Lemma (the cocycle).  epsilon_s(gh) = epsilon_{h(s)}(g) epsilon_s(h), as
+gh(theta_s) = g(epsilon_s(h) theta_{h(s)}).  The group is finite, so each
+element is a word in tau and frob, and epsilon_s is trivial on the group
+exactly when epsilon_t(tau) = epsilon_t(frob) = 1 at every t = h(s) in
+the orbit of s (then epsilon_t(g) = epsilon_s(gh) epsilon_s(h)); on
+inertia, exactly when epsilon_t(tau) = 1 on the tau-cycle of s.  So each
+node keeps its two generator values, and no other word is evaluated.
 """
 
 import functools
@@ -53,9 +49,9 @@ import math
 
 from .errors import InternalError, PrecisionExhausted, RootCollision
 from .curves import (Binomial, Cyclo, Linear, digit, extract_roots, galois_perms,
-                     perm_order, required_tower, resultant_norm)
+                     required_tower, resultant_norm)
 from .numutil import cyclotomic_poly, rational_str, resultant, vp
-from .tame import FROB, TAU, GaloisWord, get_tower, stored_digits
+from .tame import FROB, TAU, get_tower, stored_digits
 
 
 # ------------------------------------------------------------------
@@ -69,14 +65,16 @@ class ClusterNode:
     the picture sets the rest on each proper node: integers over the
     tower's e, delta_e = e*(relative depth), None for the top cluster,
     nu_e = e*nu and vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the
-    cluster's own e_s.  eps_tau is 0 when epsilon is undefined for it.
+    cluster's own e_s.  radicand_u is the radicand's residue in F_q
+    (``ClusterAnalysis.radicand``).  eps_tau is 0 when epsilon is
+    undefined for it.
     """
 
     __slots__ = ("roots", "size", "is_proper", "is_even", "level", "parent",
                  "children", "name", "digit",
                  "delta_e", "nu_e", "lam_2e", "e", "genus", "vKc_e", "ubereven", "twin",
                  "cotwin", "principal", "fixed_inertia", "fixed_frob", "fixed_galois",
-                 "orbit", "eps_tau", "eps_frob", "stable_children")
+                 "orbit", "eps_tau", "eps_frob", "stable_children", "radicand_u")
 
     def __init__(self, roots, level, children):
         self.roots = tuple(sorted(roots))
@@ -266,58 +264,63 @@ class ClusterAnalysis:
         self.tower = rs.tower
         self.picture = picture
         self.curve_genus = expr.genus
-        self._radicand_cache = {}
         self._sqrt_cache = {}
-        self._tau_order = perm_order(rs.tau_perm)
-        self._frob_order = perm_order(rs.frob_perm)
-        self._images = self._word_images()
-        proper = picture.proper()
-        orbit = {}                    # numbered by their first node in proper()
-        for node in proper:
-            if node not in orbit:
-                orbit.update(dict.fromkeys(self._images[node], len(set(orbit.values()))))
-            self._invariants(node, orbit[node])
-        for node in proper:
+        self._maps = {TAU: self._node_map(rs.tau_perm), FROB: self._node_map(rs.frob_perm)}
+        self._orbits = {}
+        for node in picture.nodes:
+            if node not in self._orbits:
+                orbit = self._closure(node, TAU, FROB)
+                self._orbits.update(dict.fromkeys(orbit, orbit))
+        number = {}                   # orbits numbered by their first node in proper()
+        for node in picture.proper():
+            self._invariants(node, number.setdefault(self._orbits[node], len(number)))
+        for node in picture.proper():
             node.eps_tau, node.eps_frob = self.epsilon(node, TAU), self.epsilon(node, FROB)
 
     # --- invariants ---
 
     def _invariants(self, node, orbit):
-        """Set all but the characters on the node.
+        """Set all but the characters on the node, from its parent's.
 
         e*nu = e*c_pow + sum over all roots r of min(N, e v(z - r)), z in
-        the node; e v(z - r) for r outside the node is the level of the
-        least cluster holding both, so the sum walks up the parent chain.
-        nu feeds lambda, e and vKc.  The stable children are those fixed
-        by every word fixing the node.
+        the node, and e*vKc is e*c_pow plus its terms for r outside the
+        node.  Such an r meets the node at the level of the least cluster
+        holding both, so vKc(s) = vKc(P) + (|P| - |s|) level(P) for s's
+        parent P.  There z - r leads with delta_s - delta_b, the digits at
+        level(P) of s and of the sibling b holding r, so the radicand's
+        residue is u(s) = u(P) prod_b (delta_s - delta_b)^|b|, with c_f's
+        unit at the top.  nu feeds lambda, e and vKc.  A child is stable,
+        fixed by every element fixing the node, exactly when its orbit is
+        as large as the node's: its stabiliser lies in the node's.
         """
-        n, e = node.level, self.tower.e
-        vkc = e * self.expr.c_pow
-        child, a = node, node.parent
-        while a is not None:
-            vkc += (a.size - child.size) * a.level
-            child, a = a, a.parent
-        nu = vkc + node.size * n
-        stab = [k for k, img in enumerate(self._images[node]) if img is node]
+        n, e, P, fq = node.level, self.tower.e, node.parent, self.tower.fq
+        if P is None:
+            node.vKc_e, node.radicand_u = e * self.expr.c_pow, fq.from_int(self.expr.c_unit)
+        else:
+            node.vKc_e, u = P.vKc_e + (P.size - node.size) * P.level, P.radicand_u
+            for b in P.children:
+                if b is not node:
+                    diff = tuple([(x - y) % fq.p for x, y in zip(node.digit, b.digit)])
+                    u = fq.mul(u, fq.pow(diff, b.size))
+            node.radicand_u = u
+        nu = node.vKc_e + node.size * n
         node.fixed_inertia = self.image(node, TAU) is node
         node.fixed_frob = self.image(node, FROB) is node
         node.fixed_galois = node.fixed_inertia and node.fixed_frob
-        g2 = 2 * self.curve_genus
         node.ubereven = all(c.is_even for c in node.children)
-        has_2g_child = any(c.size == g2 for c in node.children)
+        has_2g_child = any(c.size == 2 * self.curve_genus for c in node.children)
         node.principal = node.size >= 3 and not has_2g_child and not (
             node is self.picture.top and node.is_even and len(node.children) == 2)
         node.cotwin = has_2g_child and not node.ubereven
         node.twin = node.size == 2
-        node.delta_e = None if node.parent is None else n - node.parent.level
+        node.delta_e = None if P is None else n - P.level
         node.nu_e = nu
-        node.vKc_e = vkc
         node.lam_2e = nu - 2 * n * sum(c.size // 2 for c in node.children)
         node.e = math.lcm(e // math.gcd(n, e), 2 * e // math.gcd(nu, 2 * e))
         node.genus = max(0, (sum(c.size % 2 for c in node.children) - 1) // 2)
         node.orbit = orbit
-        node.stable_children = tuple(c for c in node.children
-                                     if all(self._images[c][k] is c for k in stab))
+        size = len(self._orbits[node])
+        node.stable_children = tuple(c for c in node.children if len(self._orbits[c]) == size)
 
     # --- Galois action on the picture ---
 
@@ -341,29 +344,21 @@ class ClusterAnalysis:
             out[node] = img
         return out
 
-    def _word_images(self):
-        """Each node's images under tau^a frob^b at index b ord(tau) + a.
-
-        The words with a < ord tau and b < ord frob are the whole group, as
-        frob tau = tau^p frob (``curves.galois_perms``).
-        """
-        tau, frob = self._node_map(self.rs.tau_perm), self._node_map(self.rs.frob_perm)
-        out = {}
-        for node in self.picture.nodes:
-            out[node] = images = []
-            moved = node
-            for _ in range(self._frob_order):
-                img = moved
-                for _ in range(self._tau_order):
-                    images.append(img)
-                    img = tau[img]
-                moved = frob[moved]
-        return out
-
     def image(self, node, word):
-        """Image cluster of a node under tau^a frob^b."""
-        return self._images[node][word.b % self._frob_order * self._tau_order
-                                  + word.a % self._tau_order]
+        """Image cluster of a node under the generator TAU or FROB; KeyError for other words."""
+        return self._maps[word][node]
+
+    def _closure(self, node, *words):
+        """The nodes reached from the node by the given generators: its orbit under them."""
+        seen, todo = {node}, [node]
+        while todo:
+            n = todo.pop()
+            for w in words:
+                img = self._maps[w][n]
+                if img not in seen:
+                    seen.add(img)
+                    todo.append(img)
+        return frozenset(seen)
 
     # --- characters ---
 
@@ -376,23 +371,10 @@ class ClusterAnalysis:
     def radicand(self, node):
         """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r), z in the node.
 
-        W is the node's e*vKc.  u is read on the walk up the parent chain:
-        at an ancestor each root r of a sibling b of the child holding z
-        gives z - r the residue digit(child) - digit(b).
+        W is the node's e*vKc, and u its ``radicand_u``, both set from the
+        parent's (``_invariants``).
         """
-        if node in self._radicand_cache:
-            return self._radicand_cache[node]
-        fq = self.tower.fq
-        p, u = fq.p, fq.from_int(self.expr.c_unit)
-        child, a = node, node.parent
-        while a is not None:
-            for b in a.children:
-                if b is not child:
-                    diff = tuple([(x - y) % p for x, y in zip(child.digit, b.digit)])
-                    u = fq.mul(u, fq.pow(diff, b.size))
-            child, a = a, a.parent
-        self._radicand_cache[node] = node.vKc_e, u
-        return node.vKc_e, u
+        return node.vKc_e, node.radicand_u
 
     def _sqrt_symbol(self, node):
         """Canonical formal square root of the node's radicand residue, memoised."""
@@ -402,65 +384,47 @@ class ClusterAnalysis:
         return self._sqrt_cache[node]
 
     def epsilon(self, node, word):
-        """epsilon_s evaluated on tau^a frob^b; 0 unless s is even or a cotwin.
+        """epsilon_s on the generator TAU or FROB; 0 unless s is even or a cotwin.
 
-        The sign with w(theta_s) zeta_2e^(aW) = +-theta_{w(s)}, theta_{w(s)}
-        the symbol 1 when w fixes the star.
+        The sign with w(theta_s) zeta_2e^(aW) = +-theta_{w(s)}.  On a star
+        the generator fixes it is the closed form: (-1)^(W/e) on tau, the
+        Legendre symbol of u on frob.  A radicand with no +-1 value raises.
         """
         if not (node.is_even or node.cotwin):
             return 0
-        t = self.tower
-        fq = t.fq
-        b = word.b % (2 * t.d)
+        t, fq = self.tower, self.tower.fq
         star = self.star(node)
         target = self.image(star, word)
         w, u = self.radicand(star)
         m = word.a * w % (2 * t.e)
-        if target is star and m % t.e == 0 and b < 2 and not (b and any(u[1:])):
-            # zeta_2e^m = (-1)^(m/e), and for b = 1 and u in F_p u^((p-1)/2) is
-            # u[0]'s Legendre symbol; other fixed-star values take the symbols below
-            sign = -1 if m else 1
-            return sign if not b or pow(u[0], (fq.p - 1) // 2, fq.p) == 1 else -sign
         if target is star:
-            # frob^b(sqrt(u)) / sqrt(u) = u^((p^b-1)/2) for either root
-            pb = pow(fq.p, b, 2 * (fq.q - 1))
-            lhs = SqrtSymbol(fq, fq.pow(u, (pb - 1) // 2), 0)
-            theta = SqrtSymbol(fq, fq.one, 0)
+            # zeta_2e^m = (-1)^(m/e) when e | m, and u^((p-1)/2) is u[0]'s
+            # Legendre symbol when u lies in F_p; otherwise there is no sign
+            if not word.b and m % t.e == 0:
+                return -1 if m else 1
+            if word.b and not any(u[1:]):
+                return 1 if pow(u[0], (fq.p - 1) // 2, fq.p) == 1 else -1
         else:
             if self.radicand(target)[0] != w:
                 raise InternalError("Galois image of a radicand changed valuation")
-            lhs = self._sqrt_symbol(star).frob_iter(b)
+            lhs = self._sqrt_symbol(star).frob_iter(word.b)
+            if m:
+                lhs = lhs * zeta_2e(fq, t.e) ** m
             theta = self._sqrt_symbol(target)
-        if m:
-            lhs = lhs * zeta_2e(fq, t.e) ** m
-        if lhs == theta:
-            return 1
-        if lhs == -theta:
-            return -1
+            if lhs == theta:
+                return 1
+            if lhs == -theta:
+                return -1
         raise InternalError(
             f"epsilon value is not +-1 on cluster {node.name} (precision or convention bug)")
 
-    def _star_fixed(self, node, *words):
-        """Whether every given word maps the node's star to itself."""
-        star = self.star(node)
-        return all(self.image(star, w) is star for w in words)
-
-    def epsilon_words(self):
-        """Representatives of the quotient through which every epsilon factors."""
-        return [GaloisWord(a, b)
-                for a in range(2 * self.tower.e) for b in range(2 * self.tower.d)]
-
     def eps_trivial_galois(self, node):
-        if self._star_fixed(node, TAU, FROB):
-            # a character of the whole quotient: the generators decide
-            return node.eps_tau == 1 and node.eps_frob == 1
-        return all(self.epsilon(node, w) == 1 for w in self.epsilon_words())
+        """Whether epsilon_s is trivial on the whole group: on tau and frob over s's orbit."""
+        return all(n.eps_tau == 1 and n.eps_frob == 1 for n in self._orbits[node])
 
     def eps_trivial_inertia(self, node):
-        if self._star_fixed(node, TAU):
-            return node.eps_tau == 1
-        return all(self.epsilon(node, GaloisWord(a, 0)) == 1
-                   for a in range(2 * self.tower.e))
+        """Whether epsilon_s is trivial on inertia: on tau over s's tau-cycle."""
+        return all(n.eps_tau == 1 for n in self._closure(node, TAU))
 
     # --- auxiliary point-level data for the decision engine ---
 

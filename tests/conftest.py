@@ -10,9 +10,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 from clustersol.clusters import SqrtSymbol, canonical_sqrt_symbol
-from clustersol.curves import Linear, RootSet, embed_cyclo, reject_repeated_factors
+from clustersol.curves import Binomial, Cyclo, Linear, RootSet, embed_cyclo, reject_repeated_factors
 from clustersol.errors import InternalError, PrecisionExhausted
-from clustersol.tame import INF, Elt, _aligned, _lifts, _normalise, get_tower
+from clustersol.tame import (FROB, INF, TAU, Elt, GaloisWord, _aligned, _lifts, _normalise,
+                             get_tower)
 
 EX1 = ("(x^4-p^17)*(x^3-p^2)", 17)
 EX2 = "p*((x-1)^2+p^2)*((x-zeta(3))^2+p^2)*((x-zeta(3)^2)^2+p^2)"
@@ -79,6 +80,32 @@ def curve_text(expr):
                f"((x-({center(f.center)}))^{f.n}{-f.rhs_unit:+d}*p^{f.rhs_pow})"
                for f in expr.factors]
     return "*".join([f"{expr.c_unit}*p^{expr.c_pow}"] + factors)
+
+
+def mobius_dual(expr, s):
+    """The curve in the chart x -> p^s/x, for centres all 0 and binomial units +-1.
+
+    With X = p^s/x, x^n - u p^m = -u p^m X^-n (X^n - u p^(sn - m)) as
+    u = 1/u, and the factor x is p^s X^-1; multiplying y by a power of X
+    clears the denominators, leaving the factor X when the degree is odd.  The two
+    curves are isomorphic, so they have the same Q_p-points.  Raises
+    ValueError unless every centre is 0, every unit u is +-1 and
+    sn - m >= 1 for every binomial.  The result has no text; write it
+    with ``curve_text``.
+    """
+    bins = [f for f in expr.factors if isinstance(f, Binomial)]
+    if any(any(f.center.coeffs) for f in expr.factors):
+        raise ValueError("a centre is not 0")
+    if any(f.rhs_unit not in (1, -1) or s * f.n - f.rhs_pow < 1 for f in bins):
+        raise ValueError("a unit is not +-1, or p^s does not exceed a root's p^m")
+    c_unit = expr.c_unit
+    for f in bins:
+        c_unit *= -f.rhs_unit
+    factors = [f._replace(rhs_pow=s * f.n - f.rhs_pow) for f in bins]
+    factors += [Linear(Cyclo.integer(0))] * (expr.degree % 2)
+    c_pow = expr.c_pow + s * (len(bins) < len(expr.factors)) + sum(f.rhs_pow for f in bins)
+    return expr._replace(c_unit=c_unit, c_pow=c_pow, factors=factors,
+                         frob=(None,) * len(factors), text="")
 
 
 def size_one_digit_short(monkeypatch):
@@ -278,6 +305,47 @@ def reference_image(A, node, word):
     for _ in range(word.a):
         idx = {A.rs.tau_perm[i] for i in idx}
     return next(n for n in A.picture.nodes if set(n.roots) == idx)
+
+
+def word_compose(t, w1, w2):
+    """Composition w1 o w2 in normal form tau^a frob^b.
+
+    Exponents are reduced modulo (2e, 2d), the quotient in which both
+    the action on L and the epsilon characters factor.
+    """
+    mod_a, mod_b = 2 * t.e, 2 * t.d
+    a = (w1.a + w2.a * pow(t.p, w1.b % mod_b, mod_a)) % mod_a
+    return GaloisWord(a, (w1.b + w2.b) % mod_b)
+
+
+def all_words(t):
+    """The words tau^a frob^b with a < 2e and b < 2d: the quotient every epsilon factors through."""
+    return [GaloisWord(a, b) for a in range(2 * t.e) for b in range(2 * t.d)]
+
+
+def word_image(A, node, word):
+    """The node's image under tau^a frob^b, composing the analysis's two generator maps."""
+    for gen, k in ((FROB, word.b), (TAU, word.a)):
+        for _ in range(k):
+            node = A.image(node, gen)
+    return node
+
+
+def word_epsilon(A, node, word):
+    """epsilon_s(tau^a frob^b) from the generator values, by the cocycle.
+
+    epsilon_s(tau^a frob^b) = epsilon_{frob^b s}(tau^a) epsilon_s(frob^b),
+    and each power expands one generator step at a time:
+    epsilon_s(g^k) = prod_{j < k} epsilon_{g^j s}(g).
+    """
+    if not (node.is_even or node.cotwin):
+        return 0
+    sign = 1
+    for gen, k in ((FROB, word.b), (TAU, word.a)):
+        for _ in range(k):
+            sign *= A.epsilon(node, gen)
+            node = A.image(node, gen)
+    return sign
 
 
 def reference_galois(A):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EX1, EX2, EX3, as_fractions, flip_canonical_sqrt
+from conftest import (EX1, EX2, EX3, as_fractions, flip_canonical_sqrt, word_compose,
+                      word_epsilon, word_image)
 from clustersol.clusters import ClusterAnalysis, analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
@@ -12,7 +13,6 @@ from clustersol.errors import InternalError
 from clustersol.tame import FROB, TAU, GaloisWord
 from test_cluster_trie import reference_nu, reference_valuation_matrix
 from test_epsilon_reference import NON_STABLE
-from test_tame_field import word_compose
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +172,16 @@ def test_images_preserve_size_and_depth():
         A = analyse(parse_expr(text, p))
         for node in A.picture.proper():
             for w in (TAU, FROB, GaloisWord(1, 1)):
-                img = A.image(node, w)
+                img = word_image(A, node, w)
                 assert img.size == node.size and img.level == node.level
+
+
+def test_image_takes_only_the_generators(ex2):
+    top = ex2.picture.top
+    assert ex2.image(top, GaloisWord(1, 0)) is top
+    for w in (GaloisWord(0, 0), GaloisWord(1, 1), GaloisWord(2, 0)):
+        with pytest.raises(KeyError):
+            ex2.image(top, w)
 
 
 def test_a_permutation_that_splits_a_twin_is_refused():
@@ -209,7 +217,7 @@ def test_epsilon_example2(ex2):
 def test_epsilon_identity_is_one(ex2):
     for node in ex2.picture.proper():
         if node.is_even or node.cotwin:
-            assert ex2.epsilon(node, GaloisWord(0, 0)) == 1
+            assert word_epsilon(ex2, node, GaloisWord(0, 0)) == 1
 
 
 def test_epsilon_zero_for_odd_non_cotwin(ex1):
@@ -225,7 +233,7 @@ def test_epsilon_pm_one_and_square():
             if not (node.is_even or node.cotwin):
                 continue
             for w in (TAU, FROB, GaloisWord(1, 1)):
-                val = A.epsilon(node, w)
+                val = word_epsilon(A, node, w)
                 assert val in (1, -1)
 
 
@@ -237,13 +245,13 @@ def test_epsilon_multiplicative_on_stabilizer():
             if not (node.is_even or node.cotwin):
                 continue
             star = A.star(node)
-            stab = [w for w in words if A.image(star, w) is star]
+            stab = [w for w in words if word_image(A, star, w) is star]
             for w1 in stab:
                 for w2 in stab:
                     w12 = word_compose(A.tower, w1, w2)
-                    if A.image(star, w12) is star:
-                        assert (A.epsilon(node, w12)
-                                == A.epsilon(node, w1) * A.epsilon(node, w2))
+                    if word_image(A, star, w12) is star:
+                        assert (word_epsilon(A, node, w12)
+                                == word_epsilon(A, node, w1) * word_epsilon(A, node, w2))
 
 
 def test_epsilon_tau_parity_matches_radicand_valuation():

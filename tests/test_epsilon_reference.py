@@ -3,18 +3,23 @@
 The reference takes two canonical square roots for every word, exactly as
 the characters were first evaluated: eps(w) = w(sqrt(u_s)) zeta_2e^(aW) /
 sqrt(u_{w(s)}), with zeta_2e the canonical square root of zeta_e
-(``conftest.reference_zeta2e``).  Production replaces this by a
-power-residue symbol when the word fixes the star, compares symbols
-instead of dividing them, takes zeta_2e in closed form, and decides
-triviality on the generators when the star is Galois-fixed; the values
-themselves must agree word by word.
+(``conftest.reference_zeta2e``) and w(s) read off the root sets
+(``conftest.reference_image``).  Production evaluates epsilon on tau and
+frob only: in closed form when the generator fixes the star, else by
+comparing symbols, with zeta_2e in closed form.  It decides triviality by
+the cocycle lemma of ``clustersol.clusters``, from the generator values
+over the orbit.  Here the value on every word, expanded from the
+generator values by the cocycle (``conftest.word_epsilon``), must agree
+with the reference, and so must both triviality tests.  The cocycle
+identity itself is checked on the reference alone.
 """
 
 import pytest
 
 import clustersol.clusters as clusters_mod
-from conftest import (EX1, EX2, EX3, flip_canonical_sqrt, reference_zeta2e,
-                      reference_zeta2e_power, symbol_inv, symbol_sign)
+from conftest import (EX1, EX2, EX3, all_words, flip_canonical_sqrt, reference_image,
+                      reference_zeta2e, reference_zeta2e_power, symbol_inv, symbol_sign,
+                      word_compose, word_epsilon, word_image)
 from clustersol.clusters import analyse, canonical_sqrt_symbol, zeta_2e
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
@@ -30,7 +35,7 @@ def reference_epsilon(A, node, word):
     if not (node.is_even or node.cotwin):
         return 0
     star = A.star(node)
-    target = A.image(star, word)
+    target = reference_image(A, star, word)
     w1, u1 = A.radicand(star)
     w2, u2 = A.radicand(target)
     assert w1 == w2
@@ -47,7 +52,9 @@ def reference_epsilon(A, node, word):
 
 # curves whose characters are also evaluated on words that move the star:
 # vi.e / vi.f top children, Frobenius-swapped zeta(3) twins at p = 2 mod 3,
-# and twins {sqrt(p), sqrt(50p)} at p = 7 (50 = 1 mod p^2) moved by tau
+# and twins {sqrt(p), sqrt(50p)} at p = 7 (50 = 1 mod p^2) moved by tau.
+# The last two have a moved star on which epsilon is trivial: the twins
+# frob swaps at p = 47 on the whole group, and those tau swaps on inertia.
 NON_STABLE = [
     ("2*(x^2-3*p^8)*((x-zeta(3))^2+2*p^3)*((x-zeta(3)^2)^2+2*p^3)", 11),
     ("p*((x-zeta(3))^2+2*p)*((x-zeta(3)^2)^2+2*p)*((x-2)^2+2*p^4)", 17),
@@ -56,6 +63,8 @@ NON_STABLE = [
     ("(x^2-p)*(x^2-50*p)*(x-1)", 7),
     ("(x^3-p)*(x^3-50*p)", 7),
     ("(x^4-p)*(x^4-50*p)*(x-1)", 7),
+    ("5*(x)*((x-zeta(3))^2+2*p^2)*((x-zeta(3)^2)^2+2*p^2)*(x-1)*(x^4+2*p^5)", 47),
+    ("p*(x^2-p)*(x^2-50*p)*(x-1)", 7),
 ]
 CURVES = NON_STABLE + [EX1, EX3, (EX2, 7), ("(x-1)*(x^4-p)", 13)]
 CURVES += [(text, p) for p, text in generate_corpus(4242, 24, [7, 11, 13, 17])]
@@ -65,19 +74,28 @@ def _character_nodes(A):
     return [n for n in A.picture.proper() if n.is_even or n.cotwin]
 
 
-def _check_against_reference(A):
-    """Compare every value and both triviality tests; count non-stable words."""
+def _check_against_reference(A, outcomes):
+    """Compare every value and both triviality tests; count non-stable words.
+
+    Each triviality outcome on a node whose star the test's generators
+    move is added to outcomes as (test, value).
+    """
     moved = 0
     for node in _character_nodes(A):
         star = A.star(node)
         ref = {}
-        for w in A.epsilon_words():
+        for w in all_words(A.tower):
             ref[w] = reference_epsilon(A, node, w)
-            assert A.epsilon(node, w) == ref[w], (node.name, w)
-            moved += A.image(star, w) is not star
-        assert A.eps_trivial_galois(node) == all(v == 1 for v in ref.values())
-        assert A.eps_trivial_inertia(node) == all(
-            v == 1 for w, v in ref.items() if w.b == 0)
+            assert word_epsilon(A, node, w) == ref[w], (node.name, w)
+            moved += word_image(A, star, w) is not star
+        galois = all(v == 1 for v in ref.values())
+        inertia = all(v == 1 for w, v in ref.items() if w.b == 0)
+        assert A.eps_trivial_galois(node) == galois, node.name
+        assert A.eps_trivial_inertia(node) == inertia, node.name
+        if not star.fixed_galois:
+            outcomes.add(("galois", galois))
+        if not star.fixed_inertia:
+            outcomes.add(("inertia", inertia))
     return moved
 
 
@@ -109,13 +127,37 @@ def test_zeta2e_closed_form_matches_the_square_root_reference():
 @pytest.mark.parametrize("flip", [False, True])
 def test_epsilon_matches_all_words_reference(flip, monkeypatch):
     sqrts = flip_canonical_sqrt(monkeypatch) if flip else []
-    moved = {}
+    moved, outcomes = {}, set()
     for text, p in CURVES:
         A = analyse(parse_expr(text, p))
-        moved[(text, p)] = _check_against_reference(A)
+        moved[(text, p)] = _check_against_reference(A, outcomes)
     for curve in NON_STABLE:
         assert moved[curve] > 0, curve
+    assert outcomes == {(test, value) for test in ("galois", "inertia")
+                        for value in (True, False)}
     assert bool(sqrts) == flip, "the flip took no square root"
+
+
+def test_the_reference_epsilon_is_a_cocycle():
+    """ref(s, g o h) = ref(h(s), g) ref(s, h) for all words g, h: the lemma behind
+    deciding triviality from the generator values over the orbit.
+
+    Only the reference evaluator and the root-set images are read.
+    """
+    pairs = 0
+    for text, p in NON_STABLE:
+        A = analyse(parse_expr(text, p))
+        words = all_words(A.tower)
+        nodes = _character_nodes(A)
+        ref = {(n, w): reference_epsilon(A, n, w) for n in nodes for w in words}
+        for s in nodes:
+            for g in words:
+                for h in words:
+                    hs = reference_image(A, s, h)
+                    assert ref[s, word_compose(A.tower, g, h)] == ref[hs, g] * ref[s, h], \
+                        (text, p, s.name, g, h)
+                    pairs += 1
+    assert pairs > 10000
 
 
 def test_no_square_root_when_the_star_is_fixed(monkeypatch):
@@ -135,8 +177,8 @@ def test_no_square_root_when_the_star_is_fixed(monkeypatch):
         monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", forbidden)
         for node, node_b in zip(A.picture.proper(), B.picture.proper()):
             if node in fixed:
-                for w in B.epsilon_words():
-                    assert B.epsilon(node_b, w) in (1, -1)
+                for w in all_words(B.tower):
+                    assert word_epsilon(B, node_b, w) in (1, -1)
                 B.eps_trivial_galois(node_b)
                 B.eps_trivial_inertia(node_b)
                 checked += 1

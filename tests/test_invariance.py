@@ -4,18 +4,25 @@
 roots, so the whole report stays the same apart from its text and the
 sized precision, which reads the centres' valuations.  ``f -> v^2 f`` is
 the isomorphism ``y -> v y``, so the verdict, the conditions that fire
-and the cluster picture stay the same.  The Möbius images
-``x -> p^s / x`` (ROADMAP direction 7) are not covered here.
+and the cluster picture stay the same.  The Möbius image ``x -> p^s / x``
+(``conftest.mobius_dual``) is an isomorphism too, but it moves the
+clusters, so only the verdict is compared, on seeded curves whose centres
+are all 0 and whose binomial units are +-1.  The pairs it splits are
+pinned by name.
 """
 
 import functools
+import random
 
 import pytest
 
-from conftest import curve_text
+from conftest import curve_text, mobius_dual
 from clustersol.cli import _analyze_one
 from clustersol.corpus import generate_corpus
-from clustersol.curves import Cyclo, parse_expr
+from clustersol.curves import Binomial, Cyclo, expand_to_integer_poly, parse_expr
+from clustersol.decision import corollary_gate, solubility_decide
+from clustersol.errors import ClusterSolError
+from clustersol.oracle import is_locally_soluble
 
 CORPUS = generate_corpus(3, 300, (7, 11, 13, 17, 19, 23))
 report = functools.cache(_analyze_one)
@@ -61,3 +68,72 @@ def test_scaling_by_a_square_keeps_the_verdict(v):
         scaled = curve_text(expr._replace(c_unit=expr.c_unit * w * w))
         assert (_fixed_by_scaling(_analyze_one(p, scaled))
                 == _fixed_by_scaling(report(p, text))), (text, scaled)
+
+
+def zero_centred_pairs(seed, count, primes=(7, 11, 13, 17, 19, 23)):
+    """(p, text, text of its Möbius dual) for seeded curves of genus 2 or 3.
+
+    Each curve is c * [x] * prod (x^n - u p^m) with u = +-1, 2 to 4
+    binomials, n <= 4 and m <= 8.  A draw is kept when it has degree at
+    least 5, the gate q > 2(g^2 - 1) admits it and the engine decides it:
+    a draw with a repeated root raises RootCollision and is no curve.  s is the least
+    exponent that keeps every p-power of the dual positive, or one more.
+    """
+    rng = random.Random(seed)
+    kinds = [(n, u, m) for n in (1, 2, 3, 4) for u in (1, -1) for m in range(1, 9)]
+    out = []
+    while len(out) < count:
+        p = rng.choice(primes)
+        terms = [f"{rng.choice((1, -1, 2, -2, 3, -3))}*p^{rng.randint(0, 1)}"]
+        terms += ["(x)"] * (rng.random() < 0.5)
+        terms += [f"(x^{n}{'-' if u == 1 else '+'}p^{m})"
+                  for n, u, m in rng.sample(kinds, rng.randint(2, 4))]
+        text = "*".join(terms)
+        try:
+            expr = parse_expr(text, p)
+            if not corollary_gate(p, expr.genus, {})[0]:
+                continue
+            solubility_decide(expr)
+        except ClusterSolError:         # deg f < 5, or a repeated root
+            continue
+        s = 1 + rng.randint(0, 1) + max(f.rhs_pow // f.n for f in expr.factors
+                                        if isinstance(f, Binomial))
+        out.append((p, text, curve_text(mobius_dual(expr, s))))
+    return out
+
+
+MOBIUS = zero_centred_pairs(1, 400)
+# The pairs whose verdicts differ, as (curve, p).  Each is the known (v.c)
+# defect (ROADMAP direction 1): one side is Soluble with (v.c) alone fired,
+# and is_locally_soluble finds no point on the curve.
+MOBIUS_SPLIT = {("2*p^1*(x^2+p^5)*(x^2+p^2)*(x^4+p^8)", 19),
+                ("-3*p^0*(x^4+p^6)*(x^2-p^1)", 17)}
+
+
+def test_the_mobius_dual_is_an_involution_up_to_a_square():
+    for p, text, dual in MOBIUS[:100]:
+        expr, back = parse_expr(text, p), parse_expr(dual, p)
+        f, g = [next(f for f in e.factors if isinstance(f, Binomial)) for e in (expr, back)]
+        twice = parse_expr(curve_text(mobius_dual(back, (f.rhs_pow + g.rhs_pow) // f.n)), p)
+        assert back.genus == expr.genus
+        assert sorted(map(repr, twice.factors)) == sorted(map(repr, expr.factors)), text
+        assert twice.c_unit == expr.c_unit and (twice.c_pow - expr.c_pow) % 2 == 0, text
+
+
+def test_mobius_duals_get_the_same_verdict():
+    split = set()
+    for p, text, dual in MOBIUS:
+        verdicts = [solubility_decide(parse_expr(t, p))[0] for t in (text, dual)]
+        if verdicts[0].status != verdicts[1].status:
+            split.add((text, p))
+            assert sorted(v.fired for v in verdicts) == [[], ["v.c"]], (text, dual)
+            assert {v.status for v in verdicts} == {"Soluble", "Insoluble"}, (text, dual)
+    assert len(MOBIUS) >= 300
+    assert split == MOBIUS_SPLIT
+
+
+def test_both_sides_of_a_split_pair_are_insoluble():
+    duals = {(text, p): dual for p, text, dual in MOBIUS}
+    for text, p in MOBIUS_SPLIT:
+        for t in (text, duals[text, p]):
+            assert not is_locally_soluble(expand_to_integer_poly(parse_expr(t, p)), p).soluble, t

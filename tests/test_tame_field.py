@@ -7,7 +7,7 @@ import pytest
 
 import clustersol.decision as decision_mod
 from conftest import (EX1, clear_lift_stores, decide_with_doubled_recheck, elt_inv, frob,
-                      frob_t_image, tau, zeta_e_res)
+                      frob_t_image, tau, word_compose, zeta_e_res)
 from clustersol.clusters import analyse
 from clustersol.curves import parse_expr
 from clustersol.errors import (InternalError, NonOddPrime, PrecisionExhausted,
@@ -44,17 +44,6 @@ def close(a, b, margin=4):
 def uniformiser(t):
     """pi as an element of the tower t."""
     return Elt(t, 1, (t.w_one(),) + (t.w_zero(),) * (t.e - 1), t.M)
-
-
-def word_compose(t, w1, w2):
-    """Composition w1 o w2 in normal form tau^a frob^b.
-
-    Exponents are reduced modulo (2e, 2d), the quotient in which both
-    the action on L and the epsilon characters factor.
-    """
-    mod_a, mod_b = 2 * t.e, 2 * t.d
-    a = (w1.a + w2.a * pow(t.p, w1.b % mod_b, mod_a)) % mod_a
-    return GaloisWord(a, (w1.b + w2.b) % mod_b)
 
 
 def teichmuller(t, res):

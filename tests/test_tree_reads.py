@@ -1,17 +1,18 @@
 """Galois data, radicands and centroids read off the cluster tree, against references.
 
-Production acts on nodes by maps built once from the root permutations,
-reads each radicand from the children's digits at every split above
-the cluster, and the value of f at a cluster's centroid from the digits
-of its own split.  The references in ``conftest`` enumerate the
+Production acts on nodes by the maps of tau and frob, built once from the
+root permutations, reads each radicand from its parent's and the
+children's digits at the parent's split, and the value of f at a
+cluster's centroid from the digits of its own split.  The references in ``conftest`` enumerate the
 permutation group on sets of roots, subtract roots at full precision and
 sum them.
 """
 
 import pytest
 
-from conftest import (EX1, EX2, EX3, reference_center_value_is_square, reference_galois,
-                      reference_image, reference_precision, reference_radicand)
+from conftest import (EX1, EX2, EX3, all_words, reference_center_value_is_square,
+                      reference_galois, reference_image, reference_precision,
+                      reference_radicand, word_image)
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import digit, parse_expr
@@ -68,8 +69,8 @@ def test_galois_data_matches_the_group_reference(analyses):
 def test_images_match_the_root_set_reference(analyses):
     for A in analyses:
         for node in A.picture.nodes:
-            for w in A.epsilon_words():
-                assert A.image(node, w) is reference_image(A, node, w), \
+            for w in all_words(A.tower):
+                assert word_image(A, node, w) is reference_image(A, node, w), \
                     (A.expr.text, node, w)
 
 
