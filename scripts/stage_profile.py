@@ -14,13 +14,18 @@ took over all curves:
     picture   build_picture: the digit trie, built as the picture's nodes
     analysis  ClusterAnalysis
     theorem   theorem_decide and the gate
+    expand    expand_to_integer_poly, the oracle's input
+    oracle    is_locally_soluble
 
-The warm-up pass, the first in the process, counts the Newton lifts into
-W (``Tower._inverse_root``) and the residue roots they start from
-(``FqField.canonical_nth_root``).  A third pass, untimed, counts calls of
-``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
-``ClusterAnalysis.epsilon`` and ``Cyclo`` constructions.  A curve that raises is counted as an error in the stage
-that raised.  It takes no options:
+The last two are the compare half: ``compare`` runs them after the
+decision.  The warm-up pass, the first in the process, counts the Newton
+lifts into W (``Tower._inverse_root``) and the residue roots they start
+from (``FqField.canonical_nth_root``).  A third pass, untimed, counts
+calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
+``ClusterAnalysis.epsilon``, ``numutil.resultant`` and ``Cyclo``
+constructions, each split by the stage that made it.  A curve that
+raises is counted as an error in the stage that raised.  It takes no
+options:
 
     python3 scripts/stage_profile.py
 """
@@ -32,17 +37,21 @@ from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+import clustersol.clusters as clusters_mod
+import clustersol.curves as curves_mod
 import clustersol.fq as fq_mod
+import clustersol.oracle as oracle_mod
 import clustersol.tame as tame_mod
 from clustersol.clusters import ClusterAnalysis, build_picture, default_precision
 from clustersol.corpus import generate_corpus
-from clustersol.curves import (Cyclo, extract_roots, galois_closure_check,
-                               galois_perms, parse_expr, required_tower)
+from clustersol.curves import (Cyclo, expand_to_integer_poly, extract_roots,
+                               galois_closure_check, galois_perms, parse_expr, required_tower)
 from clustersol.decision import corollary_gate, tameness_flags, theorem_decide
 from clustersol.errors import ClusterSolError
 from clustersol.tame import get_tower
 
-STAGES = ("parse", "closure", "roots", "perms", "picture", "analysis", "theorem")
+STAGES = ("parse", "closure", "roots", "perms", "picture", "analysis", "theorem",
+          "expand", "oracle")
 
 
 def curve_stages(text, p):
@@ -72,13 +81,18 @@ def curve_stages(text, p):
             ("perms", lambda: galois_perms(state["rs"])),
             ("picture", picture),
             ("analysis", analysis),
-            ("theorem", theorem)]
+            ("theorem", theorem),
+            ("expand", lambda: state.update(poly=expand_to_integer_poly(state["expr"]))),
+            ("oracle", lambda: oracle_mod.is_locally_soluble(state["poly"], p))]
 
 
-def run_pass(corpus, ms=None, errors=None):
-    """Decide every curve step by step; add each step's time to ms when given."""
+def run_pass(corpus, ms=None, errors=None, running=None):
+    """Decide every curve step by step; add each step's time to ms when given,
+    and keep the running step's name in running[0]."""
     for p, text in corpus:
         for stage, step in curve_stages(text, p):
+            if running is not None:
+                running[0] = stage
             t0 = time.perf_counter()
             try:
                 step()
@@ -91,9 +105,9 @@ def run_pass(corpus, ms=None, errors=None):
                     ms[stage] += (time.perf_counter() - t0) * 1e3
 
 
-def counting(counts, name, fn):
+def counting(counts, name, running, fn):
     def wrapped(*args, **kwargs):
-        counts[name] += 1
+        counts[name, running[0]] += 1
         return fn(*args, **kwargs)
     return wrapped
 
@@ -103,17 +117,20 @@ LIFTS = [("Newton lifts", tame_mod.Tower, "_inverse_root"),
          ("residue roots", fq_mod.FqField, "canonical_nth_root")]
 KERNELS = [("fq.pow", fq_mod.FqField, "pow"), ("_mulmod", fq_mod, "_mulmod"),
            ("_mulmod", tame_mod, "_mulmod"), ("canonical_sqrt", fq_mod.FqField, "canonical_sqrt"),
-           ("epsilon", ClusterAnalysis, "epsilon"), ("Cyclo", Cyclo, "__init__")]
+           ("epsilon", ClusterAnalysis, "epsilon"), ("resultant", clusters_mod, "resultant"),
+           ("resultant", curves_mod, "resultant"), ("resultant", oracle_mod, "resultant"),
+           ("Cyclo", Cyclo, "__init__")]
 
 
 def count_pass(corpus, patches):
-    """Call counts of the patched calls over one pass, by patching them for its duration."""
-    counts = Counter()
+    """Call counts of the patched calls over one pass, keyed (name, stage), by
+    patching them for its duration."""
+    counts, running = Counter(), [None]
     saved = [(owner, attr, getattr(owner, attr)) for _, owner, attr in patches]
     try:
         for name, owner, attr in patches:
-            setattr(owner, attr, counting(counts, name, getattr(owner, attr)))
-        run_pass(corpus)
+            setattr(owner, attr, counting(counts, name, running, getattr(owner, attr)))
+        run_pass(corpus, running=running)
     finally:
         for owner, attr, fn in saved:
             setattr(owner, attr, fn)
@@ -133,10 +150,12 @@ def main():
     print(f"  {'total':<9} {sum(ms.values()):8.1f} ms")
     print("calls in the warm-up pass:")
     for name, _, _ in LIFTS:
-        print(f"  {name:<15} {lifts[name]:7d}")
-    print("calls in one warm pass:")
+        print(f"  {name:<15} {sum(lifts[name, stage] for stage in STAGES):7d}")
+    print("calls in one warm pass, and by stage:")
     for name in dict.fromkeys(name for name, _, _ in KERNELS):
-        print(f"  {name:<15} {counts[name]:7d}")
+        by_stage = {stage: counts[name, stage] for stage in STAGES if counts[name, stage]}
+        print(f"  {name:<15} {sum(by_stage.values()):7d}   "
+              + ", ".join(f"{stage} {n}" for stage, n in by_stage.items()))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,14 @@ with integer-or-cyclotomic centers, n_i and the conductors prime to p,
 and u_i a nonzero integer prime to p.  This family admits exact root
 extraction in a tame tower; anything else is rejected as unsupported.
 
+A zeta conductor N, of one centre or the lcm of all of them, is at most
+MAX_CONDUCTOR = 1,000, and when p does not divide it, d = ord_N(p) is at
+most MAX_ZETA_DEGREE = 24.  Every centre is reduced mod Phi_N, built by
+one polynomial division per divisor of N, and the tower's residue field
+F_{p^d} by factoring p^d - 1 and searching for a primitive modulus.  Both
+costs grow faster than N and d, and the caps keep one line of a curve
+file from holding a batch for seconds.
+
 The text is read with its whitespace removed and "**" as "^".  With INT
 a run of digits and sign one of '+' and '-', its grammar is
 
@@ -31,11 +39,15 @@ once as ``_TERM_RE``.  The first of these checks that fails names the error:
 2. UnsupportedFactor, naming it: the first such group that is no factor;
 3. term by term from the left, ParseError for an integer past the
    interpreter's digit limit, a zero INT, a negative power of p or a zeta
-   conductor below 1, and UnsupportedFactor, naming the factor, for n < 1,
-   m < 1 or p | u;
-4. DegreeTooSmall: deg f < 5.
+   conductor below 1, and UnsupportedFactor, naming the factor, for a
+   centre's conductor past the caps above, n < 1, m < 1 or p | u;
+4. UnsupportedFactor: the lcm of the centres' conductors past the caps;
+5. DegreeTooSmall: deg f < 5.
 
 Each root is written straight into its tower columns (``extract_roots``).
+The oracle's input, f over Z (``expand_to_integer_poly``), is one flat
+integer product over Z[x, zeta_N], reduced mod Phi_N once at the end
+(``_integer_product``).
 
 Pairwise valuations are read one way only, one trusted pi-adic digit at
 a time (``digit``): v(x - y) >= N exactly when x and y agree in every
@@ -55,7 +67,8 @@ from .errors import (DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
-from .numutil import cyclotomic_poly, is_prime, mult_order, poly_divmod_monic, resultant, vp
+from .numutil import (_cyclotomic, is_prime, mult_order, poly_divmod_monic, poly_mul,
+                      resultant, vp)
 from .tame import add_branch
 
 
@@ -70,22 +83,15 @@ class Cyclo:
 
     def __init__(self, N, coeffs):
         self.N = N
-        phi = len(cyclotomic_poly(N)) - 1
+        phi_N = _cyclotomic(N)
         c = list(coeffs)
-        if len(c) > phi:
-            c = poly_divmod_monic(c, cyclotomic_poly(N))[1]
-        self.coeffs = tuple(c + [0] * (phi - len(c)))
+        if len(c) >= len(phi_N):
+            c = poly_divmod_monic(c, phi_N)[1]
+        self.coeffs = tuple(c + [0] * (len(phi_N) - 1 - len(c)))
 
     @classmethod
     def integer(cls, n, N=1):
         return cls(N, [n])
-
-    @classmethod
-    def zeta_power(cls, N, k):
-        k %= N
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        return cls(N, coeffs)
 
     def substitute(self, M, k):
         """The image in Z[zeta_M] under zeta_N -> zeta_M^k; requires N | M.
@@ -101,37 +107,9 @@ class Cyclo:
             out[(j * k) % M] += c
         return Cyclo(M, out)
 
-    def __add__(self, other):
-        assert self.N == other.N
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Cyclo(self.N, a)
-
-    def __neg__(self):
-        return Cyclo(self.N, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        assert self.N == other.N
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Cyclo(self.N, out)
-
     @property
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
-
-    def to_int(self):
-        if not self.is_rational:
-            raise NonRationalCoefficient(f"{self} is not rational")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         return isinstance(other, Cyclo) and self.N == other.N and self.coeffs == other.coeffs
@@ -190,10 +168,7 @@ class CurveExpr(NamedTuple):
 
     @property
     def conductor(self):
-        N = 1
-        for f in self.factors:
-            N = math.lcm(N, f.center.N)
-        return N
+        return math.lcm(*(f.center.N for f in self.factors))
 
     def c_f(self):
         return self.c_unit * self.p ** self.c_pow
@@ -202,6 +177,9 @@ class CurveExpr(NamedTuple):
 # ------------------------------------------------------------------
 # parser: the grammar of the module docstring, over compact text
 # ------------------------------------------------------------------
+
+MAX_CONDUCTOR = 1000       # the caps of the module docstring
+MAX_ZETA_DEGREE = 24
 
 _NON_TOKEN_RE = re.compile(r"[^\s\dA-Za-z()^*+\-]")    # starts no token
 _INT = r"[+-]*\d+"
@@ -277,7 +255,16 @@ def _malformed(s):
     return ParseError(f"{s[:40]!r} is not {{sign}} term {{'*' term}}")
 
 
-def _center(tail):
+def _bound_conductor(N, p, where):
+    """UnsupportedFactor naming where when the zeta conductor N passes MAX_CONDUCTOR,
+    or p does not divide N and ord_N(p) passes MAX_ZETA_DEGREE."""
+    if N > MAX_CONDUCTOR or N % p and mult_order(p, N) > MAX_ZETA_DEGREE:
+        raise UnsupportedFactor(
+            f"{where} has zeta conductor N = {N}: only N <= {MAX_CONDUCTOR} with "
+            f"ord_N(p) <= {MAX_ZETA_DEGREE} is supported")
+
+
+def _center(tail, p, factor):
     """The centre c of the factor x + tail: its signed atoms, negated."""
     terms, group = [], ""
     for close, op, open_, sign, a, n1, k1, n2, k2, b in _ATOM_RE.findall(tail):
@@ -288,12 +275,13 @@ def _center(tail):
             raise ParseError("zeta conductor must be >= 1")
         terms.append((-_int(group + (sign if open_ else op) + (a or b or "1")),
                       (_int(N), _int(k1 or k2 or "1")) if N else None))
+    _bound_conductor(math.lcm(*(z[0] for _, z in terms if z)), p, f"factor {factor[:40]!r}")
     return _combine_center(terms)
 
 
 def _factor(term, p):
     """The Linear or Binomial of a factor term."""
-    center = _center(term["tail"])
+    center = _center(term["tail"], p, term["factor"])
     if term["n"] is None:
         return Linear(center)
     n, m = _int(term["n"]), _int(term["m"] or "1")
@@ -306,20 +294,11 @@ def _factor(term, p):
 
 def _combine_center(terms):
     """Combine (coeff, zeta-or-None) terms into one Cyclo over the lcm conductor."""
-    N = 1
-    for _, z in terms:
-        if z is not None:
-            N = math.lcm(N, z[0])
-    if N == 1:
-        return Cyclo.integer(sum(coeff for coeff, _ in terms))
-    acc = Cyclo.integer(0, N)
+    N = math.lcm(*(z[0] for _, z in terms if z))
+    out = [0] * N
     for coeff, z in terms:
-        if z is None:
-            acc = acc + Cyclo.integer(coeff, N)
-        else:
-            zn, k = z
-            acc = acc + Cyclo.integer(coeff, N) * Cyclo.zeta_power(N, k * (N // zn))
-    return acc
+        out[z[1] * (N // z[0]) % N if z else 0] += coeff
+    return Cyclo(N, out)
 
 
 def require_odd_prime(p):
@@ -353,6 +332,7 @@ def parse_expr(text, p):
         c_pow += 1
     # promote all centers to the common conductor
     N = math.lcm(*(f.center.N for f in factors))
+    _bound_conductor(N, p, "the curve")
     if N > 1:
         factors = [f._replace(center=f.center.substitute(N, N // f.center.N)) for f in factors]
     expr = CurveExpr(p, c_unit, c_pow, factors, _frob_partners(p, factors),
@@ -576,31 +556,48 @@ def perm_order(perm):
 # exact integer expansion (oracle input)
 # ------------------------------------------------------------------
 
+def _integer_product(N, factors):
+    """The integer coefficients of the product of (x - c)^n - a over (c, n, a), for c
+    the coefficients of a centre in Z[zeta_N] and a an integer.
+
+    The product runs in Z[x, z], z standing for zeta_N, with x^i z^j stored
+    flat at index i*S + j, S = D(phi(N) - 1) + 1 for D the total degree.
+    The coefficient of x^i has z-degree at most (D - i)(phi(N) - 1) < S in
+    every partial product, so the flat lists multiply as integer
+    polynomials in one variable, x = X^S and z = X, with nothing carried
+    between x-coefficients.  Each x-coefficient is reduced mod Phi_N once,
+    at the end; NonRationalCoefficient if one is not rational.  For N = 1,
+    S = 1 and this is integer polynomial multiplication.
+    """
+    phi_N = _cyclotomic(N)
+    S = sum(n for _, n, _ in factors) * (len(phi_N) - 2) + 1
+    poly = [1]
+    for c, n, a in factors:
+        x_minus_c = [-cj for cj in c] + [0] * (S - len(c)) + [1]
+        fac = [1]
+        for _ in range(n):
+            fac = poly_mul(x_minus_c, fac)
+        fac[0] -= a
+        poly = poly_mul(fac, poly)
+    out = []
+    for i in range(0, len(poly), S):
+        r = poly_divmod_monic(poly[i:i + S], phi_N)[1]
+        if any(r[1:]):
+            raise NonRationalCoefficient("expanded coefficient has a nonzero cyclotomic part")
+        out.append(r[0])
+    return out
+
+
+def _shape(f, p):
+    """(n, a) with f = (x - c)^n - a: a linear factor is n = 1, a = 0."""
+    return (f.n, f.rhs_unit * p ** f.rhs_pow) if isinstance(f, Binomial) else (1, 0)
+
+
 def expand_to_integer_poly(expr):
     """Exact coefficients of f over Z, including the leading coefficient."""
-    N = expr.conductor
-    one = Cyclo.integer(1, N)
-    poly = [one]
-    for f in expr.factors:
-        c = f.center
-        if isinstance(f, Linear):
-            fac = [-c, one]
-        else:
-            negc_pow = [one]
-            for _ in range(f.n):
-                negc_pow.append(negc_pow[-1] * (-c))
-            fac = [Cyclo.integer(math.comb(f.n, k), N) * negc_pow[f.n - k]
-                   for k in range(f.n + 1)]
-            fac[0] = fac[0] - Cyclo.integer(f.rhs_unit * expr.p ** f.rhs_pow, N)
-        poly = _cyclo_poly_mul(poly, fac)
     cf = expr.c_f()
-    out = []
-    for coeff in poly:
-        if not coeff.is_rational:
-            raise NonRationalCoefficient(
-                "expanded coefficient has a nonzero cyclotomic part")
-        out.append(cf * coeff.to_int())
-    return out
+    return [cf * c for c in _integer_product(
+        expr.conductor, [(f.center.coeffs, *_shape(f, expr.p)) for f in expr.factors])]
 
 
 def resultant_norm(f, g, p):
@@ -610,28 +607,14 @@ def resultant_norm(f, g, p):
     of y^n - a with the product of (y + d)^n' - a' over d's conjugates (a
     linear factor has n = 1, a = 0), an integer polynomial.
     """
-    N, one = f.center.N, Cyclo.integer(1, f.center.N)
+    N = f.center.N
     f, g = sorted((f, g), key=lambda h: -h.degree)          # the product over g's degree
-    n, a = (f.n, f.rhs_unit * p ** f.rhs_pow) if isinstance(f, Binomial) else (1, 0)
-    n2, a2 = (g.n, g.rhs_unit * p ** g.rhs_pow) if isinstance(g, Binomial) else (1, 0)
-    d, product = f.center - g.center, [one]
-    for k in ([1] if d.is_rational else range(N)):
-        if math.gcd(k, N) == 1:
-            conj = [one]
-            for _ in range(n2):
-                conj = _cyclo_poly_mul(conj, [d.substitute(N, k), one])
-            conj[0] = conj[0] - Cyclo.integer(a2, N)
-            product = _cyclo_poly_mul(product, conj)
-    return resultant([-a] + [0] * (n - 1) + [1], [c.to_int() for c in product])
-
-
-def _cyclo_poly_mul(a, b):
-    N = a[0].N
-    out = [Cyclo.integer(0, N) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+    (n, a), (n2, a2) = _shape(f, p), _shape(g, p)
+    minus_d = Cyclo(N, [y - x for x, y in zip(f.center.coeffs, g.center.coeffs)])
+    conjugates = [minus_d] if minus_d.is_rational else [
+        minus_d.substitute(N, k) for k in range(N) if math.gcd(k, N) == 1]
+    product = _integer_product(N, [(c.coeffs, n2, a2) for c in conjugates])
+    return resultant([-a] + [0] * (n - 1) + [1], product)
 
 
 # ------------------------------------------------------------------

@@ -138,42 +138,56 @@ def poly_divmod_monic(f, g):
     return quot, r[:n]
 
 
+def poly_mul(f, g):
+    """The product of two nonempty integer polynomials, by schoolbook; f's zeros are skipped."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
 def resultant(f, g):
-    """Resultant of two integer polynomials via Bareiss on the Sylvester matrix."""
-    f, g = poly_trim(list(f)), poly_trim(list(g))
-    n, m = len(f) - 1, len(g) - 1
-    if n < 0 or m < 0:
+    """Resultant of two integer polynomials by the subresultant PRS.
+
+    Collins's algorithm as Cohen writes it (A Course in Computational
+    Algebraic Number Theory, Algorithm 3.3.7): the contents come out first,
+    and each pseudo-remainder is divided by g h^delta, which keeps its
+    coefficients subresultants; O(deg f deg g) coefficient operations.
+    """
+    a, b = poly_trim(list(f)), poly_trim(list(g))
+    if not a or not b:
         return 0
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    size = n + m
-    mat = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j, a in enumerate(reversed(f)):
-            mat[i][i + j] = a
-    for i in range(n):
-        for j, b in enumerate(reversed(g)):
-            mat[m + i][i + j] = b
-    # Bareiss fraction-free elimination
-    prev = 1
-    sign = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, size):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+    n, m = len(a) - 1, len(b) - 1
+    if n == 0 or m == 0:
+        return a[-1] ** m * b[-1] ** n
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    t, s = ca ** m * cb ** n, 1
+    if n < m:
+        a, b = b, a
+        s = -1 if n % 2 and m % 2 else 1
+    g = h = 1
+    while len(b) > 1:
+        n, m = len(a) - 1, len(b) - 1
+        delta = n - m
+        if n % 2 and m % 2:
+            s = -s
+        r = a
+        for k in range(n, m - 1, -1):       # r = lc(b)^(delta + 1) a mod b
+            c = r[k]
+            r = [b[-1] * x for x in r[:k]]
+            for i in range(m):
+                r[k - m + i] -= c * b[i]
+        r = poly_trim(r)
+        if not r:
+            return 0
+        a, b = b, [x // (g * h ** delta) for x in r]
+        g = a[-1]
+        h = g ** delta * h // h ** delta
+    n = len(a) - 1
+    return s * t * (b[-1] ** n * h // h ** n)
 
 
 @functools.cache

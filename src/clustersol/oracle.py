@@ -8,6 +8,8 @@ The driver decides classes in recentered form, substituting x = a + p t
 and stripping p-content at every level, so the tree stays linear in
 p * deg f * depth instead of fanning out across valuation plateaus.  For squarefree f the
 recursion is complete and terminates within 2 v_p(disc f) + 4 levels.
+The oracle computes v_p(disc f) itself, from res(f, f') by the
+subresultant PRS (``numutil.resultant``), and rejects f when it is 0.
 
 Everything is exact integer arithmetic; every Accept carries a witness
 with an explicit Hensel certificate.
@@ -39,7 +41,7 @@ def infinity_chart(f):
 
 
 def disc_valuation(f, p):
-    """v_p of disc(f) = res(f, f') / lc(f); raises NotSquarefree on zero."""
+    """v_p of disc(f) = res(f, f') / lc(f), by the subresultant PRS; NotSquarefree on zero."""
     res = resultant(f, poly_deriv(f))
     if res == 0:
         raise NotSquarefree("gcd(f, f') is not constant")

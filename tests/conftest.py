@@ -70,6 +70,11 @@ def reference_precision(expr, e):
     return 8 * e * (1 + maxval)
 
 
+def shifted_center(c, a):
+    """The centre c + a, for c in Z[zeta_N] and a an integer."""
+    return Cyclo(c.N, (c.coeffs[0] + a,) + c.coeffs[1:])
+
+
 def curve_text(expr):
     """expr written back as grammar text, each centre as (x-(...)) over its conductor."""
     def center(c):

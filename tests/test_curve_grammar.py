@@ -16,8 +16,10 @@ import pytest
 import reference_parser
 from clustersol.cli import main
 from clustersol.corpus import random_curve_text
-from clustersol.curves import Binomial, Cyclo, Linear, parse_expr, read_curve_file
+from clustersol.curves import (MAX_CONDUCTOR, MAX_ZETA_DEGREE, Binomial, Cyclo, Linear,
+                              parse_expr, read_curve_file)
 from clustersol.errors import ClusterSolError, DegreeTooSmall, ParseError, UnsupportedFactor
+from clustersol.numutil import mult_order
 
 PRIMES = (7, 13)
 CONDUCTORS = (0, 1, 2, 3, 4, 6)
@@ -247,4 +249,49 @@ def test_a_batch_reports_the_curves_around_a_literal_past_the_digit_limit(capsys
     rows = json.loads(capsys.readouterr().out)
     assert [r.get("solubility") for r in rows] == ["Soluble", None, "Insoluble"]
     assert rows[1]["error"]["class"] == "ParseError"
+    assert code == 1
+
+
+# the lcm of their conductors is 5,005 and 17,017; uncapped, they held the parser for seconds
+LARGE_CONDUCTORS = ("(x-zeta(385))*(x-zeta(13))*(x^3-p)", "(x-zeta(1001))*(x-zeta(17))*(x^3-p)")
+
+
+@pytest.mark.parametrize("p, conductors", [(3, range(1, 80)), (7, range(1, 80)),
+                                           (7, range(990, 1010)), (3001, (999, 1000, 1001))])
+def test_a_zeta_conductor_is_capped_with_its_residue_degree(p, conductors):
+    for N in conductors:
+        text = f"(x-zeta({N}))*(x^4-p)"
+        if N > MAX_CONDUCTOR or N % p and mult_order(p, N) > MAX_ZETA_DEGREE:
+            with pytest.raises(UnsupportedFactor, match=rf"factor '\(x-zeta\({N}\)\)' has zeta conductor"):
+                parse_expr(text, p)
+        else:
+            assert parse_expr(text, p).conductor == N
+
+
+def test_the_common_conductor_is_capped_too():
+    # ord_40(7) = 4 and ord_27(7) = 9, but lcm(40, 27) = 1,080
+    with pytest.raises(UnsupportedFactor, match="the curve has zeta conductor N = 1080"):
+        parse_expr("(x-zeta(40))*(x-zeta(27))*(x^3-p)", 7)
+    # ord_32(7) = 4 and ord_27(7) = 9: lcm(32, 27) = 864, of order 36
+    with pytest.raises(UnsupportedFactor, match="the curve has zeta conductor N = 864"):
+        parse_expr("(x-zeta(32))*(x-zeta(27))*(x^3-p)", 7)
+
+
+def test_a_large_conductor_is_rejected_at_once():
+    for text in LARGE_CONDUCTORS:
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedFactor):
+            parse_expr(text, 3)
+        assert time.perf_counter() - start < 0.5, text
+
+
+def test_a_batch_reports_the_curves_around_a_large_conductor(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("p = 3\n(x-1)*(x^4-p)\n" + "\n".join(LARGE_CONDUCTORS) + "\n(x-2)*(x^4-p)\n")
+    start = time.perf_counter()
+    code = main(["analyze", "--curve", str(path), "--json"])
+    assert time.perf_counter() - start < 0.5
+    rows = json.loads(capsys.readouterr().out)
+    assert ["solubility" in r for r in rows] == [True, False, False, True]
+    assert [r["error"]["class"] for r in rows[1:3]] == ["UnsupportedFactor"] * 2
     assert code == 1

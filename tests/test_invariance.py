@@ -16,10 +16,10 @@ import random
 
 import pytest
 
-from conftest import curve_text, mobius_dual
+from conftest import curve_text, mobius_dual, shifted_center
 from clustersol.cli import _analyze_one
 from clustersol.corpus import generate_corpus
-from clustersol.curves import Binomial, Cyclo, expand_to_integer_poly, parse_expr
+from clustersol.curves import Binomial, expand_to_integer_poly, parse_expr
 from clustersol.decision import corollary_gate, solubility_decide
 from clustersol.errors import ClusterSolError
 from clustersol.oracle import is_locally_soluble
@@ -38,7 +38,7 @@ def test_curve_text_round_trips():
 
 
 def _translated(expr, a):
-    return expr._replace(factors=[f._replace(center=f.center + Cyclo.integer(a, f.center.N))
+    return expr._replace(factors=[f._replace(center=shifted_center(f.center, a))
                                   for f in expr.factors])
 
 
