@@ -22,8 +22,9 @@ decision.  The warm-up pass, the first in the process, counts the Newton
 lifts into W (``Tower._inverse_root``) and the residue roots they start
 from (``FqField.canonical_nth_root``).  A third pass, untimed, counts
 calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
-``ClusterAnalysis.epsilon``, ``numutil.resultant`` and ``Cyclo``
-constructions, each split by the stage that made it.  A curve that
+``ClusterAnalysis.epsilon``, ``numutil.resultant``, ``Cyclo``
+constructions, and the oracle's ``poly_eval``, ``poly_deriv`` and
+``_refine_root``, each split by the stage that made it.  A curve that
 raises is counted as an error in the stage that raised.  It takes no
 options:
 
@@ -119,7 +120,8 @@ KERNELS = [("fq.pow", fq_mod.FqField, "pow"), ("_mulmod", fq_mod, "_mulmod"),
            ("_mulmod", tame_mod, "_mulmod"), ("canonical_sqrt", fq_mod.FqField, "canonical_sqrt"),
            ("epsilon", ClusterAnalysis, "epsilon"), ("resultant", clusters_mod, "resultant"),
            ("resultant", curves_mod, "resultant"), ("resultant", oracle_mod, "resultant"),
-           ("Cyclo", Cyclo, "__init__")]
+           ("Cyclo", Cyclo, "__init__"), ("poly_eval", oracle_mod, "poly_eval"),
+           ("poly_deriv", oracle_mod, "poly_deriv"), ("_refine_root", oracle_mod, "_refine_root")]
 
 
 def count_pass(corpus, patches):

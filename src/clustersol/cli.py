@@ -21,15 +21,14 @@ import argparse
 import json
 import sys
 
-from .corpus import generate_corpus
 from .curves import (expand_to_integer_poly, galois_closure_check, parse_expr,
                      read_curve_file, require_odd_prime)
 from .decision import CONDITION_IDS, solubility_decide
 from .errors import ClusterSolError, InternalError, ParseError, PrecisionExhausted
 from .numutil import rational_str
 
-# The oracle and the renderer are imported by the subcommands that run them,
-# so that a one-curve ``analyze`` neither loads nor compiles them.
+# The oracle, corpus generator and renderer are imported by the subcommands
+# that run them, so that a one-curve ``analyze`` neither loads nor compiles them.
 
 
 def _invariant_row(node, e):
@@ -221,6 +220,7 @@ def _compare_one(args):
 
 
 def cmd_compare(cfg):
+    from .corpus import generate_corpus
     for p in cfg.p_list:
         require_odd_prime(p)
     pairs = generate_corpus(cfg.seed, cfg.count, list(cfg.p_list),

@@ -11,10 +11,8 @@ Every quantity is read off the tree, as an integer or in F_q.  Depths
 are kept as levels N in pi units, depth N/e for the tower's e, and nu,
 lambda and the other invariants as integers over e or 2e; only a
 printed picture or report writes them as fractions.  tau and frob act
-as maps on the nodes.  A root r outside s meets s at the level N of the
-least cluster holding both, and z_s - r leads with the difference of
-the digits at pi^N that the two children holding them keep.  The
-centroid's factors are read from the digits of s's own split.
+as maps on the nodes.  Each radicand and f at a centroid lead with one
+product of split digits, whose lemma ``_leading_unit`` states.
 
 Character computation never enlarges the tower.  The radicand
 theta^2 = c_f prod_{r not in s}(z_s - r) of the star s is read through its
@@ -65,9 +63,9 @@ class ClusterNode:
     the picture sets the rest on each proper node: integers over the
     tower's e, delta_e = e*(relative depth), None for the top cluster,
     nu_e = e*nu and vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the
-    cluster's own e_s.  radicand_u is the radicand's residue in F_q
-    (``ClusterAnalysis.radicand``).  eps_tau is 0 when epsilon is
-    undefined for it.
+    cluster's own e_s.  The radicand c_f prod_{r not in s}(z - r), z in s,
+    leads with radicand_u pi^vKc_e, radicand_u in F_q.  eps_tau is 0 when
+    epsilon is undefined for it.
     """
 
     __slots__ = ("roots", "size", "is_proper", "is_even", "level", "parent",
@@ -252,6 +250,26 @@ def zeta_2e(fq, e):
 # invariants, Galois data, characters
 # ------------------------------------------------------------------
 
+def _leading_unit(fq, u, x, nodes):
+    """u * prod_c (x - delta_c)^|c| in F_q over the nodes c, or None when some delta_c = x.
+
+    Lemma (the leading term).  Let the nodes c be children of s, split at
+    level N with digits delta_c, and c_f prod_{r not in s}(z - r) lead with
+    u pi^W for z in s.  A z agreeing with s's roots below pi^N, with digit
+    x there, meets each root outside s where s does, and r in c at
+    (x - delta_c) pi^N.  So c_f times z - r over r outside s and in the
+    nodes leads with u prod_c (x - delta_c)^|c| pi^(W + N sum |c|) when no
+    delta_c = x, and has larger valuation when one does: a child's
+    radicand over its siblings, f at the centroid over all the children.
+    """
+    for c in nodes:
+        diff = tuple([(a - b) % fq.p for a, b in zip(x, c.digit)])
+        if not any(diff):
+            return None
+        u = fq.mul(u, fq.pow(diff, c.size))
+    return u
+
+
 class ClusterAnalysis:
     """Everything the decision engine consumes, for one embedded curve.
 
@@ -286,23 +304,19 @@ class ClusterAnalysis:
         the node, and e*vKc is e*c_pow plus its terms for r outside the
         node.  Such an r meets the node at the level of the least cluster
         holding both, so vKc(s) = vKc(P) + (|P| - |s|) level(P) for s's
-        parent P.  There z - r leads with delta_s - delta_b, the digits at
-        level(P) of s and of the sibling b holding r, so the radicand's
-        residue is u(s) = u(P) prod_b (delta_s - delta_b)^|b|, with c_f's
-        unit at the top.  nu feeds lambda, e and vKc.  A child is stable,
-        fixed by every element fixing the node, exactly when its orbit is
-        as large as the node's: its stabiliser lies in the node's.
+        parent P, and u(s) is ``_leading_unit`` from u(P) over s's siblings
+        at s's digit, with c_f's unit at the top.  nu feeds lambda, e and
+        vKc.  A child is stable, fixed by every element fixing the node,
+        exactly when its orbit is as large as the node's: its stabiliser
+        lies in the node's.
         """
         n, e, P, fq = node.level, self.tower.e, node.parent, self.tower.fq
         if P is None:
             node.vKc_e, node.radicand_u = e * self.expr.c_pow, fq.from_int(self.expr.c_unit)
         else:
-            node.vKc_e, u = P.vKc_e + (P.size - node.size) * P.level, P.radicand_u
-            for b in P.children:
-                if b is not node:
-                    diff = tuple([(x - y) % fq.p for x, y in zip(node.digit, b.digit)])
-                    u = fq.mul(u, fq.pow(diff, b.size))
-            node.radicand_u = u
+            node.vKc_e = P.vKc_e + (P.size - node.size) * P.level
+            node.radicand_u = _leading_unit(fq, P.radicand_u, node.digit,
+                                            [b for b in P.children if b is not node])
         nu = node.vKc_e + node.size * n
         node.fixed_inertia = self.image(node, TAU) is node
         node.fixed_frob = self.image(node, FROB) is node
@@ -368,19 +382,10 @@ class ClusterAnalysis:
             return next(c for c in node.children if c.size == 2 * self.curve_genus)
         return node
 
-    def radicand(self, node):
-        """(W, u): pi-valuation and residue of c_f prod_{r not in node}(z - r), z in the node.
-
-        W is the node's e*vKc, and u its ``radicand_u``, both set from the
-        parent's (``_invariants``).
-        """
-        return node.vKc_e, node.radicand_u
-
     def _sqrt_symbol(self, node):
         """Canonical formal square root of the node's radicand residue, memoised."""
         if node not in self._sqrt_cache:
-            u = self.radicand(node)[1]
-            self._sqrt_cache[node] = canonical_sqrt_symbol(self.tower.fq, u)
+            self._sqrt_cache[node] = canonical_sqrt_symbol(self.tower.fq, node.radicand_u)
         return self._sqrt_cache[node]
 
     def epsilon(self, node, word):
@@ -395,7 +400,7 @@ class ClusterAnalysis:
         t, fq = self.tower, self.tower.fq
         star = self.star(node)
         target = self.image(star, word)
-        w, u = self.radicand(star)
+        w, u = star.vKc_e, star.radicand_u
         m = word.a * w % (2 * t.e)
         if target is star:
             # zeta_2e^m = (-1)^(m/e) when e | m, and u^((p-1)/2) is u[0]'s
@@ -405,7 +410,7 @@ class ClusterAnalysis:
             if word.b and not any(u[1:]):
                 return 1 if pow(u[0], (fq.p - 1) // 2, fq.p) == 1 else -1
         else:
-            if self.radicand(target)[0] != w:
+            if target.vKc_e != w:
                 raise InternalError("Galois image of a radicand changed valuation")
             lhs = self._sqrt_symbol(star).frob_iter(word.b)
             if m:
@@ -442,14 +447,10 @@ class ClusterAnalysis:
         quadratic residue.  None when the valuation is not nu_s, or the
         value is not in Q_p.
 
-        Read from the node's split at level N: its roots agree below pi^N,
-        and child c keeps its digit delta_c at pi^N.  With p not dividing
-        |s|, the centroid z agrees with them below pi^N and has digit
-        m = sum |c| delta_c / |s| there.  So z - r leads as in the
-        radicand for r outside s, and with (m - delta_c) pi^N for r in c:
-        a child with delta_c = m puts v(f(z)) above nu.  When p divides
-        |s| the mean leaves the cluster's disc, and there is no answer;
-        the gate excludes that case, as p > 2(g^2 - 1) >= 2g + 2 >= |s|.
+        With p not dividing |s|, the centroid has digit m = sum |c| delta_c / |s|
+        at s's split, and f there leads with ``_leading_unit`` at m.  When p
+        divides |s| the mean leaves the cluster's disc, and there is no
+        answer; the gate excludes that case, as p > 2(g^2 - 1) >= 2g + 2 >= |s|.
         """
         fq = self.tower.fq
         p, n = fq.p, node.size
@@ -461,12 +462,9 @@ class ClusterAnalysis:
                 m[j] += c.size * x
         inv_n = pow(n, -1, p)
         m = [x * inv_n % p for x in m]
-        u = self.radicand(node)[1]
-        for c in node.children:
-            diff = tuple([(x - y) % p for x, y in zip(m, c.digit)])
-            if not any(diff):
-                return None  # v(f(z)) > nu: no verdict from this test
-            u = fq.mul(u, fq.pow(diff, c.size))
+        u = _leading_unit(fq, node.radicand_u, m, node.children)
+        if u is None:
+            return None  # v(f(z)) > nu: no verdict from this test
         if any(u[1:]):
             return None  # not Q_p-rational; should not happen for fixed clusters
         return pow(u[0], (p - 1) // 2, p) == 1

@@ -293,7 +293,7 @@ def solubility_decide(expr):
       the factors no such read raises (the sizing lemma there);
     * each child keeps the digit it was bucketed by, and the radicands'
       leading coefficients u are products of differences of these digits
-      (``ClusterAnalysis.radicand``);
+      (``clusters._leading_unit``);
     * the centroid of s has digit m = sum |c| delta_c / |s| at the level
       of its split, so f at the centroid leads with the radicand of s
       times prod_c (m - delta_c)^|c|, read from the same digits; when

@@ -6,13 +6,17 @@ the valuation plus quadratic residuosity settle it; classes dominated by
 a nearby simple root are settled by Hensel's lemma; the rest refine.
 The driver decides classes in recentered form, substituting x = a + p t
 and stripping p-content at every level, so the tree stays linear in
-p * deg f * depth instead of fanning out across valuation plateaus.  For squarefree f the
-recursion is complete and terminates within 2 v_p(disc f) + 4 levels.
+p * deg f * depth instead of fanning out across valuation plateaus.
+F(a + p t) is a Taylor shift by synthetic division followed by t -> p t
+(``_substitute``).  For squarefree f the recursion is complete and
+terminates within 2 v_p(disc f) + 4 levels.
 The oracle computes v_p(disc f) itself, from res(f, f') by the
 subresultant PRS (``numutil.resultant``), and rejects f when it is 0.
 
 Everything is exact integer arithmetic; every Accept carries a witness
-with an explicit Hensel certificate.
+with an explicit Hensel certificate.  One Newton lift (``_refine_root``)
+makes both witnesses: a simple root of f, and y with y^2 = u for a
+residue unit u, as the root of y^2 - u over canonical_sqrt's root mod p.
 """
 
 from typing import NamedTuple
@@ -46,18 +50,6 @@ def disc_valuation(f, p):
     if res == 0:
         raise NotSquarefree("gcd(f, f') is not constant")
     return vp(res, p) - vp(f[-1], p)
-
-
-def _unit_sqrt_mod(u, p, digits):
-    """y with y^2 = u mod p^digits, for u a quadratic residue unit mod p."""
-    fp = get_field(p, 1)
-    y = fp.canonical_sqrt(fp.from_int(u))[0]
-    k = 1
-    while k < digits:
-        k = min(2 * k, digits)
-        pk = p ** k
-        y = (y + u * pow(y, -1, pk)) * pow(2, -1, pk) % pk
-    return y
 
 
 def _refine_root(f, fprime, a, p, digits):
@@ -100,7 +92,9 @@ def _solve(F, p, vtot, level, budget, counters, center, scale):
         w = vp(Ga, p)
         if w == 0:
             if vtot % 2 == 0 and pow(Ga % p, (p - 1) // 2, p) == 1:
-                yu = _unit_sqrt_mod(Ga, p, WITNESS_DIGITS)
+                fp = get_field(p, 1)
+                y0 = fp.canonical_sqrt(fp.from_int(Ga))[0]
+                yu = _refine_root([-Ga, 0, 1], [0, 2], y0, p, WITNESS_DIGITS)
                 prec = vtot // 2 + WITNESS_DIGITS
                 return {"x": center + scale * a,
                         "y": yu * p ** (vtot // 2) % p ** prec, "precision": prec,
@@ -122,22 +116,21 @@ def _solve(F, p, vtot, level, budget, counters, center, scale):
 
 
 def _substitute(F, a, p):
-    """Coefficients of F(a + p x)."""
-    out = [0] * len(F)
-    acc = [poly_eval(F, a)]
-    cur = list(F)
-    fact = 1
-    powp = 1
-    for k in range(len(F)):
-        if k:
-            cur = poly_deriv(cur)
-            fact *= k
-            powp *= p
-            if not cur:
-                break
-            acc.append(poly_eval(cur, a) * powp // fact)
-        out[k] = acc[k]
-    return out
+    """Coefficients of F(a + p x): the Taylor shift F(x + a), then x -> p x.
+
+    The shift is repeated synthetic division by x - a (Horner's scheme):
+    pass k leaves the coefficient of x^k final, n(n - 1)/2 multiply-adds
+    in all for n = deg F, with no derivative, factorial or division.
+    """
+    c = list(F)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    pk = 1
+    for k in range(len(c)):
+        c[k] *= pk
+        pk *= p
+    return c
 
 
 def is_locally_soluble(f, p, max_level=None):

@@ -7,13 +7,21 @@ they replaced: a product of polynomials whose coefficients are ``Cyclo``
 objects, each reduced mod Phi_N as it is made, and Bareiss elimination on
 the Sylvester matrix.  ``tests/test_compare_kernels.py`` checks that both
 give the same integers and raise on the same inputs.
+
+The oracle recentres a class by a synthetic-division Taylor shift
+(``oracle._substitute``) and lifts its square-root witness with the
+Newton lift it uses for simple roots (``oracle._refine_root``).
+``reference_substitute`` and ``reference_unit_sqrt_mod`` are the code
+they replaced: F(a + p x) from the derivatives of F, their values at a and
+exact division by k!, and a Newton iteration for y^2 = u of its own.
 """
 
 import math
 
 from clustersol.curves import Binomial, Cyclo, Linear
 from clustersol.errors import NonRationalCoefficient
-from clustersol.numutil import poly_trim
+from clustersol.fq import get_field
+from clustersol.numutil import poly_deriv, poly_eval, poly_trim
 
 
 class ArithCyclo(Cyclo):
@@ -143,3 +151,34 @@ def bareiss_resultant(f, g):
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[size - 1][size - 1]
+
+
+def reference_substitute(F, a, p):
+    """Coefficients of F(a + p x), from F^(k)(a) p^k / k!."""
+    out = [0] * len(F)
+    acc = [poly_eval(F, a)]
+    cur = list(F)
+    fact = 1
+    powp = 1
+    for k in range(len(F)):
+        if k:
+            cur = poly_deriv(cur)
+            fact *= k
+            powp *= p
+            if not cur:
+                break
+            acc.append(poly_eval(cur, a) * powp // fact)
+        out[k] = acc[k]
+    return out
+
+
+def reference_unit_sqrt_mod(u, p, digits):
+    """y with y^2 = u mod p^digits, for u a quadratic residue unit mod p."""
+    fp = get_field(p, 1)
+    y = fp.canonical_sqrt(fp.from_int(u))[0]
+    k = 1
+    while k < digits:
+        k = min(2 * k, digits)
+        pk = p ** k
+        y = (y + u * pow(y, -1, pk)) * pow(2, -1, pk) % pk
+    return y

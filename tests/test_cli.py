@@ -175,10 +175,10 @@ def test_analyze_curve_file_exit_code_is_the_first_failure(capsys, tmp_path, mon
 
 
 def test_compare_counts_errors_by_class(capsys, monkeypatch):
-    import clustersol.cli as cli
+    import clustersol.corpus
 
     corpus = [(7, EX3[0]), (7, "(x^3-p^2)*(x^3-p^2)"), (7, "(x-1)*(x^4-p)")]
-    monkeypatch.setattr(cli, "generate_corpus", lambda *args, **kwargs: corpus)
+    monkeypatch.setattr(clustersol.corpus, "generate_corpus", lambda *args, **kwargs: corpus)
     code, out, _ = run(capsys, "compare", "--seed", "1", "--count", "3",
                        "--p-list", "7", "--json")
     rep = json.loads(out)

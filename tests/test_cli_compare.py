@@ -17,9 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # modules a one-curve analyze never runs: the process pool, dataclasses
-# (which load inspect), the oracle and the renderer
+# (which load inspect), the oracle, the corpus generator and the renderer
 LAZY = ("concurrent.futures.process", "dataclasses", "inspect",
-        "clustersol.oracle", "clustersol.render")
+        "clustersol.oracle", "clustersol.corpus", "clustersol.render")
 IMPORT_CHECK = f"""
 import sys, clustersol, clustersol.cli
 print(sorted(m for m in {LAZY!r} if m in sys.modules))

@@ -264,7 +264,7 @@ def test_epsilon_tau_parity_matches_radicand_valuation():
             star = A.star(node)
             if A.image(star, TAU) is not star:
                 continue
-            w, _ = A.radicand(star)
+            w = star.vKc_e
             assert w % A.tower.e == 0
             assert A.epsilon(node, TAU) == (-1) ** (w // A.tower.e)
 

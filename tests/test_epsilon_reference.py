@@ -36,8 +36,8 @@ def reference_epsilon(A, node, word):
         return 0
     star = A.star(node)
     target = reference_image(A, star, word)
-    w1, u1 = A.radicand(star)
-    w2, u2 = A.radicand(target)
+    w1, u1 = star.vKc_e, star.radicand_u
+    w2, u2 = target.vKc_e, target.radicand_u
     assert w1 == w2
     fq = A.tower.fq
     sym1 = canonical_sqrt_symbol(fq, u1)
@@ -207,15 +207,9 @@ def test_theorem_takes_no_square_root_on_galois_fixed_pictures(monkeypatch):
 
 def _patch_radicand(monkeypatch, A, node, dw=0, factor=None):
     """Make A read node's radicand (W, u) as (W + dw, u * factor): no root set gives it."""
-    real, fq = A.radicand, A.tower.fq
-
-    def radicand(n):
-        w, u = real(n)
-        if n is node:
-            return w + dw, u if factor is None else fq.mul(u, factor)
-        return w, u
-
-    monkeypatch.setattr(A, "radicand", radicand)
+    monkeypatch.setattr(node, "vKc_e", node.vKc_e + dw)
+    if factor is not None:
+        monkeypatch.setattr(node, "radicand_u", A.tower.fq.mul(node.radicand_u, factor))
     A._sqrt_cache.clear()
 
 

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import EX1, EX2, EX3
+from reference_kernels import reference_substitute, reference_unit_sqrt_mod
 from clustersol.curves import expand_to_integer_poly, parse_expr
 from clustersol.errors import NotSquarefree
+from clustersol.fq import get_field
 from clustersol.numutil import poly_deriv, poly_eval, resultant, vp
-from clustersol.oracle import (WITNESS_DIGITS, _refine_root, _unit_sqrt_mod,
-                               disc_valuation, exhaustive_soluble, infinity_chart,
-                               is_locally_soluble)
+from clustersol.oracle import (WITNESS_DIGITS, _refine_root, _substitute, disc_valuation,
+                               exhaustive_soluble, infinity_chart, is_locally_soluble)
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def class_test(f, fprime, a, k, p):
@@ -22,7 +26,7 @@ def class_test(f, fprime, a, k, p):
         if v % 2 == 0:
             unit = fa // p ** v
             if pow(unit % p, (p - 1) // 2, p) == 1:
-                yu = _unit_sqrt_mod(unit, p, WITNESS_DIGITS + v)
+                yu = reference_unit_sqrt_mod(unit, p, WITNESS_DIGITS + v)
                 prec = v // 2 + WITNESS_DIGITS
                 return ("accept", {
                     "x": a, "y": yu * p ** (v // 2) % p ** prec, "precision": prec,
@@ -161,3 +165,40 @@ def test_termination_within_disc_bound():
         r = is_locally_soluble(f, p)
         assert r.status == "ok"
         assert r.max_level_reached <= 2 * disc_valuation(f, p) + 4
+
+
+# --- the recentring and the square-root lift against the code they replaced ---
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=13),
+       st.sampled_from(ODD_PRIMES), st.data())
+@example([5], 3, None)                                 # a constant
+@example([0, 0, 0], 7, None)                           # zero
+@example([-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3], 31, None)
+@example([2, -3, 0, 0, 1, 0], 5, None)                 # a zero leading coefficient
+def test_the_taylor_shift_equals_the_derivative_form(F, p, data):
+    """F(a + p x) by synthetic division equals the derivative-and-factorial form,
+    and evaluates as F at a + p t."""
+    a = -p * p if data is None else data.draw(st.integers(-p * p, p * p))
+    G = _substitute(F, a, p)
+    assert G == reference_substitute(F, a, p)
+    for t in (0, 1, -1, 2, -7):
+        assert poly_eval(G, t) == poly_eval(F, a + p * t)
+
+
+def test_the_square_root_witness_is_the_newton_lift_of_y2_minus_u():
+    """_refine_root on y^2 - u from canonical_sqrt's root mod p is the lift the
+    oracle made with its own iteration, for every residue unit mod p, p <= 31,
+    to 1-12 digits; and it is the witness y at x = 0 of f = u + p x^6."""
+    for p in ODD_PRIMES:
+        fp = get_field(p, 1)
+        for r in range(1, p):
+            if pow(r, (p - 1) // 2, p) != 1:
+                continue
+            for u in (r, r - p, r + 1234567 * p):
+                y0 = fp.canonical_sqrt(fp.from_int(u))[0]
+                for digits in range(1, 13):
+                    assert (_refine_root([-u, 0, 1], [0, 2], y0, p, digits)
+                            == reference_unit_sqrt_mod(u, p, digits)), (u, p, digits)
+            w = is_locally_soluble([r, 0, 0, 0, 0, 0, p], p).witness
+            assert (w["x"], w["y"]) == (0, reference_unit_sqrt_mod(r, p, WITNESS_DIGITS))

@@ -77,7 +77,8 @@ def test_images_match_the_root_set_reference(analyses):
 def test_radicands_match_the_subtraction_reference(analyses):
     for A in analyses:
         for node in A.picture.proper():
-            assert A.radicand(node) == reference_radicand(A, node), (A.expr.text, node.name)
+            assert (node.vKc_e, node.radicand_u) == reference_radicand(A, node), \
+                (A.expr.text, node.name)
 
 
 def test_split_digits_give_the_leading_coefficient_of_a_difference(analyses):
