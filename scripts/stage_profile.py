@@ -18,20 +18,24 @@ took over all curves:
     oracle    is_locally_soluble
 
 The last two are the compare half: ``compare`` runs them after the
-decision.  The warm-up pass, the first in the process, counts the Newton
-lifts into W (``Tower._inverse_root``) and the residue roots they start
-from (``FqField.canonical_nth_root``).  A third pass, untimed, counts
-calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
+decision.  Each stage's median per curve is printed for the curves with
+zeta centres and for the rational ones apart, and so is the share of
+zeta-centre curves among those whose decide time (parse to theorem) is
+above its p90.  The warm-up pass, the first in the process, counts the
+Newton lifts into W (``Tower._inverse_root``) and the residue roots they
+start from (``FqField.canonical_nth_root``).  A third pass, untimed,
+counts calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
 ``ClusterAnalysis.epsilon``, ``numutil.resultant``, ``Cyclo``
 constructions, and the oracle's ``poly_eval``, ``poly_deriv`` and
-``_refine_root``, each split by the stage that made it.  A curve that
-raises is counted as an error in the stage that raised.  It takes no
-options:
+``_refine_root``, each split by the stage that made it, and the
+``_mulmod`` calls by the degree d of their modulus.  A curve that raises
+is counted as an error in the stage that raised.  It takes no options:
 
     python3 scripts/stage_profile.py
 """
 
 import os
+import statistics
 import sys
 import time
 from collections import Counter
@@ -87,10 +91,11 @@ def curve_stages(text, p):
             ("oracle", lambda: oracle_mod.is_locally_soluble(state["poly"], p))]
 
 
-def run_pass(corpus, ms=None, errors=None, running=None):
-    """Decide every curve step by step; add each step's time to ms when given,
-    and keep the running step's name in running[0]."""
+def run_pass(corpus, times=None, errors=None, running=None):
+    """Decide every curve step by step; append each curve's {stage: ms} to
+    times when given, and keep the running step's name in running[0]."""
     for p, text in corpus:
+        ms = {}
         for stage, step in curve_stages(text, p):
             if running is not None:
                 running[0] = stage
@@ -102,14 +107,25 @@ def run_pass(corpus, ms=None, errors=None, running=None):
                     errors[stage] += 1
                 break
             finally:
-                if ms is not None:
-                    ms[stage] += (time.perf_counter() - t0) * 1e3
+                ms[stage] = (time.perf_counter() - t0) * 1e3
+        if times is not None:
+            times.append(ms)
 
 
 def counting(counts, name, running, fn):
     def wrapped(*args, **kwargs):
         counts[name, running[0]] += 1
         return fn(*args, **kwargs)
+    return wrapped
+
+
+def counting_by_degree(counts, name, running, fn):
+    """counting, and each call also under (name, "d=<degree>") of its modulus, args[2]."""
+    counted = counting(counts, name, running, fn)
+
+    def wrapped(*args, **kwargs):
+        counts[name, f"d={len(args[2])}"] += 1
+        return counted(*args, **kwargs)
     return wrapped
 
 
@@ -131,7 +147,8 @@ def count_pass(corpus, patches):
     saved = [(owner, attr, getattr(owner, attr)) for _, owner, attr in patches]
     try:
         for name, owner, attr in patches:
-            setattr(owner, attr, counting(counts, name, running, getattr(owner, attr)))
+            wrap = counting_by_degree if name == "_mulmod" else counting
+            setattr(owner, attr, wrap(counts, name, running, getattr(owner, attr)))
         run_pass(corpus, running=running)
     finally:
         for owner, attr, fn in saved:
@@ -139,17 +156,35 @@ def count_pass(corpus, patches):
     return counts
 
 
+def median_ms(times, stage):
+    vals = [ms[stage] for ms in times if stage in ms]
+    return f"{statistics.median(vals):8.3f}" if vals else f"{'-':>8}"
+
+
 def main():
     corpus = generate_corpus(42, 640, (7, 11, 13, 17), genus_range=(2, 4))
     lifts = count_pass(corpus, LIFTS)
-    ms, errors = Counter(), Counter()
-    run_pass(corpus, ms, errors)
+    times, errors = [], Counter()
+    run_pass(corpus, times, errors)
     counts = count_pass(corpus, KERNELS)
+    zeta = ["zeta" in text for _, text in corpus]
+    classes = {"zeta": [ms for ms, z in zip(times, zeta) if z],
+               "rational": [ms for ms, z in zip(times, zeta) if not z]}
     print(f"one warm pass over {len(corpus)} curves "
           f"({sum(errors.values())} raised: {dict(errors)})")
+    print(f"  {'stage':<9} {'total ms':>8}   median ms per curve: "
+          + "  ".join(f"{name} ({len(ts)})" for name, ts in classes.items()))
     for stage in STAGES:
-        print(f"  {stage:<9} {ms[stage]:8.1f} ms")
-    print(f"  {'total':<9} {sum(ms.values()):8.1f} ms")
+        print(f"  {stage:<9} {sum(ms.get(stage, 0) for ms in times):8.1f}   "
+              + "  ".join(median_ms(ts, stage) for ts in classes.values()))
+    print(f"  {'total':<9} {sum(sum(ms.values()) for ms in times):8.1f}")
+    decide = [sum(ms.get(stage, 0) for stage in STAGES[:STAGES.index("expand")])
+              for ms in times]
+    p90 = statistics.quantiles(decide, n=10)[8]
+    tail = [z for t, z in zip(decide, zeta) if t > p90]
+    print(f"curves above the decide p90 ({p90:.3f} ms): {len(tail)}, "
+          f"{sum(tail)} of them with zeta centres ({sum(tail) / len(tail):.0%}; "
+          f"{sum(zeta) / len(zeta):.0%} of the corpus)")
     print("calls in the warm-up pass:")
     for name, _, _ in LIFTS:
         print(f"  {name:<15} {sum(lifts[name, stage] for stage in STAGES):7d}")
@@ -158,6 +193,9 @@ def main():
         by_stage = {stage: counts[name, stage] for stage in STAGES if counts[name, stage]}
         print(f"  {name:<15} {sum(by_stage.values()):7d}   "
               + ", ".join(f"{stage} {n}" for stage, n in by_stage.items()))
+    by_degree = sorted((int(key[2:]), n) for (name, key), n in counts.items()
+                       if name == "_mulmod" and key.startswith("d="))
+    print("  _mulmod by d    " + ", ".join(f"d={d} {n}" for d, n in by_degree))
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ import math
 from .errors import InternalError, PrecisionExhausted, RootCollision
 from .curves import (Binomial, Cyclo, Linear, digit, extract_roots, galois_perms,
                      required_tower, resultant_norm)
-from .numutil import cyclotomic_poly, rational_str, resultant, vp
+from .numutil import cyclotomic_poly, mult_order, rational_str, resultant, vp
 from .tame import FROB, TAU, get_tower, stored_digits
 
 
@@ -488,6 +488,21 @@ class ClusterAnalysis:
 # pipeline entry
 # ------------------------------------------------------------------
 
+def _cyclo_valuation(coeffs, p, N):
+    """(v, x / p^v, whether v = v_p(x)) for x = sum_j coeffs[j] zeta_N^j and v
+    its coefficients' least valuation; (inf, [0], True) for x = 0.  v = v_p(x)
+    when x / p^v is rational, when p is inert in Q(zeta_N), or when its norm,
+    the resultant with Phi_N, is prime to p (``default_precision``'s lemma)."""
+    if not any(coeffs):
+        return math.inf, [0], True
+    v = min(vp(c, p) for c in coeffs if c)
+    unit = tuple(c // p ** v for c in coeffs)
+    if not any(unit[1:]):
+        return v, unit, True
+    phi_N = cyclotomic_poly(N)
+    return v, unit, mult_order(p, N) == len(phi_N) - 1 or resultant(phi_N, unit) % p != 0
+
+
 def default_precision(expr, e):
     """The pi-adic precision e*M that decides the curve, sized from its factors.
 
@@ -517,6 +532,10 @@ def default_precision(expr, e):
       split in Q(zeta_N), v_p(x) is only bounded below, and the centre
       difference is taken as for a tie that cancels, as is a tie whose
       centre difference is not rational;
+    * when ord_N(p) = phi(N), p is inert in Q(zeta_N): Phi_N stays
+      irreducible mod p, so Z[zeta_N]/p = F_p[X]/Phi_N is a field, and
+      x/p^v, with a coefficient prime to p, is nonzero there, so a unit.
+      Its norm is then prime to p, and ``_cyclo_valuation`` takes none;
     * where two factors f_i, f_j tie in a way that may cancel, their roots
       are integral, so each v(r - r') is at most the sum over their pairs
       of roots, v_p(res(f_i, f_j)), which is at most v_p of its norm to Q
@@ -538,15 +557,6 @@ def default_precision(expr, e):
     p, fs, N, inf = expr.p, expr.factors, expr.conductor, math.inf
     ks = [f.rhs_pow * e // f.n if isinstance(f, Binomial) else inf for f in fs]
 
-    def valuation(coeffs):
-        """(v, x / p^v, whether v = v_p(x)) for x = sum_j coeffs[j] zeta_N^j and v
-        its coefficients' least valuation; (inf, [0], True) for x = 0."""
-        if not any(coeffs):
-            return inf, [0], True
-        v = min(vp(c, p) for c in coeffs if c)
-        unit = tuple(c // p ** v for c in coeffs)
-        return v, unit, not any(unit[1:]) or resultant(cyclotomic_poly(N), unit) % p != 0
-
     def shifted(f, tied, d):
         """(X + d)^n - u for f's branch if it is tied, else X + d."""
         n, u = (f.n, f.rhs_unit) if tied else (1, 0)
@@ -555,7 +565,7 @@ def default_precision(expr, e):
     bound = 0
     for i, f in enumerate(fs):
         if ks[i] < inf:
-            v, _, exact = valuation(f.center.coeffs)
+            v, _, exact = _cyclo_valuation(f.center.coeffs, p, N)
             bound = max(bound, ks[i] if f.n > 1 else 0)
             if not exact or e * v == ks[i]:                 # c + w pi^k may cancel
                 norm = resultant_norm(f, Linear(Cyclo.integer(0, N)), p)
@@ -563,8 +573,8 @@ def default_precision(expr, e):
         for j in range(i):
             if f == fs[j]:
                 continue
-            v, unit, exact = valuation([x - y for x, y in zip(f.center.coeffs,
-                                                              fs[j].center.coeffs)])
+            v, unit, exact = _cyclo_valuation([x - y for x, y in zip(f.center.coeffs,
+                                                                     fs[j].center.coeffs)], p, N)
             low = min(e * v, ks[i], ks[j])
             centre = e * v == low
             if not exact or centre + (ks[i] == low) + (ks[j] == low) > 1 and (

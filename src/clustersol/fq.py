@@ -10,7 +10,8 @@ construction is reproducible across runs and machines.
 F_q is the unramified ring W = Z_p[t]/(Ptilde) of ``tame.py`` read mod p:
 both are Z[t]/(t^d + low(t)) with coefficients mod m, m = p here and
 m = p^M for W, and both multiply and exponentiate with the one kernel
-``_mulmod`` / ``_powmod`` below.
+``_mulmod`` / ``_powmod`` below.  The kernel has closed forms at d = 1
+and d = 2, the degrees most towers have at small p, and loops above.
 """
 
 import functools
@@ -21,10 +22,20 @@ from .numutil import factorint, is_prime
 
 
 def _mulmod(f, g, low, m):
-    """f * g in Z[t]/(t^d + low(t)) with coefficients mod m, d = len(low)."""
+    """f * g in Z[t]/(t^d + low(t)) with coefficients mod m, d = len(low).
+
+    At d = 2, t^2 = -low[0] - low[1] t folds the top coefficient f1 g1 of
+    the product into the two below it; at d > 2 the loops do the same, one
+    coefficient at a time from the top.
+    """
     d = len(low)
     if d == 1:
         return (f[0] * g[0] % m,)
+    if d == 2:
+        f0, f1 = f
+        g0, g1 = g
+        c = f1 * g1 % m
+        return ((f0 * g0 - c * low[0]) % m, (f0 * g1 + f1 * g0 - c * low[1]) % m)
     out = [0] * (2 * d - 1)
     for i, x in enumerate(f):
         if x:
@@ -39,17 +50,28 @@ def _mulmod(f, g, low, m):
 
 
 def _powmod(f, n, low, m):
-    """f^n in Z[t]/(t^d + low(t)) with coefficients mod m; ValueError for n < 0."""
+    """f^n in Z[t]/(t^d + low(t)) with coefficients mod m; ValueError for n < 0.
+
+    Right to left over n's bits: the running product starts as the power
+    of f at n's lowest set bit, not as 1 times it, and f is squared only up
+    to n's top bit.
+    """
     if n < 0:
         raise ValueError(f"negative exponent {n}")
     d = len(low)
     if d == 1:
         return (pow(f[0], n, m),)
-    r = (1,) + (0,) * (d - 1)
+    if not n:
+        return (1,) + (0,) * (d - 1)
+    while not n & 1:
+        f = _mulmod(f, f, low, m)
+        n >>= 1
+    r = f
+    n >>= 1
     while n:
+        f = _mulmod(f, f, low, m)
         if n & 1:
             r = _mulmod(r, f, low, m)
-        f = _mulmod(f, f, low, m)
         n >>= 1
     return r
 
@@ -84,18 +106,12 @@ def _is_irreducible(low, p):
 
     P (squarefree or not) is irreducible iff it has no irreducible factor
     of degree <= d/2, i.e. gcd(t^(p^k) - t, P) = 1 for k = 1..d//2; the
-    incremental Frobenius walk exits at the first nontrivial gcd.
+    incremental Frobenius walk exits at the first nontrivial gcd, so a
+    root in F_p, a linear factor, is found at k = 1 (Ben-Or).
     """
     d = len(low)
     if d == 1:
         return True
-    # cheap pre-filter: no roots in F_p (rules out linear factors)
-    for x in range(p):
-        acc = 1
-        for c in reversed(low):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
     t = (0, 1) + (0,) * (d - 2)
     full = list(low) + [1]
     h = t
@@ -134,11 +150,15 @@ class FqField:
         a_0 most significant.  Whole a_0 blocks are skipped when
         (-1)^d a_0, the norm of the generator-to-be, is not a primitive
         root mod p; primitivity is impossible there and the blocks
-        dominate the search space.
+        dominate the search space.  In the blocks kept, t^((q-1)/ell) =
+        N(t)^((p-1)/ell) is not 1 for a prime ell | p - 1, as t^((q-1)/(p-1))
+        is the norm N(t) of t; so an irreducible modulus is primitive iff
+        t^((q-1)/ell) != 1 for the primes ell | q - 1 that do not divide p - 1.
         """
         p, d = self.p, self.d
         one = (1,) + (0,) * (d - 1)
         p1_factors = factorint(p - 1) if p > 2 else {}
+        ells = [ell for ell in self.q1_factors if ell not in p1_factors]
 
         def primitive_root_mod_p(x):
             x %= p
@@ -163,7 +183,7 @@ class FqField:
                 if not _is_irreducible(low, p):
                     continue
                 if all(_powmod(gen, (self.q - 1) // ell, low, p) != one
-                       for ell in self.q1_factors):
+                       for ell in ells):
                     return low
         raise RuntimeError("no primitive polynomial found")  # unreachable
 
@@ -271,14 +291,17 @@ class FqField:
         Tonelli-Shanks with q - 1 = 2^s m, m odd, and the generator omega
         as the non-residue: x = a^((m+1)/2) has x^2 = a b for b = a^m in
         the 2-Sylow subgroup, and each step multiplies x by a power of
-        omega^m that lowers the order of b, until b = 1.
+        omega^m that lowers the order of b, until b = 1.  Both come from
+        one power, a^((m-1)/2) = x/a.
         """
         if a == self.zero:
             return a
         m, s = self.q - 1, 0
         while m % 2 == 0:
             m, s = m // 2, s + 1
-        x, b, g = self.pow(a, (m + 1) // 2), self.pow(a, m), self.pow(self.omega, m)
+        t = self.pow(a, (m - 1) // 2)
+        x = self.mul(t, a)
+        b, g = self.mul(t, x), self.pow(self.omega, m)
         while b != self.one:
             i, c = 0, b
             while c != self.one:

@@ -14,6 +14,12 @@ Newton lift it uses for simple roots (``oracle._refine_root``).
 ``reference_substitute`` and ``reference_unit_sqrt_mod`` are the code
 they replaced: F(a + p x) from the derivatives of F, their values at a and
 exact division by k!, and a Newton iteration for y^2 = u of its own.
+
+``clusters.default_precision`` reads v_p of an element of Z[zeta_N] from
+its coefficients, exact where p is inert in Q(zeta_N) with no norm taken
+(``clusters._cyclo_valuation``).  ``reference_cyclo_valuation`` is the
+code it replaced, which takes the norm, the resultant with Phi_N, for
+every irrational unit.
 """
 
 import math
@@ -21,7 +27,8 @@ import math
 from clustersol.curves import Binomial, Cyclo, Linear
 from clustersol.errors import NonRationalCoefficient
 from clustersol.fq import get_field
-from clustersol.numutil import poly_deriv, poly_eval, poly_trim
+from clustersol.numutil import (cyclotomic_poly, poly_deriv, poly_eval, poly_trim,
+                                resultant, vp)
 
 
 class ArithCyclo(Cyclo):
@@ -182,3 +189,12 @@ def reference_unit_sqrt_mod(u, p, digits):
         pk = p ** k
         y = (y + u * pow(y, -1, pk)) * pow(2, -1, pk) % pk
     return y
+
+
+def reference_cyclo_valuation(coeffs, p, N):
+    """``clusters._cyclo_valuation`` deciding v = v_p(x) by the norm of x / p^v alone."""
+    if not any(coeffs):
+        return math.inf, [0], True
+    v = min(vp(c, p) for c in coeffs if c)
+    unit = tuple(c // p ** v for c in coeffs)
+    return v, unit, not any(unit[1:]) or resultant(cyclotomic_poly(N), unit) % p != 0

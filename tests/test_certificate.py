@@ -6,13 +6,18 @@ checked against the trusted digits, so a pass at doubled precision
 (``conftest.decide_with_doubled_recheck``, the reference here) must give
 the same reports.  The precision is sized from the factors
 (``clusters.default_precision``): each curve below is decided at its
-size, and a tower one digit short raises.
+size, and a tower one digit short raises.  Where p is inert in Q(zeta_N)
+the sizing takes no norm, and it sizes as the norm does
+(``reference_kernels.reference_cyclo_valuation``).
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 import conftest
 from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck, nested_trie,
@@ -25,7 +30,10 @@ from clustersol.curves import expand_to_integer_poly, parse_expr, required_tower
 from clustersol.decision import solubility_decide
 from clustersol.errors import InternalError, PrecisionExhausted, RootCollision
 from clustersol.oracle import is_locally_soluble
+from clustersol.numutil import cyclotomic_poly
 from clustersol.tame import Elt, Tower
+from reference_kernels import reference_cyclo_valuation
+from test_compare_kernels import random_curve
 from test_epsilon_reference import NON_STABLE
 
 EXACT_ZERO_CENTROID = ("2*(x^1+2*p^3)*(x^4-p^7)*(x^1-2*p^3)", 13)
@@ -298,3 +306,39 @@ def test_a_branch_that_cancels_a_zeta_centre_to_zero_is_decided():
     rs = reference_extract_roots(expr, Tower(7, d, e, reference_precision(expr, e)))
     assert A.rs.roots[5].is_zero
     assert nested_trie(A.picture.top) == nested_trie(build_picture(rs, expr).top)
+
+
+SIZING_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 101, 103, 107, 109, 1009, 1013)
+
+
+def test_the_sizing_takes_no_norm_where_p_is_inert_and_sizes_as_the_norm_does(monkeypatch):
+    # 2,000 seeded curves with zeta_3, zeta_4, zeta_5 and zeta_12 centres, at
+    # primes inert and split in each field; a mixed curve has the lcm conductor
+    def outcome(expr, e):
+        try:
+            return default_precision(expr, e)
+        except RootCollision:
+            return RootCollision
+
+    reads, order = Counter(), clusters_mod.mult_order
+
+    def counted_order(p, N):
+        k = order(p, N)
+        reads[N, "inert" if k == len(cyclotomic_poly(N)) - 1 else "not inert"] += 1
+        return k
+
+    monkeypatch.setattr(clusters_mod, "mult_order", counted_order)
+    rng, primes = random.Random(31), set()
+    for _ in range(2000):
+        p, text = random_curve(rng, SIZING_PRIMES, (3, 4, 5, 12))
+        expr = parse_expr(text, p)
+        _, e = required_tower(expr)
+        got = outcome(expr, e)
+        with monkeypatch.context() as m:
+            m.setattr(clusters_mod, "_cyclo_valuation", reference_cyclo_valuation)
+            assert outcome(expr, e) == got, (p, text)
+        primes.add(p)
+    assert primes == set(SIZING_PRIMES)
+    for N in (3, 4, 5):
+        assert reads[N, "inert"] > 400 and reads[N, "not inert"] > 400, reads
+    assert reads[12, "not inert"] > 100 and not reads[12, "inert"], reads

@@ -22,22 +22,22 @@ from clustersol.numutil import resultant
 PRIMES = (7, 11, 13, 17, 19, 23, 101, 103, 1009, 1013)
 
 
-def random_center(rng):
-    """(N, a, b, k) for the centre a + b zeta_N^k: N = 1 or N in 3, 4, 5."""
+def random_center(rng, conductors=(3, 4, 5)):
+    """(N, a, b, k) for the centre a + b zeta_N^k: N = 1 or N in conductors."""
     if rng.random() < 0.4:
         return 1, rng.randint(-3, 3), 0, 0
-    N = rng.choice((3, 4, 5))
+    N = rng.choice(conductors)
     return N, rng.randint(-2, 2), rng.choice((1, -1, 2)), rng.randint(1, N - 1)
 
 
-def random_curve(rng):
+def random_curve(rng, primes=PRIMES, conductors=(3, 4, 5)):
     """(p, text): a grammar curve of degree 5 to 16.  A zeta centre comes with its
     conjugates over Q, so f has integer coefficients, except now and then."""
-    p = rng.choice(PRIMES)
+    p = rng.choice(primes)
     units = [u for u in (1, -1, 2, -2, 3, -3) if u % p]
     factors, degree = [], 0
     while degree < 5:
-        N, a, b, k = random_center(rng)
+        N, a, b, k = random_center(rng, conductors)
         ks = [k * j % N for j in range(1, N) if math.gcd(j, N) == 1] if N > 1 else [0]
         if rng.random() < 0.15:
             ks = ks[:1]                             # no conjugates: not closed

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -50,6 +52,31 @@ def test_generator_order(p, d):
     assert F.pow(F.omega, F.q - 1) == F.one
     for ell in F.q1_factors:
         assert F.pow(F.omega, (F.q - 1) // ell) != F.one
+
+
+# Every (p, d) with p < 400 at d <= 4, and with p <= 13 at d <= 8, and the
+# sha256 of their (p, d, modulus) reprs, recorded while the search still ran
+# its root pre-filter and tested primitivity at every prime ell | q - 1
+MODULUS_GRID = ([(p, d) for p in range(3, 400) if is_prime(p) for d in range(1, 5)]
+                + [(p, d) for p in (3, 5, 7, 11, 13) for d in range(5, 9)])
+MODULUS_DIGEST = "73a7bbe9d8d455d74e1809ff231a9a5b695839edc4a40552f0543f07c826b5c9"
+
+
+def test_the_moduli_on_the_grid_are_the_recorded_ones():
+    h = hashlib.sha256()
+    for p, d in MODULUS_GRID:
+        h.update(repr((p, d, FqField(p, d).modulus)).encode())
+    assert len(MODULUS_GRID) == 328 and h.hexdigest() == MODULUS_DIGEST
+
+
+@pytest.mark.parametrize("p", [10**6 + 3, 10**9 + 7, 2**61 - 1])
+def test_a_quadratic_field_at_a_large_prime_builds_within_a_second(p):
+    # no step of the modulus search runs over the elements of F_p
+    t0 = time.perf_counter()
+    F = FqField(p, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert F.pow(F.omega, F.q - 1) == F.one
+    assert all(F.pow(F.omega, (F.q - 1) // ell) != F.one for ell in F.q1_factors)
 
 
 def test_modulus_deterministic():
@@ -142,13 +169,18 @@ def reference_powmod(f, n, low, m):
     return r
 
 
+# FIELDS, the towers' W, and every other field with p <= 17 and d <= 6
 KERNEL_CASES = ([(p, d, None) for p, d in FIELDS]
-                + [(p, d, (p, d, e, prec)) for p, d, e, prec in TOWERS])
+                + [(p, d, (p, d, e, prec)) for p, d, e, prec in TOWERS]
+                + [(p, d, None) for p in (3, 5, 7, 11, 13, 17) for d in range(1, 7)
+                   if (p, d) not in FIELDS])
 
 
 @pytest.mark.parametrize("p,d,tower", KERNEL_CASES)
 def test_kernel_matches_reference(p, d, tower):
-    # m = p is F_q; m = p^M is W, at the tower's M or the floor M = 8
+    # m = p is F_q; m = p^M is W, at the tower's M or the floor M = 8.  The
+    # closed forms at d = 1 and 2 and the loops above; n = 0 to 3 reach the
+    # power's first product and its last squaring
     F = get_field(p, d)
     t = Tower(*tower) if tower else None
     low = F.modulus
@@ -158,7 +190,7 @@ def test_kernel_matches_reference(p, d, tower):
             f, g = (tuple(rng.randrange(m) for _ in range(d)) for _ in range(2))
             want = reference_mulmod(f, g, low, m)
             assert _mulmod(f, g, low, m) == want
-            for n in (0, 1, F.q - 2, rng.randrange(F.q, F.q ** 3),
+            for n in (0, 1, 2, 3, F.q - 2, rng.randrange(F.q, F.q ** 3),
                       rng.getrandbits(200)):
                 assert _powmod(f, n, low, m) == reference_powmod(f, n, low, m)
             if m == p:
