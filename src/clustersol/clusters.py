@@ -30,8 +30,13 @@ root is taken, and the value has a closed form with no F_q work:
 zeta_2e^m is +-1 exactly when e | m, and then (-1)^(m/e), so
 epsilon(tau) = (-1)^(W/e); u^((p-1)/2) is +-1 exactly when u lies in F_p,
 and then it is u's Legendre symbol (u_0 / p) = epsilon(frob).  Any other
-radicand raises.  A generator that moves the star compares, in the
-residue field, one canonical symbol s * sqrt(omega)^alpha per cluster.
+radicand raises.  On a generator that moves the star, each square root is
+a pair (s, alpha) for s sqrt(omega)^alpha, s in F_q, alpha in {0, 1}: the
+canonical one (``canonical_sqrt_symbol``) of the star's u and of its
+image's.  frob sends (s, alpha) to (s^p omega^(alpha(p-1)/2), alpha), tau
+multiplies it by zeta_2e^m, and the value is the sign between the result
+and the image's pair; a pair that differs in alpha, or in s by other than
+a sign, raises.
 
 Lemma (the cocycle).  epsilon_s(gh) = epsilon_{h(s)}(g) epsilon_s(h), as
 gh(theta_s) = g(epsilon_s(h) theta_{h(s)}).  The group is finite, so each
@@ -42,7 +47,6 @@ inertia, exactly when epsilon_t(tau) = 1 on the tau-cycle of s.  So each
 node keeps its two generator values, and no other word is evaluated.
 """
 
-import functools
 import math
 
 from .errors import InternalError, PrecisionExhausted, RootCollision
@@ -177,73 +181,33 @@ def build_picture(rs, expr):
 
 
 # ------------------------------------------------------------------
-# formal square-root symbols over the residue field
+# square roots over the residue field, as pairs (s, alpha) for s sqrt(omega)^alpha
 # ------------------------------------------------------------------
 
-class SqrtSymbol:
-    """A residue-level value s * sqrt(omega)^alpha, s in F_q, alpha in {0,1}."""
-
-    __slots__ = ("fq", "s", "alpha")
-
-    def __init__(self, fq, s, alpha):
-        self.fq = fq
-        self.s = s
-        self.alpha = alpha & 1
-
-    def __mul__(self, other):
-        s = self.fq.mul(self.s, other.s)
-        if self.alpha and other.alpha:
-            s = self.fq.mul(s, self.fq.omega)
-        return SqrtSymbol(self.fq, s, self.alpha ^ other.alpha)
-
-    def __pow__(self, k):
-        """(s sqrt(omega)^alpha)^k = s^k omega^(alpha floor(k/2)) sqrt(omega)^(alpha k), k >= 0."""
-        fq = self.fq
-        s = fq.pow(self.s, k)
-        if self.alpha:
-            s = fq.mul(s, fq.pow(fq.omega, k // 2))
-        return SqrtSymbol(fq, s, self.alpha * k)
-
-    def __eq__(self, other):
-        return self.s == other.s and self.alpha == other.alpha
-
-    def frob_iter(self, b):
-        """Image under frob^b: radicals of unity are raised to the p^b."""
-        fq = self.fq
-        pb = pow(fq.p, b, 2 * (fq.q - 1))
-        s = fq.pow(self.s, pb)
-        if self.alpha:
-            s = fq.mul(s, fq.pow(fq.omega, (pb - 1) // 2))
-        return SqrtSymbol(fq, s, self.alpha)
-
-    def __neg__(self):
-        return SqrtSymbol(self.fq, self.fq.neg(self.s), self.alpha)
-
-
 def canonical_sqrt_symbol(fq, u):
-    """Canonical formal square root of u in F_q^*."""
+    """The canonical square root of u in F_q^* as a pair (s, alpha), s in F_q:
+    u's canonical root with alpha = 0, else (u / omega)'s with alpha = 1."""
     r = fq.canonical_sqrt(u)
-    alpha = 0
-    if r is None:
-        r = fq.canonical_sqrt(fq.mul(u, fq.inv(fq.omega)))
-        alpha = 1
-    return SqrtSymbol(fq, r, alpha)
+    if r is not None:
+        return r, 0
+    return fq.canonical_sqrt(fq.mul(u, fq.inv(fq.omega))), 1
 
 
-@functools.cache
-def zeta_2e(fq, e):
-    """zeta_2e = sqrt(omega)^k, k = (q - 1)/e, as a symbol: computed once per (fq, e).
+def zeta_2e(fq, e, m):
+    """zeta_2e^m as a pair, for zeta_2e = sqrt(omega)^k, k = (q - 1)/e, and m >= 0.
 
-    It squares to zeta_e = omega^k, and its e-th power is
-    omega^((q-1)/2) = -1.  For odd e it is the only symbol that does both;
-    for even e so is its negative, and the lexicographically smaller of
-    +-s is the root ``canonical_sqrt_symbol`` takes of zeta_e.
+    zeta_2e squares to zeta_e = omega^k, and its e-th power is
+    omega^((q-1)/2) = -1.  It is s sqrt(omega)^(k mod 2) with s =
+    omega^(k//2) for odd e, where k is even and no other s does both; for
+    even e -s does too, and the lexicographically smaller of +-s is the
+    root ``canonical_sqrt_symbol`` takes of zeta_e.  Its m-th power is
+    s^m omega^((k mod 2) floor(m/2)) sqrt(omega)^(km mod 2).
     """
     k = (fq.q - 1) // e
     s = fq.pow(fq.omega, k // 2)
     if e % 2 == 0:
         s = min(s, fq.neg(s))
-    return SqrtSymbol(fq, s, k)
+    return fq.mul(fq.pow(s, m), fq.pow(fq.omega, k % 2 * (m // 2))), k * m % 2
 
 
 # ------------------------------------------------------------------
@@ -282,7 +246,6 @@ class ClusterAnalysis:
         self.tower = rs.tower
         self.picture = picture
         self.curve_genus = expr.genus
-        self._sqrt_cache = {}
         self._maps = {TAU: self._node_map(rs.tau_perm), FROB: self._node_map(rs.frob_perm)}
         self._orbits = {}
         for node in picture.nodes:
@@ -382,12 +345,6 @@ class ClusterAnalysis:
             return next(c for c in node.children if c.size == 2 * self.curve_genus)
         return node
 
-    def _sqrt_symbol(self, node):
-        """Canonical formal square root of the node's radicand residue, memoised."""
-        if node not in self._sqrt_cache:
-            self._sqrt_cache[node] = canonical_sqrt_symbol(self.tower.fq, node.radicand_u)
-        return self._sqrt_cache[node]
-
     def epsilon(self, node, word):
         """epsilon_s on the generator TAU or FROB; 0 unless s is even or a cotwin.
 
@@ -412,14 +369,18 @@ class ClusterAnalysis:
         else:
             if target.vKc_e != w:
                 raise InternalError("Galois image of a radicand changed valuation")
-            lhs = self._sqrt_symbol(star).frob_iter(word.b)
-            if m:
-                lhs = lhs * zeta_2e(fq, t.e) ** m
-            theta = self._sqrt_symbol(target)
-            if lhs == theta:
-                return 1
-            if lhs == -theta:
-                return -1
+            # (s, alpha) for s sqrt(omega)^alpha: frob raises s and sqrt(omega)
+            # to the p, tau multiplies by zeta_2e^m
+            s, alpha = canonical_sqrt_symbol(fq, u)
+            if word.b:
+                s = fq.mul(fq.pow(s, fq.p), fq.pow(fq.omega, alpha * (fq.p - 1) // 2))
+            else:
+                z, beta = zeta_2e(fq, t.e, m)
+                s = fq.mul(s, fq.mul(z, fq.omega) if alpha and beta else z)
+                alpha ^= beta
+            r, beta = canonical_sqrt_symbol(fq, target.radicand_u)
+            if alpha == beta and s in (r, fq.neg(r)):
+                return 1 if s == r else -1
         raise InternalError(
             f"epsilon value is not +-1 on cluster {node.name} (precision or convention bug)")
 
@@ -445,7 +406,7 @@ class ClusterAnalysis:
         there has valuation nu_s (for a twin always exactly), and the point
         search succeeds at the centre precisely when the unit part is a
         quadratic residue.  None when the valuation is not nu_s, or the
-        value is not in Q_p.
+        value is not in Q_p; for a Galois-fixed cluster that raises.
 
         With p not dividing |s|, the centroid has digit m = sum |c| delta_c / |s|
         at s's split, and f there leads with ``_leading_unit`` at m.  When p
@@ -466,7 +427,9 @@ class ClusterAnalysis:
         if u is None:
             return None  # v(f(z)) > nu: no verdict from this test
         if any(u[1:]):
-            return None  # not Q_p-rational; should not happen for fixed clusters
+            if node.fixed_galois:
+                raise InternalError(f"f at the centroid of cluster {node.name} is not in Q_p")
+            return None  # the centroid of a moved cluster need not be Q_p-rational
         return pow(u[0], (p - 1) // 2, p) == 1
 
     def dual_pair_swap(self, cotwin_node):

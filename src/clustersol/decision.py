@@ -98,6 +98,20 @@ def theorem_decide(A):
     def center_ok(n):
         return is_int(n.level, e) or A.center_value_is_square(n) is True
 
+    def fire_or_note(cid, witness, lo, hi, den, marker=False, **head):
+        """Fire when [lo/den, hi/den] holds an integer, else note it as empty."""
+        consumed = {**head, "interval": [q(lo, den), q(hi, den)]}
+        if interval_has_integer(lo, hi, den):
+            reports[cid].fire(witness, consumed, marker)
+        else:
+            reports[cid].note(witness, {**consumed, "integer_intersection": "empty"}, marker)
+
+    def fire_if_frob_negates(cid, s, triv_inertia):
+        """(iv.b), (v.b): epsilon trivial on inertia and -1 on frob, d integral, nu even."""
+        if (triv_inertia and s.eps_frob == -1
+                and is_int(s.level, e) and is_even_int(s.nu_e, e)):
+            reports[cid].fire(s.name, {"d": q(s.level), "nu": q(s.nu_e)})
+
     # (i) and the (ii) preamble
     for s in proper:
         if not (s.principal and s.fixed_galois):
@@ -141,15 +155,8 @@ def theorem_decide(A):
             if not (sp.is_proper and sp.principal and sp.fixed_galois):
                 continue
             if sp.size % 2 == 1:
-                lo, hi = -s.lam_2e - sp.delta_e, -s.lam_2e
-                interval = [q(lo, e2), q(hi, e2)]
-                if interval_has_integer(lo, hi, e2):
-                    reports["iii"].fire(f"{sp.name}<{s.name}",
-                                        {"branch": "odd", "interval": interval})
-                else:
-                    reports["iii"].note(f"{sp.name}<{s.name}",
-                                        {"branch": "odd", "interval": interval,
-                                         "integer_intersection": "empty"})
+                fire_or_note("iii", f"{sp.name}<{s.name}", -s.lam_2e - sp.delta_e, -s.lam_2e,
+                             e2, branch="odd")
             else:
                 lo, hi = -sp.level, -s.level
                 if A.eps_trivial_galois(sp) and interval_has_integer(lo, hi, e):
@@ -160,18 +167,10 @@ def theorem_decide(A):
     for s in proper:
         if not (s.twin and s.fixed_galois):
             continue
-        parent = s.parent
         triv_inertia = A.eps_trivial_inertia(s)
         if A.eps_trivial_galois(s):
-            lo, hi = -s.level, -parent.level
-            if interval_has_integer(lo, hi, e):
-                reports["iv.a"].fire(s.name, {"interval": [q(lo), q(hi)]})
-            else:
-                reports["iv.a"].note(s.name, {"interval": [q(lo), q(hi)],
-                                              "integer_intersection": "empty"})
-        if (triv_inertia and s.eps_frob == -1
-                and is_int(s.level, e) and is_even_int(s.nu_e, e)):
-            reports["iv.b"].fire(s.name, {"d": q(s.level), "nu": q(s.nu_e)})
+            fire_or_note("iv.a", s.name, -s.level, -s.parent.level, e)
+        fire_if_frob_negates("iv.b", s, triv_inertia)
         if not triv_inertia:
             if A.roots_fixed_pointwise(s):
                 reports["iv.c"].fire(s.name, {"route": "rational branch points"},
@@ -193,9 +192,7 @@ def theorem_decide(A):
                 lo, hi = -child.level, -s.level
                 if interval_has_integer(lo, hi, e):
                     reports["v.a"].fire(s.name, {"interval": [q(lo), q(hi)]})
-            if (triv_inertia and s.eps_frob == -1
-                    and is_int(s.level, e) and is_even_int(s.nu_e, e)):
-                reports["v.b"].fire(s.name, {"d": q(s.level), "nu": q(s.nu_e)})
+            fire_if_frob_negates("v.b", s, triv_inertia)
             if not triv_inertia:
                 tau_swaps, frob_swaps = A.dual_pair_swap(s)
                 if tau_swaps or not frob_swaps:
@@ -220,16 +217,8 @@ def theorem_decide(A):
                                               "note": "rational Weierstrass point"},
                                              marker=True)
                     if a_node.is_proper and fixed_in and fixed_fr:
-                        lo, hi = -top.lam_2e - a_node.delta_e, -top.lam_2e
-                        interval = [q(lo, e2), q(hi, e2)]
-                        if interval_has_integer(lo, hi, e2):
-                            reports["vi.a"].fire(name, {"interval": interval},
-                                                 marker=True)
-                        else:
-                            reports["vi.a"].note(
-                                name, {"interval": interval,
-                                       "integer_intersection": "empty"},
-                                marker=True)
+                        fire_or_note("vi.a", name, -top.lam_2e - a_node.delta_e, -top.lam_2e,
+                                     e2, marker=True)
                     if (fixed_in and not fixed_fr and is_int(top.level, e)
                             and is_even_int(top.nu_e, e)):
                         reports["vi.b"].fire(name, {"d_R": q(top.level),

@@ -23,8 +23,8 @@ They satisfy frob o tau = tau^p o frob, and chi(tau) = zeta_e,
 chi(frob) = 1 for the ramification character chi(s) = s(pi)/pi mod m.
 No element is ever moved by them here: on the roots of a curve their
 action is read exactly from the roots' (factor, branch) tags
-(``curves.galois_perms``), and on square roots from residues
-(``clusters.SqrtSymbol``).
+(``curves.galois_perms``), and on square roots from residues, as pairs
+(s, alpha) for s sqrt(omega)^alpha (``clusters.canonical_sqrt_symbol``).
 
 Every lift into W is a Newton iteration that inverts nothing in W: the
 m-th roots of unity by z <- z + z(1 - z^m)/m on X^m - 1, and unit n-th
@@ -285,12 +285,6 @@ class Elt:
         if self.is_zero:
             raise ZeroElement("residue of zero")
         return self.tower.w_residue(self.unit[0])
-
-    def shift(self, k):
-        """Multiply by pi^k (exact)."""
-        if self.is_zero:
-            return self
-        return Elt(self.tower, self.vL + k, self.unit, self.rel)
 
     def __repr__(self):
         if self.is_zero:

@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
-from clustersol.clusters import SqrtSymbol, canonical_sqrt_symbol
+from clustersol.clusters import canonical_sqrt_symbol
 from clustersol.curves import Binomial, Cyclo, Linear, RootSet, embed_cyclo, reject_repeated_factors
 from clustersol.errors import InternalError, PrecisionExhausted
 from clustersol.tame import (FROB, INF, TAU, Elt, GaloisWord, _aligned, _lifts, _normalise,
@@ -145,7 +145,8 @@ def flip_canonical_sqrt(monkeypatch):
 
     def flipped(fq, u):
         calls.append(u)
-        return -real(fq, u)
+        s, alpha = real(fq, u)
+        return fq.neg(s), alpha
 
     monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", flipped)
     return calls
@@ -172,13 +173,20 @@ def reference_extract_roots(expr, tower):
         if (m * tower.e) % n != 0:
             raise InternalError("tower ramification does not split the binomial")
         y = tower.unit_nth_root(u, n)
-        branch = tower.from_w(y, 0).shift(m * tower.e // n)
+        branch = pi_shift(tower.from_w(y, 0), m * tower.e // n)
         zeta_n = tower.from_w(tower.zeta(n), 0) if n > 1 else tower.from_int(1)
         for j in range(n):
             roots.append(center + branch)
             tags.append((fi, j))
             branch = branch * zeta_n
     return RootSet(expr, tower, roots, tags)
+
+
+def pi_shift(x, k):
+    """x * pi^k, exactly: the same unit and trust, the valuation moved by k."""
+    if x.is_zero:
+        return x
+    return Elt(x.tower, x.vL + k, x.unit, x.rel)
 
 
 def clear_lift_stores():
@@ -380,7 +388,7 @@ def reference_radicand(A, node):
     """(W, u) of c_f prod_{r not in node}(z - r), subtracting every root from z."""
     t = A.tower
     z = A.rs.roots[node.roots[0]]
-    lead = t.from_int(A.expr.c_unit).shift(t.e * A.expr.c_pow)
+    lead = pi_shift(t.from_int(A.expr.c_unit), t.e * A.expr.c_pow)
     w, u = lead.vL, lead.residue()
     for i, r in enumerate(A.rs.roots):
         if i not in node.roots:
@@ -392,11 +400,50 @@ def reference_radicand(A, node):
 
 # --- the reference zeta_2e and symbol arithmetic ---
 #
-# The package takes zeta_2e = sqrt(omega)^((q-1)/e) in closed form
-# (``clusters.zeta_2e``), raises symbols by a closed form, and reads a
-# character by comparing symbols.  These compute zeta_2e as it was first
-# computed, from the canonical square root of zeta_e, raise symbols by
-# repeated multiplication, and invert them.
+# The package keeps a square root s sqrt(omega)^alpha as a pair (s, alpha)
+# (``clusters.canonical_sqrt_symbol``), takes zeta_2e^m in closed form
+# (``clusters.zeta_2e``), and moves a star's pair in ``epsilon`` by the
+# closed forms of frob and of a zeta_2e factor.  These wrap its pairs in a
+# symbol of their own, multiply, negate and invert symbols, raise them by
+# repeated multiplication, and compute zeta_2e as it was first computed,
+# from the canonical square root of zeta_e.
+
+class SqrtSymbol:
+    """A residue-level value s * sqrt(omega)^alpha, s in F_q, alpha in {0,1}."""
+
+    __slots__ = ("fq", "s", "alpha")
+
+    def __init__(self, fq, s, alpha):
+        self.fq = fq
+        self.s = s
+        self.alpha = alpha & 1
+
+    def __mul__(self, other):
+        s = self.fq.mul(self.s, other.s)
+        if self.alpha and other.alpha:
+            s = self.fq.mul(s, self.fq.omega)
+        return SqrtSymbol(self.fq, s, self.alpha ^ other.alpha)
+
+    def __eq__(self, other):
+        return self.s == other.s and self.alpha == other.alpha
+
+    def __neg__(self):
+        return SqrtSymbol(self.fq, self.fq.neg(self.s), self.alpha)
+
+    def frob_iter(self, b):
+        """Image under frob^b: radicals of unity are raised to the p^b."""
+        fq = self.fq
+        pb = pow(fq.p, b, 2 * (fq.q - 1))
+        s = fq.pow(self.s, pb)
+        if self.alpha:
+            s = fq.mul(s, fq.pow(fq.omega, (pb - 1) // 2))
+        return SqrtSymbol(fq, s, self.alpha)
+
+
+def reference_sqrt(fq, u):
+    """The package's canonical square root of u as a symbol."""
+    return SqrtSymbol(fq, *canonical_sqrt_symbol(fq, u))
+
 
 def symbol_power(sym, k):
     """sym^k by repeated multiplication, k >= 0."""
@@ -427,7 +474,7 @@ def symbol_sign(sym):
 def reference_zeta2e(fq, e):
     """The canonical square root of zeta_e, negated unless its e-th power is -1."""
     zeta_e = fq.pow(fq.omega, (fq.q - 1) // e)
-    sym = canonical_sqrt_symbol(fq, zeta_e)
+    sym = reference_sqrt(fq, zeta_e)
     if symbol_sign(symbol_power(sym, e)) != -1:
         sym = -sym
     if symbol_sign(symbol_power(sym, e)) != -1:
@@ -531,7 +578,7 @@ def reference_leading_term(A, z, roots, N):
     digits raises wherever it occurs.
     """
     t = A.tower
-    lead = t.from_int(A.expr.c_unit).shift(t.e * A.expr.c_pow)
+    lead = pi_shift(t.from_int(A.expr.c_unit), t.e * A.expr.c_pow)
     w, u, exact = lead.vL, lead.residue(), True
     for r in roots:
         try:

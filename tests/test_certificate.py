@@ -20,7 +20,7 @@ import pytest
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 import conftest
-from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck, nested_trie,
+from conftest import (EX1, EX2, EX3, decide_with_doubled_recheck, nested_trie, pi_shift,
                       reference_center_value_is_square, reference_extract_roots,
                       reference_leading_term, reference_precision, size_one_digit_short,
                       truncated_sum)
@@ -116,8 +116,8 @@ def _unit_elt(t, vL, seed):
     col = (col[0] - col[0] % t.p + 1,) + col[1:]
     x = t.from_w(col, 0)
     for i in range(1, t.e):
-        x = x + t.from_w(col, 0).shift(i)
-    return x.shift(vL)
+        x = x + pi_shift(t.from_w(col, 0), i)
+    return pi_shift(x, vL)
 
 
 @pytest.mark.parametrize("p,d,e,prec", [(7, 1, 1, 24), (7, 2, 3, 36), (13, 1, 4, 40)])
@@ -211,7 +211,7 @@ def test_a_centroid_factor_with_a_trusted_leading_digit_is_not_bounded():
     A = analyse(parse_expr("(x)*(x^2-p)*(x-1)*(x-2)", 7))
     t = A.tower
     r = next(x for x in A.rs.roots if x.vL == 0)
-    z = r + t.from_int(t.p ** (t.M - 1)).shift(1)
+    z = r + pi_shift(t.from_int(t.p ** (t.M - 1)), 1)
     assert t.e == 2 and z.abs_prec == r.abs_prec == 2 * t.M
     with pytest.raises(PrecisionExhausted, match="no trusted leading digit"):
         reference_leading_term(A, z, [r], 2 * t.M)

@@ -4,9 +4,11 @@ The reference takes two canonical square roots for every word, exactly as
 the characters were first evaluated: eps(w) = w(sqrt(u_s)) zeta_2e^(aW) /
 sqrt(u_{w(s)}), with zeta_2e the canonical square root of zeta_e
 (``conftest.reference_zeta2e``) and w(s) read off the root sets
-(``conftest.reference_image``).  Production evaluates epsilon on tau and
-frob only: in closed form when the generator fixes the star, else by
-comparing symbols, with zeta_2e in closed form.  It decides triviality by
+(``conftest.reference_image``), all in the tests' own symbol arithmetic
+(``conftest.SqrtSymbol``).  Production evaluates epsilon on tau and frob
+only: in closed form when the generator fixes the star, else by moving the
+star's (s, alpha) pair by frob or a closed-form zeta_2e^m and comparing it
+with its image's.  It decides triviality by
 the cocycle lemma of ``clustersol.clusters``, from the generator values
 over the orbit.  Here the value on every word, expanded from the
 generator values by the cocycle (``conftest.word_epsilon``), must agree
@@ -17,10 +19,10 @@ identity itself is checked on the reference alone.
 import pytest
 
 import clustersol.clusters as clusters_mod
-from conftest import (EX1, EX2, EX3, all_words, flip_canonical_sqrt, reference_image,
-                      reference_zeta2e, reference_zeta2e_power, symbol_inv, symbol_sign,
-                      word_compose, word_epsilon, word_image)
-from clustersol.clusters import analyse, canonical_sqrt_symbol, zeta_2e
+from conftest import (EX1, EX2, EX3, SqrtSymbol, all_words, flip_canonical_sqrt,
+                      reference_image, reference_sqrt, reference_zeta2e_power, symbol_inv,
+                      symbol_sign, word_compose, word_epsilon, word_image)
+from clustersol.clusters import analyse, zeta_2e
 from clustersol.corpus import generate_corpus
 from clustersol.curves import parse_expr
 from clustersol.decision import theorem_decide
@@ -40,8 +42,8 @@ def reference_epsilon(A, node, word):
     w2, u2 = target.vKc_e, target.radicand_u
     assert w1 == w2
     fq = A.tower.fq
-    sym1 = canonical_sqrt_symbol(fq, u1)
-    sym2 = canonical_sqrt_symbol(fq, u2)
+    sym1 = reference_sqrt(fq, u1)
+    sym2 = reference_sqrt(fq, u2)
     sym = sym1.frob_iter(word.b % (2 * A.tower.d))
     sym = sym * reference_zeta2e_power(fq, A.tower.e, (word.a % (2 * A.tower.e)) * w1)
     sym = sym * symbol_inv(sym2)
@@ -55,6 +57,8 @@ def reference_epsilon(A, node, word):
 # and twins {sqrt(p), sqrt(50p)} at p = 7 (50 = 1 mod p^2) moved by tau.
 # The last two have a moved star on which epsilon is trivial: the twins
 # frob swaps at p = 47 on the whole group, and those tau swaps on inertia.
+# With the root 0 added, those twins' radicands lead with pi^3, and as
+# (q - 1)/e = 3 is odd, zeta_2e^3 carries sqrt(omega), as does one star's root.
 NON_STABLE = [
     ("2*(x^2-3*p^8)*((x-zeta(3))^2+2*p^3)*((x-zeta(3)^2)^2+2*p^3)", 11),
     ("p*((x-zeta(3))^2+2*p)*((x-zeta(3)^2)^2+2*p)*((x-2)^2+2*p^4)", 17),
@@ -65,6 +69,7 @@ NON_STABLE = [
     ("(x^4-p)*(x^4-50*p)*(x-1)", 7),
     ("5*(x)*((x-zeta(3))^2+2*p^2)*((x-zeta(3)^2)^2+2*p^2)*(x-1)*(x^4+2*p^5)", 47),
     ("p*(x^2-p)*(x^2-50*p)*(x-1)", 7),
+    ("(x)*(x^2-p)*(x^2-50*p)*(x-1)", 7),
 ]
 CURVES = NON_STABLE + [EX1, EX3, (EX2, 7), ("(x-1)*(x^4-p)", 13)]
 CURVES += [(text, p) for p, text in generate_corpus(4242, 24, [7, 11, 13, 17])]
@@ -100,7 +105,7 @@ def _check_against_reference(A, outcomes):
 
 
 def test_zeta2e_closed_form_matches_the_square_root_reference():
-    """zeta_2e and zeta_2e^m, m < 2e, against the canonical-root reference.
+    """zeta_2e^m, m < 2e, against the canonical-root reference.
 
     Over every field F_q with p <= 103 and d <= 4 and every e <= 24
     dividing q - 1.  With k = (q - 1)/e, odd e forces even k, so six
@@ -114,10 +119,9 @@ def test_zeta2e_closed_form_matches_the_square_root_reference():
             for e in range(1, 25):
                 if (fq.q - 1) % e:
                     continue
-                z = zeta_2e(fq, e)
-                assert z == reference_zeta2e(fq, e), (p, d, e)
                 for m in range(2 * e):
-                    assert z ** m == reference_zeta2e_power(fq, e, m), (p, d, e, m)
+                    assert SqrtSymbol(fq, *zeta_2e(fq, e, m)) == \
+                        reference_zeta2e_power(fq, e, m), (p, d, e, m)
                     cases.add((e % 2, m % 2, (fq.q - 1) // e % 2))
                 pairs += 1
     assert pairs == 1022
@@ -136,6 +140,54 @@ def test_epsilon_matches_all_words_reference(flip, monkeypatch):
     assert outcomes == {(test, value) for test in ("galois", "inertia")
                         for value in (True, False)}
     assert bool(sqrts) == flip, "the flip took no square root"
+
+
+def test_the_curves_reach_every_moved_star_case(monkeypatch):
+    """Each case of epsilon on a moved star is reached by the curves above.
+
+    A moved-star read takes the star's pair, on tau a zeta_2e^m factor,
+    then the image's pair.  Wrappers around ``canonical_sqrt_symbol`` and
+    ``zeta_2e`` log every call while the curves are analysed, and the log
+    is read back one moved-star read at a time.
+    """
+    log = []
+    real_sqrt, real_zeta = clusters_mod.canonical_sqrt_symbol, clusters_mod.zeta_2e
+
+    def logged_sqrt(fq, u):
+        pair = real_sqrt(fq, u)
+        log.append(("sqrt", pair[1]))
+        return pair
+
+    def logged_zeta(fq, e, m):
+        pair = real_zeta(fq, e, m)
+        log.append(("zeta", e % 2, m, pair[1]))
+        return pair
+
+    monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", logged_sqrt)
+    monkeypatch.setattr(clusters_mod, "zeta_2e", logged_zeta)
+    for text, p in CURVES:
+        analyse(parse_expr(text, p))
+    cases, i = set(), 0
+    while i < len(log):
+        tau = log[i + 1][0] == "zeta"
+        (_, alpha), (_, beta) = log[i], log[i + 1 + tau]
+        if tau:
+            _, odd_e, m, zeta_alpha = log[i + 1]
+            if m:
+                cases.add(f"tau, W not 0 mod 2e, {'odd' if odd_e else 'even'} e")
+            if alpha and zeta_alpha:
+                cases.add("tau, sqrt(omega) on the star and on zeta_2e^m")
+        else:
+            cases.add("frob, sqrt(omega) on the star" if alpha else "frob")
+        if alpha:
+            cases.add("sqrt(omega) on the star")
+        if beta:
+            cases.add("sqrt(omega) on the target")
+        i += 2 + tau
+    assert cases == {"tau, W not 0 mod 2e, odd e", "tau, W not 0 mod 2e, even e",
+                     "tau, sqrt(omega) on the star and on zeta_2e^m",
+                     "frob", "frob, sqrt(omega) on the star",
+                     "sqrt(omega) on the star", "sqrt(omega) on the target"}
 
 
 def test_the_reference_epsilon_is_a_cocycle():
@@ -172,8 +224,6 @@ def test_no_square_root_when_the_star_is_fixed(monkeypatch):
         if not fixed:
             continue
         B = analyse(parse_expr(text, p))
-        B._sqrt_cache.clear()       # forget what construction evaluated
-        zeta_2e.cache_clear()
         monkeypatch.setattr(clusters_mod, "canonical_sqrt_symbol", forbidden)
         for node, node_b in zip(A.picture.proper(), B.picture.proper()):
             if node in fixed:
@@ -210,7 +260,6 @@ def _patch_radicand(monkeypatch, A, node, dw=0, factor=None):
     monkeypatch.setattr(node, "vKc_e", node.vKc_e + dw)
     if factor is not None:
         monkeypatch.setattr(node, "radicand_u", A.tower.fq.mul(node.radicand_u, factor))
-    A._sqrt_cache.clear()
 
 
 @pytest.mark.parametrize("path", ["tau", "frob", "moved"])
@@ -234,3 +283,18 @@ def test_an_inconsistent_radicand_has_no_sign(path, monkeypatch):
     _patch_radicand(monkeypatch, A, patched, **change)
     with pytest.raises(InternalError, match=r"epsilon value is not \+-1"):
         A.epsilon(node, word)
+
+
+def test_a_centroid_value_outside_f_p_raises(monkeypatch):
+    """f at a Galois-fixed cluster's centroid lies in Q_p; a leading unit outside
+    F_p raises rather than answering None.
+
+    On EX2 at p = 11 the twin t1 at 1 is fixed; its radicand times omega
+    leads f at its centroid with a unit outside F_11.
+    """
+    A = analyse(parse_expr(EX2, 11))
+    twin = next(n for n in A.picture.top.children if n.fixed_galois)
+    assert A.center_value_is_square(twin) in (True, False)
+    _patch_radicand(monkeypatch, A, twin, factor=A.tower.fq.omega)
+    with pytest.raises(InternalError, match="not in Q_p"):
+        A.center_value_is_square(twin)

@@ -7,8 +7,9 @@ files are exempt: their imports are re-exports.
 
 Every function, class and method defined in ``src/clustersol/``, and
 every name a module assigns at its top level, must be read by name (a
-name or an attribute) somewhere in the package, or be exported in
-``__init__.__all__``; dunders, ``__all__`` among them, are exempt.  Code
+name or an attribute; for a method, an attribute) somewhere in the
+package, or be exported in ``__init__.__all__``; dunders, ``__all__``
+among them, are exempt.  Code
 that only the tests use belongs in ``tests/``.  Every ``__slots__`` entry and
 ``NamedTuple`` field of a class in ``src/clustersol/`` must be read as an
 attribute somewhere in the package.  The checks match by name, so a dead
@@ -58,29 +59,36 @@ def dead_definitions(sources):
     """(file, line, name) of each definition in sources that none of them reads.
 
     sources maps file names to module text; names in an ``__init__.py``
-    ``__all__`` count as read.
+    ``__all__`` count as read.  A method counts as read only through an
+    attribute, so a local variable of its name does not hide it.
     """
-    defined = {}
-    read = set()
+    defined, in_class, methods = {}, set(), set()
+    read, attrs = set(), set()
     for fname, source in sources.items():
         tree = ast.parse(source)
         if fname == "__init__.py":
             read |= _all_names(tree)
-        for node in ast.walk(tree):
+        for node in ast.walk(tree):             # breadth first: a class before its methods
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, (fname, node.lineno))
+                if isinstance(node, ast.ClassDef):
+                    in_class.update(node.body)
+                if not (node.name.startswith("__") and node.name.endswith("__")
+                        or node.name in defined):
+                    defined[node.name] = (fname, node.lineno)
+                    if node in in_class:
+                        methods.add(node.name)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attrs.add(node.attr)
         for node in tree.body:                  # module-level names bound by assignment
             targets = node.targets if isinstance(node, ast.Assign) else \
                 [node.target] if isinstance(node, ast.AnnAssign) else []
             for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
                 if not (name.id.startswith("__") and name.id.endswith("__")):
                     defined.setdefault(name.id, (fname, node.lineno))
-    return sorted(where + (name,) for name, where in defined.items() if name not in read)
+    return sorted(where + (name,) for name, where in defined.items()
+                  if name not in attrs and (name in methods or name not in read))
 
 
 def _is_named_tuple(cls):
@@ -136,16 +144,17 @@ def test_dead_definitions_are_detected():
                  "    def __repr__(self): return self.m()\n"
                  "    def m(self): pass\n"
                  "    def unused(self): pass\n"
+                 "    def shadowed(self): pass\n"
                  "g = 1\n"
                  "_PART = 'x'\n"
                  "_RE, (_A, _B) = f(_PART), (1, 2)\n"
                  "__version__: str = '1'\n"
                  "_SEEN: int = _A\n"),
-        "b.py": "def h2(): pass\nx.h\nprint(_RE)\n",
+        "b.py": "def h2(): pass\nx.h\nprint(_RE)\ndef h3(shadowed): return shadowed\nh3(1)\n",
     }
     assert dead_definitions(sources) == [
-        ("a.py", 2, "g"), ("a.py", 5, "C"), ("a.py", 8, "unused"),
-        ("a.py", 11, "_B"), ("a.py", 13, "_SEEN"), ("b.py", 1, "h2")]
+        ("a.py", 2, "g"), ("a.py", 5, "C"), ("a.py", 8, "unused"), ("a.py", 9, "shadowed"),
+        ("a.py", 12, "_B"), ("a.py", 14, "_SEEN"), ("b.py", 1, "h2")]
     fields = {
         "a.py": ("class S:\n"
                  "    __slots__ = ('x', 'y', 'z')\n"

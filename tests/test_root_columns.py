@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import (EX1, clear_lift_stores, nested_trie, reference_extract_roots,
+from conftest import (EX1, clear_lift_stores, nested_trie, pi_shift, reference_extract_roots,
                       reference_precision)
 from clustersol.clusters import analyse, build_picture
 from clustersol.curves import (Binomial, embed_cyclo, extract_roots, galois_perms,
@@ -126,10 +126,10 @@ def test_add_branch_equals_the_sum_of_tower_elements(p, d, e, prec):
                 c = Elt(t, c.vL, c.unit, rng.randrange(1, t.M + 1))
             if kind == "cancel":        # c = -w pi^k + p^j pi^k, or -w pi^k at j = M
                 j = rng.choice([t.M, rng.randrange(t.M)])
-                c = t.from_w(w, 0).shift(k)
+                c = pi_shift(t.from_w(w, 0), k)
                 c = Elt(t, c.vL, c.unit, rng.choice([t.M, rng.randrange(1, t.M)]))
-                c = -c + (t.from_int(p ** j).shift(k) if j < t.M else t.zero())
-        branch = t.from_w(w, 0).shift(k)
+                c = -c + (pi_shift(t.from_int(p ** j), k) if j < t.M else t.zero())
+        branch = pi_shift(t.from_w(w, 0), k)
         try:
             ref = c + branch
             ref = ("elt", ref.vL, ref.unit, ref.rel)
