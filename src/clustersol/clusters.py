@@ -394,11 +394,6 @@ class ClusterAnalysis:
 
     # --- auxiliary point-level data for the decision engine ---
 
-    def roots_fixed_pointwise(self, node):
-        """All roots of the node individually fixed by tau and frob."""
-        return all(self.rs.tau_perm[i] == i and self.rs.frob_perm[i] == i
-                   for i in node.roots)
-
     def center_value_is_square(self, node):
         """Whether f at the rational centroid of the node is a square unit times p^nu.
 

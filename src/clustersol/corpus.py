@@ -48,12 +48,15 @@ def _factor_text(center, n, u=None, m=None):
     return f"(x^{n}{_rhs_text(u, m)})"
 
 
-def random_curve_text(rng, p, genus_range=(2, 4), max_tries=200):
+_MAX_TRIES = 200       # draws per curve before the generator gives up
+
+
+def random_curve_text(rng, p, genus_range=(2, 4)):
     """One random curve expression with degree in the genus window."""
     lo, hi = genus_range
     units = [u for u in (1, -1, 2, -2, 3, -3) if u % p != 0]
     exponents = [n for n in (1, 2, 3, 4) if n % p != 0]
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         factors = []
         slots = rng.randint(2, 4)
         for _ in range(slots):
@@ -87,7 +90,7 @@ def random_curve_text(rng, p, genus_range=(2, 4), max_tries=200):
     raise CorpusError("corpus generator failed to produce a curve")
 
 
-def generate_corpus(seed, count, p_list, genus_range=(2, 4), odd_only=False):
+def generate_corpus(seed, count, p_list, genus_range=(2, 4)):
     """Deterministic list of (p, text) pairs passing the applicability gate.
 
     A genus range that no p in p_list admits (q > 2(g^2 - 1)) is rejected
@@ -108,8 +111,6 @@ def generate_corpus(seed, count, p_list, genus_range=(2, 4), odd_only=False):
         text = random_curve_text(rng, p, genus_range)
         expr = parse_expr(text, p)
         if not corollary_gate(p, expr.genus, {})[0]:
-            continue
-        if odd_only and expr.degree % 2 == 0:
             continue
         f = expand_to_integer_poly(expr)
         if resultant(f, poly_deriv(f)) == 0:

@@ -10,11 +10,14 @@ extraction in a tame tower; anything else is rejected as unsupported.
 
 A zeta conductor N, of one centre or the lcm of all of them, is at most
 MAX_CONDUCTOR = 1,000, and when p does not divide it, d = ord_N(p) is at
-most MAX_ZETA_DEGREE = 24.  Every centre is reduced mod Phi_N, built by
-one polynomial division per divisor of N, and the tower's residue field
-F_{p^d} by factoring p^d - 1 and searching for a primitive modulus.  Both
-costs grow faster than N and d, and the caps keep one line of a curve
-file from holding a batch for seconds.
+most MAX_ZETA_DEGREE = 24.  The same cap bounds the tower's residue
+degree d, where F_{p^d} must also hold zeta_e, e = lcm(n_i), and each
+n_i-th root of u_i: past it ``required_tower`` raises UnsupportedFactor.
+Every centre is reduced mod Phi_N, built by one polynomial division per
+divisor of N, and the tower's residue field F_{p^d} by factoring p^d - 1
+and searching for a primitive modulus.  Both costs grow faster than N
+and d, and the caps keep one line of a curve file from holding a batch
+for seconds.
 
 The text is read with its whitespace removed and "**" as "^".  With INT
 a run of digits and sign one of '+' and '-', its grammar is
@@ -67,7 +70,7 @@ from .errors import (DegreeTooSmall, InternalError,
                      NonRationalCoefficient, NotGaloisClosed, ParseError,
                      PrecisionExhausted, RootCollision, UnsupportedFactor,
                      WildInput)
-from .numutil import (_cyclotomic, is_prime, mult_order, poly_divmod_monic, poly_mul,
+from .numutil import (cyclotomic_poly, is_prime, mult_order, poly_divmod_monic, poly_mul,
                       resultant, vp)
 from .tame import add_branch
 
@@ -83,7 +86,7 @@ class Cyclo:
 
     def __init__(self, N, coeffs):
         self.N = N
-        phi_N = _cyclotomic(N)
+        phi_N = cyclotomic_poly(N)
         c = list(coeffs)
         if len(c) >= len(phi_N):
             c = poly_divmod_monic(c, phi_N)[1]
@@ -346,31 +349,27 @@ def parse_expr(text, p):
 # Galois closure and tower requirements
 # ------------------------------------------------------------------
 
-def _factor_key(f):
-    if isinstance(f, Linear):
-        return ("lin", f.center.coeffs)
-    return ("bin", f.center.coeffs, f.n, f.rhs_unit, f.rhs_pow)
-
-
 def _frob_partners(p, factors):
     """Per factor, the index of the one with its roots' images under zeta_N -> zeta_N^p, or None."""
-    by_key = {_factor_key(f): fi for fi, f in enumerate(factors)}
-    return tuple(by_key.get(_factor_key(f._replace(center=f.center.substitute(f.center.N, p))))
+    index = {f: fi for fi, f in enumerate(factors)}
+    return tuple(index.get(f._replace(center=f.center.substitute(f.center.N, p)))
                  for f in factors)
 
 
 def galois_closure_check(expr):
     """Check the factor multiset is stable under zeta_N -> zeta_N^p."""
-    keys = [_factor_key(f) for f in expr.factors]
-    for f, key, fi2 in zip(expr.factors, keys, expr.frob, strict=True):
-        if fi2 is None or keys.count(keys[fi2]) != keys.count(key):
+    fs = expr.factors
+    for f, fi2 in zip(fs, expr.frob, strict=True):
+        if fi2 is None or fs.count(fs[fi2]) != fs.count(f):
             raise NotGaloisClosed(
                 f"factor with center {f.center!r} has an incomplete Frobenius orbit")
     return True
 
 
 def required_tower(expr):
-    """Degrees (d, e) of the tame tower needed to split f."""
+    """Degrees (d, e) of the tame tower needed to split f: e = lcm of the n_i,
+    and d the least with zeta_N, zeta_e and every n_i-th root of u_i in
+    F_{p^d}; UnsupportedFactor when that d passes MAX_ZETA_DEGREE."""
     p = expr.p
     N = expr.conductor
     if N % p == 0:
@@ -381,22 +380,17 @@ def required_tower(expr):
             if f.n % p == 0:
                 raise WildInput(f"binomial exponent {f.n} divisible by p = {p}")
             e = math.lcm(e, f.n)
-    d0 = mult_order(p, math.lcm(N, e))
-    d = d0
-    for _ in range(64):
+    Ne = math.lcm(N, e)
+    for d in range(1, MAX_ZETA_DEGREE + 1):
         q1 = p ** d - 1
-        ok = True
-        for f in expr.factors:
-            if isinstance(f, Binomial):
-                g = math.gcd(f.n, q1)
-                ex = (q1 // g) % (p - 1)
-                if pow(f.rhs_unit % p, ex if ex else p - 1, p) != 1 % p:
-                    ok = False
-                    break
-        if ok:
+        # u is an n-th power in F_q iff u^((q-1)/gcd(n, q-1)) = 1, read in F_p
+        if q1 % Ne == 0 and all(
+                pow(f.rhs_unit, q1 // math.gcd(f.n, q1), p) == 1
+                for f in expr.factors if isinstance(f, Binomial)):
             return d, e
-        d += d0
-    raise InternalError("no residue degree makes all units n-th powers")
+    raise UnsupportedFactor(
+        f"the curve needs residue degree d > {MAX_ZETA_DEGREE}: only d <= "
+        f"{MAX_ZETA_DEGREE} is supported")
 
 
 # ------------------------------------------------------------------
@@ -569,7 +563,7 @@ def _integer_product(N, factors):
     at the end; NonRationalCoefficient if one is not rational.  For N = 1,
     S = 1 and this is integer polynomial multiplication.
     """
-    phi_N = _cyclotomic(N)
+    phi_N = cyclotomic_poly(N)
     S = sum(n for _, n, _ in factors) * (len(phi_N) - 2) + 1
     poly = [1]
     for c, n, a in factors:

@@ -172,11 +172,10 @@ def theorem_decide(A):
             fire_or_note("iv.a", s.name, -s.level, -s.parent.level, e)
         fire_if_frob_negates("iv.b", s, triv_inertia)
         if not triv_inertia:
-            if A.roots_fixed_pointwise(s):
+            if all(A.image(c, TAU) is c and A.image(c, FROB) is c for c in s.children):
                 reports["iv.c"].fire(s.name, {"route": "rational branch points"},
                                      marker=True)
-            elif is_even_int(s.nu_e, e) and (is_int(s.level, e)
-                                             or A.center_value_is_square(s)):
+            elif is_even_int(s.nu_e, e) and center_ok(s):
                 reports["iv.c"].fire(s.name, {"route": "crosses fixed",
                                               "nu": q(s.nu_e), "d": q(s.level)},
                                      marker=True)
@@ -186,7 +185,7 @@ def theorem_decide(A):
         for s in proper:
             if not (s.cotwin and s.fixed_galois):
                 continue
-            child = next(c for c in s.children if c.size == 2 * A.curve_genus)
+            child = A.star(s)
             triv_inertia = A.eps_trivial_inertia(s)
             if A.eps_trivial_galois(s) and child.is_proper:
                 lo, hi = -child.level, -s.level

@@ -12,6 +12,11 @@ both are Z[t]/(t^d + low(t)) with coefficients mod m, m = p here and
 m = p^M for W, and both multiply and exponentiate with the one kernel
 ``_mulmod`` / ``_powmod`` below.  The kernel has closed forms at d = 1
 and d = 2, the degrees most towers have at small p, and loops above.
+
+Euclid's algorithm over F_p is written once too, as the extended form
+``_inverse``: it inverts elements (``FqField.inv``) and, by answering None
+when its argument shares a factor with the modulus, runs the
+irreducibility sieve of the modulus search (``_is_irreducible``).
 """
 
 import functools
@@ -76,49 +81,52 @@ def _powmod(f, n, low, m):
     return r
 
 
-def _poly_gcd_deg(f, g, p):
-    """Degree of gcd over F_p; f, g low-endian coefficient lists."""
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-
-    def trim(h):
-        while h and h[-1] == 0:
-            h.pop()
-        return h
-
-    f, g = trim(f), trim(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c = f[-1] * inv % p
-            k = len(f) - len(g)
-            for i, b in enumerate(g):
-                f[k + i] = (f[k + i] - c * b) % p
-            f = trim(f)
-            if not f:
-                break
-        f, g = g, f
-    return len(f) - 1 if f else -1
+def _inverse(a, low, p):
+    """a^-1 in F_p[t]/(t^d + low(t)) by the extended Euclidean algorithm, or
+    None when a shares a factor with the modulus, as a = 0 does."""
+    if len(low) == 1:
+        return (pow(a[0], -1, p),) if a[0] else None
+    # s0 * a = r0 and s1 * a = r1 modulo the modulus throughout
+    r0, r1 = list(low) + [1], list(a)
+    s0, s1 = [0], [1]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) <= 1:
+            break
+        lead = pow(r1[-1], -1, p)
+        shift = len(r0) - len(r1)
+        s = s0 + [0] * (shift + len(s1) - len(s0))
+        for k in range(shift, -1, -1):
+            c = r0[k + len(r1) - 1] * lead % p
+            if c:
+                for j, b in enumerate(r1):
+                    r0[k + j] = (r0[k + j] - c * b) % p
+                for j, b in enumerate(s1):
+                    s[k + j] -= c * b
+        r0, r1 = r1, r0[:len(r1) - 1]
+        s0, s1 = s1, [x % p for x in s]
+    if not r1:
+        return None
+    c = pow(r1[0], -1, p)
+    return tuple([x * c % p for x in s1] + [0] * (len(low) - len(s1)))
 
 
 def _is_irreducible(low, p):
     """Irreducibility of P = t^d + low(t) over F_p by distinct-degree sieve.
 
     P (squarefree or not) is irreducible iff it has no irreducible factor
-    of degree <= d/2, i.e. gcd(t^(p^k) - t, P) = 1 for k = 1..d//2; the
-    incremental Frobenius walk exits at the first nontrivial gcd, so a
-    root in F_p, a linear factor, is found at k = 1 (Ben-Or).
+    of degree <= d/2, i.e. gcd(t^(p^k) - t, P) = 1, so that t^(p^k) - t
+    has an inverse mod P, for k = 1..d//2; the incremental Frobenius walk
+    exits at the first one without, so a root in F_p, a linear factor, is
+    found at k = 1 (Ben-Or).
     """
     d = len(low)
-    if d == 1:
-        return True
     t = (0, 1) + (0,) * (d - 2)
-    full = list(low) + [1]
     h = t
     for _ in range(d // 2):
         h = _powmod(h, p, low, p)
-        diff = [(h[i] - t[i]) % p for i in range(d)]
-        if _poly_gcd_deg(diff, full, p) != 0:
+        if _inverse([(h[i] - t[i]) % p for i in range(d)], low, p) is None:
             return False
     return True
 
@@ -205,34 +213,11 @@ class FqField:
         return _powmod(a, e, self.modulus, self.p)
 
     def inv(self, a):
-        """a^-1 by the extended Euclidean algorithm in F_p[t]."""
-        if a == self.zero:
+        """a^-1; ZeroDivisionError for a = 0."""
+        b = _inverse(a, self.modulus, self.p)
+        if b is None:
             raise ZeroDivisionError("inverse of zero in F_q")
-        p, d = self.p, self.d
-        if d == 1:
-            return (pow(a[0], -1, p),)
-        # s0 * a = r0 and s1 * a = r1 modulo the modulus throughout
-        r0, r1 = list(self.modulus) + [1], list(a)
-        s0, s1 = [0], [1]
-        while True:
-            while not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            lead = pow(r1[-1], -1, p)
-            shift = len(r0) - len(r1)
-            s = s0 + [0] * (shift + len(s1) - len(s0))
-            for k in range(shift, -1, -1):
-                c = r0[k + len(r1) - 1] * lead % p
-                if c:
-                    for j, b in enumerate(r1):
-                        r0[k + j] = (r0[k + j] - c * b) % p
-                    for j, b in enumerate(s1):
-                        s[k + j] -= c * b
-            r0, r1 = r1, r0[:len(r1) - 1]
-            s0, s1 = s1, [x % p for x in s]
-        c = pow(r1[0], -1, p)
-        return tuple([x * c % p for x in s1] + [0] * (d - len(s1)))
+        return b
 
     # --- roots ---
 

@@ -191,16 +191,12 @@ def resultant(f, g):
 
 
 @functools.cache
-def _cyclotomic(n):
+def cyclotomic_poly(n):
+    """Integer coefficients of the n-th cyclotomic polynomial, as a tuple."""
     f = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            f, rem = poly_divmod_monic(f, _cyclotomic(d))
+            f, rem = poly_divmod_monic(f, cyclotomic_poly(d))
             if any(rem):
                 raise ValueError("inexact polynomial division")
     return tuple(f)
-
-
-def cyclotomic_poly(n):
-    """Integer coefficients of the n-th cyclotomic polynomial."""
-    return list(_cyclotomic(n))

@@ -10,7 +10,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import clustersol.clusters as clusters_mod
 import clustersol.decision as decision_mod
 from clustersol.clusters import canonical_sqrt_symbol
-from clustersol.curves import Binomial, Cyclo, Linear, RootSet, embed_cyclo, reject_repeated_factors
+from clustersol.corpus import generate_corpus
+from clustersol.curves import (Binomial, Cyclo, Linear, RootSet, embed_cyclo, parse_expr,
+                               reject_repeated_factors)
 from clustersol.errors import InternalError, PrecisionExhausted
 from clustersol.tame import (FROB, INF, TAU, Elt, GaloisWord, _aligned, _lifts, _normalise,
                              get_tower)
@@ -111,6 +113,19 @@ def mobius_dual(expr, s):
     c_pow = expr.c_pow + s * (len(bins) < len(expr.factors)) + sum(f.rhs_pow for f in bins)
     return expr._replace(c_unit=c_unit, c_pow=c_pow, factors=factors,
                          frob=(None,) * len(factors), text="")
+
+
+def odd_degree_corpus(seed, n, p_list):
+    """The first n odd-degree curves of ``generate_corpus(seed, m, p_list)``, doubling m
+    until there are n.  The generator draws the same whether it keeps a curve or not,
+    so every m gives the same curves in the same order."""
+    m = n
+    while True:
+        odd = [(p, text) for p, text in generate_corpus(seed, m, p_list)
+               if parse_expr(text, p).degree % 2]
+        if len(odd) >= n:
+            return odd[:n]
+        m *= 2
 
 
 def size_one_digit_short(monkeypatch):

@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import EX1, EX2, EX3, flip_canonical_sqrt, latex_structure
+from conftest import EX1, EX2, EX3, flip_canonical_sqrt, latex_structure, odd_degree_corpus
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
@@ -100,7 +100,7 @@ def test_criterion_4_oracle_cross_validation():
 
 
 def test_criterion_5_odd_degree_property():
-    corpus = generate_corpus(271828, 50, [7, 11, 13, 17], odd_only=True)
+    corpus = odd_degree_corpus(271828, 50, [7, 11, 13, 17])
     good = 0
     for p, text in corpus:
         expr = parse_expr(text, p)

@@ -159,6 +159,16 @@ def test_analyze_curve_file_reports_good_curves_around_a_bad_one(capsys, tmp_pat
     assert out.count("verdict:") == 2
 
 
+def test_a_curve_past_the_residue_degree_cap_fails_only_its_row(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(f"p = 7\n{EX3[0]}\n(x^101-2*p)*(x^2-p)\n")
+    code, out, _ = run(capsys, "analyze", "--curve", str(path), "--json")
+    rows = json.loads(out)
+    assert rows[0]["solubility"] == "Insoluble"
+    assert rows[1]["error"]["class"] == "UnsupportedFactor"
+    assert code == 1
+
+
 def test_analyze_curve_file_exit_code_is_the_first_failure(capsys, tmp_path, monkeypatch):
     # sized one digit short, the second curve raises PrecisionExhausted
     size_one_digit_short(monkeypatch)

@@ -1,12 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import EX1, EX2, EX3, nested_trie, reference_precision
 from clustersol.clusters import build_picture
-from clustersol.curves import (Cyclo, expand_to_integer_poly,
+from clustersol.curves import (MAX_ZETA_DEGREE, Cyclo, expand_to_integer_poly,
                                extract_roots, galois_closure_check, galois_perms,
                                parse_expr, read_curve_file, required_tower)
+from clustersol.decision import solubility_decide
 from clustersol.errors import (DegreeTooSmall, NotGaloisClosed, ParseError,
                                RootCollision, UnsupportedFactor)
 from clustersol.tame import Tower
@@ -101,6 +103,22 @@ def test_required_tower_examples():
     assert required_tower(parse_expr(EX1[0], EX1[1])) == (2, 12)
     assert required_tower(parse_expr("(x-1)*(x-2)*(x-3)*(x-4)*(x-5)", 7)) == (1, 1)
     assert required_tower(parse_expr(EX2, 11)) == (2, 2)
+
+
+# The first two need d = ord_202(p) = 100 for ζ_202; the third has
+# ord_194(389) = 1 but a 97th root of 2 only at d = 97; the last has ζ_30 in
+# F_61, a 6th root of -7 at 6 | d and a 5th root of -4 at 5 | d, so d = 30
+PAST_THE_DEGREE_CAP = [("(x^101-2*p)*(x^2-p)", 7), ("(x^101-2*p)*(x^2-p)", 61),
+                       ("(x^97-2*p)*(x^2-p)", 389),
+                       ("((x-zeta(5))^6+7*p^8)*((x-zeta(5))^5+4*p^4)", 61)]
+
+
+@pytest.mark.parametrize("text,p", PAST_THE_DEGREE_CAP)
+def test_a_curve_past_the_residue_degree_cap_is_unsupported_within_a_second(text, p):
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedFactor, match=f"residue degree d > {MAX_ZETA_DEGREE}"):
+        solubility_decide(parse_expr(text, p))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # --- roots ---

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EX1, EX2, EX3, decide_with_doubled_recheck
+from conftest import EX1, EX2, EX3, decide_with_doubled_recheck, odd_degree_corpus
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
@@ -135,7 +135,7 @@ def test_precision_doubling_agreement_golden():
 # --- odd degree consistency ---
 
 def test_odd_degree_theorem_always_fires():
-    corpus = generate_corpus(606, 25, [7, 11, 13, 17], odd_only=True)
+    corpus = odd_degree_corpus(606, 25, [7, 11, 13, 17])
     for p, text in corpus:
         v, _ = solubility_decide(parse_expr(text, p))
         assert v.component_yes, (p, text)

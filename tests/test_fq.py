@@ -7,8 +7,8 @@ import pytest
 
 from conftest import reference_canonical_sqrt
 from clustersol.errors import NonOddPrime
-from clustersol.fq import FqField, _mulmod, _powmod, get_field
-from clustersol.numutil import is_prime
+from clustersol.fq import FqField, _inverse, _is_irreducible, _mulmod, _powmod, get_field
+from clustersol.numutil import factorint, is_prime
 from clustersol.tame import Tower
 from test_numutil import poly_mul
 from test_tame_field import TOWERS
@@ -136,6 +136,33 @@ def test_euler_criterion_against_enumeration():
     squares = {F.mul((x,), (x,)) for x in range(1, 11)}
     for x in range(1, 11):
         assert is_square(F, (x,)) == ((x,) in squares)
+
+
+# --- the one extended Euclid: inverses and the irreducibility sieve ---
+
+def moebius(k):
+    fac = factorint(k)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7) for d in range(1, 5)]
+                         + [(11, d) for d in range(1, 4)])
+def test_the_sieve_accepts_gauss_count_of_monic_polynomials(p, d):
+    # (1/d) sum_{k | d} mu(k) p^(d/k) monic irreducibles of degree d over F_p
+    gauss = sum(moebius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+    accepted = sum(_is_irreducible(low, p) for low in itertools.product(range(p), repeat=d))
+    assert accepted == gauss
+
+
+@pytest.mark.parametrize("p,low", [(7, (6, 0)), (5, (0, 0, 0))])
+def test_inverse_is_none_exactly_where_a_reducible_modulus_has_no_inverse(p, low):
+    # t^2 - 1 over F_7 and t^3 over F_5: a has an inverse iff some b has a*b = 1
+    d = len(low)
+    one = (1,) + (0,) * (d - 1)
+    elements = list(itertools.product(range(p), repeat=d))
+    for a in elements:
+        found = [b for b in elements if _mulmod(a, b, low, p) == one]
+        assert _inverse(a, low, p) == (found[0] if found else None)
 
 
 def test_rejects_even_or_composite():

@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports, and no dead definitions in the package.
 
-Each module under ``src/clustersol/`` and ``tests/`` is parsed with
+Each module under ``src/clustersol/``, ``tests/`` and ``scripts/`` is parsed with
 ``ast``.  A name bound by an import statement must be read somewhere in
 the same file (or listed in its ``__all__``).  Package ``__init__.py``
 files are exempt: their imports are re-exports.
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src/clustersol", "tests") for p in (ROOT / d).glob("*.py")
+FILES = sorted(p for d in ("src/clustersol", "tests", "scripts") for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")
 PACKAGE = sorted((ROOT / "src/clustersol").glob("*.py"))
 
@@ -124,7 +124,7 @@ def dead_fields(sources):
 
 def test_scan_sees_the_modules():
     names = {p.name for p in FILES}
-    assert {"tame.py", "clusters.py", "test_hygiene.py"} <= names
+    assert {"tame.py", "clusters.py", "test_hygiene.py", "ab_pairs.py"} <= names
 
 
 def test_unused_imports_are_detected():

@@ -48,12 +48,12 @@ def test_vp():
 
 
 def test_cyclotomic():
-    assert cyclotomic_poly(1) == [-1, 1]
-    assert cyclotomic_poly(2) == [1, 1]
-    assert cyclotomic_poly(3) == [1, 1, 1]
-    assert cyclotomic_poly(4) == [1, 0, 1]
-    assert cyclotomic_poly(6) == [1, -1, 1]
-    assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    assert cyclotomic_poly(3) == (1, 1, 1)
+    assert cyclotomic_poly(4) == (1, 0, 1)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=12),
