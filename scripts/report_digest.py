@@ -2,15 +2,17 @@
 """Print one sha256 over the full reports of a fixed set of curves.
 
 A refactor that keeps every verdict and report keeps this hash.  Each
-curve contributes one line: ``json.dumps([report, tau_perm, frob_perm],
-sort_keys=True)``, where ``report`` is the ``build_report`` of
-``solubility_decide`` (the ``analyze --json`` report), or
+curve contributes one line: ``json.dumps([report, tau_perm, frob_perm])``,
+where ``report`` is the ``build_report`` of ``solubility_decide`` (the
+``analyze --json`` report), or
 ``error:Class:message`` when the decision raises.  The curves are
 ``generate_corpus(1, 400, [7, 11, 13, 17, 19, 23])``,
 ``generate_corpus(42, 640, (7, 11, 13, 17), genus_range=(2, 4))``,
 ``generate_corpus(6, 40, [101, 103, 107, 109], genus_range=(3, 4))`` and
 two named curves: one with a centroid that is exactly 0 and one that is
-not squarefree.  It takes no options:
+not squarefree.  Keys are not sorted: the line keeps every dict's key
+order as ``analyze --json`` prints it, ``consumed`` and the witnesses'
+among them.  It takes no options:
 
     python3 scripts/report_digest.py
 
@@ -50,8 +52,7 @@ def digest_line(text, p):
         verdict, A = solubility_decide(expr)
     except ClusterSolError as exc:
         return f"error:{type(exc).__name__}:{exc}"
-    return json.dumps([build_report(expr, verdict, A), A.rs.tau_perm, A.rs.frob_perm],
-                      sort_keys=True)
+    return json.dumps([build_report(expr, verdict, A), A.rs.tau_perm, A.rs.frob_perm])
 
 
 def digest():

@@ -24,7 +24,7 @@ zeta-centre curves among those whose decide time (parse to theorem) is
 above its p90.  The warm-up pass, the first in the process, counts the
 Newton lifts into W (``Tower._inverse_root``) and the residue roots they
 start from (``FqField.canonical_nth_root``).  A third pass, untimed,
-counts calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.canonical_sqrt``,
+counts calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.sqrt_pair``,
 ``ClusterAnalysis.epsilon``, ``numutil.resultant``, ``Cyclo``
 constructions, and the oracle's ``poly_eval``, ``poly_deriv`` and
 ``_refine_root``, each split by the stage that made it, and the
@@ -133,7 +133,7 @@ def counting_by_degree(counts, name, running, fn):
 LIFTS = [("Newton lifts", tame_mod.Tower, "_inverse_root"),
          ("residue roots", fq_mod.FqField, "canonical_nth_root")]
 KERNELS = [("fq.pow", fq_mod.FqField, "pow"), ("_mulmod", fq_mod, "_mulmod"),
-           ("_mulmod", tame_mod, "_mulmod"), ("canonical_sqrt", fq_mod.FqField, "canonical_sqrt"),
+           ("_mulmod", tame_mod, "_mulmod"), ("sqrt_pair", fq_mod.FqField, "sqrt_pair"),
            ("epsilon", ClusterAnalysis, "epsilon"), ("resultant", clusters_mod, "resultant"),
            ("resultant", curves_mod, "resultant"), ("resultant", oracle_mod, "resultant"),
            ("Cyclo", Cyclo, "__init__"), ("poly_eval", oracle_mod, "poly_eval"),

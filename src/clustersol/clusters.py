@@ -185,12 +185,8 @@ def build_picture(rs, expr):
 # ------------------------------------------------------------------
 
 def canonical_sqrt_symbol(fq, u):
-    """The canonical square root of u in F_q^* as a pair (s, alpha), s in F_q:
-    u's canonical root with alpha = 0, else (u / omega)'s with alpha = 1."""
-    r = fq.canonical_sqrt(u)
-    if r is not None:
-        return r, 0
-    return fq.canonical_sqrt(fq.mul(u, fq.inv(fq.omega))), 1
+    """sqrt(u) as the pair (s, alpha) for s sqrt(omega)^alpha (``FqField.sqrt_pair``)."""
+    return fq.sqrt_pair(u)
 
 
 def zeta_2e(fq, e, m):

@@ -6,6 +6,27 @@ applicability gate (odd residue characteristic, tameness, and residue
 field larger than 2(g^2 - 1)) this is equivalent to the curve having a
 rational point over Q_p.  Every sub-condition is evaluated and reported,
 even after one fires.
+
+The criterion is data: ``CONDITIONS`` holds one ``Route`` per way a
+condition fires, in ``CONDITION_IDS`` order and in one run per kind of
+node, with its ``cid``; that ``kind`` (a Galois-fixed principal cluster,
+a fixed principal child of one, a fixed twin, and when the top is not
+principal, a fixed cotwin or each of the top's two children read against
+the other); its ``conjuncts``, named tests ``(A, candidate)``; the
+``interval`` ``(lo, hi, den)`` it needs an integer in, if any, and
+whether it ``notes_empty`` ones; the ``witness`` builder of its
+``consumed`` dict; and its convention ``marker``.
+
+The evaluation order.  ``theorem_decide`` builds each kind's candidates
+once, in picture order, with the reads their routes share: epsilon trivial
+on an ubereven principal cluster, or on inertia at a twin or cotwin, and a
+cotwin's dual-pair swaps where it is not.  Per run of one kind's records
+and per candidate, it tries the routes in order, testing conjuncts left to
+right up to the first that fails; a route whose conjuncts all hold claims
+the candidate, and a later route of its condition skips it, as an ``elif``
+would.  So each reader is asked about the nodes a hand-written ladder asks
+about: ``center_value_is_square``, which raises on a fixed cluster whose
+centroid value is outside F_p, only where the conjuncts before it hold.
 """
 
 import math
@@ -14,10 +35,6 @@ from typing import NamedTuple
 from .clusters import analyse
 from .numutil import rational_str
 from .tame import FROB, TAU
-
-CONDITION_IDS = ["i", "ii.a", "ii.b", "ii.c", "ii.d", "iii",
-                 "iv.a", "iv.b", "iv.c", "v.a", "v.b", "v.c",
-                 "vi.a", "vi.b", "vi.c", "vi.d", "vi.e", "vi.f"]
 
 
 class ConditionReport:
@@ -36,15 +53,14 @@ class ConditionReport:
             return NotImplemented
         return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
-    def fire(self, witness, consumed=None, marker=False):
+    def fire(self, witness, consumed, marker):
         self.satisfied = True
         if witness not in self.witnesses:
             self.witnesses.append(witness)
-        if consumed:
-            self.consumed.update(consumed)
+        self.consumed.update(consumed)
         self.convention_marker = self.convention_marker or marker
 
-    def note(self, witness, consumed, marker=False):
+    def note(self, witness, consumed, marker):
         """Record an evaluated-but-unsatisfied candidate, e.g. an empty interval."""
         self.consumed.setdefault("evaluated", {})[witness] = consumed
         self.convention_marker = self.convention_marker or marker
@@ -75,172 +91,153 @@ def is_even_int(n, den):
     return n % (2 * den) == 0
 
 
+class Route(NamedTuple):
+    """One way a condition fires (module docstring); ``witness`` builds a new dict per call."""
+    cid: str
+    kind: str
+    conjuncts: tuple
+    witness: object
+    interval: object = None
+    notes_empty: bool = False
+    marker: bool = False
+
+
+class Candidate(NamedTuple):
+    """A node the routes of its kind are asked on, with what they share."""
+    node: object               # the cluster; a nested child; a top child
+    name: str                  # the witness
+    eps_ok: bool = False       # principal: not ubereven, or epsilon trivial
+    inertia: bool = False      # twin, cotwin: epsilon trivial on inertia
+    swaps: tuple = None        # cotwin, inertia not trivial: dual pair (tau, frob) swaps
+
+
+II = ("e > 1, epsilon trivial if ubereven", lambda A, c: c.node.e > 1 and c.eps_ok)
+TOP = ("the top", lambda A, c: c.node is A.picture.top)
+EPS = ("epsilon trivial", lambda A, c: A.eps_trivial_galois(c.node))
+INERTIA = ("epsilon trivial on inertia", lambda A, c: c.inertia)
+NO_INERTIA = ("epsilon not trivial on inertia", lambda A, c: not c.inertia)
+FROB_NEG = ("eps(frob) = -1", lambda A, c: c.node.eps_frob == -1)
+D_INT = ("d integral", lambda A, c: is_int(c.node.level, A.tower.e))
+NU_EVEN = ("nu even", lambda A, c: is_even_int(c.node.nu_e, A.tower.e))
+CENTRE = ("d integral or f square at the centroid", lambda A, c: is_int(
+    c.node.level, A.tower.e) or A.center_value_is_square(c.node) is True)
+ODD = ("odd", lambda A, c: c.node.size % 2 == 1)
+EVEN_PROPER = ("even, proper", lambda A, c: c.node.size % 2 == 0 and c.node.is_proper)
+FIXED_IN = ("fixed by tau", lambda A, c: A.image(c.node, TAU) is c.node)
+FIXED_FR = ("fixed by frob", lambda A, c: A.image(c.node, FROB) is c.node)
+MOVED_FR = ("moved by frob", lambda A, c: A.image(c.node, FROB) is not c.node)
+SWAPS = ("swapped by tau", lambda A, c: A.image(c.node, TAU) is not c.node)
+TOP_D_INT = ("d_R integral", lambda A, c: is_int(A.picture.top.level, A.tower.e))
+TOP_FROB = ("eps_R(frob) = 1", lambda A, c: A.picture.top.eps_frob == 1)
+_q = lambda A, n, den=1: rational_str(n, den * A.tower.e)
+D_NU = lambda A, c: {"d": _q(A, c.node.level), "nu": _q(A, c.node.nu_e)}
+NONE = lambda A, c: {}
+DEPTHS = lambda A, c: (-c.node.level, -c.node.parent.level, A.tower.e)
+RELATIVE = lambda A, c: (-c.node.parent.lam_2e - c.node.delta_e, -c.node.parent.lam_2e,
+                         2 * A.tower.e)
+
+CONDITIONS = ((  # one run of routes per kind of node
+    Route("i", "principal", (("e = 1, epsilon trivial if ubereven",
+                              lambda A, c: c.node.e == 1 and c.eps_ok),), lambda A, c: {"e": 1}),
+    Route("ii.a", "principal", (II, TOP, ODD), lambda A, c: {"parity": "odd", "e": c.node.e}),
+    Route("ii.a", "principal", (II, TOP, EPS), lambda A, c: {"parity": "even", "eps": "trivial"}),
+    Route("ii.b", "principal", (II, ("a stable singleton child", lambda A, c: any(
+        k.size == 1 for k in c.node.stable_children))), lambda A, c: {"route": "stable singleton"}),
+    Route("ii.b", "principal", (
+        II, ("genus 0, not ubereven", lambda A, c: c.node.genus == 0 and not c.node.ubereven),
+        ("no proper stable odd child", lambda A, c: not any(
+            k.size > 1 and k.size % 2 == 1 for k in c.node.stable_children)), NU_EVEN, CENTRE),
+        lambda A, c: {"route": "genus 0, no proper stable odd child", "nu": _q(A, c.node.nu_e)},
+        marker=True),
+    Route("ii.c", "principal", (
+        II, ("no proper stable child", lambda A, c: not any(
+            k.size > 1 for k in c.node.stable_children)),
+        ("lambda integral", lambda A, c: is_int(c.node.lam_2e, 2 * A.tower.e)), NU_EVEN,
+        ("genus > 0 or ubereven", lambda A, c: c.node.genus > 0 or c.node.ubereven), CENTRE),
+        lambda A, c: {"lambda": _q(A, c.node.lam_2e, 2), "nu": _q(A, c.node.nu_e)}, marker=True),
+    Route("ii.d", "principal", (II, ("singleton children, all fixed", lambda A, c: any(
+        k.size == 1 for k in c.node.children) and all(
+            A.image(k, TAU) is k and A.image(k, FROB) is k
+            for k in c.node.children if k.size == 1))),
+        lambda A, c: {"singletons": sum(k.size == 1 for k in c.node.children)})), (
+    Route("iii", "nested", (ODD,), lambda A, c: {"branch": "odd"}, RELATIVE, notes_empty=True),
+    Route("iii", "nested", (EPS,), lambda A, c: {"branch": "even"}, DEPTHS)), (
+    Route("iv.a", "twin", (EPS,), NONE, DEPTHS, notes_empty=True),
+    Route("iv.b", "twin", (INERTIA, FROB_NEG, D_INT, NU_EVEN), D_NU),
+    Route("iv.c", "twin", (NO_INERTIA, ("both roots fixed", lambda A, c: all(
+        A.image(k, TAU) is k and A.image(k, FROB) is k for k in c.node.children))),
+        lambda A, c: {"route": "rational branch points"}, marker=True),
+    Route("iv.c", "twin", (NO_INERTIA, NU_EVEN, CENTRE), lambda A, c: {
+        "route": "crosses fixed", "nu": _q(A, c.node.nu_e), "d": _q(A, c.node.level)}, marker=True)), (
+    Route("v.a", "cotwin", (EPS, ("the star proper", lambda A, c: A.star(c.node).is_proper)),
+          NONE, lambda A, c: (-A.star(c.node).level, -c.node.level, A.tower.e)),
+    Route("v.b", "cotwin", (INERTIA, FROB_NEG, D_INT, NU_EVEN), D_NU),
+    Route("v.c", "cotwin", (NO_INERTIA, ("the dual pair swapped by tau or fixed by frob",
+                                         lambda A, c: c.swaps[0] or not c.swaps[1])),
+          lambda A, c: {"dual_pair_tau_swaps": c.swaps[0],
+                        "dual_pair_frob_swaps": c.swaps[1]}, marker=True)), (
+    Route("vi.a", "top child", (ODD, ("a singleton, at infinite relative depth",
+                                      lambda A, c: not c.node.is_proper), FIXED_IN, FIXED_FR),
+          lambda A, c: {"interval": ["-inf", _q(A, -A.picture.top.lam_2e, 2)],
+                        "note": "rational Weierstrass point"}, marker=True),
+    Route("vi.a", "top child", (ODD, ("proper", lambda A, c: c.node.is_proper), FIXED_IN,
+                                FIXED_FR), NONE, RELATIVE, notes_empty=True, marker=True),
+    Route("vi.b", "top child", (ODD, FIXED_IN, MOVED_FR, TOP_D_INT, ("nu_R even", lambda A, c:
+                                is_even_int(A.picture.top.nu_e, A.tower.e))), lambda A, c: {
+        "d_R": _q(A, A.picture.top.level), "nu_R": _q(A, A.picture.top.nu_e)}, marker=True),
+    Route("vi.c", "top child", (ODD, SWAPS, TOP_FROB), lambda A, c: {"eps_R_frob": 1}),
+    Route("vi.d", "top child", (EVEN_PROPER, FIXED_IN, FIXED_FR, EPS), NONE, DEPTHS),
+    Route("vi.e", "top child", (EVEN_PROPER, FIXED_IN, MOVED_FR, EPS, TOP_D_INT),
+          lambda A, c: {"d_R": _q(A, A.picture.top.level)}),
+    Route("vi.f", "top child", (EVEN_PROPER, SWAPS, EPS, TOP_FROB), lambda A, c: {"eps_R_frob": 1})))
+
+CONDITION_IDS = list(dict.fromkeys(r.cid for run in CONDITIONS for r in run))
+
+
+def _candidates(A):
+    """Each kind's candidates, in picture order, with what their routes share."""
+    top, fixed = A.picture.top, [s for s in A.picture.proper() if s.fixed_galois]
+    principal = [s for s in fixed if s.principal]
+    cotwins = [(s, A.eps_trivial_inertia(s)) for s in fixed if s.cotwin and not top.principal]
+    return {
+        "principal": [Candidate(s, s.name, eps_ok=not s.ubereven or A.eps_trivial_galois(s))
+                      for s in principal],
+        "nested": [Candidate(k, f"{k.name}<{s.name}") for s in principal for k in s.children
+                   if k.is_proper and k.principal and k.fixed_galois],
+        "twin": [Candidate(s, s.name, inertia=A.eps_trivial_inertia(s)) for s in fixed if s.twin],
+        "cotwin": [Candidate(s, s.name, inertia=i, swaps=None if i else A.dual_pair_swap(s))
+                   for s, i in cotwins],
+        "top child": [Candidate(a, a.name or f"r{a.roots[0] + 1}") for a in top.children
+                      if not top.principal and len(top.children) == 2],
+    }
+
+
 def theorem_decide(A):
-    """Evaluate all theorem conditions on a ClusterAnalysis.
+    """(component_yes, {cid: ConditionReport}) from every route of ``CONDITIONS``.
 
-    Depths, nu and relative depths are integers over the tower's e, lambda
-    and the (iii) and (vi.a) interval ends over 2e (``ClusterNode``);
-    witnesses write them as fractions.  Returns (component_yes,
-    {cid: ConditionReport}).
+    Depths, nu and relative depths are integers over the tower's e, and
+    lambda, with the interval ends read from it, over 2e (``ClusterNode``).
     """
-    reports = {cid: ConditionReport() for cid in CONDITION_IDS}
-    top = A.picture.top
-    proper = A.picture.proper()
-    e = A.tower.e
-    e2 = 2 * e
-
-    def q(n, den=e):
-        return rational_str(n, den)
-
-    def eps_ok_if_ubereven(n):
-        return not n.ubereven or A.eps_trivial_galois(n)
-
-    def center_ok(n):
-        return is_int(n.level, e) or A.center_value_is_square(n) is True
-
-    def fire_or_note(cid, witness, lo, hi, den, marker=False, **head):
-        """Fire when [lo/den, hi/den] holds an integer, else note it as empty."""
-        consumed = {**head, "interval": [q(lo, den), q(hi, den)]}
-        if interval_has_integer(lo, hi, den):
-            reports[cid].fire(witness, consumed, marker)
-        else:
-            reports[cid].note(witness, {**consumed, "integer_intersection": "empty"}, marker)
-
-    def fire_if_frob_negates(cid, s, triv_inertia):
-        """(iv.b), (v.b): epsilon trivial on inertia and -1 on frob, d integral, nu even."""
-        if (triv_inertia and s.eps_frob == -1
-                and is_int(s.level, e) and is_even_int(s.nu_e, e)):
-            reports[cid].fire(s.name, {"d": q(s.level), "nu": q(s.nu_e)})
-
-    # (i) and the (ii) preamble
-    for s in proper:
-        if not (s.principal and s.fixed_galois):
-            continue
-        if s.e == 1 and eps_ok_if_ubereven(s):
-            reports["i"].fire(s.name, {"e": 1})
-        if s.e > 1 and eps_ok_if_ubereven(s):
-            # (ii)(a)
-            if s is top:
-                if top.size % 2 == 1:
-                    reports["ii.a"].fire(s.name, {"parity": "odd", "e": s.e})
-                elif A.eps_trivial_galois(top):
-                    reports["ii.a"].fire(s.name, {"parity": "even", "eps": "trivial"})
-            # (ii)(b)
-            stable = s.stable_children
-            if any(c.size == 1 for c in stable):
-                reports["ii.b"].fire(s.name, {"route": "stable singleton"})
-            elif (s.genus == 0 and not s.ubereven
-                  and not any(c.size > 1 and c.size % 2 == 1 for c in stable)
-                  and is_even_int(s.nu_e, e) and center_ok(s)):
-                reports["ii.b"].fire(s.name,
-                                     {"route": "genus 0, no proper stable odd child",
-                                      "nu": q(s.nu_e)}, marker=True)
-            # (ii)(c)
-            if (not any(c.size > 1 for c in stable)
-                    and is_int(s.lam_2e, e2) and is_even_int(s.nu_e, e)
-                    and (s.genus > 0 or s.ubereven) and center_ok(s)):
-                reports["ii.c"].fire(s.name, {"lambda": q(s.lam_2e, e2), "nu": q(s.nu_e)},
-                                     marker=True)
-            # (ii)(d)
-            singles = [c for c in s.children if c.size == 1]
-            if singles and all(
-                    A.image(c, TAU) is c and A.image(c, FROB) is c for c in singles):
-                reports["ii.d"].fire(s.name, {"singletons": len(singles)})
-
-    # (iii) linking chains between nested principal clusters
-    for s in proper:
-        if not (s.principal and s.fixed_galois):
-            continue
-        for sp in s.children:
-            if not (sp.is_proper and sp.principal and sp.fixed_galois):
-                continue
-            if sp.size % 2 == 1:
-                fire_or_note("iii", f"{sp.name}<{s.name}", -s.lam_2e - sp.delta_e, -s.lam_2e,
-                             e2, branch="odd")
-            else:
-                lo, hi = -sp.level, -s.level
-                if A.eps_trivial_galois(sp) and interval_has_integer(lo, hi, e):
-                    reports["iii"].fire(f"{sp.name}<{s.name}",
-                                        {"branch": "even", "interval": [q(lo), q(hi)]})
-
-    # (iv) twins
-    for s in proper:
-        if not (s.twin and s.fixed_galois):
-            continue
-        triv_inertia = A.eps_trivial_inertia(s)
-        if A.eps_trivial_galois(s):
-            fire_or_note("iv.a", s.name, -s.level, -s.parent.level, e)
-        fire_if_frob_negates("iv.b", s, triv_inertia)
-        if not triv_inertia:
-            if all(A.image(c, TAU) is c and A.image(c, FROB) is c for c in s.children):
-                reports["iv.c"].fire(s.name, {"route": "rational branch points"},
-                                     marker=True)
-            elif is_even_int(s.nu_e, e) and center_ok(s):
-                reports["iv.c"].fire(s.name, {"route": "crosses fixed",
-                                              "nu": q(s.nu_e), "d": q(s.level)},
-                                     marker=True)
-
-    if not top.principal:
-        # (v) cotwins, read with t the cotwin and s its child of size 2g
-        for s in proper:
-            if not (s.cotwin and s.fixed_galois):
-                continue
-            child = A.star(s)
-            triv_inertia = A.eps_trivial_inertia(s)
-            if A.eps_trivial_galois(s) and child.is_proper:
-                lo, hi = -child.level, -s.level
-                if interval_has_integer(lo, hi, e):
-                    reports["v.a"].fire(s.name, {"interval": [q(lo), q(hi)]})
-            fire_if_frob_negates("v.b", s, triv_inertia)
-            if not triv_inertia:
-                tau_swaps, frob_swaps = A.dual_pair_swap(s)
-                if tau_swaps or not frob_swaps:
-                    reports["v.c"].fire(s.name,
-                                        {"dual_pair_tau_swaps": tau_swaps,
-                                         "dual_pair_frob_swaps": frob_swaps},
-                                        marker=True)
-
-        # (vi) top cluster with exactly two children
-        if len(top.children) == 2:
-            for a_node, b_node in (top.children, list(reversed(top.children))):
-                fixed_in = A.image(a_node, TAU) is a_node
-                fixed_fr = A.image(a_node, FROB) is a_node
-                swaps = A.image(a_node, TAU) is b_node
-                name = a_node.name or f"r{a_node.roots[0] + 1}"
-                if a_node.size % 2 == 1:
-                    if not a_node.is_proper and fixed_in and fixed_fr:
-                        # singleton child: the relative depth is infinite, the
-                        # interval unbounded below, and the root is rational
-                        reports["vi.a"].fire(name,
-                                             {"interval": ["-inf", q(-top.lam_2e, e2)],
-                                              "note": "rational Weierstrass point"},
-                                             marker=True)
-                    if a_node.is_proper and fixed_in and fixed_fr:
-                        fire_or_note("vi.a", name, -top.lam_2e - a_node.delta_e, -top.lam_2e,
-                                     e2, marker=True)
-                    if (fixed_in and not fixed_fr and is_int(top.level, e)
-                            and is_even_int(top.nu_e, e)):
-                        reports["vi.b"].fire(name, {"d_R": q(top.level),
-                                                    "nu_R": q(top.nu_e)},
-                                             marker=True)
-                    if swaps and top.eps_frob == 1:
-                        reports["vi.c"].fire(name, {"eps_R_frob": 1})
+    reports, candidates = {cid: ConditionReport() for cid in CONDITION_IDS}, _candidates(A)
+    for run in CONDITIONS:
+        for c in candidates[run[0].kind]:
+            claimed = None
+            for r in run:
+                if r.cid == claimed:
+                    continue
+                for _, test in r.conjuncts:
+                    if not test(A, c):
+                        break
                 else:
-                    if not a_node.is_proper:
-                        continue
-                    if fixed_in and fixed_fr and A.eps_trivial_galois(a_node):
-                        lo, hi = -a_node.level, -top.level
-                        if interval_has_integer(lo, hi, e):
-                            reports["vi.d"].fire(name, {"interval": [q(lo), q(hi)]})
-                    if (fixed_in and not fixed_fr and A.eps_trivial_galois(a_node)
-                            and is_int(top.level, e)):
-                        reports["vi.e"].fire(name, {"d_R": q(top.level)})
-                    if (swaps and A.eps_trivial_galois(a_node)
-                            and top.eps_frob == 1):
-                        reports["vi.f"].fire(name, {"eps_R_frob": 1})
-
-    component_yes = any(r.satisfied for r in reports.values())
-    return component_yes, reports
+                    claimed, report, consumed = r.cid, reports[r.cid], r.witness(A, c)
+                    if r.interval:
+                        lo, hi, den = r.interval(A, c)
+                        consumed["interval"] = [rational_str(x, den) for x in (lo, hi)]
+                    if not r.interval or interval_has_integer(lo, hi, den):
+                        report.fire(c.name, consumed, r.marker)
+                    elif r.notes_empty:
+                        report.note(c.name, {**consumed, "integer_intersection": "empty"}, r.marker)
+    return any(r.satisfied for r in reports.values()), reports
 
 
 def tameness_flags(A):

@@ -270,33 +270,40 @@ class FqField:
             w = self.mul(w, zeta)
         return sorted(roots)
 
-    def canonical_sqrt(self, a):
-        """The lexicographically least square root, or None.
+    def sqrt_pair(self, a):
+        """(r, alpha), r^2 omega^alpha = a: a's least square root and 0, else a/omega's and 1.
 
         Tonelli-Shanks with q - 1 = 2^s m, m odd, and the generator omega
         as the non-residue: x = a^((m+1)/2) has x^2 = a b for b = a^m in
         the 2-Sylow subgroup, and each step multiplies x by a power of
         omega^m that lowers the order of b, until b = 1.  Both come from
-        one power, a^((m-1)/2) = x/a.
+        one power, a^((m-1)/2) = x/a.  b has order 2^s when a is not a
+        square, and then x omega^((m-1)/2) and b omega^m serve a/omega.
         """
         if a == self.zero:
-            return a
+            return a, 0
         m, s = self.q - 1, 0
         while m % 2 == 0:
             m, s = m // 2, s + 1
         t = self.pow(a, (m - 1) // 2)
         x = self.mul(t, a)
-        b, g = self.mul(t, x), self.pow(self.omega, m)
+        b, g, alpha = self.mul(t, x), self.pow(self.omega, m), 0
         while b != self.one:
             i, c = 0, b
             while c != self.one:
                 c, i = self.mul(c, c), i + 1
-            if i == s:
-                return None          # b has order 2^s: a is not a square
+            if i == s:               # b has order 2^s: a is not a square
+                x, b, alpha = self.mul(x, self.pow(self.omega, (m - 1) // 2)), self.mul(b, g), 1
+                continue
             g = self.pow(g, 1 << (s - i - 1))
             x, g, s = self.mul(x, g), self.mul(g, g), i
             b = self.mul(b, g)
-        return min(x, self.neg(x))
+        return min(x, self.neg(x)), alpha
+
+    def canonical_sqrt(self, a):
+        """The lexicographically least square root, or None."""
+        r, alpha = self.sqrt_pair(a)
+        return None if alpha else r
 
     def canonical_nth_root(self, a, n):
         roots = self.nth_roots(a, n)

@@ -6,7 +6,8 @@ from conftest import EX1, EX2, EX3, decide_with_doubled_recheck, odd_degree_corp
 from clustersol.clusters import analyse
 from clustersol.corpus import generate_corpus
 from clustersol.curves import expand_to_integer_poly, parse_expr
-from clustersol.decision import (CONDITION_IDS, ConditionReport, corollary_gate,
+import clustersol.decision as decision_mod
+from clustersol.decision import (CONDITION_IDS, CONDITIONS, ConditionReport, corollary_gate,
                                  interval_has_integer, is_even_int, is_int,
                                  solubility_decide, tameness_flags, theorem_decide)
 from clustersol.oracle import is_locally_soluble
@@ -52,6 +53,77 @@ def test_tameness_flags():
     A = analyse(parse_expr(EX3[0], EX3[1]))
     flags = tameness_flags(A)
     assert all(flags.values())
+
+
+# --- the condition table ---
+
+RECORDS = [r for run in CONDITIONS for r in run]
+
+
+def _routes(pick):
+    """(cid, route number from 1) of each record that pick accepts."""
+    ids = [r.cid for r in RECORDS]
+    return [(r.cid, ids[:i].count(r.cid) + 1) for i, r in enumerate(RECORDS) if pick(r)]
+
+
+def test_the_table_holds_each_route_in_condition_order():
+    ids = [r.cid for r in RECORDS]
+    assert ids == sorted(ids, key=CONDITION_IDS.index)
+    assert list(dict.fromkeys(ids)) == CONDITION_IDS and len(CONDITION_IDS) == 18
+    assert [cid for cid in CONDITION_IDS if ids.count(cid) == 2] == \
+        ["ii.a", "ii.b", "iii", "iv.c", "vi.a"]
+    assert max(map(ids.count, CONDITION_IDS)) == 2
+
+
+def test_each_route_reads_its_kind_of_node():
+    kinds = {"principal": ["i", "ii.a", "ii.b", "ii.c", "ii.d"], "nested": ["iii"],
+             "twin": ["iv.a", "iv.b", "iv.c"], "cotwin": ["v.a", "v.b", "v.c"],
+             "top child": ["vi.a", "vi.b", "vi.c", "vi.d", "vi.e", "vi.f"]}
+    assert {r.cid: r.kind for r in RECORDS} == \
+        {cid: kind for kind, cids in kinds.items() for cid in cids}
+    # one run per kind, which theorem_decide reads off the run's first record
+    assert [{r.kind for r in run} for run in CONDITIONS] == [{kind} for kind in kinds]
+
+
+def test_the_marked_and_the_noting_routes():
+    # (ii.b)'s stable-singleton route is unmarked and its genus-0 route marked
+    assert _routes(lambda r: r.marker) == [
+        ("ii.b", 2), ("ii.c", 1), ("iv.c", 1), ("iv.c", 2), ("v.c", 1),
+        ("vi.a", 1), ("vi.a", 2), ("vi.b", 1)]
+    assert _routes(lambda r: r.notes_empty) == [("iii", 1), ("iv.a", 1), ("vi.a", 2)]
+    assert _routes(lambda r: r.interval) == [
+        ("iii", 1), ("iii", 2), ("iv.a", 1), ("v.a", 1), ("vi.a", 2), ("vi.d", 1)]
+    assert all(r.interval for r in RECORDS if r.notes_empty)
+
+
+def test_theorem_decide_reads_the_table_when_called(monkeypatch):
+    A = analyse(parse_expr(EX1[0], EX1[1]))
+    assert theorem_decide(A)[1]["ii.a"].satisfied
+    monkeypatch.setattr(decision_mod, "CONDITIONS", tuple(
+        tuple(r for r in run if r.cid != "ii.a") for run in CONDITIONS))
+    reports = theorem_decide(A)[1]
+    assert set(reports) == set(CONDITION_IDS) and reports["ii.a"] == ConditionReport()
+
+
+def test_a_route_whose_conjuncts_hold_claims_the_candidate(monkeypatch):
+    """Conjuncts stop at the first that fails, and a later route of the same
+    condition is tried only where no earlier one's conjuncts all held."""
+    A = analyse(parse_expr(EX1[0], EX1[1]))
+    asked = []
+
+    def conjunct(name, value):
+        return name, lambda A, c: asked.append(name) or value
+
+    def route(*conjuncts, n):
+        return decision_mod.Route("i", "principal", conjuncts, lambda A, c: {"route": n})
+
+    monkeypatch.setattr(decision_mod, "CONDITIONS", ((
+        route(conjunct("a", True), n=1), route(conjunct("b", True), n=2)),))
+    assert theorem_decide(A)[1]["i"].consumed == {"route": 1} and "b" not in asked
+    monkeypatch.setattr(decision_mod, "CONDITIONS", ((
+        route(conjunct("c", False), conjunct("d", True), n=1), route(conjunct("e", True), n=2)),))
+    assert theorem_decide(A)[1]["i"].consumed == {"route": 2}
+    assert "d" not in asked and "e" in asked
 
 
 # --- golden verdicts ---

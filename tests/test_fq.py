@@ -104,16 +104,28 @@ def test_sqrt_and_nth_roots(p, d):
                 assert F.pow(r, n) == a
 
 
+def _is_sqrt_pair(F, a, pair, root):
+    """Whether pair is (root, 0), root the least square root of a, or where a has
+    none, (r, 1) with r the least square root of a/omega."""
+    r, alpha = pair
+    if root is not None:
+        return pair == (root, 0)
+    return alpha == 1 and F.mul(F.mul(r, r), F.omega) == a and r == min(r, F.neg(r))
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_canonical_sqrt_matches_reference_on_every_small_field(d):
-    """Tonelli-Shanks against the least of all square roots: every element, q <= 2000."""
+    """Tonelli-Shanks against the least of all square roots: every element, q <= 2000;
+    ``sqrt_pair``'s run, turned to a/omega on a non-square, against the same."""
     fields = 0
     for p in filter(is_prime, range(3, 2001)):
         if p ** d > 2000:
             break
         F = get_field(p, d)
         for a in itertools.product(range(p), repeat=d):
-            assert F.canonical_sqrt(a) == reference_canonical_sqrt(F, a), (p, d, a)
+            root = reference_canonical_sqrt(F, a)
+            assert F.canonical_sqrt(a) == root, (p, d, a)
+            assert _is_sqrt_pair(F, a, F.sqrt_pair(a), root), (p, d, a)
         fields += 1
     assert fields == {1: 302, 2: 13, 3: 4, 4: 2, 5: 1, 6: 1}[d]
 
@@ -127,8 +139,10 @@ def test_canonical_sqrt_matches_reference_with_a_large_two_part(p, d, s):
     rng = random.Random(p * 10 + d)
     for _ in range(300):
         a = rand_elt(F, rng)
-        for x in (a, F.mul(a, a)):
-            assert F.canonical_sqrt(x) == reference_canonical_sqrt(F, x), (p, d, x)
+        for x in (a, F.mul(a, a), F.mul(a, F.omega)):
+            root = reference_canonical_sqrt(F, x)
+            assert F.canonical_sqrt(x) == root, (p, d, x)
+            assert _is_sqrt_pair(F, x, F.sqrt_pair(x), root), (p, d, x)
 
 
 def test_euler_criterion_against_enumeration():

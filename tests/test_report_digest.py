@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
-PINNED = ("d84c4ca106512c5237d1f3996ab75113cdf677db65ee0d148748d8d4c9480494", 1082, 1)
+PINNED = ("46fa63756aec91b4d1e35c80a4330db7523ad0a5e9574d125cb150a15420aed5", 1082, 1)
 
 
 def test_report_digest_is_pinned():
