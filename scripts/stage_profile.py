@@ -28,12 +28,16 @@ counts calls of ``FqField.pow``, ``fq._mulmod``, ``FqField.sqrt_pair``,
 ``ClusterAnalysis.epsilon``, ``numutil.resultant``, ``Cyclo``
 constructions, and the oracle's ``poly_eval``, ``poly_deriv`` and
 ``_refine_root``, each split by the stage that made it, and the
-``_mulmod`` calls by the degree d of their modulus.  A curve that raises
-is counted as an error in the stage that raised.  It takes no options:
+``_mulmod`` calls by the degree d of their modulus.  The timed pass also
+watches the cyclic garbage collector through ``gc.callbacks``: it prints
+the collections per generation, their total ms, and how many curves had
+one inside a timed step.  A curve that raises is counted as an error in
+the stage that raised.  It takes no options:
 
     python3 scripts/stage_profile.py
 """
 
+import gc
 import os
 import statistics
 import sys
@@ -93,7 +97,8 @@ def curve_stages(text, p):
 
 def run_pass(corpus, times=None, errors=None, running=None):
     """Decide every curve step by step; append each curve's {stage: ms} to
-    times when given, and keep the running step's name in running[0]."""
+    times when given, and keep the running step's name in running[0], None
+    between steps."""
     for p, text in corpus:
         ms = {}
         for stage, step in curve_stages(text, p):
@@ -108,6 +113,8 @@ def run_pass(corpus, times=None, errors=None, running=None):
                 break
             finally:
                 ms[stage] = (time.perf_counter() - t0) * 1e3
+                if running is not None:
+                    running[0] = None
         if times is not None:
             times.append(ms)
 
@@ -156,6 +163,21 @@ def count_pass(corpus, patches):
     return counts
 
 
+def collector_watch(log, running, times):
+    """A ``gc.callbacks`` entry: it counts the collections per generation in
+    log["gen"] and their ms in log["ms"], and adds to log["curves"] the
+    index in times of each curve with one inside a timed step."""
+    def watch(phase, info):
+        if phase == "start":
+            log["t0"] = time.perf_counter()
+            if running[0] is not None:
+                log["curves"].add(len(times))
+        else:
+            log["gen"][info["generation"]] += 1
+            log["ms"] += (time.perf_counter() - log["t0"]) * 1e3
+    return watch
+
+
 def median_ms(times, stage):
     vals = [ms[stage] for ms in times if stage in ms]
     return f"{statistics.median(vals):8.3f}" if vals else f"{'-':>8}"
@@ -164,8 +186,14 @@ def median_ms(times, stage):
 def main():
     corpus = generate_corpus(42, 640, (7, 11, 13, 17), genus_range=(2, 4))
     lifts = count_pass(corpus, LIFTS)
-    times, errors = [], Counter()
-    run_pass(corpus, times, errors)
+    times, errors, running = [], Counter(), [None]
+    collector = {"gen": Counter(), "ms": 0.0, "curves": set()}
+    watch = collector_watch(collector, running, times)
+    gc.callbacks.append(watch)
+    try:
+        run_pass(corpus, times, errors, running)
+    finally:
+        gc.callbacks.remove(watch)
     counts = count_pass(corpus, KERNELS)
     zeta = ["zeta" in text for _, text in corpus]
     classes = {"zeta": [ms for ms, z in zip(times, zeta) if z],
@@ -185,6 +213,10 @@ def main():
     print(f"curves above the decide p90 ({p90:.3f} ms): {len(tail)}, "
           f"{sum(tail)} of them with zeta centres ({sum(tail) / len(tail):.0%}; "
           f"{sum(zeta) / len(zeta):.0%} of the corpus)")
+    print(f"collector in the timed pass: "
+          + ", ".join(f"gen{g} {collector['gen'][g]}" for g in range(3))
+          + f" collections, {collector['ms']:.2f} ms, inside a timed step of "
+          f"{len(collector['curves'])} curves")
     print("calls in the warm-up pass:")
     for name, _, _ in LIFTS:
         print(f"  {name:<15} {sum(lifts[name, stage] for stage in STAGES):7d}")

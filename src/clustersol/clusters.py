@@ -63,16 +63,17 @@ from .tame import FROB, TAU, get_tower, stored_digits
 class ClusterNode:
     """A cluster: its roots, its level and children, and its invariants.
 
-    The first slots are set when the tree is built.  A ClusterAnalysis of
-    the picture sets the rest on each proper node: integers over the
-    tower's e, delta_e = e*(relative depth), None for the top cluster,
-    nu_e = e*nu and vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the
-    cluster's own e_s.  The radicand c_f prod_{r not in s}(z - r), z in s,
-    leads with radicand_u pi^vKc_e, radicand_u in F_q.  eps_tau is 0 when
-    epsilon is undefined for it.
+    The first slots are set when the tree is built, and the name by its
+    ClusterPicture.  A node keeps no parent, so the tree is acyclic; the
+    picture maps each node to its parent.  A ClusterAnalysis of the
+    picture sets the rest on each proper node: integers over the tower's e,
+    delta_e = e*(relative depth), None for the top cluster, nu_e = e*nu and
+    vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the cluster's own e_s.  The
+    radicand c_f prod_{r not in s}(z - r), z in s, leads with radicand_u
+    pi^vKc_e, radicand_u in F_q.  eps_tau is 0 when epsilon is undefined.
     """
 
-    __slots__ = ("roots", "size", "is_proper", "is_even", "level", "parent",
+    __slots__ = ("roots", "size", "is_proper", "is_even", "level",
                  "children", "name", "digit",
                  "delta_e", "nu_e", "lam_2e", "e", "genus", "vKc_e", "ubereven", "twin",
                  "cotwin", "principal", "fixed_inertia", "fixed_frob", "fixed_galois",
@@ -84,12 +85,9 @@ class ClusterNode:
         self.is_proper = self.size > 1
         self.is_even = self.size % 2 == 0
         self.level = level            # depth level/e: pi units of the tower; None for singletons
-        self.parent = None
         self.children = children
         self.name = None
         self.digit = None             # the roots' F_q digit at the parent's split level
-        for c in children:
-            c.parent = self
 
     def __repr__(self):
         n = "inf" if self.level is None else self.level
@@ -97,31 +95,35 @@ class ClusterNode:
 
 
 class ClusterPicture:
-    """The full laminar tree, its nodes listed parents first; e is the tower's."""
+    """The full laminar tree; e is the tower's.
+
+    One walk from the top, parents first and children in order, lists the
+    nodes, maps each to its parent in ``parent`` (the top to None), and
+    names the proper ones in the order listed: the top R, twins t1, t2, ...
+    and the others s1, s2, ....
+    """
 
     def __init__(self, top, e):
         self.top = top
         self.e = e
         self.nodes = []
-        self._collect(top)
-        self._assign_names()
-
-    def _collect(self, node):
-        self.nodes.append(node)
-        for c in node.children:
-            self._collect(c)
-
-    def _assign_names(self):
-        self.top.name = "R"
+        self.parent = {top: None}
+        top.name = "R"
         twins = others = 0
-        for n in self.nodes:
-            if n.is_proper and n is not self.top:
-                if n.size == 2:
+        todo = [top]
+        while todo:
+            node = todo.pop()
+            self.nodes.append(node)
+            if node.is_proper and node is not top:
+                if node.size == 2:
                     twins += 1
-                    n.name = f"t{twins}"
+                    node.name = f"t{twins}"
                 else:
                     others += 1
-                    n.name = f"s{others}"
+                    node.name = f"s{others}"
+            for c in reversed(node.children):
+                self.parent[c] = node
+                todo.append(c)
 
     def proper(self):
         return [n for n in self.nodes if n.is_proper]
@@ -135,8 +137,27 @@ class ClusterPicture:
         return f"{{d={rational_str(node.level, self.e)} {inner}}}"
 
 
+def _split(roots, block, N):
+    """The subtree of a block of roots agreeing below pi^N (``build_picture``)."""
+    if len(block) == 1:
+        return ClusterNode(block, None, [])
+    while True:
+        buckets = {}
+        for i in block:
+            buckets.setdefault(digit(roots[i], N), []).append(i)
+        if len(buckets) > 1:
+            break
+        N += 1
+    kids = []
+    for dg, b in buckets.items():
+        kid = _split(roots, b, N + 1)
+        kid.digit = dg
+        kids.append(kid)
+    return ClusterNode(block, N, kids)
+
+
 def build_picture(rs, expr):
-    """The roots' cluster tree, read from their pi-adic digits.
+    """The roots' cluster tree, read from their pi-adic digits by ``_split``.
 
     A node's roots agree below pi^N but not below pi^(N+1), so N is their
     least pairwise valuation in pi units.  The children bucket them by
@@ -158,25 +179,8 @@ def build_picture(rs, expr):
     if pairs:
         i, j = min(pairs)
         raise PrecisionExhausted(f"roots {tags[i]} and {tags[j]} agree in every stored digit")
-
-    def split(block, N):
-        if len(block) == 1:
-            return ClusterNode(block, None, [])
-        while True:
-            buckets = {}
-            for i in block:
-                buckets.setdefault(digit(roots[i], N), []).append(i)
-            if len(buckets) > 1:
-                break
-            N += 1
-        kids = []
-        for dg, b in buckets.items():
-            kid = split(b, N + 1)
-            kid.digit = dg
-            kids.append(kid)
-        return ClusterNode(block, N, kids)
-
-    top = split(list(range(rs.size)), min([r.vL for r in roots if not r.is_zero], default=0))
+    top = _split(roots, list(range(rs.size)),
+                 min([r.vL for r in roots if not r.is_zero], default=0))
     return ClusterPicture(top, rs.tower.e)
 
 
@@ -242,7 +246,9 @@ class ClusterAnalysis:
         self.tower = rs.tower
         self.picture = picture
         self.curve_genus = expr.genus
-        self._maps = {TAU: self._node_map(rs.tau_perm), FROB: self._node_map(rs.frob_perm)}
+        by_roots = {n.roots: n for n in picture.nodes}
+        self._maps = {TAU: self._node_map(rs.tau_perm, by_roots),
+                      FROB: self._node_map(rs.frob_perm, by_roots)}
         self._orbits = {}
         for node in picture.nodes:
             if node not in self._orbits:
@@ -269,7 +275,7 @@ class ClusterAnalysis:
         exactly when its orbit is as large as the node's: its stabiliser
         lies in the node's.
         """
-        n, e, P, fq = node.level, self.tower.e, node.parent, self.tower.fq
+        n, e, P, fq = node.level, self.tower.e, self.picture.parent[node], self.tower.fq
         if P is None:
             node.vKc_e, node.radicand_u = e * self.expr.c_pow, fq.from_int(self.expr.c_unit)
         else:
@@ -297,25 +303,16 @@ class ClusterAnalysis:
 
     # --- Galois action on the picture ---
 
-    def _node_map(self, perm):
-        """A root permutation on nodes, children first.
-
-        A leaf goes to its root's image's leaf, and a proper node to the
-        common parent of its children's images, which must have the
-        node's size: then it holds exactly the images of the node's roots.
-        """
-        leaf = {n.roots[0]: n for n in self.picture.nodes if not n.is_proper}
-        out = {}
-        for node in reversed(self.picture.nodes):
-            if node.is_proper:
-                img = out[node.children[0]].parent
-                if img.size != node.size or any(out[c].parent is not img
-                                                for c in node.children):
-                    raise InternalError("Galois image of a cluster is not a cluster")
-            else:
-                img = leaf[perm[node.roots[0]]]
-            out[node] = img
-        return out
+    def _node_map(self, perm, by_roots):
+        """A root permutation on nodes: each node goes to the node holding
+        its roots' images, found in by_roots, the picture's nodes keyed by
+        their roots.  When no node holds exactly them, the image of a
+        cluster is no cluster, and that raises."""
+        try:
+            return {n: by_roots[tuple(sorted([perm[r] for r in n.roots]))]
+                    for n in self.picture.nodes}
+        except KeyError:
+            raise InternalError("Galois image of a cluster is not a cluster") from None
 
     def image(self, node, word):
         """Image cluster of a node under the generator TAU or FROB; KeyError for other words."""

@@ -132,9 +132,9 @@ TOP_FROB = ("eps_R(frob) = 1", lambda A, c: A.picture.top.eps_frob == 1)
 _q = lambda A, n, den=1: rational_str(n, den * A.tower.e)
 D_NU = lambda A, c: {"d": _q(A, c.node.level), "nu": _q(A, c.node.nu_e)}
 NONE = lambda A, c: {}
-DEPTHS = lambda A, c: (-c.node.level, -c.node.parent.level, A.tower.e)
-RELATIVE = lambda A, c: (-c.node.parent.lam_2e - c.node.delta_e, -c.node.parent.lam_2e,
-                         2 * A.tower.e)
+DEPTHS = lambda A, c: (-c.node.level, -A.picture.parent[c.node].level, A.tower.e)
+RELATIVE = lambda A, c: (-A.picture.parent[c.node].lam_2e - c.node.delta_e,
+                         -A.picture.parent[c.node].lam_2e, 2 * A.tower.e)
 
 CONDITIONS = ((  # one run of routes per kind of node
     Route("i", "principal", (("e = 1, epsilon trivial if ubereven",

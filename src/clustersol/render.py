@@ -37,29 +37,28 @@ def _latex_name(node, picture):
 
 
 def render_latex(picture):
+    order = []
+    todo = [picture.top]
+    while todo:                       # parents first, the last child first
+        node = todo.pop()
+        order.append(node)
+        todo.extend(node.children)
     lines = ["\\clusterpicture"]
-    counter = {"c": 0}
     ids = {}
-    last = ["first"]
-
-    def walk(node):
-        if not node.is_proper:
-            rid = f"r{node.roots[0] + 1}"
-            lines.append(f"\\Root[] {{}} {{{last[0]}}} {{{rid}}};")
-            ids[node] = rid
-            last[0] = rid
-            return
-        for c in node.children:
-            walk(c)
-        counter["c"] += 1
-        cid = f"c{counter['c']}"
-        rel = node.level if node.parent is None else node.level - node.parent.level
-        members = "".join(f"({ids[c]})" for c in node.children)
-        lines.append(f"\\ClusterLDName {cid}[][{_fmt_depth_latex(rel, picture.e)}]"
-                     f"[{_latex_name(node, picture)}] = {members};")
-        ids[node] = cid
-        last[0] = cid
-
-    walk(picture.top)
+    last = "first"
+    clusters = 0
+    for node in reversed(order):      # children first, in order
+        if node.is_proper:
+            clusters += 1
+            ids[node] = f"c{clusters}"
+            P = picture.parent[node]
+            rel = node.level if P is None else node.level - P.level
+            members = "".join(f"({ids[c]})" for c in node.children)
+            lines.append(f"\\ClusterLDName {ids[node]}[][{_fmt_depth_latex(rel, picture.e)}]"
+                         f"[{_latex_name(node, picture)}] = {members};")
+        else:
+            ids[node] = f"r{node.roots[0] + 1}"
+            lines.append(f"\\Root[] {{}} {{{last}}} {{{ids[node]}}};")
+        last = ids[node]
     lines.append("\\endclusterpicture")
     return "\n".join(lines)
