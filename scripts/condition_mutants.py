@@ -6,7 +6,7 @@
 Each record of ``decision.CONDITIONS`` is a route by which one condition
 fires.  Its mutant is the table with that record swapped, in this process,
 for one that has an extra conjunct that never holds, so the route never
-claims a candidate and a later route of its condition is tried where it
+claims a node and a later route of its condition is tried where it
 would have; no source is patched.  The curves are
 ``generate_corpus(seed, 600, [7, 11, 13, 17, 19, 23])`` for seeds 1-8;
 each is analysed once, its oracle verdict taken once, and the theorem
@@ -38,7 +38,7 @@ from clustersol.errors import ClusterSolError
 from clustersol.oracle import is_locally_soluble
 
 SEEDS, COUNT, PRIMES = range(1, 9), 600, [7, 11, 13, 17, 19, 23]
-NEVER = ("never", lambda A, c: False)
+NEVER = ("never", lambda A, s: False)
 
 
 def labels(table):

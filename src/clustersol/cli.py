@@ -59,8 +59,7 @@ def _invariant_row(node, e):
         "orbit": node.orbit,
         "epsilon": None if node.eps_tau == 0 else
                    {"tau": node.eps_tau, "frob": node.eps_frob},
-        "stable_children": [c.name or f"r{c.roots[0] + 1}"
-                            for c in node.stable_children],
+        "stable_children": [c.name for c in node.stable_children],
     }
 
 

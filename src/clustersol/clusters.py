@@ -44,7 +44,8 @@ element is a word in tau and frob, and epsilon_s is trivial on the group
 exactly when epsilon_t(tau) = epsilon_t(frob) = 1 at every t = h(s) in
 the orbit of s (then epsilon_t(g) = epsilon_s(gh) epsilon_s(h)); on
 inertia, exactly when epsilon_t(tau) = 1 on the tau-cycle of s.  So each
-node keeps its two generator values, and no other word is evaluated.
+node keeps its two generator values and the two trivialities read off
+them, and no other word is evaluated.
 """
 
 import math
@@ -66,18 +67,22 @@ class ClusterNode:
     The first slots are set when the tree is built, and the name by its
     ClusterPicture.  A node keeps no parent, so the tree is acyclic; the
     picture maps each node to its parent.  A ClusterAnalysis of the
-    picture sets the rest on each proper node: integers over the tower's e,
+    picture sets the three fixedness flags on every node, leaves included,
+    and the rest on each proper node: integers over the tower's e,
     delta_e = e*(relative depth), None for the top cluster, nu_e = e*nu and
     vKc_e = e*vKc; lam_2e = 2e*lambda.  e is the cluster's own e_s.  The
     radicand c_f prod_{r not in s}(z - r), z in s, leads with radicand_u
-    pi^vKc_e, radicand_u in F_q.  eps_tau is 0 when epsilon is undefined.
+    pi^vKc_e, radicand_u in F_q.  eps_tau is 0 when epsilon is undefined,
+    and eps_trivial_inertia/galois say where it is trivial; dual_pair_swap
+    is (tau, frob) swapping a cotwin's dual pair, None for other nodes.
     """
 
     __slots__ = ("roots", "size", "is_proper", "is_even", "level",
                  "children", "name", "digit",
                  "delta_e", "nu_e", "lam_2e", "e", "genus", "vKc_e", "ubereven", "twin",
                  "cotwin", "principal", "fixed_inertia", "fixed_frob", "fixed_galois",
-                 "orbit", "eps_tau", "eps_frob", "stable_children", "radicand_u")
+                 "orbit", "eps_tau", "eps_frob", "eps_trivial_inertia", "eps_trivial_galois",
+                 "dual_pair_swap", "stable_children", "radicand_u")
 
     def __init__(self, roots, level, children):
         self.roots = tuple(sorted(roots))
@@ -99,8 +104,8 @@ class ClusterPicture:
 
     One walk from the top, parents first and children in order, lists the
     nodes, maps each to its parent in ``parent`` (the top to None), and
-    names the proper ones in the order listed: the top R, twins t1, t2, ...
-    and the others s1, s2, ....
+    names every node: the leaf of root i r{i+1}, and the proper ones in the
+    order listed, the top R, twins t1, t2, ... and the others s1, s2, ....
     """
 
     def __init__(self, top, e):
@@ -114,7 +119,9 @@ class ClusterPicture:
         while todo:
             node = todo.pop()
             self.nodes.append(node)
-            if node.is_proper and node is not top:
+            if not node.is_proper:
+                node.name = f"r{node.roots[0] + 1}"
+            elif node is not top:
                 if node.size == 2:
                     twins += 1
                     node.name = f"t{twins}"
@@ -132,7 +139,7 @@ class ClusterPicture:
         """Nested textual form: {d=<rational> members...} with leaves as root tags."""
         node = node or self.top
         if not node.is_proper:
-            return f"r{node.roots[0] + 1}"
+            return node.name
         inner = " ".join(self.serialize(c) for c in node.children)
         return f"{{d={rational_str(node.level, self.e)} {inner}}}"
 
@@ -237,7 +244,10 @@ def _leading_unit(fq, u, x, nodes):
 class ClusterAnalysis:
     """Everything the decision engine consumes, for one embedded curve.
 
-    The invariants are set on the picture's proper nodes.
+    The fixedness flags are set on every node, the rest on the proper ones;
+    epsilon's triviality is read by the cocycle lemma above, and a cotwin's
+    dual pair is the roots outside its size-2g child, with the point at
+    infinity, fixed by everything, when one root is left.
     """
 
     def __init__(self, expr, rs, picture):
@@ -247,10 +257,12 @@ class ClusterAnalysis:
         self.picture = picture
         self.curve_genus = expr.genus
         by_roots = {n.roots: n for n in picture.nodes}
-        self._maps = {TAU: self._node_map(rs.tau_perm, by_roots),
-                      FROB: self._node_map(rs.frob_perm, by_roots)}
+        tau, frob = self._node_map(rs.tau_perm, by_roots), self._node_map(rs.frob_perm, by_roots)
+        self._maps = {TAU: tau, FROB: frob}
         self._orbits = {}
         for node in picture.nodes:
+            node.fixed_inertia, node.fixed_frob = tau[node] is node, frob[node] is node
+            node.fixed_galois = node.fixed_inertia and node.fixed_frob
             if node not in self._orbits:
                 orbit = self._closure(node, TAU, FROB)
                 self._orbits.update(dict.fromkeys(orbit, orbit))
@@ -259,6 +271,16 @@ class ClusterAnalysis:
             self._invariants(node, number.setdefault(self._orbits[node], len(number)))
         for node in picture.proper():
             node.eps_tau, node.eps_frob = self.epsilon(node, TAU), self.epsilon(node, FROB)
+        for node in picture.proper():
+            node.eps_trivial_inertia = node.eps_tau == 1 and all(
+                n.eps_tau == 1 for n in self._closure(node, TAU))
+            node.eps_trivial_galois = node.eps_trivial_inertia and all(
+                n.eps_tau == 1 and n.eps_frob == 1 for n in self._orbits[node])
+            node.dual_pair_swap = None
+            if node.cotwin:
+                pair = [i for i in range(rs.size) if i not in self.star(node).roots]
+                node.dual_pair_swap = tuple(len(pair) == 2 and perm[pair[0]] == pair[1]
+                                            for perm in (rs.tau_perm, rs.frob_perm))
 
     # --- invariants ---
 
@@ -283,9 +305,6 @@ class ClusterAnalysis:
             node.radicand_u = _leading_unit(fq, P.radicand_u, node.digit,
                                             [b for b in P.children if b is not node])
         nu = node.vKc_e + node.size * n
-        node.fixed_inertia = self.image(node, TAU) is node
-        node.fixed_frob = self.image(node, FROB) is node
-        node.fixed_galois = node.fixed_inertia and node.fixed_frob
         node.ubereven = all(c.is_even for c in node.children)
         has_2g_child = any(c.size == 2 * self.curve_genus for c in node.children)
         node.principal = node.size >= 3 and not has_2g_child and not (
@@ -377,14 +396,6 @@ class ClusterAnalysis:
         raise InternalError(
             f"epsilon value is not +-1 on cluster {node.name} (precision or convention bug)")
 
-    def eps_trivial_galois(self, node):
-        """Whether epsilon_s is trivial on the whole group: on tau and frob over s's orbit."""
-        return all(n.eps_tau == 1 and n.eps_frob == 1 for n in self._orbits[node])
-
-    def eps_trivial_inertia(self, node):
-        """Whether epsilon_s is trivial on inertia: on tau over s's tau-cycle."""
-        return all(n.eps_tau == 1 for n in self._closure(node, TAU))
-
     # --- auxiliary point-level data for the decision engine ---
 
     def center_value_is_square(self, node):
@@ -419,20 +430,6 @@ class ClusterAnalysis:
                 raise InternalError(f"f at the centroid of cluster {node.name} is not in Q_p")
             return None  # the centroid of a moved cluster need not be Q_p-rational
         return pow(u[0], (p - 1) // 2, p) == 1
-
-    def dual_pair_swap(self, cotwin_node):
-        """Swap characters (under tau, frob) of the cotwin's dual pair.
-
-        The pair is the complement of the size-2g child in the full root
-        set, completed with the point at infinity when only one root
-        remains; infinity is fixed by everything.
-        """
-        child = self.star(cotwin_node)
-        comp = [i for i in range(self.rs.size) if i not in child.roots]
-        if len(comp) == 1:
-            return (False, False)  # pair {root, infinity}: never swapped
-        a, b = comp
-        return (self.rs.tau_perm[a] == b, self.rs.frob_perm[a] == b)
 
 
 # ------------------------------------------------------------------

@@ -12,21 +12,30 @@ condition fires, in ``CONDITION_IDS`` order and in one run per kind of
 node, with its ``cid``; that ``kind`` (a Galois-fixed principal cluster,
 a fixed principal child of one, a fixed twin, and when the top is not
 principal, a fixed cotwin or each of the top's two children read against
-the other); its ``conjuncts``, named tests ``(A, candidate)``; the
-``interval`` ``(lo, hi, den)`` it needs an integer in, if any, and
-whether it ``notes_empty`` ones; the ``witness`` builder of its
+the other); its ``conjuncts``, named tests ``(A, s)`` of the analysis and
+the node; the ``interval`` ``(lo, hi, den)`` it needs an integer in, if
+any, and whether it ``notes_empty`` ones; the ``witness`` builder of its
 ``consumed`` dict; and its convention ``marker``.
 
-The evaluation order.  ``theorem_decide`` builds each kind's candidates
-once, in picture order, with the reads their routes share: epsilon trivial
-on an ubereven principal cluster, or on inertia at a twin or cotwin, and a
-cotwin's dual-pair swaps where it is not.  Per run of one kind's records
-and per candidate, it tries the routes in order, testing conjuncts left to
-right up to the first that fails; a route whose conjuncts all hold claims
-the candidate, and a later route of its condition skips it, as an ``elif``
-would.  So each reader is asked about the nodes a hand-written ladder asks
-about: ``center_value_is_square``, which raises on a fixed cluster whose
-centroid value is outside F_p, only where the conjuncts before it hold.
+The evaluation order.  ``theorem_decide`` lists each kind's nodes once,
+in picture order, with their witness names; the routes read the facts
+the analysis keeps on the nodes (``clusters.ClusterNode``).  Per run of
+one kind's records and per node, it tries the routes in order, testing
+conjuncts left to right up to the first that fails; a route whose
+conjuncts all hold claims the node, and a later route of its condition
+skips it, as an ``elif`` would.  So the one reader that is no field,
+``center_value_is_square``, which raises on a fixed cluster whose
+centroid value is outside F_p, is asked only where the conjuncts before
+it hold.
+
+Lemma ((ii.d) is implied by (ii.b)).  Wherever (ii.d) fires on a
+principal cluster s, (ii.b)'s first route fires on s too.  The two share
+their first conjunct.  s is Galois-fixed, so its orbit is {s}.  (ii.d)
+needs a singleton child k, fixed by tau and by frob; these generate the
+group, so the orbit of k is {k}, as large as the orbit of s, and k is a
+stable child (``ClusterAnalysis._invariants``).  So s has a stable
+singleton child.  A mutant that never fires (ii.d) thus moves no
+verdict: it is equivalent on verdicts, and differs only in the report.
 """
 
 import math
@@ -34,7 +43,6 @@ from typing import NamedTuple
 
 from .clusters import analyse
 from .numutil import rational_str
-from .tame import FROB, TAU
 
 
 class ConditionReport:
@@ -102,112 +110,102 @@ class Route(NamedTuple):
     marker: bool = False
 
 
-class Candidate(NamedTuple):
-    """A node the routes of its kind are asked on, with what they share."""
-    node: object               # the cluster; a nested child; a top child
-    name: str                  # the witness
-    eps_ok: bool = False       # principal: not ubereven, or epsilon trivial
-    inertia: bool = False      # twin, cotwin: epsilon trivial on inertia
-    swaps: tuple = None        # cotwin, inertia not trivial: dual pair (tau, frob) swaps
-
-
-II = ("e > 1, epsilon trivial if ubereven", lambda A, c: c.node.e > 1 and c.eps_ok)
-TOP = ("the top", lambda A, c: c.node is A.picture.top)
-EPS = ("epsilon trivial", lambda A, c: A.eps_trivial_galois(c.node))
-INERTIA = ("epsilon trivial on inertia", lambda A, c: c.inertia)
-NO_INERTIA = ("epsilon not trivial on inertia", lambda A, c: not c.inertia)
-FROB_NEG = ("eps(frob) = -1", lambda A, c: c.node.eps_frob == -1)
-D_INT = ("d integral", lambda A, c: is_int(c.node.level, A.tower.e))
-NU_EVEN = ("nu even", lambda A, c: is_even_int(c.node.nu_e, A.tower.e))
-CENTRE = ("d integral or f square at the centroid", lambda A, c: is_int(
-    c.node.level, A.tower.e) or A.center_value_is_square(c.node) is True)
-ODD = ("odd", lambda A, c: c.node.size % 2 == 1)
-EVEN_PROPER = ("even, proper", lambda A, c: c.node.size % 2 == 0 and c.node.is_proper)
-FIXED_IN = ("fixed by tau", lambda A, c: A.image(c.node, TAU) is c.node)
-FIXED_FR = ("fixed by frob", lambda A, c: A.image(c.node, FROB) is c.node)
-MOVED_FR = ("moved by frob", lambda A, c: A.image(c.node, FROB) is not c.node)
-SWAPS = ("swapped by tau", lambda A, c: A.image(c.node, TAU) is not c.node)
-TOP_D_INT = ("d_R integral", lambda A, c: is_int(A.picture.top.level, A.tower.e))
-TOP_FROB = ("eps_R(frob) = 1", lambda A, c: A.picture.top.eps_frob == 1)
+II = ("e > 1, epsilon trivial if ubereven",
+      lambda A, s: s.e > 1 and (not s.ubereven or s.eps_trivial_galois))
+TOP = ("the top", lambda A, s: s is A.picture.top)
+EPS = ("epsilon trivial", lambda A, s: s.eps_trivial_galois)
+INERTIA = ("epsilon trivial on inertia", lambda A, s: s.eps_trivial_inertia)
+NO_INERTIA = ("epsilon not trivial on inertia", lambda A, s: not s.eps_trivial_inertia)
+FROB_NEG = ("eps(frob) = -1", lambda A, s: s.eps_frob == -1)
+D_INT = ("d integral", lambda A, s: is_int(s.level, A.tower.e))
+NU_EVEN = ("nu even", lambda A, s: is_even_int(s.nu_e, A.tower.e))
+CENTRE = ("d integral or f square at the centroid", lambda A, s: is_int(
+    s.level, A.tower.e) or A.center_value_is_square(s) is True)
+ODD = ("odd", lambda A, s: s.size % 2 == 1)
+EVEN_PROPER = ("even, proper", lambda A, s: s.size % 2 == 0 and s.is_proper)
+FIXED_IN = ("fixed by tau", lambda A, s: s.fixed_inertia)
+FIXED_FR = ("fixed by frob", lambda A, s: s.fixed_frob)
+MOVED_FR = ("moved by frob", lambda A, s: not s.fixed_frob)
+SWAPS = ("swapped by tau", lambda A, s: not s.fixed_inertia)
+TOP_D_INT = ("d_R integral", lambda A, s: is_int(A.picture.top.level, A.tower.e))
+TOP_FROB = ("eps_R(frob) = 1", lambda A, s: A.picture.top.eps_frob == 1)
 _q = lambda A, n, den=1: rational_str(n, den * A.tower.e)
-D_NU = lambda A, c: {"d": _q(A, c.node.level), "nu": _q(A, c.node.nu_e)}
-NONE = lambda A, c: {}
-DEPTHS = lambda A, c: (-c.node.level, -A.picture.parent[c.node].level, A.tower.e)
-RELATIVE = lambda A, c: (-A.picture.parent[c.node].lam_2e - c.node.delta_e,
-                         -A.picture.parent[c.node].lam_2e, 2 * A.tower.e)
+D_NU = lambda A, s: {"d": _q(A, s.level), "nu": _q(A, s.nu_e)}
+NONE = lambda A, s: {}
+DEPTHS = lambda A, s: (-s.level, -A.picture.parent[s].level, A.tower.e)
+RELATIVE = lambda A, s: (-A.picture.parent[s].lam_2e - s.delta_e,
+                         -A.picture.parent[s].lam_2e, 2 * A.tower.e)
 
 CONDITIONS = ((  # one run of routes per kind of node
-    Route("i", "principal", (("e = 1, epsilon trivial if ubereven",
-                              lambda A, c: c.node.e == 1 and c.eps_ok),), lambda A, c: {"e": 1}),
-    Route("ii.a", "principal", (II, TOP, ODD), lambda A, c: {"parity": "odd", "e": c.node.e}),
-    Route("ii.a", "principal", (II, TOP, EPS), lambda A, c: {"parity": "even", "eps": "trivial"}),
-    Route("ii.b", "principal", (II, ("a stable singleton child", lambda A, c: any(
-        k.size == 1 for k in c.node.stable_children))), lambda A, c: {"route": "stable singleton"}),
+    Route("i", "principal", (("e = 1, epsilon trivial if ubereven", lambda A, s: s.e == 1 and (
+        not s.ubereven or s.eps_trivial_galois)),), lambda A, s: {"e": 1}),
+    Route("ii.a", "principal", (II, TOP, ODD), lambda A, s: {"parity": "odd", "e": s.e}),
+    Route("ii.a", "principal", (II, TOP, EPS), lambda A, s: {"parity": "even", "eps": "trivial"}),
+    Route("ii.b", "principal", (II, ("a stable singleton child", lambda A, s: any(
+        k.size == 1 for k in s.stable_children))), lambda A, s: {"route": "stable singleton"}),
     Route("ii.b", "principal", (
-        II, ("genus 0, not ubereven", lambda A, c: c.node.genus == 0 and not c.node.ubereven),
-        ("no proper stable odd child", lambda A, c: not any(
-            k.size > 1 and k.size % 2 == 1 for k in c.node.stable_children)), NU_EVEN, CENTRE),
-        lambda A, c: {"route": "genus 0, no proper stable odd child", "nu": _q(A, c.node.nu_e)},
+        II, ("genus 0, not ubereven", lambda A, s: s.genus == 0 and not s.ubereven),
+        ("no proper stable odd child", lambda A, s: not any(
+            k.size > 1 and k.size % 2 == 1 for k in s.stable_children)), NU_EVEN, CENTRE),
+        lambda A, s: {"route": "genus 0, no proper stable odd child", "nu": _q(A, s.nu_e)},
         marker=True),
     Route("ii.c", "principal", (
-        II, ("no proper stable child", lambda A, c: not any(
-            k.size > 1 for k in c.node.stable_children)),
-        ("lambda integral", lambda A, c: is_int(c.node.lam_2e, 2 * A.tower.e)), NU_EVEN,
-        ("genus > 0 or ubereven", lambda A, c: c.node.genus > 0 or c.node.ubereven), CENTRE),
-        lambda A, c: {"lambda": _q(A, c.node.lam_2e, 2), "nu": _q(A, c.node.nu_e)}, marker=True),
-    Route("ii.d", "principal", (II, ("singleton children, all fixed", lambda A, c: any(
-        k.size == 1 for k in c.node.children) and all(
-            A.image(k, TAU) is k and A.image(k, FROB) is k
-            for k in c.node.children if k.size == 1))),
-        lambda A, c: {"singletons": sum(k.size == 1 for k in c.node.children)})), (
-    Route("iii", "nested", (ODD,), lambda A, c: {"branch": "odd"}, RELATIVE, notes_empty=True),
-    Route("iii", "nested", (EPS,), lambda A, c: {"branch": "even"}, DEPTHS)), (
+        II, ("no proper stable child", lambda A, s: not any(
+            k.size > 1 for k in s.stable_children)),
+        ("lambda integral", lambda A, s: is_int(s.lam_2e, 2 * A.tower.e)), NU_EVEN,
+        ("genus > 0 or ubereven", lambda A, s: s.genus > 0 or s.ubereven), CENTRE),
+        lambda A, s: {"lambda": _q(A, s.lam_2e, 2), "nu": _q(A, s.nu_e)}, marker=True),
+    Route("ii.d", "principal", (II, ("singleton children, all fixed", lambda A, s: any(
+        k.size == 1 for k in s.children) and all(
+            k.fixed_galois for k in s.children if k.size == 1))),
+        lambda A, s: {"singletons": sum(k.size == 1 for k in s.children)})), (
+    Route("iii", "nested", (ODD,), lambda A, s: {"branch": "odd"}, RELATIVE, notes_empty=True),
+    Route("iii", "nested", (EPS,), lambda A, s: {"branch": "even"}, DEPTHS)), (
     Route("iv.a", "twin", (EPS,), NONE, DEPTHS, notes_empty=True),
     Route("iv.b", "twin", (INERTIA, FROB_NEG, D_INT, NU_EVEN), D_NU),
-    Route("iv.c", "twin", (NO_INERTIA, ("both roots fixed", lambda A, c: all(
-        A.image(k, TAU) is k and A.image(k, FROB) is k for k in c.node.children))),
-        lambda A, c: {"route": "rational branch points"}, marker=True),
-    Route("iv.c", "twin", (NO_INERTIA, NU_EVEN, CENTRE), lambda A, c: {
-        "route": "crosses fixed", "nu": _q(A, c.node.nu_e), "d": _q(A, c.node.level)}, marker=True)), (
-    Route("v.a", "cotwin", (EPS, ("the star proper", lambda A, c: A.star(c.node).is_proper)),
-          NONE, lambda A, c: (-A.star(c.node).level, -c.node.level, A.tower.e)),
+    Route("iv.c", "twin", (NO_INERTIA, ("both roots fixed", lambda A, s: all(
+        k.fixed_galois for k in s.children))),
+        lambda A, s: {"route": "rational branch points"}, marker=True),
+    Route("iv.c", "twin", (NO_INERTIA, NU_EVEN, CENTRE), lambda A, s: {
+        "route": "crosses fixed", "nu": _q(A, s.nu_e), "d": _q(A, s.level)}, marker=True)), (
+    Route("v.a", "cotwin", (EPS, ("the star proper", lambda A, s: A.star(s).is_proper)),
+          NONE, lambda A, s: (-A.star(s).level, -s.level, A.tower.e)),
     Route("v.b", "cotwin", (INERTIA, FROB_NEG, D_INT, NU_EVEN), D_NU),
     Route("v.c", "cotwin", (NO_INERTIA, ("the dual pair swapped by tau or fixed by frob",
-                                         lambda A, c: c.swaps[0] or not c.swaps[1])),
-          lambda A, c: {"dual_pair_tau_swaps": c.swaps[0],
-                        "dual_pair_frob_swaps": c.swaps[1]}, marker=True)), (
+                                         lambda A, s: s.dual_pair_swap[0]
+                                         or not s.dual_pair_swap[1])),
+          lambda A, s: {"dual_pair_tau_swaps": s.dual_pair_swap[0],
+                        "dual_pair_frob_swaps": s.dual_pair_swap[1]}, marker=True)), (
     Route("vi.a", "top child", (ODD, ("a singleton, at infinite relative depth",
-                                      lambda A, c: not c.node.is_proper), FIXED_IN, FIXED_FR),
-          lambda A, c: {"interval": ["-inf", _q(A, -A.picture.top.lam_2e, 2)],
+                                      lambda A, s: not s.is_proper), FIXED_IN, FIXED_FR),
+          lambda A, s: {"interval": ["-inf", _q(A, -A.picture.top.lam_2e, 2)],
                         "note": "rational Weierstrass point"}, marker=True),
-    Route("vi.a", "top child", (ODD, ("proper", lambda A, c: c.node.is_proper), FIXED_IN,
+    Route("vi.a", "top child", (ODD, ("proper", lambda A, s: s.is_proper), FIXED_IN,
                                 FIXED_FR), NONE, RELATIVE, notes_empty=True, marker=True),
-    Route("vi.b", "top child", (ODD, FIXED_IN, MOVED_FR, TOP_D_INT, ("nu_R even", lambda A, c:
-                                is_even_int(A.picture.top.nu_e, A.tower.e))), lambda A, c: {
+    Route("vi.b", "top child", (ODD, FIXED_IN, MOVED_FR, TOP_D_INT, ("nu_R even", lambda A, s:
+                                is_even_int(A.picture.top.nu_e, A.tower.e))), lambda A, s: {
         "d_R": _q(A, A.picture.top.level), "nu_R": _q(A, A.picture.top.nu_e)}, marker=True),
-    Route("vi.c", "top child", (ODD, SWAPS, TOP_FROB), lambda A, c: {"eps_R_frob": 1}),
+    Route("vi.c", "top child", (ODD, SWAPS, TOP_FROB), lambda A, s: {"eps_R_frob": 1}),
     Route("vi.d", "top child", (EVEN_PROPER, FIXED_IN, FIXED_FR, EPS), NONE, DEPTHS),
     Route("vi.e", "top child", (EVEN_PROPER, FIXED_IN, MOVED_FR, EPS, TOP_D_INT),
-          lambda A, c: {"d_R": _q(A, A.picture.top.level)}),
-    Route("vi.f", "top child", (EVEN_PROPER, SWAPS, EPS, TOP_FROB), lambda A, c: {"eps_R_frob": 1})))
+          lambda A, s: {"d_R": _q(A, A.picture.top.level)}),
+    Route("vi.f", "top child", (EVEN_PROPER, SWAPS, EPS, TOP_FROB),
+          lambda A, s: {"eps_R_frob": 1})))
 
 CONDITION_IDS = list(dict.fromkeys(r.cid for run in CONDITIONS for r in run))
 
 
 def _candidates(A):
-    """Each kind's candidates, in picture order, with what their routes share."""
+    """Each kind's (witness, node) pairs, in picture order."""
     top, fixed = A.picture.top, [s for s in A.picture.proper() if s.fixed_galois]
     principal = [s for s in fixed if s.principal]
-    cotwins = [(s, A.eps_trivial_inertia(s)) for s in fixed if s.cotwin and not top.principal]
     return {
-        "principal": [Candidate(s, s.name, eps_ok=not s.ubereven or A.eps_trivial_galois(s))
-                      for s in principal],
-        "nested": [Candidate(k, f"{k.name}<{s.name}") for s in principal for k in s.children
+        "principal": [(s.name, s) for s in principal],
+        "nested": [(f"{k.name}<{s.name}", k) for s in principal for k in s.children
                    if k.is_proper and k.principal and k.fixed_galois],
-        "twin": [Candidate(s, s.name, inertia=A.eps_trivial_inertia(s)) for s in fixed if s.twin],
-        "cotwin": [Candidate(s, s.name, inertia=i, swaps=None if i else A.dual_pair_swap(s))
-                   for s, i in cotwins],
-        "top child": [Candidate(a, a.name or f"r{a.roots[0] + 1}") for a in top.children
+        "twin": [(s.name, s) for s in fixed if s.twin],
+        "cotwin": [(s.name, s) for s in fixed if s.cotwin and not top.principal],
+        "top child": [(a.name, a) for a in top.children
                       if not top.principal and len(top.children) == 2],
     }
 
@@ -220,35 +218,34 @@ def theorem_decide(A):
     """
     reports, candidates = {cid: ConditionReport() for cid in CONDITION_IDS}, _candidates(A)
     for run in CONDITIONS:
-        for c in candidates[run[0].kind]:
+        for name, s in candidates[run[0].kind]:
             claimed = None
             for r in run:
                 if r.cid == claimed:
                     continue
                 for _, test in r.conjuncts:
-                    if not test(A, c):
+                    if not test(A, s):
                         break
                 else:
-                    claimed, report, consumed = r.cid, reports[r.cid], r.witness(A, c)
+                    claimed, report, consumed = r.cid, reports[r.cid], r.witness(A, s)
                     if r.interval:
-                        lo, hi, den = r.interval(A, c)
+                        lo, hi, den = r.interval(A, s)
                         consumed["interval"] = [rational_str(x, den) for x in (lo, hi)]
                     if not r.interval or interval_has_integer(lo, hi, den):
-                        report.fire(c.name, consumed, r.marker)
+                        report.fire(name, consumed, r.marker)
                     elif r.notes_empty:
-                        report.note(c.name, {**consumed, "integer_intersection": "empty"}, r.marker)
+                        report.note(name, {**consumed, "integer_intersection": "empty"}, r.marker)
     return any(r.satisfied for r in reports.values()), reports
 
 
 def tameness_flags(A):
     """Effective tameness requirements: p odd, p coprime to the tower and all e_s."""
     p = A.expr.p
-    flags = {
+    return {
         "p_odd": p % 2 == 1,
         "tower_tame": math.gcd(A.tower.e, p) == 1,
         "cluster_e_tame": all(math.gcd(s.e, p) == 1 for s in A.picture.proper()),
     }
-    return flags
 
 
 def corollary_gate(p, genus, tame_flags):

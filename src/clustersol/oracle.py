@@ -8,8 +8,10 @@ The driver decides classes in recentered form, substituting x = a + p t
 and stripping p-content at every level, so the tree stays linear in
 p * deg f * depth instead of fanning out across valuation plateaus.
 F(a + p t) is a Taylor shift by synthetic division followed by t -> p t
-(``_substitute``).  For squarefree f the recursion is complete and
-terminates within 2 v_p(disc f) + 4 levels.
+(``_substitute``).  For squarefree f the search is complete and
+terminates within 2 v_p(disc f) + 4 levels.  It is depth first on an
+explicit stack, one generator per level (``_solve``), so its depth is
+bounded by that level bound, not by Python's recursion limit.
 The oracle computes v_p(disc f) itself, from res(f, f') by the
 subresultant PRS (``numutil.resultant``), and rejects f when it is 0.
 
@@ -75,10 +77,32 @@ def _strip_content(F, p):
 
 
 def _solve(F, p, vtot, level, budget, counters, center, scale):
-    """Search x in Z_p with p^vtot * F(x) a square; x reported as center + scale*x."""
+    """Search x in Z_p with p^vtot * F(x) a square; x reported as center + scale*x.
+
+    Depth first, on an explicit stack of ``_classes`` generators, one per
+    level: a subclass is searched as soon as its level yields it, and its
+    level resumes when the subclass holds no point.  So the order and the
+    counters are those of a recursion, with no Python frame per level.
+    """
+    stack = [_classes(p, budget, counters, F, vtot, level, center, scale)]
+    while stack:
+        found = next(stack[-1], None)
+        if found is None:
+            stack.pop()
+        elif isinstance(found, dict):
+            return found
+        else:
+            stack.append(_classes(p, budget, counters, *found))
+    return None
+
+
+def _classes(p, budget, counters, F, vtot, level, center, scale):
+    """The classes x = a mod p of one level of ``_solve``, in order: yields a
+    witness dict, or the arguments (F(a + p x), vtot, level + 1, center,
+    scale) of a subclass to search before the next class."""
     if level > budget:
         counters["exceeded"] = True
-        return None
+        return
     G, v0 = _strip_content(F, p)
     vtot += v0
     Gp = poly_deriv(G)
@@ -87,8 +111,9 @@ def _solve(F, p, vtot, level, budget, counters, center, scale):
         counters["level"] = max(counters["level"], level)
         Ga = poly_eval(G, a)
         if Ga == 0:
-            return {"x": center + scale * a, "y": 0, "precision": WITNESS_DIGITS,
-                    "certificate": "exact rational root"}
+            yield {"x": center + scale * a, "y": 0, "precision": WITNESS_DIGITS,
+                   "certificate": "exact rational root"}
+            return
         w = vp(Ga, p)
         if w == 0:
             if vtot % 2 == 0 and pow(Ga % p, (p - 1) // 2, p) == 1:
@@ -96,23 +121,20 @@ def _solve(F, p, vtot, level, budget, counters, center, scale):
                 y0 = fp.canonical_sqrt(fp.from_int(Ga))[0]
                 yu = _refine_root([-Ga, 0, 1], [0, 2], y0, p, WITNESS_DIGITS)
                 prec = vtot // 2 + WITNESS_DIGITS
-                return {"x": center + scale * a,
-                        "y": yu * p ** (vtot // 2) % p ** prec, "precision": prec,
-                        "certificate": f"v(y^2 - f(x)) >= {vtot + WITNESS_DIGITS}"
-                                       f" > 2 v(y) + 1 = {vtot + 1}"}
+                yield {"x": center + scale * a,
+                       "y": yu * p ** (vtot // 2) % p ** prec, "precision": prec,
+                       "certificate": f"v(y^2 - f(x)) >= {vtot + WITNESS_DIGITS}"
+                                      f" > 2 v(y) + 1 = {vtot + 1}"}
+                return
             continue
         Gpa = poly_eval(Gp, a)
         if Gpa != 0 and w > 2 * vp(Gpa, p):
             digits = max(WITNESS_DIGITS, w)
             x = _refine_root(G, Gp, a, p, digits)
-            return {"x": center + scale * x, "y": 0, "precision": digits,
-                    "certificate": f"v(g(a)) = {w} > 2 v(g'(a)) = {2 * vp(Gpa, p)}"}
-        shifted = _substitute(G, a, p)
-        found = _solve(shifted, p, vtot, level + 1, budget, counters,
-                       center + scale * a, scale * p)
-        if found is not None:
-            return found
-    return None
+            yield {"x": center + scale * x, "y": 0, "precision": digits,
+                   "certificate": f"v(g(a)) = {w} > 2 v(g'(a)) = {2 * vp(Gpa, p)}"}
+            return
+        yield _substitute(G, a, p), vtot, level + 1, center + scale * a, scale * p
 
 
 def _substitute(F, a, p):

@@ -23,7 +23,7 @@ def _fmt_depth_latex(level, e):
 def render_ascii(picture, node=None):
     node = node or picture.top
     if not node.is_proper:
-        return f"r{node.roots[0] + 1}"
+        return node.name
     inner = " ".join(render_ascii(picture, c) for c in node.children)
     return f"({inner} | d={rational_str(node.level, picture.e)})"
 
@@ -57,7 +57,7 @@ def render_latex(picture):
             lines.append(f"\\ClusterLDName {ids[node]}[][{_fmt_depth_latex(rel, picture.e)}]"
                          f"[{_latex_name(node, picture)}] = {members};")
         else:
-            ids[node] = f"r{node.roots[0] + 1}"
+            ids[node] = node.name
             lines.append(f"\\Root[] {{}} {{{last}}} {{{ids[node]}}};")
         last = ids[node]
     lines.append("\\endclusterpicture")

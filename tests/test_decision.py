@@ -126,6 +126,20 @@ def test_a_route_whose_conjuncts_hold_claims_the_candidate(monkeypatch):
     assert "d" not in asked and "e" in asked
 
 
+def test_every_ii_d_witness_is_an_ii_b_witness():
+    """The lemma in the ``decision`` docstring: (ii.d) fires only where
+    (ii.b) fires by its first route, a stable singleton child."""
+    fired = 0
+    for p, text in generate_corpus(1, 600, [7, 11, 13, 17, 19, 23]):
+        v, A = solubility_decide(parse_expr(text, p))
+        names = {s.name: s for s in A.picture.proper()}
+        for name in v.reports["ii.d"].witnesses:
+            assert name in v.reports["ii.b"].witnesses, (p, text, name)
+            assert any(k.size == 1 for k in names[name].stable_children), (p, text, name)
+            fired += 1
+    assert fired >= 60
+
+
 # --- golden verdicts ---
 
 def test_example1_soluble_via_ii_a():

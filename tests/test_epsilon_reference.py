@@ -95,8 +95,8 @@ def _check_against_reference(A, outcomes):
             moved += word_image(A, star, w) is not star
         galois = all(v == 1 for v in ref.values())
         inertia = all(v == 1 for w, v in ref.items() if w.b == 0)
-        assert A.eps_trivial_galois(node) == galois, node.name
-        assert A.eps_trivial_inertia(node) == inertia, node.name
+        assert node.eps_trivial_galois == galois, node.name
+        assert node.eps_trivial_inertia == inertia, node.name
         if not star.fixed_galois:
             outcomes.add(("galois", galois))
         if not star.fixed_inertia:
@@ -229,8 +229,8 @@ def test_no_square_root_when_the_star_is_fixed(monkeypatch):
             if node in fixed:
                 for w in all_words(B.tower):
                     assert word_epsilon(B, node_b, w) in (1, -1)
-                B.eps_trivial_galois(node_b)
-                B.eps_trivial_inertia(node_b)
+                node_b.eps_trivial_galois
+                node_b.eps_trivial_inertia
                 checked += 1
         monkeypatch.undo()
     assert checked > 10

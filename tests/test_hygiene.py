@@ -14,6 +14,11 @@ that only the tests use belongs in ``tests/``.  Every ``__slots__`` entry and
 ``NamedTuple`` field of a class in ``src/clustersol/`` must be read as an
 attribute somewhere in the package.  The checks match by name, so a dead
 method or field that shares its name with a live attribute is not seen.
+
+No function defined inside another function in ``src/clustersol/`` may
+read its own name: it would hold itself through its closure cell, a
+reference cycle that only the cyclic collector frees (README, "Warm
+runs").
 """
 
 import ast
@@ -122,6 +127,19 @@ def dead_fields(sources):
                   for fname, line, cls, name in declared if name not in read)
 
 
+def self_reading_closures(source):
+    """(line, name) of each function defined inside a function that reads its own name."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(outer):
+                if (node is not outer and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                                and n.id == node.name for n in ast.walk(node))):
+                    found.add((node.lineno, node.name))
+    return sorted(found)
+
+
 def test_scan_sees_the_modules():
     names = {p.name for p in FILES}
     assert {"tame.py", "clusters.py", "test_hygiene.py", "ab_pairs.py"} <= names
@@ -171,6 +189,35 @@ def test_dead_definitions_are_detected():
     }
     assert dead_fields(fields) == [
         ("a.py", 2, "S.y"), ("a.py", 2, "S.z"), ("a.py", 7, "T.v")]
+
+
+def test_self_reading_closures_are_detected():
+    src = ("def top(n):\n"
+           "    return top(n - 1) if n else 0\n"
+           "def outer():\n"
+           "    def walk(n):\n"
+           "        return walk(n - 1) if n else 0\n"
+           "    def leaf(n):\n"
+           "        return n\n"
+           "    walk = leaf\n"
+           "    return walk(3)\n"
+           "class K:\n"
+           "    def method(self):\n"
+           "        return self.method\n"
+           "    def build(self):\n"
+           "        def inner():\n"
+           "            def innermost():\n"
+           "                return innermost\n"
+           "            return inner\n"
+           "        return inner\n")
+    assert self_reading_closures(src) == [(4, "walk"), (14, "inner"), (15, "innermost")]
+
+
+def test_no_nested_function_reads_its_own_name():
+    found = [(p.name, line, name) for p in PACKAGE
+             for line, name in self_reading_closures(p.read_text(encoding="utf-8"))]
+    assert not found, "nested functions that read their own name: " + ", ".join(
+        f"{name} ({fname}:{line})" for fname, line, name in found)
 
 
 def test_no_dead_definitions():

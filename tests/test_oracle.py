@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,6 +159,25 @@ def test_oracle_vs_exhaustive_enumeration():
             continue
         assert is_locally_soluble(f, p).soluble == exhaustive_soluble(f, p), (f, p)
         checked += 1
+
+
+def test_the_search_depth_is_not_bounded_by_the_recursion_limit():
+    """A chain of classes 301 levels deep, searched under a recursion limit
+    100 frames above the caller's: the search keeps no frame per level."""
+    f = expand_to_integer_poly(parse_expr("(x^2-3*p^600)*(x-1)*(x-2)*(x-3)*(x-4)", 7))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        r = is_locally_soluble(f, 7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.soluble and r.status == "ok" and r.max_level_reached > 300
+    w = r.witness
+    bound = int(re.search(r">= (\d+)", w["certificate"]).group(1))
+    assert vp(w["y"] ** 2 - poly_eval(f, w["x"]), 7) >= bound
 
 
 def test_termination_within_disc_bound():

@@ -64,6 +64,26 @@ def test_galois_data_matches_the_group_reference(analyses):
             got = (node.fixed_inertia, node.fixed_frob, node.stable_children, node.orbit)
             assert got == ref, (A.expr.text, node.name)
             assert node.fixed_galois == (ref[0] and ref[1])
+        for node in A.picture.nodes:
+            if not node.is_proper:
+                (i,) = node.roots
+                got = (node.fixed_inertia, node.fixed_frob, node.fixed_galois)
+                tau, frob = A.rs.tau_perm[i] == i, A.rs.frob_perm[i] == i
+                assert got == (tau, frob, tau and frob), (A.expr.text, node.name)
+
+
+def test_every_node_is_named_once(analyses):
+    for A in analyses:
+        names = [node.name for node in A.picture.nodes]
+        assert len(set(names)) == len(names) == len(A.picture.nodes)
+        for node in A.picture.nodes:
+            if node is A.picture.top:
+                assert node.name == "R"
+            elif node.is_proper:
+                assert node.name[0] == ("t" if node.size == 2 else "s"), (A.expr.text, node.name)
+                assert node.name[1:].isdigit(), (A.expr.text, node.name)
+            else:
+                assert node.name == f"r{node.roots[0] + 1}", A.expr.text
 
 
 def test_images_match_the_root_set_reference(analyses):
